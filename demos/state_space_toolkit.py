@@ -15,11 +15,11 @@ np.set_printoptions(precision=4, suppress=True)
 g = dh.StateSpaceModel([[0.5]], [[1.0]], [[1.0]], [[0.0]])
 resp = dh.impulse_response(g, 6)
 print("Markov parameters of a geometric scalar system:")
-print([float(t[0, 0]) for t in resp.terms])
+print(resp[:, 0, 0].tolist())
 
 # --- H2 norms -------------------------------------------------------------
 exact = dh.h2_norm_sq(g)
-truncated = sum(float(t[0, 0]) ** 2 for t in dh.impulse_response(g, 200).terms)
+truncated = float(np.sum(dh.impulse_response(g, 200) ** 2))
 print(f"\nsquared H2 norm, Gramian vs. truncated sum: {exact:.12f} vs {truncated:.12f}")
 
 # --- cross Lyapunov/Sylvester solve ----------------------------------------

@@ -32,7 +32,6 @@ from .errors import (
     UnstableSystem,
 )
 from .statespace import (
-    ImpulseResponse,
     StateSpaceModel,
     conjugate_product,
     dare_solve,
@@ -48,7 +47,6 @@ from .synthesis import (
     RiccatiGains,
     SynthesisResult,
     VectorizedSystem,
-    basis_matrices,
     coprime_factorization,
     model_matching_matrices,
     realize_controller,
@@ -76,7 +74,6 @@ __all__ = [
     "FirMatrix",
     "GeneralizedPlant",
     "IllPosed",
-    "ImpulseResponse",
     "NotStronglyConnected",
     "QIViolation",
     "QiCheck",
@@ -86,7 +83,6 @@ __all__ = [
     "SynthesisResult",
     "UnstableSystem",
     "VectorizedSystem",
-    "basis_matrices",
     "check_qi",
     "closed_loop",
     "conformance",

@@ -110,24 +110,32 @@ def _format_matrix(m: np.ndarray) -> str:
     return "\n".join("  " + "  ".join(f"{v:g}" for v in row) for row in np.atleast_2d(m))
 
 
-def cmd_check_qi(args) -> int:
-    cfg = load_config(args.config)
+def _qi_verdict(cfg: ProblemConfig, tol: float):
+    """(d, p, verdict) for a graph or delay-matrix config; None for explicit
+    patterns, which carry no delay information."""
     d = cfg.delay_matrix()
     if d is None:
+        return None
+    plant = cfg.plant
+    p = delaymodel.plant_block_delays(
+        plant.g22, plant.block_rows, plant.block_cols, d.max_delay(), tol_zero=tol
+    )
+    return d, p, delaymodel.check_qi(d, p)
+
+
+def cmd_check_qi(args) -> int:
+    cfg = load_config(args.config)
+    qi = _qi_verdict(cfg, _tol_zero(args, cfg))
+    if qi is None:
         raise ConfigError(
             "check-qi needs a 'graph' or 'delay_matrix' constraint; "
             "explicit patterns carry no delay information"
         )
-    plant = cfg.plant
-    p = delaymodel.plant_block_delays(
-        plant.g22, plant.block_rows, plant.block_cols, d.max_delay(),
-        tol_zero=_tol_zero(args, cfg),
-    )
+    d, p, verdict = qi
     print("delay matrix d:")
     print(_format_matrix(d.d))
     print("plant block delays p:")
     print(_format_matrix(p))
-    verdict = delaymodel.check_qi(d, p)
     if verdict.ok:
         print("QI: PASS")
         return EXIT_OK
@@ -138,28 +146,6 @@ def cmd_check_qi(args) -> int:
         f"d[{k},{i}] + p[{i},{j}] + d[{j},{l}] = {lhs} < d[{k},{l}] = {d.d[k, l]}"
     )
     return EXIT_DOMAIN
-
-
-def _qi_guard(cfg: ProblemConfig, tol: float, force: bool) -> None:
-    if force:
-        return
-    d = cfg.delay_matrix()
-    if d is None:
-        print(
-            "note: constraint given as explicit patterns; QI not checkable, proceeding",
-            file=sys.stderr,
-        )
-        return
-    plant = cfg.plant
-    p = delaymodel.plant_block_delays(
-        plant.g22, plant.block_rows, plant.block_cols, d.max_delay(), tol_zero=tol
-    )
-    verdict = delaymodel.check_qi(d, p)
-    if not verdict.ok:
-        raise DelayH2Error(
-            f"delay pattern is not quadratically invariant (witness {verdict.witness}); "
-            "re-run with --force to synthesize anyway"
-        )
 
 
 def _result_document(result: SynthesisResult) -> dict:
@@ -181,7 +167,18 @@ def _result_document(result: SynthesisResult) -> dict:
 
 def cmd_synth(args) -> int:
     cfg = load_config(args.config)
-    _qi_guard(cfg, _tol_zero(args, cfg), args.force)
+    if not args.force:
+        qi = _qi_verdict(cfg, _tol_zero(args, cfg))
+        if qi is None:
+            print(
+                "note: constraint given as explicit patterns; QI not checkable, proceeding",
+                file=sys.stderr,
+            )
+        elif not qi[2].ok:
+            raise DelayH2Error(
+                f"delay pattern is not quadratically invariant (witness {qi[2].witness}); "
+                "re-run with --force to synthesize anyway"
+            )
     result = synthesize(cfg.plant, cfg.constraint_space())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

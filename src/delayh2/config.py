@@ -80,14 +80,12 @@ class ProblemConfig:
             return ConstraintSpace(
                 len(pats), self.plant.block_rows, self.plant.block_cols, pats
             )
-        d = self.delay_matrix()
-        if self.n_horizon_override is None:
-            return build_constraint_space(
-                d, self.plant.block_rows, self.plant.block_cols
-            )
-        n = self.n_horizon_override
-        pats = tuple(d.d <= k for k in range(1, n + 1))
-        return ConstraintSpace(n, self.plant.block_rows, self.plant.block_cols, pats)
+        return build_constraint_space(
+            self.delay_matrix(),
+            self.plant.block_rows,
+            self.plant.block_cols,
+            self.n_horizon_override,
+        )
 
     def delay_matrix(self) -> Optional[DelayMatrix]:
         """Delay matrix when one is derivable (None for explicit patterns)."""

@@ -162,17 +162,22 @@ def delay_matrix(g: DelayGraph) -> DelayMatrix:
     return DelayMatrix(comp[:, None] + dist.T.astype(int))
 
 
-def constraint_space(d: DelayMatrix, block_rows, block_cols) -> ConstraintSpace:
+def constraint_space(
+    d: DelayMatrix, block_rows, block_cols, n_horizon: Optional[int] = None
+) -> ConstraintSpace:
     """FIR constraint space induced by a delay matrix.
 
-    The horizon is ``N = max(d) - 1``; block (i, j) is allowed at lag k iff
-    ``d[i, j] <= k``.  ``N = 0`` yields the vacuous constraint (every block
-    free from lag 1 on), i.e. the centralized one-step-delayed case.
+    Block (i, j) is allowed at lag k iff ``d[i, j] <= k``.  The horizon
+    defaults to ``N = max(d) - 1``, the last lag with a forbidden block; a
+    longer horizon only appends unconstrained lags.  ``N = 0`` yields the
+    vacuous constraint (every block free from lag 1 on), i.e. the
+    centralized one-step-delayed case.
     """
     n = d.node_count
     if len(block_rows) != n or len(block_cols) != n:
         raise DimensionMismatch("block lists must have one entry per node")
-    n_horizon = d.max_delay() - 1
+    if n_horizon is None:
+        n_horizon = d.max_delay() - 1
     patterns = tuple(d.d <= k for k in range(1, n_horizon + 1))
     return ConstraintSpace(n_horizon, tuple(block_rows), tuple(block_cols), patterns)
 
@@ -203,6 +208,21 @@ def check_qi(d: DelayMatrix, p) -> QiCheck:
     return QiCheck(True, None)
 
 
+def block_norms(m, row_sizes, col_sizes) -> np.ndarray:
+    """Frobenius norms of the blocks of a matrix or of a stack of matrices.
+
+    The last two axes of ``m`` are cut into blocks of ``row_sizes`` rows and
+    ``col_sizes`` columns; the result has shape
+    ``m.shape[:-2] + (len(row_sizes), len(col_sizes))``.
+    """
+    sq = np.square(np.asarray(m, dtype=float))
+    rows, cols = np.asarray(row_sizes, dtype=int), np.asarray(col_sizes, dtype=int)
+    if min(rows.min(), cols.min()) < 1 or sq.shape[-2:] != (rows.sum(), cols.sum()):
+        raise DimensionMismatch(f"blocks {row_sizes} x {col_sizes} do not tile {sq.shape[-2:]}")
+    sq = np.add.reduceat(sq, np.cumsum(rows) - rows, axis=-2)
+    return np.sqrt(np.add.reduceat(sq, np.cumsum(cols) - cols, axis=-1))
+
+
 def plant_block_delays(
     g22: StateSpaceModel, block_rows, block_cols, horizon: int, tol_zero: float = TOL_ZERO
 ) -> np.ndarray:
@@ -214,18 +234,5 @@ def plant_block_delays(
     Markov parameter exceeds ``tol_zero`` in Frobenius norm, or
     ``horizon + 1`` when the block stays zero throughout.
     """
-    if sum(block_cols) != g22.n_outputs or sum(block_rows) != g22.n_inputs:
-        raise DimensionMismatch("block sizes do not tile g22")
-    resp = impulse_response(g22, horizon)
-    row_edges = np.concatenate([[0], np.cumsum(block_cols)])
-    col_edges = np.concatenate([[0], np.cumsum(block_rows)])
-    n_r, n_c = len(block_cols), len(block_rows)
-    delays = np.full((n_r, n_c), horizon + 1, dtype=int)
-    for i in range(n_r):
-        for j in range(n_c):
-            for k in range(horizon + 1):
-                blk = resp[k][row_edges[i]:row_edges[i + 1], col_edges[j]:col_edges[j + 1]]
-                if np.linalg.norm(blk) > tol_zero:
-                    delays[i, j] = k
-                    break
-    return delays
+    nonzero = block_norms(impulse_response(g22, horizon), block_cols, block_rows) > tol_zero
+    return np.where(nonzero.any(axis=0), nonzero.argmax(axis=0), horizon + 1)

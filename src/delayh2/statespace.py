@@ -2,7 +2,8 @@
 
 Systems evolve as ``x[t+1] = A x[t] + B u[t]``, ``y[t] = C x[t] + D u[t]``
 and are represented by immutable :class:`StateSpaceModel` values; every
-operation is a pure function returning new values.  All matrices are small
+operation is a pure function returning new values.  An impulse response is
+one ``(T+1, outputs, inputs)`` array indexed by lag.  All matrices are small
 and dense, so solvers favour transparency over asymptotic cleverness:
 Lyapunov/Sylvester equations are vectorized into one dense linear solve and
 the Riccati equation is iterated to a fixed point.
@@ -121,27 +122,9 @@ class StateSpaceModel:
         return StateSpaceModel.static(np.eye(k))
 
 
-@dataclass(frozen=True)
-class ImpulseResponse:
-    """Markov parameters G_0 ... G_T of a model, G_0 = D, G_k = C A^{k-1} B."""
-
-    terms: tuple
-    horizon: int
-
-    def __post_init__(self):
-        if len(self.terms) != self.horizon + 1:
-            raise DimensionMismatch("terms must hold horizon + 1 matrices")
-        object.__setattr__(self, "terms", tuple(_as_matrix(t) for t in self.terms))
-
-    def __getitem__(self, k: int) -> np.ndarray:
-        return self.terms[k]
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-
-def impulse_response(g: StateSpaceModel, horizon: int) -> ImpulseResponse:
-    """Markov parameters of ``g`` up to lag ``horizon`` (inclusive).
+def impulse_response(g: StateSpaceModel, horizon: int) -> np.ndarray:
+    """Markov parameters G_0 = D, G_k = C A^{k-1} B of ``g`` up to lag
+    ``horizon`` (inclusive), stacked into a ``(horizon + 1, p, m)`` array.
 
     Parameters
     ----------
@@ -156,7 +139,7 @@ def impulse_response(g: StateSpaceModel, horizon: int) -> ImpulseResponse:
     for _ in range(horizon):
         terms.append(g.c @ w)
         w = g.a @ w
-    return ImpulseResponse(tuple(terms), horizon)
+    return np.stack(terms)
 
 
 def multiply(g: StateSpaceModel, h: StateSpaceModel) -> StateSpaceModel:

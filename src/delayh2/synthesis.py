@@ -6,7 +6,9 @@ doubly-coprime factorization, and reduce the delay-constrained synthesis to
 a finite quadratic program over the first N impulse-response coefficients of
 the free parameter.  That program is solved exactly as a finite-horizon
 time-varying LQR after vectorizing the FIR recursion with Kronecker
-products.  The optimal controller is then assembled in closed form.
+products; the delay constraint enters as a boolean mask over each
+column-stacked coefficient, so allowed and forbidden coordinates are picked
+by indexing.  The optimal controller is then assembled in closed form.
 """
 
 from __future__ import annotations
@@ -17,13 +19,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .delaymodel import (
-    ConstraintSpace,
-    DelayMatrix,
-    check_qi,
-    expand_pattern,
-    plant_block_delays,
-)
+from .delaymodel import ConstraintSpace, DelayMatrix, check_qi, plant_block_delays
 from .errors import (
     AssumptionViolated,
     BezoutCheckFailed,
@@ -173,7 +169,8 @@ class RiccatiGains:
     """Solutions and gains of the control/filter Riccati pair.
 
     omega = I + B2^T X B2 and psi = I + C2 Y C2^T are the innovation
-    weights; A + B2 K and A + L C2 are stable by construction.
+    weights; the regulator loop a_k = A + B2 K and the estimator loop
+    a_l = A + L C2 are stable by construction.
     """
 
     x_ctrl: np.ndarray
@@ -182,6 +179,8 @@ class RiccatiGains:
     l_gain: np.ndarray
     omega: np.ndarray
     psi: np.ndarray
+    a_k: np.ndarray
+    a_l: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -279,11 +278,13 @@ def riccati_gains(plant: GeneralizedPlant) -> RiccatiGains:
     psi = np.eye(plant.n_meas) + c2 @ y @ c2.T
     k = -np.linalg.solve(omega, b2.T @ x @ a)
     l = -np.linalg.solve(psi.T, (a @ y @ c2.T).T).T
-    if spectral_radius(a + b2 @ k) >= 1.0 - TOL_STAB:
+    a_k = a + b2 @ k
+    a_l = a + l @ c2
+    if spectral_radius(a_k) >= 1.0 - TOL_STAB:
         raise AssumptionViolated("regulator loop A + B2 K is unstable")
-    if spectral_radius(a + l @ c2) >= 1.0 - TOL_STAB:
+    if spectral_radius(a_l) >= 1.0 - TOL_STAB:
         raise AssumptionViolated("estimator loop A + L C2 is unstable")
-    return RiccatiGains(x, y, k, l, omega, psi)
+    return RiccatiGains(x, y, k, l, omega, psi, a_k, a_l)
 
 
 def coprime_factorization(
@@ -296,10 +297,9 @@ def coprime_factorization(
     product is verified on Markov parameters up to lag 2n + 2 and a
     violation beyond ``BEZOUT_TOL`` raises.
     """
-    a, b2, c2 = plant.a, plant.b2, plant.c2
+    b2, c2 = plant.b2, plant.c2
     k, l = gains.k_gain, gains.l_gain
-    a_k = a + b2 @ k
-    a_l = a + l @ c2
+    a_k, a_l = gains.a_k, gains.a_l
     n_u, n_y = plant.n_ctrl, plant.n_meas
     io = np.eye(n_u)
     iy = np.eye(n_y)
@@ -318,23 +318,12 @@ def coprime_factorization(
     )
 
     # Bezout residual of the stacked product; lag 0 must be I, the rest 0.
-    left = StateSpaceModel(
-        a_l,
-        np.hstack([b2, -l]),
-        np.vstack([-k, -c2]),
-        np.eye(n_u + n_y),
-    )
-    right = StateSpaceModel(
-        a_k,
-        np.hstack([b2, -l]),
-        np.vstack([k, c2]),
-        np.eye(n_u + n_y),
-    )
-    product = multiply(left, right)
-    resp = impulse_response(product, 2 * plant.n + 2)
-    residual = np.abs(resp[0] - np.eye(n_u + n_y)).max()
-    for term in resp.terms[1:]:
-        residual = max(residual, np.abs(term).max(initial=0.0))
+    inputs, eye = np.hstack([b2, -l]), np.eye(n_u + n_y)
+    left = StateSpaceModel(a_l, inputs, np.vstack([-k, -c2]), eye)
+    right = StateSpaceModel(a_k, inputs, np.vstack([k, c2]), eye)
+    resp = impulse_response(multiply(left, right), 2 * plant.n + 2)
+    resp[0] -= eye
+    residual = np.abs(resp).max()
     if residual > BEZOUT_TOL:
         raise BezoutCheckFailed(f"Bezout identity residual {residual:.3g}")
     return factors
@@ -349,13 +338,12 @@ def model_matching_matrices(
     (stable, strictly proper); p12 and p21 are the input and output factors
     multiplying the free parameter.
     """
-    a, b1, b2 = plant.a, plant.b1, plant.b2
+    b1, b2 = plant.b1, plant.b2
     c1, c2 = plant.c1, plant.c2
     d12, d21 = plant.d12, plant.d21
     k, l = gains.k_gain, gains.l_gain
+    a_k, a_l = gains.a_k, gains.a_l
     n = plant.n
-    a_k = a + b2 @ k
-    a_l = a + l @ c2
 
     p11 = StateSpaceModel(
         np.block([[a_k, -b2 @ k], [np.zeros((n, n)), a_l]]),
@@ -377,11 +365,10 @@ def vectorized_system(
     gives vec(J_i) = C_v x_i + vec(V_i) with x_{i+1} = A_v x_i + B_v vec(V_i)
     and x_1 = [vec(L); 0].
     """
-    a, b2, c2 = plant.a, plant.b2, plant.c2
+    b2, c2 = plant.b2, plant.c2
     k, l = gains.k_gain, gains.l_gain
+    a_k, a_l = gains.a_k, gains.a_l
     n, n_u, n_y = plant.n, plant.n_ctrl, plant.n_meas
-    a_k = a + b2 @ k
-    a_l = a + l @ c2
     a_v = np.block(
         [
             [np.kron(np.eye(n_y), a_k), np.zeros((n * n_y, n * n_u))],
@@ -392,20 +379,6 @@ def vectorized_system(
     c_v = np.hstack([np.kron(np.eye(n_y), k), np.kron(l.T, np.eye(n_u))])
     x1 = np.concatenate([vec(l), np.zeros(n * n_u)])
     return VectorizedSystem(a_v, b_v, c_v, np.eye(n_u * n_y), x1)
-
-
-def basis_matrices(pattern, block_rows, block_cols) -> tuple[np.ndarray, np.ndarray]:
-    """Selection matrices for the allowed and forbidden vec-coordinates.
-
-    Returns (E, F): columns of the identity picking the column-stacked
-    positions where the block pattern permits (E) or forbids (F) an entry.
-    [E F] is a column permutation of the identity, so both have orthonormal
-    columns by construction.
-    """
-    mask = expand_pattern(pattern, block_rows, block_cols)
-    flat = mask.reshape(-1, order="F")
-    eye = np.eye(flat.size)
-    return eye[:, np.flatnonzero(flat)], eye[:, np.flatnonzero(~flat)]
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -423,15 +396,16 @@ def solve_constrained_qp(
     forbidden coordinates of every constrained FIR coefficient vanishing.
 
     The problem is a finite-horizon time-varying LQR on the lifted
-    recursion: eliminating the forbidden coordinates with the F_i selectors
-    leaves the allowed ones as inputs, a backward Riccati recursion from
-    X_{N+1} = 0 yields feedback gains, and a forward sweep reconstructs the
-    optimal coefficients.  The optimal cost is x_1^T X_1 x_1.
+    recursion.  At lag i the mask ``cs.entry_mask(i)`` splits vec(V_i) into
+    allowed and forbidden coordinates; the forbidden ones are pinned to
+    cancel the constrained channel, -C_v[forb] x_i, and the allowed ones
+    are the inputs.  A backward Riccati recursion from X_{N+1} = 0 yields
+    feedback gains, and a forward sweep reconstructs the optimal
+    coefficients.  The optimal cost is x_1^T X_1 x_1.
     """
     omega = np.atleast_2d(np.asarray(omega, dtype=float))
     psi = np.atleast_2d(np.asarray(psi, dtype=float))
     n_u, n_y = omega.shape[0], psi.shape[0]
-    n_big = len(vsys.x1)
     n = cs.n_horizon
     if n == 0:
         return FirMatrix(()), 0.0
@@ -441,32 +415,29 @@ def solve_constrained_qp(
     r_half = np.kron(_psd_sqrt(psi), _psd_sqrt(omega))
     stages = []
     for lag in range(1, n + 1):
-        e, f = basis_matrices(cs.patterns[lag - 1], cs.block_rows, cs.block_cols)
-        fft = f @ f.T
+        allowed = cs.entry_mask(lag).ravel(order="F")
+        forb = ~allowed
+        c_forb = vsys.c_v[forb]
         stages.append(
             (
-                vsys.a_v - vsys.b_v @ fft @ vsys.c_v,
-                vsys.b_v @ e,
-                -r_half @ fft @ vsys.c_v,
-                r_half @ e,
-                e,
-                f,
+                vsys.a_v - vsys.b_v[:, forb] @ c_forb,
+                vsys.b_v[:, allowed],
+                -r_half[:, forb] @ c_forb,
+                r_half[:, allowed],
+                allowed,
             )
         )
 
-    x_cost = np.zeros((n_big, n_big))
+    x_cost = np.zeros_like(vsys.a_v)
     feedback = [None] * n
     for i in range(n - 1, -1, -1):
-        a_i, b_i, c_i, d_i, _, _ = stages[i]
+        a_i, b_i, c_i, d_i, _ = stages[i]
         h = d_i.T @ d_i + b_i.T @ x_cost @ b_i
         g = b_i.T @ x_cost @ a_i + d_i.T @ c_i
-        if h.shape[0] == 0:
-            k_i = np.zeros((0, n_big))
-        else:
-            try:
-                k_i = -np.linalg.solve(h, g)
-            except np.linalg.LinAlgError as exc:
-                raise SolverFailure("singular stage cost in the QP recursion") from exc
+        try:
+            k_i = -np.linalg.solve(h, g)
+        except np.linalg.LinAlgError as exc:
+            raise SolverFailure("singular stage cost in the QP recursion") from exc
         x_new = c_i.T @ c_i + a_i.T @ x_cost @ a_i + (a_i.T @ x_cost @ b_i + c_i.T @ d_i) @ k_i
         x_cost = 0.5 * (x_new + x_new.T)
         feedback[i] = k_i
@@ -476,8 +447,10 @@ def solve_constrained_qp(
     state = vsys.x1.copy()
     blocks = []
     for i in range(n):
-        a_i, b_i, _, _, e, f = stages[i]
-        v_vec = (e @ feedback[i] - f @ f.T @ vsys.c_v) @ state
+        a_i, b_i, _, _, allowed = stages[i]
+        v_vec = np.empty(n_u * n_y)
+        v_vec[allowed] = feedback[i] @ state
+        v_vec[~allowed] = -vsys.c_v[~allowed] @ state
         blocks.append(unvec(v_vec, n_u, n_y))
         state = (a_i + b_i @ feedback[i]) @ state
     return FirMatrix(tuple(blocks)), qp_cost
@@ -491,13 +464,13 @@ def realize_controller(
     The realization couples the LQG observer loop with a shift register
     holding the last N measurements; its order is n + n_meas * N.
     """
-    a, b2, c2 = plant.a, plant.b2, plant.c2
+    b2, c2 = plant.b2, plant.c2
     k, l = gains.k_gain, gains.l_gain
     n_u, n_y = plant.n_ctrl, plant.n_meas
     a_fir, b_fir, c_fir = _fir_realization(v_star.blocks, n_u, n_y)
     a_ctrl = np.block(
         [
-            [a + b2 @ k + l @ c2, b2 @ c_fir],
+            [gains.a_k + l @ c2, b2 @ c_fir],
             [b_fir @ c2, a_fir],
         ]
     )

@@ -9,11 +9,11 @@ quadratic program is re-solved as one explicit KKT system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .delaymodel import ConstraintSpace
+from .delaymodel import ConstraintSpace, block_norms
 from .errors import DimensionMismatch, IllPosed, SolverFailure
 from .statespace import (
     StateSpaceModel,
@@ -22,7 +22,7 @@ from .statespace import (
     spectral_radius,
     unvec,
 )
-from .synthesis import FirMatrix, GeneralizedPlant, VectorizedSystem, basis_matrices
+from .synthesis import FirMatrix, GeneralizedPlant, VectorizedSystem
 
 CONFORMANCE_TOL = 1e-7
 
@@ -85,34 +85,16 @@ def conformance(
     block of the corresponding Markov parameter must be zero up to ``tol``
     relative to the overall response scale.
     """
-    n = cs.n_horizon
-    if (k.n_outputs, k.n_inputs) != (sum(cs.block_rows), sum(cs.block_cols)):
-        raise DimensionMismatch("controller dimensions do not match the blocks")
-    resp = impulse_response(k, n)
-    scale = max((float(np.linalg.norm(t)) for t in resp.terms), default=0.0)
-    tol = tol * (1.0 + scale)
-    row_edges = np.concatenate([[0], np.cumsum(cs.block_rows)])
-    col_edges = np.concatenate([[0], np.cumsum(cs.block_cols)])
-    violations: List[Tuple[int, int, int, float]] = []
-    for lag in range(n + 1):
-        allowed = (
-            np.zeros((len(cs.block_rows), len(cs.block_cols)), dtype=bool)
-            if lag == 0
-            else cs.patterns[lag - 1]
-        )
-        term = resp[lag]
-        for i in range(len(cs.block_rows)):
-            for j in range(len(cs.block_cols)):
-                if allowed[i, j]:
-                    continue
-                mag = float(
-                    np.linalg.norm(
-                        term[row_edges[i]:row_edges[i + 1], col_edges[j]:col_edges[j + 1]]
-                    )
-                )
-                if mag > tol:
-                    violations.append((lag, i, j, mag))
-    return ConformanceReport(not violations, tuple(violations))
+    resp = impulse_response(k, cs.n_horizon)
+    tol = tol * (1.0 + float(np.linalg.norm(resp, axis=(1, 2)).max()))
+    no_feedthrough = np.zeros((len(cs.block_rows), len(cs.block_cols)), dtype=bool)
+    allowed = np.stack((no_feedthrough,) + cs.patterns)
+    mags = block_norms(resp, cs.block_rows, cs.block_cols)
+    violations = tuple(
+        (int(lag), int(i), int(j), float(mags[lag, i, j]))
+        for lag, i, j in np.argwhere(~allowed & (mags > tol))
+    )
+    return ConformanceReport(not violations, violations)
 
 
 def kkt_oracle(
@@ -148,22 +130,17 @@ def kkt_oracle(
     rows = []
     rhs = []
     for i in range(1, n + 1):
-        _, f = basis_matrices(cs.patterns[i - 1], cs.block_rows, cs.block_cols)
-        if f.shape[1] == 0:
-            continue
-        row = np.zeros((f.shape[1], n_var))
+        forb = ~cs.entry_mask(i).ravel(order="F")
+        c_forb = vsys.c_v[forb]
+        row = np.zeros((np.count_nonzero(forb), n_var))
         for j in range(1, i):
-            row[:, (j - 1) * m:j * m] = f.T @ vsys.c_v @ powers[i - 1 - j] @ vsys.b_v
-        row[:, (i - 1) * m:i * m] += f.T
+            row[:, (j - 1) * m:j * m] = c_forb @ powers[i - 1 - j] @ vsys.b_v
+        row[:, (i - 1) * m:i * m] += np.eye(m)[forb]
         rows.append(row)
-        rhs.append(-f.T @ vsys.c_v @ powers[i - 1] @ vsys.x1)
+        rhs.append(-c_forb @ powers[i - 1] @ vsys.x1)
 
-    if rows:
-        con = np.vstack(rows)
-        con_rhs = np.concatenate(rhs)
-    else:
-        con = np.zeros((0, n_var))
-        con_rhs = np.zeros(0)
+    con = np.vstack(rows)
+    con_rhs = np.concatenate(rhs)
     n_con = con.shape[0]
 
     kkt = np.block([[2.0 * r_all, con.T], [con, np.zeros((n_con, n_con))]])

@@ -16,6 +16,8 @@ from delayh2 import (
     expand_pattern,
     plant_block_delays,
 )
+from delayh2.delaymodel import block_norms
+from delayh2.statespace import vec
 from conftest import make_chain_graph, make_chain_plant
 
 
@@ -119,6 +121,28 @@ class TestConstraintSpace:
                 2, (1,), (1,),
                 (np.array([[True]]), np.array([[False]])),
             )
+
+    def test_entry_mask_column_stacked_positions(self):
+        # the QP and the KKT oracle index vec(V) with entry_mask(lag).ravel("F"),
+        # so the flattened mask must line up with vec's column stacking
+        cs = ConstraintSpace(1, (1, 1, 1), (1, 1, 1), (np.eye(3, dtype=bool),))
+        allowed = cs.entry_mask(1).ravel(order="F")
+        npt.assert_array_equal(np.flatnonzero(allowed), [0, 4, 8])
+        npt.assert_array_equal(np.flatnonzero(~allowed), [1, 2, 3, 5, 6, 7])
+        npt.assert_array_equal(allowed, vec(cs.entry_mask(1)).astype(bool))
+
+    def test_explicit_horizon_appends_unconstrained_lags(self):
+        d = delay_matrix(make_chain_graph())
+        cs = constraint_space(d, (1, 1, 1), (1, 1, 1), n_horizon=4)
+        default = constraint_space(d, (1, 1, 1), (1, 1, 1))
+        assert cs.n_horizon == 4
+        for got, want in zip(cs.patterns, default.patterns):
+            npt.assert_array_equal(got, want)
+        assert cs.patterns[2].all() and cs.patterns[3].all()
+        short = constraint_space(d, (1, 1, 1), (1, 1, 1), n_horizon=1)
+        assert short.n_horizon == 1
+        npt.assert_array_equal(short.patterns[0], np.eye(3, dtype=bool))
+        assert constraint_space(d, (1, 1, 1), (1, 1, 1), n_horizon=0).patterns == ()
 
     def test_entry_mask_expansion(self):
         pattern = np.array([[True, False], [False, True]])
@@ -225,3 +249,36 @@ class TestPlantBlockDelays:
         )
         p = plant_block_delays(g, (1, 1), (1,), 6)
         npt.assert_array_equal(p, [[1, 7]])
+
+
+class TestBlockNorms:
+    ROWS, COLS = (2, 1), (1, 2, 1)
+
+    def loop_norms(self, m):
+        r_edges, c_edges = np.cumsum((0,) + self.ROWS), np.cumsum((0,) + self.COLS)
+        out = np.zeros((len(self.ROWS), len(self.COLS)))
+        for i in range(len(self.ROWS)):
+            for j in range(len(self.COLS)):
+                blk = m[r_edges[i]:r_edges[i + 1], c_edges[j]:c_edges[j + 1]]
+                out[i, j] = np.linalg.norm(blk)
+        return out
+
+    def test_uneven_blocks_of_one_matrix(self):
+        m = np.random.default_rng(31).standard_normal((3, 4))
+        got = block_norms(m, self.ROWS, self.COLS)
+        assert got.shape == (2, 3)
+        npt.assert_allclose(got, self.loop_norms(m), rtol=1e-14)
+
+    def test_uneven_blocks_of_a_stack(self):
+        stack = np.random.default_rng(32).standard_normal((5, 3, 4))
+        got = block_norms(stack, self.ROWS, self.COLS)
+        assert got.shape == (5, 2, 3)
+        for k in range(5):
+            npt.assert_allclose(got[k], self.loop_norms(stack[k]), rtol=1e-14)
+
+    @pytest.mark.parametrize(
+        "rows, cols", [((2, 2), (1, 2, 1)), ((2, 1), (1, 2)), ((3, 0), (1, 2, 1))]
+    )
+    def test_blocks_must_tile_the_matrix(self, rows, cols):
+        with pytest.raises(DimensionMismatch):
+            block_norms(np.ones((3, 4)), rows, cols)

@@ -51,11 +51,11 @@ class TestModel:
 class TestImpulseResponse:
     def test_nilpotent_scalar(self):
         resp = impulse_response(scalar_model(0.0), 3)
-        npt.assert_allclose([t[0, 0] for t in resp.terms], [0.0, 1.0, 0.0, 0.0])
+        npt.assert_allclose(resp[:, 0, 0], [0.0, 1.0, 0.0, 0.0])
 
     def test_geometric_scalar(self):
         resp = impulse_response(scalar_model(0.5), 2)
-        npt.assert_allclose([t[0, 0] for t in resp.terms], [0.0, 1.0, 0.5])
+        npt.assert_allclose(resp[:, 0, 0], [0.0, 1.0, 0.5])
 
     def test_chain_cross_block_opens_at_lag_three(self):
         # the (1,3) entry must stay zero until the signal has crossed both
@@ -79,6 +79,22 @@ class TestImpulseResponse:
     def test_negative_horizon_rejected(self):
         with pytest.raises(ValueError):
             impulse_response(scalar_model(0.0), -1)
+
+    @pytest.mark.parametrize("horizon", [0, 1, 5])
+    def test_stacked_shape(self, horizon):
+        g = oracles.random_stable_model(np.random.default_rng(8), 3, 2, 4)
+        resp = impulse_response(g, horizon)
+        assert isinstance(resp, np.ndarray)
+        assert resp.shape == (horizon + 1, 4, 2)
+        npt.assert_array_equal(resp[0], g.d)
+
+    @pytest.mark.parametrize("horizon", [0, 3])
+    def test_zero_state_model_is_feedthrough_then_zero(self, horizon):
+        d = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        resp = impulse_response(StateSpaceModel.static(d), horizon)
+        assert resp.shape == (horizon + 1, 2, 3)
+        npt.assert_array_equal(resp[0], d)
+        npt.assert_array_equal(resp[1:], 0.0)
 
 
 class TestAlgebraHelpers:

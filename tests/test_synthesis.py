@@ -11,7 +11,6 @@ from delayh2 import (
     FirMatrix,
     GeneralizedPlant,
     QIViolation,
-    basis_matrices,
     closed_loop,
     coprime_factorization,
     h2_norm_sq,
@@ -243,30 +242,6 @@ class TestVectorizedSystem:
             want = resp[i].reshape(-1, order="F")
             npt.assert_allclose(j_vec, want, atol=1e-9)
             state = vsys.a_v @ state + vsys.b_v @ v_vec
-
-
-class TestBasisMatrices:
-    def test_all_allowed(self):
-        e, f = basis_matrices(np.ones((2, 2), bool), (1, 1), (1, 1))
-        npt.assert_array_equal(e, np.eye(4))
-        assert f.shape == (4, 0)
-
-    def test_all_forbidden(self):
-        e, f = basis_matrices(np.zeros((2, 2), bool), (1, 1), (1, 1))
-        assert e.shape == (4, 0)
-        npt.assert_array_equal(f, np.eye(4))
-
-    def test_chain_diagonal_pattern_selects_column_stacked_positions(self):
-        e, f = basis_matrices(np.eye(3, dtype=bool), (1, 1, 1), (1, 1, 1))
-        npt.assert_array_equal(e, np.eye(9)[:, [0, 4, 8]])
-        npt.assert_array_equal(f, np.eye(9)[:, [1, 2, 3, 5, 6, 7]])
-
-    def test_stacked_pair_is_a_permutation(self):
-        rng = np.random.default_rng(9)
-        pattern = rng.random((2, 3)) < 0.5
-        e, f = basis_matrices(pattern, (2, 1), (1, 2, 1))
-        perm = np.hstack([e, f])
-        npt.assert_allclose(perm @ perm.T, np.eye(perm.shape[0]))
 
 
 class TestSolveConstrainedQp:

@@ -92,6 +92,21 @@ class TestConformance:
         assert not report.ok
         assert all(v[0] == 0 for v in report.violations)
 
+    def test_zero_horizon_checks_only_the_feedthrough(self, chain_plant):
+        # N = 0 leaves every lag >= 1 free, so the centralized controller
+        # conforms and only a lag-0 feedthrough block can violate
+        cs = ConstraintSpace(0, (1, 1, 1), (1, 1, 1), ())
+        central = realize_controller(FirMatrix(()), riccati_gains(chain_plant), chain_plant)
+        assert conformance(central, cs).ok
+        d = np.zeros((3, 3))
+        d[1, 2] = 0.5
+        report = conformance(StateSpaceModel.static(d), cs)
+        assert not report.ok
+        assert len(report.violations) == 1
+        lag, i, j, mag = report.violations[0]
+        assert (lag, i, j) == (0, 1, 2)
+        assert mag == pytest.approx(0.5)
+
 
 class TestKktOracle:
     def test_unconstrained_is_zero(self, chain_plant, chain_space):
