@@ -42,7 +42,7 @@ print("matches the closed form 1/(1-a^2):", 1.0 / (1.0 - 0.25))
 # product helper sanity: (G~G at lag 1) equals a/(1-a^2)
 print("lag-1 coefficient:", float((causal.c @ causal.b)[0, 0]), "=", 0.5 / 0.75)
 
-# --- Riccati fixed point ----------------------------------------------------
+# --- Riccati equation by doubling -------------------------------------------
 x = dh.dare_solve([[1.0]], [[1.0]], [[1.0]])
 print(f"\nscalar Riccati solution: {x[0, 0]:.10f} (golden ratio "
       f"{(1 + np.sqrt(5)) / 2:.10f})")

@@ -3,10 +3,9 @@
 Systems evolve as ``x[t+1] = A x[t] + B u[t]``, ``y[t] = C x[t] + D u[t]``
 and are represented by immutable :class:`StateSpaceModel` values; every
 operation is a pure function returning new values.  An impulse response is
-one ``(T+1, outputs, inputs)`` array indexed by lag.  All matrices are small
-and dense, so solvers favour transparency over asymptotic cleverness:
-Lyapunov/Sylvester equations are vectorized into one dense linear solve and
-the Riccati equation is iterated to a fixed point.
+one ``(T+1, outputs, inputs)`` array indexed by lag.  Matrices are dense;
+the Stein (discrete Lyapunov/Sylvester) and Riccati equations are solved by
+doubling, O(n^3) per step, each step covering twice the horizon of the last.
 
 ``vec`` stacks columns (Fortran order) throughout, which is the convention
 under which vec(A X B) = (B^T kron A) vec(X).
@@ -28,9 +27,12 @@ from .errors import (
 # Slack on the unit circle when declaring a matrix stable.
 TOL_STAB = 1e-9
 
-# Fixed-point Riccati iteration limits.
-DARE_MAX_ITER = 10000
+# Relative change of the Riccati iterate at which doubling stops.
 DARE_TOL = 1e-12
+
+# Step cap of both doubling solvers: step k covers 2^k terms, so a spectral
+# radius of 1 - TOL_STAB decays below eps within about 35 steps.
+DOUBLING_MAX_STEPS = 64
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -205,32 +207,41 @@ def h2_norm_sq(g: StateSpaceModel) -> float:
     static_part = float(np.trace(g.d.T @ g.d))
     if g.order == 0:
         return static_part
-    w_obs = dlyap_cross(g.a, g.c, g.a, g.c)
+    w_obs = _smith_doubling(g.a, g.c, g.a, g.c)
     return static_part + float(np.trace(g.b.T @ w_obs @ g.b))
 
 
 def dlyap_cross(
     a_g: np.ndarray, c_g: np.ndarray, a_h: np.ndarray, c_h: np.ndarray
 ) -> np.ndarray:
-    """Solve the Sylvester-type equation  Gamma = A_g^T Gamma A_h + C_g^T C_h.
+    """Solve the Stein equation  Gamma = A_g^T Gamma A_h + C_g^T C_h.
 
-    The equation is vectorized into the dense linear system
-    ``(I - A_h^T kron A_g^T) vec(Gamma) = vec(C_g^T C_h)``, which is fine at
-    the matrix sizes this package deals with.
+    Smith doubling (Smith 1968) from P_g = A_g^T, P_h = A_h: each step sets
+    ``Gamma <- Gamma + P_g Gamma P_h``, which doubles the terms of the series
+    sum_k (A_g^T)^k C_g^T C_h A_h^k summed, then squares P_g and P_h.  It
+    stops once ||P_g|| ||P_h|| < eps, leaving a tail below eps ||Gamma||.
+    Raises :class:`UnstableSystem` for a factor of spectral radius at least
+    1 - ``TOL_STAB``, and :class:`SolverFailure` if the tail has not
+    vanished within ``DOUBLING_MAX_STEPS`` steps.
     """
     a_g, c_g, a_h, c_h = map(_as_matrix, (a_g, c_g, a_h, c_h))
     _require_stable(a_g, "dlyap_cross (left factor)")
     _require_stable(a_h, "dlyap_cross (right factor)")
-    n_g, n_h = a_g.shape[0], a_h.shape[0]
-    rhs = c_g.T @ c_h
-    if n_g == 0 or n_h == 0:
-        return np.zeros((n_g, n_h))
-    lhs = np.eye(n_g * n_h) - np.kron(a_h.T, a_g.T)
-    try:
-        sol = np.linalg.solve(lhs, vec(rhs))
-    except np.linalg.LinAlgError as exc:
-        raise SolverFailure("singular Lyapunov/Sylvester system") from exc
-    return unvec(sol, n_g, n_h)
+    return _smith_doubling(a_g, c_g, a_h, c_h)
+
+
+def _smith_doubling(a_g, c_g, a_h, c_h) -> np.ndarray:
+    """:func:`dlyap_cross` on factors already known to be stable."""
+    gamma = c_g.T @ c_h
+    p_g, p_h = a_g.T, a_h
+    for _ in range(DOUBLING_MAX_STEPS):
+        tail = np.linalg.norm(p_g) * np.linalg.norm(p_h)
+        if tail < np.finfo(float).eps:
+            return gamma
+        gamma = gamma + p_g @ gamma @ p_h
+        p_g, p_h = p_g @ p_g, p_h @ p_h
+    raise SolverFailure(f"Smith doubling did not converge in {DOUBLING_MAX_STEPS} "
+                        f"steps (tail factor ||P_g|| ||P_h|| = {tail:.3g})")
 
 
 def conjugate_product(
@@ -270,45 +281,42 @@ def conjugate_product(
 def dare_solve(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Stabilizing solution of  X = Q + A^T X A - A^T X B (I + B^T X B)^{-1} B^T X A.
 
-    Solved by the fixed-point iteration X <- rhs(X) started at X = Q, which
-    converges for stabilizable (A, B) and detectable (A, Q^{1/2}).  The unit
-    input weight is baked into the equation; scale B and Q beforehand if a
-    different weighting is wanted.
-
-    Raises
-    ------
-    SolverFailure
-        If the iteration does not reach ``DARE_TOL`` within ``DARE_MAX_ITER``.
-    AssumptionViolated
-        If the resulting closed loop A + B K is not stable.
+    Solved in the form X = A^T X (I + G X)^{-1} A + Q, G = B B^T, by the
+    structure-preserving doubling algorithm (Chu, Fan, Lin & Wang 2004): from
+    A_0 = A, G_0 = G, H_0 = Q, each step forms W = I + G_k H_k and
+    A_{k+1} = A_k W^{-1} A_k, G_{k+1} = G_k + A_k W^{-1} G_k A_k^T,
+    H_{k+1} = H_k + A_k^T H_k W^{-1} A_k.  H_k converges to X quadratically
+    for stabilizable (A, B) and detectable (A, Q^{1/2}).  The unit input
+    weight is baked into the equation; scale B and Q beforehand if a
+    different weighting is wanted.  Raises :class:`SolverFailure` if the
+    iterates stop being finite or miss ``DARE_TOL`` within
+    ``DOUBLING_MAX_STEPS`` steps, and :class:`AssumptionViolated` if the
+    resulting closed loop A + B K is not stable.
     """
     a, b, q = map(_as_matrix, (a, b, q))
     n, m = a.shape[0], b.shape[1]
     if q.shape != (n, n) or b.shape[0] != n:
         raise DimensionMismatch("dare_solve: incompatible shapes")
-    q = 0.5 * (q + q.T)
-    x = q.copy()
-    for _ in range(DARE_MAX_ITER):
-        bxb = np.eye(m) + b.T @ x @ b
+    a_k, g_k, x = a, b @ b.T, 0.5 * (q + q.T)
+    for _ in range(DOUBLING_MAX_STEPS):
         try:
-            gain_term = np.linalg.solve(bxb, b.T @ x @ a)
+            w_inv = np.linalg.solve(np.eye(n) + g_k @ x, np.hstack([a_k, g_k]))
         except np.linalg.LinAlgError as exc:
-            raise SolverFailure("singular innovation matrix in Riccati iteration") from exc
-        x_next = q + a.T @ x @ a - a.T @ x @ b @ gain_term
+            raise SolverFailure("singular I + G H in Riccati doubling") from exc
+        w_inv_a, w_inv_g = np.hsplit(w_inv, 2)
+        x_next = x + a_k.T @ x @ w_inv_a
         x_next = 0.5 * (x_next + x_next.T)
         if not np.isfinite(x_next).all():
-            raise SolverFailure(
-                "Riccati iteration diverged; (A, B) is likely not stabilizable"
-            )
+            raise SolverFailure("Riccati doubling diverged; (A, B) is likely not stabilizable")
+        g_k = g_k + a_k @ w_inv_g @ a_k.T
+        g_k, a_k = 0.5 * (g_k + g_k.T), a_k @ w_inv_a
         residual = np.linalg.norm(x_next - x, "fro") / (1.0 + np.linalg.norm(x_next, "fro"))
         x = x_next
         if residual < DARE_TOL:
             break
     else:
-        raise SolverFailure(
-            f"Riccati iteration did not converge in {DARE_MAX_ITER} steps "
-            f"(residual {residual:.3g})"
-        )
+        raise SolverFailure(f"Riccati doubling did not converge in {DOUBLING_MAX_STEPS} "
+                            f"steps (residual {residual:.3g})")
     k = -np.linalg.solve(np.eye(m) + b.T @ x @ b, b.T @ x @ a)
     if spectral_radius(a + b @ k) >= 1.0 - TOL_STAB:
         raise AssumptionViolated(

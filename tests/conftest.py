@@ -15,27 +15,31 @@ from delayh2 import (
 from delayh2.statespace import StateSpaceModel
 
 
-def make_chain_plant() -> GeneralizedPlant:
-    """Three coupled subsystems in a line; each node measures and actuates
-    its own state, performance weights state and input equally."""
-    a = np.array([[1.5, 1.0, 0.0], [1.0, 1.5, 1.0], [0.0, 1.0, 1.5]])
+def make_chain_plant(n: int = 3) -> GeneralizedPlant:
+    """n coupled subsystems in a line (three in the paper's example); each
+    node measures and actuates its own state, performance weights state and
+    input equally."""
+    a = 1.5 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+    eye, zero = np.eye(n), np.zeros((n, n))
     return GeneralizedPlant(
         a=a,
-        b1=np.hstack([np.eye(3), np.zeros((3, 3))]),
-        b2=np.eye(3),
-        c1=np.vstack([np.eye(3), np.zeros((3, 3))]),
-        c2=np.eye(3),
-        d12=np.vstack([np.zeros((3, 3)), np.eye(3)]),
-        d21=np.hstack([np.zeros((3, 3)), np.eye(3)]),
-        block_rows=(1, 1, 1),
-        block_cols=(1, 1, 1),
+        b1=np.hstack([eye, zero]),
+        b2=eye,
+        c1=np.vstack([eye, zero]),
+        c2=eye,
+        d12=np.vstack([zero, eye]),
+        d21=np.hstack([zero, eye]),
+        block_rows=(1,) * n,
+        block_cols=(1,) * n,
     )
 
 
-def make_chain_graph() -> DelayGraph:
-    return DelayGraph(
-        3, (1, 1, 1), ((0, 1, 1), (1, 0, 1), (1, 2, 1), (2, 1, 1))
-    )
+def make_chain_graph(n: int = 3) -> DelayGraph:
+    """Unit computational delay at each node and on each link of the line."""
+    edges = []
+    for i in range(n - 1):
+        edges += [(i, i + 1, 1), (i + 1, i, 1)]
+    return DelayGraph(n, (1,) * n, tuple(edges))
 
 
 def make_sweep_plant() -> GeneralizedPlant:

@@ -91,6 +91,16 @@ def cross_gramian_series(a_g, c_g, a_h, c_h, horizon: int) -> np.ndarray:
     return total
 
 
+def stein_kronecker(a_g, c_g, a_h, c_h) -> np.ndarray:
+    """Gamma = A_g^T Gamma A_h + C_g^T C_h as one dense Kronecker solve,
+    (I - A_h^T kron A_g^T) vec(Gamma) = vec(C_g^T C_h); memory grows with
+    the fourth power of the order, so keep the factors small."""
+    n_g, n_h = a_g.shape[0], a_h.shape[0]
+    lhs = np.eye(n_g * n_h) - np.kron(a_h.T, a_g.T)
+    sol = np.linalg.solve(lhs, (c_g.T @ c_h).reshape(-1, order="F"))
+    return sol.reshape((n_g, n_h), order="F")
+
+
 def h2_sq_truncated(a, b, c, d, horizon: int) -> float:
     terms = markov_terms(a, b, c, d, horizon)
     return float(sum(np.sum(t * t) for t in terms))

@@ -204,6 +204,47 @@ class TestDlyapCross:
         with pytest.raises(UnstableSystem):
             dlyap_cross([[1.1]], [[1.0]], [[0.5]], [[1.0]])
 
+    def test_matches_dense_kronecker_solve_on_distinct_factors(self):
+        rng = np.random.default_rng(14)
+        a_g = oracles.random_stable_model(rng, 9, 1, 1, rho=0.95).a
+        a_h = oracles.random_stable_model(rng, 7, 1, 1, rho=0.95).a
+        c_g = rng.standard_normal((3, 9))
+        c_h = rng.standard_normal((3, 7))
+        got = dlyap_cross(a_g, c_g, a_h, c_h)
+        want = oracles.stein_kronecker(a_g, c_g, a_h, c_h)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_jordan_block_with_large_transient_growth(self):
+        # A^k = lam^k I + k lam^(k-1) mu N peaks near 3.7e3 at k = 100; with
+        # r = lam^2 the Gramian sum of (A^T)^k A^k is, entry by entry,
+        # [[S0, mu S1], [mu S1, mu^2 S2 + S0]] with S0 = 1/(1-r),
+        # S1 = r/(lam (1-r)^2) and S2 = (1+r)/(1-r)^3
+        lam, mu = 0.99, 100.0
+        r = lam * lam
+        s0, s1, s2 = 1 / (1 - r), r / (lam * (1 - r) ** 2), (1 + r) / (1 - r) ** 3
+        want = np.array([[s0, mu * s1], [mu * s1, mu * mu * s2 + s0]])
+        a = np.array([[lam, mu], [0.0, lam]])
+        got = dlyap_cross(a, np.eye(2), a, np.eye(2))
+        npt.assert_allclose(got, want, rtol=1e-12)
+
+    def test_scalar_pole_next_to_the_unit_circle(self):
+        # 1 - a is exact in floating point, so the oracle carries only a
+        # rounding or two; the solution's condition number in a is
+        # 2a^2/(1-a^2) ~ 1e6, so any backward-stable solver is within
+        # about 1e6 eps ~ 2e-10 of it
+        a = 1.0 - 1e-6
+        got = dlyap_cross([[a]], [[1.0]], [[a]], [[1.0]])
+        npt.assert_allclose(got, [[1.0 / ((1.0 - a) * (1.0 + a))]], rtol=1e-9)
+
+    @pytest.mark.parametrize("order", [156, 420])
+    def test_matches_scipy_at_closed_loop_sizes(self, order):
+        linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(order)
+        g = oracles.random_stable_model(rng, order, 1, 4, rho=0.98)
+        got = dlyap_cross(g.a, g.c, g.a, g.c)
+        want = linalg.solve_discrete_lyapunov(g.a.T, g.c.T @ g.c)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
 
 class TestConjugateProduct:
     def test_static_identity(self):
@@ -260,6 +301,20 @@ class TestDareSolve:
         got = dare_solve([[1.0]], [[1.0]], [[1.0]])
         npt.assert_allclose(got, [[GOLDEN]], rtol=1e-10)
 
+    @pytest.mark.parametrize(
+        "a, b, q",
+        [(1.0, 0.01, 1e-4), (0.999, 0.05, 1.0)],
+        ids=["integrator-weak-input", "slow-pole"],
+    )
+    def test_scalar_closed_form_near_unit_circle(self, a, b, q):
+        # the scalar equation is b^2 x^2 + beta x - q = 0 with
+        # beta = 1 - a^2 - q b^2; both cases have beta < 0, where the
+        # positive root has no cancellation.  Closed loops: 0.9999 and 0.951
+        beta = 1.0 - a * a - q * b * b
+        assert beta < 0
+        want = (-beta + np.sqrt(beta * beta + 4.0 * b * b * q)) / (2.0 * b * b)
+        npt.assert_allclose(dare_solve([[a]], [[b]], [[q]]), [[want]], rtol=1e-10)
+
     def test_chain_plant_riccati_residual(self):
         plant = make_chain_plant()
         q = plant.c1.T @ plant.c1
@@ -282,6 +337,18 @@ class TestDareSolve:
             rhs = q + a.T @ x @ a + a.T @ x @ b @ k
             assert np.linalg.norm(x - rhs) < 1e-9 * (1 + np.linalg.norm(x))
             assert spectral_radius(a + b @ k) < 1.0
+
+    def test_matches_scipy_on_random_stabilizable_instances(self):
+        linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(32)
+        for n, m in [(2, 1), (5, 2), (12, 3), (30, 4)]:
+            a = 1.2 * rng.standard_normal((n, n)) / np.sqrt(n)
+            b = rng.standard_normal((n, m))
+            c = rng.standard_normal((n, n))
+            q = c.T @ c
+            want = linalg.solve_discrete_are(a, b, q, np.eye(m))
+            got = dare_solve(a, b, q)
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_uncontrollable_unstable_mode_rejected(self):
         # second state is unstable and unreachable: no stabilizing solution

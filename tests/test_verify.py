@@ -9,6 +9,8 @@ from delayh2 import (
     StateSpaceModel,
     closed_loop,
     conformance,
+    constraint_space,
+    delay_matrix,
     h2_norm_sq,
     impulse_response,
     kkt_oracle,
@@ -18,7 +20,7 @@ from delayh2 import (
     synthesize,
     vectorized_system,
 )
-from conftest import random_qp_instance
+from conftest import make_chain_graph, make_chain_plant, random_qp_instance
 
 CHAIN_NORM = 34.9304
 CENTRALIZED_NORM = 24.236
@@ -159,3 +161,15 @@ class TestEndToEnd:
         assert h2_norm_sq(loop.model) == pytest.approx(
             chain_result.total_norm_sq, rel=1e-5
         )
+
+    def test_twelve_node_chain_loop_norm_matches_synthesis(self):
+        # closed-loop order 156: a dense Kronecker Lyapunov solve would need
+        # a 24336 x 24336 matrix (4.7 GB); doubling works on 156 x 156
+        plant = make_chain_plant(12)
+        d = delay_matrix(make_chain_graph(12))
+        cs = constraint_space(d, plant.block_rows, plant.block_cols)
+        result = synthesize(plant, cs, delays=d)
+        loop = closed_loop(plant, result.controller)
+        assert loop.model.order == 156
+        assert loop.is_internally_stable
+        assert h2_norm_sq(loop.model) == pytest.approx(result.total_norm_sq, rel=1e-9)
