@@ -69,5 +69,5 @@ print(f"closed-loop norm (rebuilt) : {np.sqrt(dh.h2_norm_sq(loop.model)):.4f}")
 print("delay-pattern conformance  :", dh.conformance(result.controller, cs).ok)
 
 print("\noptimal FIR coefficients of the free parameter:")
-for lag, block in enumerate(result.v_star.blocks, start=1):
+for lag, block in enumerate(result.v_star, start=1):
     print(f"V_{lag} =\n{block}")

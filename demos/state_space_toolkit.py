@@ -1,7 +1,8 @@
 """Tour of the low-level state-space machinery.
 
-Everything downstream (factorizations, vectorized recursions, norms) rests
-on a handful of dense-matrix primitives; this script pokes at each one.
+Everything downstream (the Bezout check, the P11 norm, the Riccati pair)
+rests on a handful of dense-matrix primitives; this script pokes at each
+one.
 """
 
 import numpy as np
@@ -31,16 +32,6 @@ c2 = rng.standard_normal((2, 3))
 gamma = dh.dlyap_cross(a1, c1, a2, c2)
 residual = gamma - (a1.T @ gamma @ a2 + c1.T @ c2)
 print(f"\ncross-Gramian equation residual: {np.linalg.norm(residual):.2e}")
-
-# --- conjugate products -----------------------------------------------------
-# G~H splits into a causal part and a strictly anticausal part; for the
-# scalar geometric system both are geometric again.
-causal, anti = dh.conjugate_product(g, g)
-print("\nG~G causal feedthrough (the lag-0 autocorrelation):", causal.d[0, 0])
-print("matches the closed form 1/(1-a^2):", 1.0 / (1.0 - 0.25))
-
-# product helper sanity: (G~G at lag 1) equals a/(1-a^2)
-print("lag-1 coefficient:", float((causal.c @ causal.b)[0, 0]), "=", 0.5 / 0.75)
 
 # --- Riccati equation by doubling -------------------------------------------
 x = dh.dare_solve([[1.0]], [[1.0]], [[1.0]])

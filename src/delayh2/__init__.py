@@ -33,7 +33,6 @@ from .errors import (
 )
 from .statespace import (
     StateSpaceModel,
-    conjugate_product,
     dare_solve,
     dlyap_cross,
     h2_norm_sq,
@@ -41,8 +40,6 @@ from .statespace import (
     spectral_radius,
 )
 from .synthesis import (
-    CoprimeFactors,
-    FirMatrix,
     GeneralizedPlant,
     RiccatiGains,
     SynthesisResult,
@@ -66,12 +63,10 @@ __all__ = [
     "ConfigError",
     "ConformanceReport",
     "ConstraintSpace",
-    "CoprimeFactors",
     "DelayGraph",
     "DelayH2Error",
     "DelayMatrix",
     "DimensionMismatch",
-    "FirMatrix",
     "GeneralizedPlant",
     "IllPosed",
     "NotStronglyConnected",
@@ -86,7 +81,6 @@ __all__ = [
     "check_qi",
     "closed_loop",
     "conformance",
-    "conjugate_product",
     "constraint_space",
     "coprime_factorization",
     "dare_solve",

@@ -157,7 +157,7 @@ def _result_document(result: SynthesisResult) -> dict:
             "c": k.c.tolist(),
             "d": k.d.tolist(),
         },
-        "v_star": [b.tolist() for b in result.v_star.blocks],
+        "v_star": result.v_star.tolist(),
         "p11_norm_sq": result.p11_norm_sq,
         "qp_cost": result.qp_cost,
         "total_norm_sq": result.total_norm_sq,

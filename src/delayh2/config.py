@@ -133,7 +133,7 @@ def parse_config(doc: dict, where: str = "config") -> ProblemConfig:
             block_rows=tuple(int(r) for r in psec["block_rows"]),
             block_cols=tuple(int(c) for c in psec["block_cols"]),
         )
-    except DelayH2Error as exc:
+    except (DelayH2Error, ValueError, TypeError) as exc:
         raise ConfigError(f"{where}.plant: {exc}") from exc
 
     present = [key for key in _CONSTRAINT_KEYS if key in doc]
@@ -148,13 +148,13 @@ def parse_config(doc: dict, where: str = "config") -> ProblemConfig:
         gsec = doc["graph"]
         if not isinstance(gsec, dict) or "comp_delays" not in gsec:
             raise ConfigError(f"{where}.graph: need 'comp_delays' and 'edges'")
-        comp = [int(c) for c in gsec["comp_delays"]]
-        edges = [tuple(int(x) for x in e) for e in gsec.get("edges", [])]
-        if any(len(e) != 3 for e in edges):
-            raise ConfigError(f"{where}.graph: edges must be [from, to, delay] triples")
         try:
+            comp = [int(c) for c in gsec["comp_delays"]]
+            edges = [tuple(int(x) for x in e) for e in gsec.get("edges", [])]
+            if any(len(e) != 3 for e in edges):
+                raise ValueError("edges must be [from, to, delay] triples")
             graph = DelayGraph(len(comp), tuple(comp), tuple(edges))
-        except (DelayH2Error, ValueError) as exc:
+        except (DelayH2Error, ValueError, TypeError) as exc:
             raise ConfigError(f"{where}.graph: {exc}") from exc
         _check_block_count(len(comp), plant, where)
     elif style == "delay_matrix":
@@ -167,15 +167,10 @@ def parse_config(doc: dict, where: str = "config") -> ProblemConfig:
         raw = doc["patterns"]
         if not isinstance(raw, list):
             raise ConfigError(f"{where}.patterns: must be a list of 0/1 block matrices")
-        pats = []
-        for idx, p in enumerate(raw, 1):
-            arr = np.array(p)
-            if arr.shape != (len(plant.block_rows), len(plant.block_cols)):
-                raise ConfigError(
-                    f"{where}.patterns[{idx}]: shape {arr.shape} does not match the block grid"
-                )
-            pats.append(arr.astype(bool))
-        explicit = tuple(pats)
+        shape = (len(plant.block_rows), len(plant.block_cols))
+        explicit = tuple(
+            _block_pattern(p, shape, f"{where}.patterns[{idx}]") for idx, p in enumerate(raw, 1)
+        )
 
     template = None
     if "sweep" in doc:
@@ -190,14 +185,17 @@ def parse_config(doc: dict, where: str = "config") -> ProblemConfig:
         unknown = set(osec) - {"n_horizon", "tol_zero"}
         if unknown:
             raise ConfigError(f"{where}.options: unknown keys {sorted(unknown)}")
-        if "n_horizon" in osec:
-            n_override = int(osec["n_horizon"])
-            if n_override < 0:
-                raise ConfigError(f"{where}.options: n_horizon must be >= 0")
-        if "tol_zero" in osec:
-            tol_zero = float(osec["tol_zero"])
-            if tol_zero <= 0:
-                raise ConfigError(f"{where}.options: tol_zero must be > 0")
+        try:
+            if "n_horizon" in osec:
+                n_override = int(osec["n_horizon"])
+            if "tol_zero" in osec:
+                tol_zero = float(osec["tol_zero"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}.options: {exc}") from exc
+        if n_override is not None and n_override < 0:
+            raise ConfigError(f"{where}.options: n_horizon must be >= 0")
+        if tol_zero is not None and not tol_zero > 0:
+            raise ConfigError(f"{where}.options: tol_zero must be > 0")
 
     return ProblemConfig(plant, graph, delays, explicit, template, n_override, tol_zero)
 
@@ -226,7 +224,15 @@ def _parse_template(section, plant: GeneralizedPlant, where: str) -> np.ndarray:
         if name == "full":
             return np.ones(shape, dtype=bool)
         raise ConfigError(f"{where}.sweep: unknown template '{raw}'")
-    arr = np.array(raw)
+    return _block_pattern(raw, shape, f"{where}.sweep")
+
+
+def _block_pattern(raw, shape, where: str) -> np.ndarray:
+    """A 0/1 block matrix of the given block-grid shape."""
+    try:
+        arr = np.array(raw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: not a rectangular 0/1 matrix ({exc})") from exc
     if arr.shape != shape:
-        raise ConfigError(f"{where}.sweep: template shape {arr.shape} != block grid {shape}")
+        raise ConfigError(f"{where}: shape {arr.shape} does not match the block grid {shape}")
     return arr.astype(bool)

@@ -189,8 +189,11 @@ def check_qi(d: DelayMatrix, p) -> QiCheck:
     control input j).  The constraint set is quadratically invariant iff
     ``d[k, i] + p[i, j] + d[j, l] >= d[k, l]`` for every quadruple, i.e.
     information moving through the controller network is never slower than
-    through the plant.  On failure the first violating quadruple
-    ``(k, i, j, l)`` is returned as witness.
+    through the plant.  The minimum over (i, j) of the left side is two
+    min-plus products, ``mid = d (x) p`` then ``reach = mid (x) d``, so QI
+    holds iff ``reach >= d``.  On failure a violating quadruple
+    ``(k, i, j, l)`` is returned as witness, with j and i recovered by
+    ``argmin`` at the first violating (k, l).
     """
     p = np.asarray(p, dtype=int)
     n = d.node_count
@@ -199,13 +202,15 @@ def check_qi(d: DelayMatrix, p) -> QiCheck:
     if (p < 0).any():
         raise ValueError("plant block delays must be >= 0")
     dd = d.d
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                for l in range(n):
-                    if dd[k, i] + p[i, j] + dd[j, l] < dd[k, l]:
-                        return QiCheck(False, (k, i, j, l))
-    return QiCheck(True, None)
+    mid = (dd[:, :, None] + p[None, :, :]).min(axis=1)
+    reach = (mid[:, :, None] + dd[None, :, :]).min(axis=1)
+    bad = np.argwhere(reach < dd)
+    if not len(bad):
+        return QiCheck(True, None)
+    k, l = bad[0]
+    j = np.argmin(mid[k] + dd[:, l])
+    i = np.argmin(dd[k] + p[:, j])
+    return QiCheck(False, (int(k), int(i), int(j), int(l)))
 
 
 def block_norms(m, row_sizes, col_sizes) -> np.ndarray:

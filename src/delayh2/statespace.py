@@ -1,11 +1,12 @@
-"""Dense state-space algebra for discrete-time linear systems.
+"""Dense state-space primitives for discrete-time linear systems.
 
 Systems evolve as ``x[t+1] = A x[t] + B u[t]``, ``y[t] = C x[t] + D u[t]``
-and are represented by immutable :class:`StateSpaceModel` values; every
-operation is a pure function returning new values.  An impulse response is
-one ``(T+1, outputs, inputs)`` array indexed by lag.  Matrices are dense;
-the Stein (discrete Lyapunov/Sylvester) and Riccati equations are solved by
-doubling, O(n^3) per step, each step covering twice the horizon of the last.
+and are represented by immutable :class:`StateSpaceModel` values.  The
+pipeline needs only a few operations on them: impulse responses (one
+``(T+1, outputs, inputs)`` array indexed by lag), the series product behind
+the Bezout check, squared H2 norms, and the Stein (discrete
+Lyapunov/Sylvester) and Riccati equations, both solved by doubling, O(n^3)
+per step, each step covering twice the horizon of the last.
 
 ``vec`` stacks columns (Fortran order) throughout, which is the convention
 under which vec(A X B) = (B^T kron A) vec(X).
@@ -108,8 +109,9 @@ class StateSpaceModel:
 
     @property
     def is_stable(self) -> bool:
-        """Spectral radius of A strictly inside the unit circle."""
-        return spectral_radius(self.a) < 1.0
+        """Spectral radius of A below 1 - ``TOL_STAB``, the margin every
+        solver that needs a stable A applies."""
+        return spectral_radius(self.a) < 1.0 - TOL_STAB
 
     @staticmethod
     def static(d) -> "StateSpaceModel":
@@ -118,10 +120,6 @@ class StateSpaceModel:
         return StateSpaceModel(
             np.zeros((0, 0)), np.zeros((0, d.shape[1])), np.zeros((d.shape[0], 0)), d
         )
-
-    @staticmethod
-    def identity(k: int) -> "StateSpaceModel":
-        return StateSpaceModel.static(np.eye(k))
 
 
 def impulse_response(g: StateSpaceModel, horizon: int) -> np.ndarray:
@@ -157,41 +155,6 @@ def multiply(g: StateSpaceModel, h: StateSpaceModel) -> StateSpaceModel:
     b = np.vstack([g.b @ h.d, h.b])
     c = np.hstack([g.c, g.d @ h.c])
     return StateSpaceModel(a, b, c, g.d @ h.d)
-
-
-def add(g: StateSpaceModel, h: StateSpaceModel) -> StateSpaceModel:
-    """Realization of G(z) + H(z)."""
-    if (g.n_inputs, g.n_outputs) != (h.n_inputs, h.n_outputs):
-        raise DimensionMismatch("sum undefined: incompatible input/output dimensions")
-    ng, nh = g.order, h.order
-    a = np.block([[g.a, np.zeros((ng, nh))], [np.zeros((nh, ng)), h.a]])
-    return StateSpaceModel(a, np.vstack([g.b, h.b]), np.hstack([g.c, h.c]), g.d + h.d)
-
-
-def neg(g: StateSpaceModel) -> StateSpaceModel:
-    return StateSpaceModel(g.a, g.b, -g.c, -g.d)
-
-
-def sub(g: StateSpaceModel, h: StateSpaceModel) -> StateSpaceModel:
-    return add(g, neg(h))
-
-
-def transpose(g: StateSpaceModel) -> StateSpaceModel:
-    """Realization of G(z)^T (transpose at every frequency)."""
-    return StateSpaceModel(g.a.T, g.c.T, g.b.T, g.d.T)
-
-
-def inverse(g: StateSpaceModel) -> StateSpaceModel:
-    """Realization of G(z)^{-1}; requires an invertible feedthrough."""
-    if g.n_inputs != g.n_outputs:
-        raise DimensionMismatch("inverse undefined for non-square systems")
-    try:
-        d_inv = np.linalg.inv(g.d)
-    except np.linalg.LinAlgError as exc:
-        raise SolverFailure("feedthrough is singular; inverse has no proper realization") from exc
-    return StateSpaceModel(
-        g.a - g.b @ d_inv @ g.c, g.b @ d_inv, -d_inv @ g.c, d_inv
-    )
 
 
 def h2_norm_sq(g: StateSpaceModel) -> float:
@@ -242,40 +205,6 @@ def _smith_doubling(a_g, c_g, a_h, c_h) -> np.ndarray:
         p_g, p_h = p_g @ p_g, p_h @ p_h
     raise SolverFailure(f"Smith doubling did not converge in {DOUBLING_MAX_STEPS} "
                         f"steps (tail factor ||P_g|| ||P_h|| = {tail:.3g})")
-
-
-def conjugate_product(
-    g: StateSpaceModel, h: StateSpaceModel
-) -> tuple[StateSpaceModel, StateSpaceModel]:
-    """Split G(z)~ H(z) into its causal and strictly anticausal parts.
-
-    ``G~`` denotes the conjugate system ``G(1/z)^T``.  For stable G and H
-    the product G~H equals ``causal(z) + anti(1/z)^T`` where both returned
-    models are causal and stable and ``anti`` has zero feedthrough; the
-    caller re-conjugates ``anti`` when the actual anticausal term is needed.
-
-    Returns
-    -------
-    (causal, anti) : pair of StateSpaceModel
-    """
-    if g.n_outputs != h.n_outputs:
-        raise DimensionMismatch(
-            "G~H undefined: G and H must share their output dimension"
-        )
-    gamma = dlyap_cross(g.a, g.c, h.a, h.c)
-    causal = StateSpaceModel(
-        h.a,
-        h.b,
-        g.b.T @ gamma @ h.a + g.d.T @ h.c,
-        g.d.T @ h.d + g.b.T @ gamma @ h.b,
-    )
-    anti = StateSpaceModel(
-        g.a,
-        g.b,
-        h.b.T @ gamma.T @ g.a + h.d.T @ g.c,
-        np.zeros((h.n_inputs, g.n_inputs)),
-    )
-    return causal, anti
 
 
 def dare_solve(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -1,14 +1,15 @@
 """H2-optimal output feedback under delay constraints.
 
 The pipeline: solve the two Riccati equations of the centralized LQG
-problem, factor the measurement channel through the resulting
-doubly-coprime factorization, and reduce the delay-constrained synthesis to
-a finite quadratic program over the first N impulse-response coefficients of
-the free parameter.  That program is solved exactly as a finite-horizon
-time-varying LQR after vectorizing the FIR recursion with Kronecker
-products; the delay constraint enters as a boolean mask over each
-column-stacked coefficient, so allowed and forbidden coordinates are picked
-by indexing.  The optimal controller is then assembled in closed form.
+problem, check the Bezout identity of the doubly-coprime factorization they
+induce, and split the optimal squared norm into ||P11||^2 plus a finite
+quadratic program over the first N impulse-response coefficients of the
+free parameter V, held as one ``(N, n_ctrl, n_meas)`` array.  That program
+is solved exactly as a finite-horizon time-varying LQR after vectorizing
+the FIR recursion with Kronecker products; the delay constraint enters as a
+boolean mask over each column-stacked coefficient, so allowed and forbidden
+coordinates are picked by indexing.  The optimal controller is then
+assembled in closed form.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .statespace import (
     h2_norm_sq,
     impulse_response,
     multiply,
-    spectral_radius,
     unvec,
     vec,
 )
@@ -170,7 +170,7 @@ class RiccatiGains:
 
     omega = I + B2^T X B2 and psi = I + C2 Y C2^T are the innovation
     weights; the regulator loop a_k = A + B2 K and the estimator loop
-    a_l = A + L C2 are stable by construction.
+    a_l = A + L C2 are stable, which :func:`dare_solve` checks.
     """
 
     x_ctrl: np.ndarray
@@ -181,18 +181,6 @@ class RiccatiGains:
     psi: np.ndarray
     a_k: np.ndarray
     a_l: np.ndarray
-
-
-@dataclass(frozen=True)
-class CoprimeFactors:
-    m_hat: StateSpaceModel
-    n_hat: StateSpaceModel
-    x_hat: StateSpaceModel
-    y_hat: StateSpaceModel
-    m_tilde: StateSpaceModel
-    n_tilde: StateSpaceModel
-    x_tilde: StateSpaceModel
-    y_tilde: StateSpaceModel
 
 
 @dataclass(frozen=True)
@@ -208,52 +196,22 @@ class VectorizedSystem:
     a_v: np.ndarray
     b_v: np.ndarray
     c_v: np.ndarray
-    d_v: np.ndarray
     x1: np.ndarray
 
 
-@dataclass(frozen=True)
-class FirMatrix:
-    """Strictly proper FIR transfer matrix: coefficients V_1 ... V_N."""
-
-    blocks: Tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        blocks = tuple(np.atleast_2d(np.asarray(b, dtype=float)) for b in self.blocks)
-        for b in blocks[1:]:
-            if b.shape != blocks[0].shape:
-                raise DimensionMismatch("all FIR coefficients must share one shape")
-        object.__setattr__(self, "blocks", blocks)
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def as_model(self, n_ctrl: int, n_meas: int) -> StateSpaceModel:
-        """Shift-register realization (order N * n_meas, zero feedthrough)."""
-        av, bv, cv = _fir_realization(self.blocks, n_ctrl, n_meas)
-        return StateSpaceModel(av, bv, cv, np.zeros((n_ctrl, n_meas)))
-
-
-def _fir_realization(blocks, n_ctrl: int, n_meas: int):
-    n_terms = len(blocks)
-    for b in blocks:
-        if b.shape != (n_ctrl, n_meas):
-            raise DimensionMismatch("FIR coefficient shape does not match channel")
+def _fir_realization(v: np.ndarray):
+    """Shift register (A, B, C) of the strictly proper FIR matrix
+    sum_i V_i z^-i for a ``(N, n_ctrl, n_meas)`` stack V; order N * n_meas."""
+    n_terms, n_ctrl, n_meas = v.shape
     order = n_terms * n_meas
-    a = np.zeros((order, order))
-    for i in range(1, n_terms):
-        a[i * n_meas:(i + 1) * n_meas, (i - 1) * n_meas:i * n_meas] = np.eye(n_meas)
-    b = np.zeros((order, n_meas))
-    if n_terms:
-        b[:n_meas] = np.eye(n_meas)
-    c = np.hstack(blocks) if n_terms else np.zeros((n_ctrl, 0))
-    return a, b, c
+    c = v.swapaxes(0, 1).reshape(n_ctrl, order)
+    return np.eye(order, k=-n_meas), np.eye(order, n_meas), c
 
 
 @dataclass(frozen=True)
 class SynthesisResult:
     controller: StateSpaceModel
-    v_star: FirMatrix
+    v_star: np.ndarray
     p11_norm_sq: float
     qp_cost: float
     total_norm_sq: float
@@ -269,6 +227,8 @@ def riccati_gains(plant: GeneralizedPlant) -> RiccatiGains:
     X solves X = C1^T C1 + A^T X A - A^T X B2 (I + B2^T X B2)^{-1} B2^T X A
     and Y the dual equation with (A^T, C2^T, B1 B1^T); the gains are
     K = -(I + B2^T X B2)^{-1} B2^T X A and L = -A Y C2^T (I + C2 Y C2^T)^{-1}.
+    :func:`dare_solve` raises :class:`AssumptionViolated` unless both loops
+    are stable; the filter's loop (A + L C2)^T has the eigenvalues of A + L C2.
     """
     a, b2, c1 = plant.a, plant.b2, plant.c1
     c2, b1 = plant.c2, plant.b1
@@ -278,82 +238,50 @@ def riccati_gains(plant: GeneralizedPlant) -> RiccatiGains:
     psi = np.eye(plant.n_meas) + c2 @ y @ c2.T
     k = -np.linalg.solve(omega, b2.T @ x @ a)
     l = -np.linalg.solve(psi.T, (a @ y @ c2.T).T).T
-    a_k = a + b2 @ k
-    a_l = a + l @ c2
-    if spectral_radius(a_k) >= 1.0 - TOL_STAB:
-        raise AssumptionViolated("regulator loop A + B2 K is unstable")
-    if spectral_radius(a_l) >= 1.0 - TOL_STAB:
-        raise AssumptionViolated("estimator loop A + L C2 is unstable")
-    return RiccatiGains(x, y, k, l, omega, psi, a_k, a_l)
+    return RiccatiGains(x, y, k, l, omega, psi, a + b2 @ k, a + l @ c2)
 
 
-def coprime_factorization(
-    plant: GeneralizedPlant, gains: RiccatiGains
-) -> CoprimeFactors:
-    """Doubly-coprime factorization of g22 built from the LQG gains.
+def coprime_factorization(plant: GeneralizedPlant, gains: RiccatiGains) -> float:
+    """Bezout residual of the doubly-coprime factorization of g22.
 
-    The eight factors are slices of two stacked realizations sharing the
-    regulator and estimator closed loops.  The Bezout identity of the stack
-    product is verified on Markov parameters up to lag 2n + 2 and a
-    violation beyond ``BEZOUT_TOL`` raises.
+    The eight factors built from the LQG gains are slices of two stacked
+    realizations sharing the regulator and estimator loops,
+
+        [ X~  -Y~ ]     [ M^  Y^ ]
+        [ -N~  M~ ] and [ N^  X^ ],
+
+    whose product must be the identity.  Its Markov parameters up to lag
+    2n + 2 are compared with I at lag 0 and 0 after; the largest deviation
+    is returned, and one beyond ``BEZOUT_TOL`` raises
+    :class:`BezoutCheckFailed`.
     """
     b2, c2 = plant.b2, plant.c2
     k, l = gains.k_gain, gains.l_gain
-    a_k, a_l = gains.a_k, gains.a_l
-    n_u, n_y = plant.n_ctrl, plant.n_meas
-    io = np.eye(n_u)
-    iy = np.eye(n_y)
-    zuy = np.zeros((n_u, n_y))
-    zyu = np.zeros((n_y, n_u))
-
-    factors = CoprimeFactors(
-        m_hat=StateSpaceModel(a_k, b2, k, io),
-        n_hat=StateSpaceModel(a_k, b2, c2, zyu),
-        y_hat=StateSpaceModel(a_k, -l, k, zuy),
-        x_hat=StateSpaceModel(a_k, -l, c2, iy),
-        x_tilde=StateSpaceModel(a_l, b2, -k, io),
-        y_tilde=StateSpaceModel(a_l, -l, k, zuy),
-        n_tilde=StateSpaceModel(a_l, b2, c2, zyu),
-        m_tilde=StateSpaceModel(a_l, -l, -c2, iy),
-    )
-
-    # Bezout residual of the stacked product; lag 0 must be I, the rest 0.
-    inputs, eye = np.hstack([b2, -l]), np.eye(n_u + n_y)
-    left = StateSpaceModel(a_l, inputs, np.vstack([-k, -c2]), eye)
-    right = StateSpaceModel(a_k, inputs, np.vstack([k, c2]), eye)
+    inputs, eye = np.hstack([b2, -l]), np.eye(plant.n_ctrl + plant.n_meas)
+    left = StateSpaceModel(gains.a_l, inputs, np.vstack([-k, -c2]), eye)
+    right = StateSpaceModel(gains.a_k, inputs, np.vstack([k, c2]), eye)
     resp = impulse_response(multiply(left, right), 2 * plant.n + 2)
     resp[0] -= eye
-    residual = np.abs(resp).max()
+    residual = float(np.abs(resp).max())
     if residual > BEZOUT_TOL:
         raise BezoutCheckFailed(f"Bezout identity residual {residual:.3g}")
-    return factors
+    return residual
 
 
-def model_matching_matrices(
-    plant: GeneralizedPlant, gains: RiccatiGains
-) -> tuple[StateSpaceModel, StateSpaceModel, StateSpaceModel]:
-    """Closed-form realizations of the three model-matching channels.
-
-    p11 is the performance channel under the centralized LQG controller
-    (stable, strictly proper); p12 and p21 are the input and output factors
-    multiplying the free parameter.
+def model_matching_matrices(plant: GeneralizedPlant, gains: RiccatiGains) -> StateSpaceModel:
+    """Closed-form realization of P11, the performance channel under the
+    centralized LQG controller (stable, strictly proper); ||P11||^2 is the
+    unconstrained floor of the optimal squared norm.
     """
     b1, b2 = plant.b1, plant.b2
-    c1, c2 = plant.c1, plant.c2
-    d12, d21 = plant.d12, plant.d21
     k, l = gains.k_gain, gains.l_gain
-    a_k, a_l = gains.a_k, gains.a_l
     n = plant.n
-
-    p11 = StateSpaceModel(
-        np.block([[a_k, -b2 @ k], [np.zeros((n, n)), a_l]]),
-        np.vstack([b1, b1 + l @ d21]),
-        np.hstack([c1 + d12 @ k, -d12 @ k]),
+    return StateSpaceModel(
+        np.block([[gains.a_k, -b2 @ k], [np.zeros((n, n)), gains.a_l]]),
+        np.vstack([b1, b1 + l @ plant.d21]),
+        np.hstack([plant.c1 + plant.d12 @ k, -plant.d12 @ k]),
         np.zeros((plant.n_perf, plant.n_dist)),
     )
-    p12 = StateSpaceModel(a_k, b2, -(c1 + d12 @ k), -d12)
-    p21 = StateSpaceModel(a_l, b1 + l @ d21, c2, d21)
-    return p11, p12, p21
 
 
 def vectorized_system(
@@ -378,7 +306,7 @@ def vectorized_system(
     b_v = np.vstack([np.kron(np.eye(n_y), b2), np.kron(c2.T, np.eye(n_u))])
     c_v = np.hstack([np.kron(np.eye(n_y), k), np.kron(l.T, np.eye(n_u))])
     x1 = np.concatenate([vec(l), np.zeros(n * n_u)])
-    return VectorizedSystem(a_v, b_v, c_v, np.eye(n_u * n_y), x1)
+    return VectorizedSystem(a_v, b_v, c_v, x1)
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -391,7 +319,7 @@ def solve_constrained_qp(
     cs: ConstraintSpace,
     omega: np.ndarray,
     psi: np.ndarray,
-) -> tuple[FirMatrix, float]:
+) -> tuple[np.ndarray, float]:
     """Minimize sum_i vec(V_i)^T (psi kron omega) vec(V_i) subject to the
     forbidden coordinates of every constrained FIR coefficient vanishing.
 
@@ -401,14 +329,15 @@ def solve_constrained_qp(
     cancel the constrained channel, -C_v[forb] x_i, and the allowed ones
     are the inputs.  A backward Riccati recursion from X_{N+1} = 0 yields
     feedback gains, and a forward sweep reconstructs the optimal
-    coefficients.  The optimal cost is x_1^T X_1 x_1.
+    coefficients V_1 ... V_N, returned as an ``(N, n_ctrl, n_meas)`` array.
+    The optimal cost is x_1^T X_1 x_1.
     """
     omega = np.atleast_2d(np.asarray(omega, dtype=float))
     psi = np.atleast_2d(np.asarray(psi, dtype=float))
     n_u, n_y = omega.shape[0], psi.shape[0]
     n = cs.n_horizon
     if n == 0:
-        return FirMatrix(()), 0.0
+        return np.zeros((0, n_u, n_y)), 0.0
     if sum(cs.block_rows) != n_u or sum(cs.block_cols) != n_y:
         raise DimensionMismatch("constraint blocks do not match the weight sizes")
 
@@ -445,21 +374,22 @@ def solve_constrained_qp(
     qp_cost = float(vsys.x1 @ x_cost @ vsys.x1)
 
     state = vsys.x1.copy()
-    blocks = []
+    v = np.empty((n, n_u, n_y))
     for i in range(n):
         a_i, b_i, _, _, allowed = stages[i]
         v_vec = np.empty(n_u * n_y)
         v_vec[allowed] = feedback[i] @ state
         v_vec[~allowed] = -vsys.c_v[~allowed] @ state
-        blocks.append(unvec(v_vec, n_u, n_y))
+        v[i] = unvec(v_vec, n_u, n_y)
         state = (a_i + b_i @ feedback[i]) @ state
-    return FirMatrix(tuple(blocks)), qp_cost
+    return v, qp_cost
 
 
 def realize_controller(
-    v_star: FirMatrix, gains: RiccatiGains, plant: GeneralizedPlant
+    v_star: np.ndarray, gains: RiccatiGains, plant: GeneralizedPlant
 ) -> StateSpaceModel:
-    """Assemble the strictly proper controller for a FIR free parameter.
+    """Assemble the strictly proper controller for a FIR free parameter,
+    given as its ``(N, n_ctrl, n_meas)`` coefficients V_1 ... V_N.
 
     The realization couples the LQG observer loop with a shift register
     holding the last N measurements; its order is n + n_meas * N.
@@ -467,7 +397,12 @@ def realize_controller(
     b2, c2 = plant.b2, plant.c2
     k, l = gains.k_gain, gains.l_gain
     n_u, n_y = plant.n_ctrl, plant.n_meas
-    a_fir, b_fir, c_fir = _fir_realization(v_star.blocks, n_u, n_y)
+    v_star = np.asarray(v_star, dtype=float)
+    if v_star.ndim != 3 or v_star.shape[1:] != (n_u, n_y):
+        raise DimensionMismatch(
+            f"FIR coefficients {v_star.shape} do not stack {(n_u, n_y)} blocks"
+        )
+    a_fir, b_fir, c_fir = _fir_realization(v_star)
     a_ctrl = np.block(
         [
             [gains.a_k + l @ c2, b2 @ c_fir],
@@ -507,9 +442,8 @@ def synthesize(
             )
 
     gains = riccati_gains(plant)
-    coprime_factorization(plant, gains)  # Bezout sanity check on the factors
-    p11, _, _ = model_matching_matrices(plant, gains)
-    p11_norm_sq = h2_norm_sq(p11)
+    coprime_factorization(plant, gains)
+    p11_norm_sq = h2_norm_sq(model_matching_matrices(plant, gains))
     vsys = vectorized_system(plant, gains)
     v_star, qp_cost = solve_constrained_qp(vsys, cs, gains.omega, gains.psi)
     controller = realize_controller(v_star, gains, plant)

@@ -15,14 +15,8 @@ import numpy as np
 
 from .delaymodel import ConstraintSpace, block_norms
 from .errors import DimensionMismatch, IllPosed, SolverFailure
-from .statespace import (
-    StateSpaceModel,
-    TOL_STAB,
-    impulse_response,
-    spectral_radius,
-    unvec,
-)
-from .synthesis import FirMatrix, GeneralizedPlant, VectorizedSystem
+from .statespace import StateSpaceModel, impulse_response
+from .synthesis import GeneralizedPlant, VectorizedSystem
 
 CONFORMANCE_TOL = 1e-7
 
@@ -35,7 +29,7 @@ class ClosedLoop:
 
     @property
     def is_internally_stable(self) -> bool:
-        return spectral_radius(self.model.a) < 1.0 - TOL_STAB
+        return self.model.is_stable
 
 
 def closed_loop(plant: GeneralizedPlant, k: StateSpaceModel) -> ClosedLoop:
@@ -102,14 +96,15 @@ def kkt_oracle(
     cs: ConstraintSpace,
     omega: np.ndarray,
     psi: np.ndarray,
-) -> tuple[FirMatrix, float]:
+) -> tuple[np.ndarray, float]:
     """Brute-force reference solution of the constrained quadratic program.
 
     Stacks all FIR coefficients into one decision vector, unrolls the lifted
     recursion into explicit linear equality constraints on the forbidden
     coordinates, and solves the resulting KKT system with a single dense
     solve (minimum-norm least squares when the constraints are redundant).
-    Intended for small instances only.
+    Returns the ``(N, n_ctrl, n_meas)`` coefficients and the cost.  Intended
+    for small instances only.
     """
     omega = np.atleast_2d(np.asarray(omega, dtype=float))
     psi = np.atleast_2d(np.asarray(psi, dtype=float))
@@ -117,7 +112,7 @@ def kkt_oracle(
     m = n_u * n_y
     n = cs.n_horizon
     if n == 0:
-        return FirMatrix(()), 0.0
+        return np.zeros((0, n_u, n_y)), 0.0
 
     r = np.kron(psi, omega)
     r_all = np.kron(np.eye(n), r)
@@ -153,5 +148,4 @@ def kkt_oracle(
             raise SolverFailure("KKT system is inconsistent")
     v = sol[:n_var]
     cost = float(v @ r_all @ v)
-    blocks = tuple(unvec(v[i * m:(i + 1) * m], n_u, n_y) for i in range(n))
-    return FirMatrix(blocks), cost
+    return v.reshape(n, n_y, n_u).swapaxes(1, 2), cost

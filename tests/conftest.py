@@ -5,14 +5,11 @@ from delayh2 import (
     ConstraintSpace,
     DelayGraph,
     GeneralizedPlant,
-    conjugate_product,
     constraint_space,
     delay_matrix,
-    impulse_response,
     model_matching_matrices,
     spectral_radius,
 )
-from delayh2.statespace import StateSpaceModel
 
 
 def make_chain_plant(n: int = 3) -> GeneralizedPlant:
@@ -73,38 +70,33 @@ def sweep_plant() -> GeneralizedPlant:
     return make_sweep_plant()
 
 
-def markov_max(model, lags):
-    resp = impulse_response(model, max(lags))
-    return max(np.abs(resp[k]).max(initial=0.0) for k in lags)
-
-
 def lemma_identity_errors(plant, gains, tail_lags=20):
-    """Max deviations of the three model-matching product identities.
-
-    The first two identities (the conjugate products collapsing to the
-    constant innovation weights) are evaluated through the library's own
-    conjugate-product machinery; the cross-term identity is evaluated with
-    an independent Laurent-series convolution of raw Markov parameters.
+    """Max deviations of the three model-matching product identities
+    P12~ P12 = Omega, P21 P21~ = Psi and P12~ P11 P21~ = 0, each evaluated
+    by an independent Laurent-series convolution of raw Markov parameters
+    on the lags -tail_lags .. tail_lags (the cross term on 1 .. tail_lags).
     """
     import oracles
 
-    p11, p12, p21 = model_matching_matrices(plant, gains)
-
-    causal, anti = conjugate_product(p12, p12)
-    err_omega = np.abs(causal.d - gains.omega).max()
-    err_omega = max(err_omega, markov_max(causal, range(1, tail_lags + 1)))
-    err_omega = max(err_omega, markov_max(anti, range(1, tail_lags + 1)))
-
-    p21_t = StateSpaceModel(p21.a.T, p21.c.T, p21.b.T, p21.d.T)
-    causal_t, anti_t = conjugate_product(p21_t, p21_t)
-    err_psi = np.abs(causal_t.d.T - gains.psi).max()
-    err_psi = max(err_psi, markov_max(causal_t, range(1, tail_lags + 1)))
-    err_psi = max(err_psi, markov_max(anti_t, range(1, tail_lags + 1)))
+    p11 = model_matching_matrices(plant, gains)
+    p12, p21 = oracles.model_matching_factors(plant, gains)
 
     rho = max(
         spectral_radius(p11.a), spectral_radius(p12.a), spectral_radius(p21.a)
     )
     horizon = oracles.horizon_for(rho, tail=1e-16, lo=60)
+
+    def weight_error(series, weight):
+        # the product must be the constant weight: lag 0 only
+        terms = series.terms.copy()
+        terms[-series.min_lag] -= weight
+        return np.abs(terms).max()
+
+    s12 = oracles.Laurent.from_model(p12, horizon + tail_lags)
+    err_omega = weight_error(s12.conjugate().multiply(s12, -tail_lags, tail_lags), gains.omega)
+    s21 = oracles.Laurent.from_model(p21, horizon + tail_lags)
+    err_psi = weight_error(s21.multiply(s21.conjugate(), -tail_lags, tail_lags), gains.psi)
+
     # the anticausal outer factor reaches back `horizon` lags, so the inner
     # product is needed out to lag tail_lags + horizon
     l12 = oracles.Laurent.from_model(p12, 2 * horizon + tail_lags).conjugate()

@@ -4,12 +4,15 @@ Everything here deliberately avoids the library's own algebra: impulse
 responses come from raw matrix powers, two-sided (Laurent) series are
 convolved term by term, and norms are truncated sums.  Truncation horizons
 are chosen from the measured spectral radius so tail errors sit far below
-the assertion tolerances.
+the assertion tolerances.  The eight coprime factors of g22 and the
+model-matching factors P12, P21, which the pipeline never forms, are
+written out here from their closed-form realizations.
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -35,6 +38,11 @@ def markov_terms(a, b, c, d, horizon: int) -> np.ndarray:
     return out
 
 
+def model_terms(g, horizon: int) -> np.ndarray:
+    """:func:`markov_terms` of a model with ``a``, ``b``, ``c``, ``d``."""
+    return markov_terms(g.a, g.b, g.c, g.d, horizon)
+
+
 class Laurent:
     """Two-sided matrix series: coefficient ``terms[k]`` sits at lag
     ``min_lag + k`` (positive lags are causal, z^{-lag})."""
@@ -53,12 +61,8 @@ class Laurent:
         return np.zeros(self.terms.shape[1:])
 
     @staticmethod
-    def causal(a, b, c, d, horizon: int) -> "Laurent":
-        return Laurent(0, markov_terms(a, b, c, d, horizon))
-
-    @staticmethod
     def from_model(g, horizon: int) -> "Laurent":
-        return Laurent.causal(g.a, g.b, g.c, g.d, horizon)
+        return Laurent(0, model_terms(g, horizon))
 
     def conjugate(self) -> "Laurent":
         """Series of G~: coefficient at lag -k is the transpose of G's at k."""
@@ -106,15 +110,67 @@ def h2_sq_truncated(a, b, c, d, horizon: int) -> float:
     return float(sum(np.sum(t * t) for t in terms))
 
 
-def fir_convolve(left: list, right: list, n_lags: int) -> list:
-    """Causal FIR product: coefficient m of sum_k left[k] right[m-k]."""
-    shape = (left[0].shape[0], right[0].shape[1])
-    out = [np.zeros(shape) for _ in range(n_lags + 1)]
+def fir_convolve(left, right, n_lags: int) -> np.ndarray:
+    """Causal FIR product: coefficient m of sum_k left[k] right[m-k], for
+    sequences of matrices indexed by lag."""
+    out = np.zeros((n_lags + 1, left[0].shape[0], right[0].shape[1]))
     for m in range(n_lags + 1):
         for k in range(len(left)):
             if 0 <= m - k < len(right):
                 out[m] += left[k] @ right[m - k]
     return out
+
+
+def coprime_factors(plant, gains) -> SimpleNamespace:
+    """The eight doubly-coprime factors of g22 built from the LQG gains,
+
+        M^ = (A_K, B2, K, I)     N^ = (A_K, B2, C2, 0)
+        Y^ = (A_K, -L, K, 0)     X^ = (A_K, -L, C2, I)
+        X~ = (A_L, B2, -K, I)    Y~ = (A_L, -L, K, 0)
+        N~ = (A_L, B2, C2, 0)    M~ = (A_L, -L, -C2, I),
+
+    with G22 = N^ M^^-1 = M~^-1 N~ and the Bezout identity
+    [X~ -Y~; -N~ M~] [M^ Y^; N^ X^] = I."""
+    from delayh2 import StateSpaceModel
+
+    b2, c2, k, l = plant.b2, plant.c2, gains.k_gain, gains.l_gain
+    a_k, a_l = gains.a_k, gains.a_l
+    iu, iy = np.eye(plant.n_ctrl), np.eye(plant.n_meas)
+    zuy, zyu = np.zeros((plant.n_ctrl, plant.n_meas)), np.zeros((plant.n_meas, plant.n_ctrl))
+    return SimpleNamespace(
+        m_hat=StateSpaceModel(a_k, b2, k, iu),
+        n_hat=StateSpaceModel(a_k, b2, c2, zyu),
+        y_hat=StateSpaceModel(a_k, -l, k, zuy),
+        x_hat=StateSpaceModel(a_k, -l, c2, iy),
+        x_tilde=StateSpaceModel(a_l, b2, -k, iu),
+        y_tilde=StateSpaceModel(a_l, -l, k, zuy),
+        n_tilde=StateSpaceModel(a_l, b2, c2, zyu),
+        m_tilde=StateSpaceModel(a_l, -l, -c2, iy),
+    )
+
+
+def bezout_product(plant, gains, horizon: int) -> np.ndarray:
+    """Markov terms up to ``horizon`` of the Bezout product of
+    :func:`coprime_factors`, each lag's 2x2 block matrices formed by
+    ``np.block``; they must be I at lag 0 and 0 after."""
+    t = {name: model_terms(g, horizon)
+         for name, g in vars(coprime_factors(plant, gains)).items()}
+    left = [np.block([[t["x_tilde"][k], -t["y_tilde"][k]], [-t["n_tilde"][k], t["m_tilde"][k]]])
+            for k in range(horizon + 1)]
+    right = [np.block([[t["m_hat"][k], t["y_hat"][k]], [t["n_hat"][k], t["x_hat"][k]]])
+             for k in range(horizon + 1)]
+    return fir_convolve(left, right, horizon)
+
+
+def model_matching_factors(plant, gains):
+    """P12 = (A_K, B2, -(C1 + D12 K), -D12) and P21 = (A_L, B1 + L D21, C2,
+    D21), the factors multiplying the free parameter in P11 + P12 Q P21."""
+    from delayh2 import StateSpaceModel
+
+    k, l = gains.k_gain, gains.l_gain
+    p12 = StateSpaceModel(gains.a_k, plant.b2, -(plant.c1 + plant.d12 @ k), -plant.d12)
+    p21 = StateSpaceModel(gains.a_l, plant.b1 + l @ plant.d21, plant.c2, plant.d21)
+    return p12, p21
 
 
 def random_stable_model(rng, n: int, m: int, p: int, rho: float = 0.85):

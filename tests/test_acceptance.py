@@ -22,13 +22,11 @@ from delayh2 import (
     conformance,
     coprime_factorization,
     h2_norm_sq,
-    impulse_response,
     kkt_oracle,
     riccati_gains,
     solve_constrained_qp,
     synthesize,
 )
-from delayh2.statespace import StateSpaceModel, multiply, neg
 from conftest import (
     lemma_identity_errors,
     make_chain_plant,
@@ -175,8 +173,8 @@ def test_criterion_5_oracle_equivalence():
             _, vsys, cs, gains = random_qp_instance(rng)
             v_fast, cost_fast = solve_constrained_qp(vsys, cs, gains.omega, gains.psi)
             v_ref, cost_ref = kkt_oracle(vsys, cs, gains.omega, gains.psi)
-            for a, b in zip(v_fast.blocks, v_ref.blocks):
-                assert np.abs(a - b).max() < 1e-7
+            assert v_fast.shape == v_ref.shape
+            assert np.abs(v_fast - v_ref).max(initial=0.0) < 1e-7
             assert abs(cost_fast - cost_ref) <= 1e-9 * (1.0 + abs(cost_ref))
 
 
@@ -196,42 +194,9 @@ def test_criterion_7_bezout_property(random_plants):
         gains_list = [riccati_gains(p) for p in plants]
         all_pairs = list(zip(plants, gains_list)) + list(random_plants)
         for plant, gains in all_pairs:
-            factors = coprime_factorization(plant, gains)
-            n_u, n_y, n = plant.n_ctrl, plant.n_meas, plant.n
-
-            def hcat(g1, g2):
-                n1, n2 = g1.order, g2.order
-                return StateSpaceModel(
-                    np.block([[g1.a, np.zeros((n1, n2))], [np.zeros((n2, n1)), g2.a]]),
-                    np.block([
-                        [g1.b, np.zeros((n1, g2.n_inputs))],
-                        [np.zeros((n2, g1.n_inputs)), g2.b],
-                    ]),
-                    np.hstack([g1.c, g2.c]),
-                    np.hstack([g1.d, g2.d]),
-                )
-
-            def vcat(g1, g2):
-                n1, n2 = g1.order, g2.order
-                return StateSpaceModel(
-                    np.block([[g1.a, np.zeros((n1, n2))], [np.zeros((n2, n1)), g2.a]]),
-                    np.vstack([g1.b, g2.b]),
-                    np.block([
-                        [g1.c, np.zeros((g1.n_outputs, n2))],
-                        [np.zeros((g2.n_outputs, n1)), g2.c],
-                    ]),
-                    np.vstack([g1.d, g2.d]),
-                )
-
-            left = vcat(
-                hcat(factors.x_tilde, neg(factors.y_tilde)),
-                hcat(neg(factors.n_tilde), factors.m_tilde),
-            )
-            right = vcat(
-                hcat(factors.m_hat, factors.y_hat),
-                hcat(factors.n_hat, factors.x_hat),
-            )
-            resp = impulse_response(multiply(left, right), 2 * n + 2)
-            npt.assert_allclose(resp[0], np.eye(n_u + n_y), atol=1e-7)
+            n = plant.n
+            assert coprime_factorization(plant, gains) <= 1e-7
+            resp = oracles.bezout_product(plant, gains, 2 * n + 2)
+            npt.assert_allclose(resp[0], np.eye(plant.n_ctrl + plant.n_meas), atol=1e-7)
             for lag in range(1, 2 * n + 3):
                 npt.assert_allclose(resp[lag], 0.0, atol=1e-7)

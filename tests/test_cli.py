@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CHAIN = str(CONFIG_DIR / "chain_three_player.json")
 CENTRALIZED = str(CONFIG_DIR / "chain_centralized.json")
 SWEEP = str(CONFIG_DIR / "two_subsystem_sweep.json")
+SRC_DIR = CONFIG_DIR.parent / "src"
 
 
 def write_json(path: Path, doc: dict) -> str:
@@ -227,9 +229,12 @@ class TestVerify:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # pytest's own pythonpath setting does not reach a subprocess
+        path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "delayh2.cli", "check-qi", "--config", CHAIN],
             capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "QI: PASS" in proc.stdout
@@ -273,3 +278,40 @@ class TestOptionsSection:
         doc["options"] = {"horizon": 2}
         cfg = write_json(tmp_path / "unknown.json", doc)
         assert cli.main(["check-qi", "--config", cfg]) == 1
+
+
+class TestMalformedFields:
+    """Fields of the wrong type are config errors naming their section,
+    never a traceback."""
+
+    def run_bad(self, tmp_path, capsys, doc, where):
+        cfg = write_json(tmp_path / "bad.json", doc)
+        assert cli.main(["synth", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("delayh2: config error:")
+        assert f"{cfg}.{where}" in err
+
+    def test_non_integer_horizon(self, tmp_path, capsys):
+        doc = json.loads(Path(CHAIN).read_text())
+        doc["options"] = {"n_horizon": "four"}
+        self.run_bad(tmp_path, capsys, doc, "options")
+
+    def test_non_numeric_tol_zero(self, tmp_path, capsys):
+        doc = json.loads(Path(CHAIN).read_text())
+        doc["options"] = {"tol_zero": "tiny"}
+        self.run_bad(tmp_path, capsys, doc, "options")
+
+    def test_non_integer_block_size(self, tmp_path, capsys):
+        doc = json.loads(Path(CHAIN).read_text())
+        doc["plant"]["block_rows"] = ["a", 1]
+        self.run_bad(tmp_path, capsys, doc, "plant")
+
+    def test_ragged_pattern(self, tmp_path, capsys):
+        doc = json.loads(Path(CENTRALIZED).read_text())
+        doc["patterns"] = [[[1, 0], [1]]]
+        self.run_bad(tmp_path, capsys, doc, "patterns[1]")
+
+    def test_non_integer_comp_delay(self, tmp_path, capsys):
+        doc = json.loads(Path(CHAIN).read_text())
+        doc["graph"]["comp_delays"] = ["x", 1, 1]
+        self.run_bad(tmp_path, capsys, doc, "graph")

@@ -225,8 +225,31 @@ class TestCheckQi:
             p = rng.integers(0, d.max_delay() + 1, size=d.d.shape)
             verdict = check_qi(d, p)
             assert verdict.ok == qi_brute_force(d, p, rng), (d.d, p)
+            if not verdict.ok:
+                k, i, j, l = verdict.witness
+                assert d.d[k, i] + p[i, j] + d.d[j, l] < d.d[k, l], (d.d, p)
             seen[verdict.ok] += 1
         assert seen[True] >= 1 and seen[False] >= 1
+
+    def test_matches_the_quadruple_loop(self):
+        # the defining inequality checked over every (k, i, j, l)
+        rng = np.random.default_rng(46)
+        seen = {True: 0, False: 0}
+        for _ in range(300):
+            n = int(rng.integers(1, 6))
+            d = DelayMatrix(rng.integers(1, 6, size=(n, n)))
+            p = rng.integers(0, 4, size=(n, n))
+            violated = any(
+                d.d[k, i] + p[i, j] + d.d[j, l] < d.d[k, l]
+                for k in range(n) for i in range(n) for j in range(n) for l in range(n)
+            )
+            verdict = check_qi(d, p)
+            assert verdict.ok == (not violated), (d.d, p)
+            if violated:
+                k, i, j, l = verdict.witness
+                assert d.d[k, i] + p[i, j] + d.d[j, l] < d.d[k, l], (d.d, p)
+            seen[verdict.ok] += 1
+        assert min(seen.values()) >= 20
 
 
 class TestPlantBlockDelays:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -5,10 +7,10 @@ import pytest
 import oracles
 from delayh2 import (
     AssumptionViolated,
+    BezoutCheckFailed,
     ConstraintSpace,
     DelayMatrix,
     DimensionMismatch,
-    FirMatrix,
     GeneralizedPlant,
     QIViolation,
     closed_loop,
@@ -23,14 +25,25 @@ from delayh2 import (
     synthesize,
     vectorized_system,
 )
-from delayh2.statespace import StateSpaceModel, add, inverse, multiply, neg
-from conftest import lemma_identity_errors, make_chain_graph, markov_max
+from delayh2.synthesis import _fir_realization
+from conftest import lemma_identity_errors, make_chain_graph
 from delayh2 import constraint_space, delay_matrix
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
 CHAIN_NORM = 34.9304          # published three-player chain optimum
 CENTRALIZED_NORM = 24.236     # published centralized reference
+
+
+def channel_terms(plant, gains, v, n_lags):
+    """Markov terms up to ``n_lags`` of the constrained channel
+    (Y^ - M^ V) M~, by convolving the factors' Markov parameters."""
+    f = oracles.coprime_factors(plant, gains)
+    m_hat, y_hat, m_tilde = (oracles.model_terms(g, n_lags) for g in (f.m_hat, f.y_hat, f.m_tilde))
+    v_terms = np.zeros((n_lags + 1,) + v.shape[1:])
+    v_terms[1:len(v) + 1] = v[:n_lags]
+    inner = y_hat - oracles.fir_convolve(m_hat, v_terms, n_lags)
+    return oracles.fir_convolve(inner, m_tilde, n_lags)
 
 
 @pytest.fixture(scope="module")
@@ -131,67 +144,57 @@ class TestRiccatiGains:
 
 class TestCoprimeFactorization:
     def test_feedthrough_structure(self, chain_plant, chain_gains):
-        f = coprime_factorization(chain_plant, chain_gains)
+        f = oracles.coprime_factors(chain_plant, chain_gains)
         npt.assert_allclose(f.m_hat.d, np.eye(3))
         npt.assert_allclose(f.y_hat.d, 0.0)
         npt.assert_allclose(f.x_hat.d, np.eye(3))
         npt.assert_allclose(f.m_tilde.d, np.eye(3))
-        for factor in (f.m_hat, f.n_hat, f.x_hat, f.y_hat,
-                       f.m_tilde, f.n_tilde, f.x_tilde, f.y_tilde):
+        for factor in vars(f).values():
             assert factor.is_stable
 
     def test_bezout_identity_markov_parameters(self, chain_plant, chain_gains):
-        # stack the eight returned factors with generic block operations
-        # (independent of the shared-state realizations used internally)
-        f = coprime_factorization(chain_plant, chain_gains)
+        # the eight factors stacked lag by lag, independent of the shared-state
+        # realizations the library checks
         n = chain_plant.n
-
-        def hcat(g1, g2):
-            n1, n2 = g1.order, g2.order
-            return StateSpaceModel(
-                np.block([[g1.a, np.zeros((n1, n2))], [np.zeros((n2, n1)), g2.a]]),
-                np.block([
-                    [g1.b, np.zeros((n1, g2.n_inputs))],
-                    [np.zeros((n2, g1.n_inputs)), g2.b],
-                ]),
-                np.hstack([g1.c, g2.c]),
-                np.hstack([g1.d, g2.d]),
-            )
-
-        def vcat(g1, g2):
-            n1, n2 = g1.order, g2.order
-            return StateSpaceModel(
-                np.block([[g1.a, np.zeros((n1, n2))], [np.zeros((n2, n1)), g2.a]]),
-                np.vstack([g1.b, g2.b]),
-                np.block([
-                    [g1.c, np.zeros((g1.n_outputs, n2))],
-                    [np.zeros((g2.n_outputs, n1)), g2.c],
-                ]),
-                np.vstack([g1.d, g2.d]),
-            )
-
-        left = vcat(hcat(f.x_tilde, neg(f.y_tilde)), hcat(neg(f.n_tilde), f.m_tilde))
-        right = vcat(hcat(f.m_hat, f.y_hat), hcat(f.n_hat, f.x_hat))
-        product = impulse_response(multiply(left, right), 2 * n + 2)
+        product = oracles.bezout_product(chain_plant, chain_gains, 2 * n + 2)
         npt.assert_allclose(product[0], np.eye(6), atol=1e-7)
         for k in range(1, 2 * n + 3):
             npt.assert_allclose(product[k], 0.0, atol=1e-7)
 
     def test_right_factorization_recovers_g22(self, chain_plant, chain_gains):
-        f = coprime_factorization(chain_plant, chain_gains)
+        f = oracles.coprime_factors(chain_plant, chain_gains)
         # G22 = n_hat m_hat^{-1}  <=>  G22 m_hat - n_hat = 0
-        residual = add(multiply(chain_plant.g22, f.m_hat), neg(f.n_hat))
-        assert markov_max(residual, range(11)) < 1e-8
+        g22, m_hat, n_hat = (
+            oracles.model_terms(g, 10) for g in (chain_plant.g22, f.m_hat, f.n_hat)
+        )
+        residual = oracles.fir_convolve(g22, m_hat, 10) - n_hat
+        assert np.abs(residual).max() < 1e-8
 
     def test_left_factorization_recovers_g22(self, chain_plant, chain_gains):
-        f = coprime_factorization(chain_plant, chain_gains)
-        residual = add(multiply(f.m_tilde, chain_plant.g22), neg(f.n_tilde))
-        assert markov_max(residual, range(11)) < 1e-8
+        f = oracles.coprime_factors(chain_plant, chain_gains)
+        g22, m_tilde, n_tilde = (
+            oracles.model_terms(g, 10) for g in (chain_plant.g22, f.m_tilde, f.n_tilde)
+        )
+        residual = oracles.fir_convolve(m_tilde, g22, 10) - n_tilde
+        assert np.abs(residual).max() < 1e-8
+
+    def test_returns_the_bezout_residual(self, chain_plant, chain_gains):
+        residual = coprime_factorization(chain_plant, chain_gains)
+        assert isinstance(residual, float)
+        assert 0.0 <= residual < 1e-12
+
+    def test_inconsistent_gains_fail_the_check(self, chain_plant, chain_gains):
+        # any stabilizing K and L give a doubly-coprime pair, but a regulator
+        # loop that is not A + B2 K breaks the identity
+        bad = dataclasses.replace(chain_gains, a_k=0.5 * chain_gains.a_k)
+        with pytest.raises(BezoutCheckFailed):
+            coprime_factorization(chain_plant, bad)
 
 
 class TestModelMatchingMatrices:
     def test_p11_is_stable_and_strictly_proper(self, chain_plant, chain_gains):
-        p11, p12, p21 = model_matching_matrices(chain_plant, chain_gains)
+        p11 = model_matching_matrices(chain_plant, chain_gains)
+        p12, p21 = oracles.model_matching_factors(chain_plant, chain_gains)
         assert p11.is_stable and p12.is_stable and p21.is_stable
         npt.assert_allclose(p11.d, 0.0)
 
@@ -218,7 +221,6 @@ class TestVectorizedSystem:
         assert vsys.a_v.shape == (18, 18)
         assert vsys.b_v.shape == (18, 9)
         assert vsys.c_v.shape == (9, 18)
-        npt.assert_array_equal(vsys.d_v, np.eye(9))
         npt.assert_allclose(vsys.x1[:9], chain_gains.l_gain.reshape(-1, order="F"))
         npt.assert_allclose(vsys.x1[9:], 0.0)
 
@@ -228,11 +230,8 @@ class TestVectorizedSystem:
         # algebra must match the lifted recursion exactly
         rng = np.random.default_rng(seed)
         n_lags = 3
-        blocks = [rng.standard_normal((3, 3)) for _ in range(n_lags)]
-        v_model = FirMatrix(tuple(blocks)).as_model(3, 3)
-        f = coprime_factorization(chain_plant, chain_gains)
-        direct = multiply(add(neg(f.y_hat), multiply(f.m_hat, v_model)), f.m_tilde)
-        resp = impulse_response(direct, n_lags)
+        blocks = rng.standard_normal((n_lags, 3, 3))
+        resp = -channel_terms(chain_plant, chain_gains, blocks, n_lags)
 
         vsys = vectorized_system(chain_plant, chain_gains)
         state = vsys.x1
@@ -252,14 +251,14 @@ class TestSolveConstrainedQp:
         )
         v_star, cost = solve_constrained_qp(vsys, cs, chain_gains.omega, chain_gains.psi)
         assert cost == pytest.approx(0.0, abs=1e-12)
-        for blk in v_star.blocks:
-            npt.assert_allclose(blk, 0.0, atol=1e-9)
+        assert v_star.shape == (2, 3, 3)
+        npt.assert_allclose(v_star, 0.0, atol=1e-9)
 
     def test_empty_horizon(self, chain_plant, chain_gains):
         vsys = vectorized_system(chain_plant, chain_gains)
         cs = ConstraintSpace(0, (1, 1, 1), (1, 1, 1), ())
         v_star, cost = solve_constrained_qp(vsys, cs, chain_gains.omega, chain_gains.psi)
-        assert len(v_star) == 0 and cost == 0.0
+        assert v_star.shape == (0, 3, 3) and cost == 0.0
 
     def test_chain_cost_reproduces_published_norm(
         self, chain_plant, chain_gains, chain_space
@@ -267,23 +266,26 @@ class TestSolveConstrainedQp:
         vsys = vectorized_system(chain_plant, chain_gains)
         _, cost = solve_constrained_qp(vsys, cs=chain_space, omega=chain_gains.omega,
                                        psi=chain_gains.psi)
-        p11, _, _ = model_matching_matrices(chain_plant, chain_gains)
-        total = h2_norm_sq(p11) + cost
+        total = h2_norm_sq(model_matching_matrices(chain_plant, chain_gains)) + cost
         assert np.sqrt(total) == pytest.approx(CHAIN_NORM, abs=1e-3)
 
 
 class TestRealizeController:
     def test_zero_parameter_recovers_central_lqg(self, chain_plant, chain_gains):
         # with V = 0 the realization must be IO-equivalent to the observer
-        # controller and to y_hat x_hat^{-1}, whatever the shift-register size
-        f = coprime_factorization(chain_plant, chain_gains)
-        central = multiply(f.y_hat, inverse(f.x_hat))
+        # controller y_hat x_hat^{-1}, whatever the shift-register size.  The
+        # controller is unstable, so its terms are solved from K x_hat = y_hat
+        # lag by lag (x_hat starts with I) rather than convolved back
+        f = oracles.coprime_factors(chain_plant, chain_gains)
+        x_hat, y_hat = oracles.model_terms(f.x_hat, 20), oracles.model_terms(f.y_hat, 20)
+        want = []
+        for m in range(21):
+            want.append(y_hat[m] - sum(want[j] @ x_hat[m - j] for j in range(m)))
         for n_lags in (0, 2):
-            v0 = FirMatrix(tuple(np.zeros((3, 3)) for _ in range(n_lags)))
+            v0 = np.zeros((n_lags, 3, 3))
             k = realize_controller(v0, chain_gains, chain_plant)
             assert k.order == 3 + 3 * n_lags
             got = impulse_response(k, 20)
-            want = impulse_response(central, 20)
             for lag in range(21):
                 npt.assert_allclose(got[lag], want[lag], atol=1e-9)
 
@@ -340,10 +342,7 @@ class TestSynthesize:
         # FIR terms of (y_hat - m_hat V*) m_tilde vanish on forbidden blocks
         gains = riccati_gains(chain_plant)
         result = synthesize(chain_plant, chain_space)
-        f = coprime_factorization(chain_plant, gains)
-        v_model = result.v_star.as_model(3, 3)
-        channel = multiply(add(f.y_hat, neg(multiply(f.m_hat, v_model))), f.m_tilde)
-        resp = impulse_response(channel, chain_space.n_horizon)
+        resp = channel_terms(chain_plant, gains, result.v_star, chain_space.n_horizon)
         for lag in range(1, chain_space.n_horizon + 1):
             forbidden = ~chain_space.entry_mask(lag)
             assert np.abs(resp[lag][forbidden]).max(initial=0.0) < 1e-7
@@ -355,8 +354,8 @@ class TestSynthesize:
         result = synthesize(chain_plant, chain_space)
         rng = np.random.default_rng(55)
         for _ in range(5):
-            extra = tuple(0.05 * rng.standard_normal((3, 3)) for _ in range(2))
-            perturbed = FirMatrix(result.v_star.blocks + extra)
+            extra = 0.05 * rng.standard_normal((2, 3, 3))
+            perturbed = np.concatenate([result.v_star, extra])
             k = realize_controller(perturbed, gains, chain_plant)
             loop = closed_loop(chain_plant, k)
             assert loop.is_internally_stable
@@ -402,11 +401,16 @@ class TestSynthesize:
 class TestFirMatrix:
     def test_shift_register_realization_reproduces_blocks(self):
         rng = np.random.default_rng(77)
-        blocks = tuple(rng.standard_normal((2, 3)) for _ in range(4))
-        model = FirMatrix(blocks).as_model(2, 3)
-        resp = impulse_response(model, 6)
+        blocks = rng.standard_normal((4, 2, 3))
+        a, b, c = _fir_realization(blocks)
+        assert (a.shape, b.shape, c.shape) == ((12, 12), (12, 3), (2, 12))
+        resp = oracles.markov_terms(a, b, c, np.zeros((2, 3)), 6)
         npt.assert_allclose(resp[0], 0.0)
         for k, blk in enumerate(blocks, 1):
             npt.assert_allclose(resp[k], blk, atol=1e-12)
         npt.assert_allclose(resp[5], 0.0, atol=1e-12)
         npt.assert_allclose(resp[6], 0.0, atol=1e-12)
+
+    def test_misshapen_coefficients_rejected(self, chain_plant, chain_gains):
+        with pytest.raises(DimensionMismatch):
+            realize_controller(np.zeros((2, 3, 2)), chain_gains, chain_plant)

@@ -4,7 +4,6 @@ import pytest
 
 from delayh2 import (
     ConstraintSpace,
-    FirMatrix,
     IllPosed,
     StateSpaceModel,
     closed_loop,
@@ -43,7 +42,7 @@ class TestClosedLoop:
 
     def test_central_lqg_reaches_published_centralized_norm(self, chain_plant):
         gains = riccati_gains(chain_plant)
-        k = realize_controller(FirMatrix(()), gains, chain_plant)
+        k = realize_controller(np.zeros((0, 3, 3)), gains, chain_plant)
         loop = closed_loop(chain_plant, k)
         assert loop.is_internally_stable
         assert np.sqrt(h2_norm_sq(loop.model)) == pytest.approx(
@@ -73,7 +72,7 @@ class TestClosedLoop:
 class TestConformance:
     def test_central_lqg_breaks_the_chain_pattern(self, chain_plant, chain_space):
         gains = riccati_gains(chain_plant)
-        k = realize_controller(FirMatrix(()), gains, chain_plant)
+        k = realize_controller(np.zeros((0, 3, 3)), gains, chain_plant)
         report = conformance(k, chain_space)
         assert not report.ok
         lags = {v[0] for v in report.violations}
@@ -98,7 +97,7 @@ class TestConformance:
         # N = 0 leaves every lag >= 1 free, so the centralized controller
         # conforms and only a lag-0 feedthrough block can violate
         cs = ConstraintSpace(0, (1, 1, 1), (1, 1, 1), ())
-        central = realize_controller(FirMatrix(()), riccati_gains(chain_plant), chain_plant)
+        central = realize_controller(np.zeros((0, 3, 3)), riccati_gains(chain_plant), chain_plant)
         assert conformance(central, cs).ok
         d = np.zeros((3, 3))
         d[1, 2] = 0.5
@@ -117,8 +116,8 @@ class TestKktOracle:
         cs = ConstraintSpace(2, (1, 1, 1), (1, 1, 1), (np.ones((3, 3), bool),) * 2)
         v, cost = kkt_oracle(vsys, cs, gains.omega, gains.psi)
         assert cost == pytest.approx(0.0, abs=1e-12)
-        for blk in v.blocks:
-            npt.assert_allclose(blk, 0.0, atol=1e-10)
+        assert v.shape == (2, 3, 3)
+        npt.assert_allclose(v, 0.0, atol=1e-10)
 
     def test_chain_cost_consistency(self, chain_plant, chain_space, chain_result):
         gains = riccati_gains(chain_plant)
@@ -138,8 +137,8 @@ class TestKktOracle:
             v_fast, cost_fast = solve_constrained_qp(vsys, cs, gains.omega, gains.psi)
             v_ref, cost_ref = kkt_oracle(vsys, cs, gains.omega, gains.psi)
             assert cost_fast == pytest.approx(cost_ref, rel=1e-9, abs=1e-12)
-            for a, b in zip(v_fast.blocks, v_ref.blocks):
-                npt.assert_allclose(a, b, atol=1e-7)
+            assert v_fast.shape == v_ref.shape
+            npt.assert_allclose(v_fast, v_ref, atol=1e-7)
 
     def test_fully_forbidden_patterns_agree(self, chain_plant):
         gains = riccati_gains(chain_plant)
@@ -148,8 +147,7 @@ class TestKktOracle:
         v_fast, cost_fast = solve_constrained_qp(vsys, cs, gains.omega, gains.psi)
         v_ref, cost_ref = kkt_oracle(vsys, cs, gains.omega, gains.psi)
         assert cost_fast == pytest.approx(cost_ref, rel=1e-9)
-        for a, b in zip(v_fast.blocks, v_ref.blocks):
-            npt.assert_allclose(a, b, atol=1e-7)
+        npt.assert_allclose(v_fast, v_ref, atol=1e-7)
         assert cost_fast > 0.0
 
 
