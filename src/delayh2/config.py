@@ -57,6 +57,15 @@ def _matrix(section: dict, key: str, where: str) -> np.ndarray:
     return arr
 
 
+def _whole(value) -> int:
+    """``value`` as an int; a fraction, NaN or infinity is an error rather
+    than being truncated."""
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(number)
+
+
 @dataclass(frozen=True)
 class ProblemConfig:
     """Parsed problem description: plant plus one constraint specification."""
@@ -130,8 +139,8 @@ def parse_config(doc: dict, where: str = "config") -> ProblemConfig:
     try:
         plant = GeneralizedPlant(
             **mats,
-            block_rows=tuple(int(r) for r in psec["block_rows"]),
-            block_cols=tuple(int(c) for c in psec["block_cols"]),
+            block_rows=tuple(_whole(r) for r in psec["block_rows"]),
+            block_cols=tuple(_whole(c) for c in psec["block_cols"]),
         )
     except (DelayH2Error, ValueError, TypeError) as exc:
         raise ConfigError(f"{where}.plant: {exc}") from exc
@@ -149,8 +158,8 @@ def parse_config(doc: dict, where: str = "config") -> ProblemConfig:
         if not isinstance(gsec, dict) or "comp_delays" not in gsec:
             raise ConfigError(f"{where}.graph: need 'comp_delays' and 'edges'")
         try:
-            comp = [int(c) for c in gsec["comp_delays"]]
-            edges = [tuple(int(x) for x in e) for e in gsec.get("edges", [])]
+            comp = [_whole(c) for c in gsec["comp_delays"]]
+            edges = [tuple(_whole(x) for x in e) for e in gsec.get("edges", [])]
             if any(len(e) != 3 for e in edges):
                 raise ValueError("edges must be [from, to, delay] triples")
             graph = DelayGraph(len(comp), tuple(comp), tuple(edges))
@@ -159,7 +168,8 @@ def parse_config(doc: dict, where: str = "config") -> ProblemConfig:
         _check_block_count(len(comp), plant, where)
     elif style == "delay_matrix":
         try:
-            delays = DelayMatrix(np.array(doc["delay_matrix"], dtype=int))
+            rows = [[_whole(x) for x in row] for row in doc["delay_matrix"]]
+            delays = DelayMatrix(np.array(rows, dtype=int))
         except (DelayH2Error, ValueError, TypeError) as exc:
             raise ConfigError(f"{where}.delay_matrix: {exc}") from exc
         _check_block_count(delays.node_count, plant, where)
@@ -187,7 +197,7 @@ def parse_config(doc: dict, where: str = "config") -> ProblemConfig:
             raise ConfigError(f"{where}.options: unknown keys {sorted(unknown)}")
         try:
             if "n_horizon" in osec:
-                n_override = int(osec["n_horizon"])
+                n_override = _whole(osec["n_horizon"])
             if "tol_zero" in osec:
                 tol_zero = float(osec["tol_zero"])
         except (TypeError, ValueError) as exc:
@@ -235,4 +245,6 @@ def _block_pattern(raw, shape, where: str) -> np.ndarray:
         raise ConfigError(f"{where}: not a rectangular 0/1 matrix ({exc})") from exc
     if arr.shape != shape:
         raise ConfigError(f"{where}: shape {arr.shape} does not match the block grid {shape}")
+    if not np.isin(arr, (0.0, 1.0)).all():
+        raise ConfigError(f"{where}: entries must be 0 or 1")
     return arr.astype(bool)

@@ -45,11 +45,6 @@ def vec(m: np.ndarray) -> np.ndarray:
     return np.asarray(m, dtype=float).reshape(-1, order="F")
 
 
-def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`vec` for a matrix of known shape."""
-    return np.asarray(v, dtype=float).reshape((rows, cols), order="F")
-
-
 def spectral_radius(a: np.ndarray) -> float:
     """Largest eigenvalue modulus of a square matrix (0 for the 0x0 matrix)."""
     a = _as_matrix(a)

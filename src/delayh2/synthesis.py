@@ -5,11 +5,12 @@ problem, check the Bezout identity of the doubly-coprime factorization they
 induce, and split the optimal squared norm into ||P11||^2 plus a finite
 quadratic program over the first N impulse-response coefficients of the
 free parameter V, held as one ``(N, n_ctrl, n_meas)`` array.  That program
-is solved exactly as a finite-horizon time-varying LQR after vectorizing
-the FIR recursion with Kronecker products; the delay constraint enters as a
-boolean mask over each column-stacked coefficient, so allowed and forbidden
-coordinates are picked by indexing.  The optimal controller is then
-assembled in closed form.
+is solved exactly as a finite-horizon LQR on the Kronecker-lifted FIR
+recursion, whose inputs are the coefficients J_i of the constrained
+channel: the delay constraint, a boolean mask over each column-stacked
+coefficient, pins their forbidden coordinates to zero, the state matrix is
+the same at every lag, and the lifted products act on the n x n Kronecker
+factors.  The optimal controller is then assembled in closed form.
 """
 
 from __future__ import annotations
@@ -35,13 +36,15 @@ from .statespace import (
     h2_norm_sq,
     impulse_response,
     multiply,
-    unvec,
     vec,
 )
 
 # Tolerances for the built-in sanity checks.
 NORMALIZATION_TOL = 1e-9
 BEZOUT_TOL = 1e-6
+# Lifted dimension from which the QP's products with A_bar and B_v run on
+# the Kronecker factors rather than on dense matrices.
+FACTORED_MIN_ORDER = 64
 
 
 @dataclass(frozen=True)
@@ -183,20 +186,93 @@ class RiccatiGains:
     a_l: np.ndarray
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices, without its general n-d handling: the QP's
+    set-up takes about twenty of them per call, where np.kron's overhead
+    alone would be a tenth of a small problem's solve."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    )
+
+
 @dataclass(frozen=True)
 class VectorizedSystem:
-    """Kronecker-lifted recursion generating the constrained FIR coefficients.
+    """Kronecker lift of the constrained-channel FIR recursion, kept as its
+    n x n factors.
 
-    State dimension is n*(n_meas + n_ctrl); the input at step i is the
-    column-stacked i-th FIR coefficient of the free parameter and the output
-    is the column-stacked i-th coefficient of the constrained channel, with
-    identity feedthrough.
+    The lifted state x_i = [vec(P_i); vec(Q_i)] stacks an n x n_meas block
+    P and an n_ctrl x n block Q, so its dimension ``order`` is
+    n * (n_meas + n_ctrl).  Driven by the free coefficient V_i,
+
+        P_{i+1} = A_K P_i + B2 V_i,   Q_{i+1} = K P_i C2 + Q_i A_L + V_i C2,
+
+    from P_1 = L and Q_1 = 0, and the i-th coefficient of the constrained
+    channel is J_i = K P_i + Q_i L + V_i.  Column-stacked this reads
+    x_{i+1} = A_v x_i + B_v vec(V_i) and vec(J_i) = C_v x_i + vec(V_i).  Taking
+    J_i as the input instead, V_i = J_i - K P_i - Q_i L, the gains drop out:
+
+        P_{i+1} = A P_i + B2 (J_i - Q_i L),   Q_{i+1} = Q_i A + J_i C2,
+
+    that is x_{i+1} = A_bar x_i + B_v vec(J_i) with the stage-independent
+    A_bar = A_v - B_v C_v = [[I kron A, -L^T kron B2], [0, A^T kron I]].
+    The dense lifted matrices are properties formed on each access.
     """
 
-    a_v: np.ndarray
-    b_v: np.ndarray
-    c_v: np.ndarray
-    x1: np.ndarray
+    a: np.ndarray
+    b2: np.ndarray
+    c2: np.ndarray
+    k_gain: np.ndarray
+    l_gain: np.ndarray
+
+    @property
+    def order(self) -> int:
+        n, n_u = self.b2.shape
+        return n * (self.c2.shape[0] + n_u)
+
+    def _identities(self):
+        return np.eye(self.b2.shape[1]), np.eye(self.c2.shape[0])
+
+    @property
+    def a_v(self) -> np.ndarray:
+        """[[I kron A_K, 0], [C2^T kron K, A_L^T kron I]]"""
+        a, b2, c2, k, l = self.a, self.b2, self.c2, self.k_gain, self.l_gain
+        eye_u, eye_y = self._identities()
+        upper = _kron(eye_y, a + b2 @ k)
+        return np.block(
+            [
+                [upper, np.zeros((len(upper), a.shape[0] * len(eye_u)))],
+                [_kron(c2.T, k), _kron((a + l @ c2).T, eye_u)],
+            ]
+        )
+
+    @property
+    def a_bar(self) -> np.ndarray:
+        """[[I kron A, -L^T kron B2], [0, A^T kron I]]"""
+        eye_u, eye_y = self._identities()
+        lower = _kron(self.a.T, eye_u)
+        return np.block(
+            [
+                [_kron(eye_y, self.a), -_kron(self.l_gain.T, self.b2)],
+                [np.zeros((len(lower), self.a.shape[0] * len(eye_y))), lower],
+            ]
+        )
+
+    @property
+    def b_v(self) -> np.ndarray:
+        """[I kron B2; C2^T kron I]"""
+        eye_u, eye_y = self._identities()
+        return np.vstack([_kron(eye_y, self.b2), _kron(self.c2.T, eye_u)])
+
+    @property
+    def c_v(self) -> np.ndarray:
+        """[I kron K, L^T kron I]"""
+        eye_u, eye_y = self._identities()
+        return np.hstack([_kron(eye_y, self.k_gain), _kron(self.l_gain.T, eye_u)])
+
+    @property
+    def x1(self) -> np.ndarray:
+        """[vec(L); 0]"""
+        return np.concatenate([vec(self.l_gain), np.zeros(self.k_gain.size)])
 
 
 def _fir_realization(v: np.ndarray):
@@ -287,31 +363,54 @@ def model_matching_matrices(plant: GeneralizedPlant, gains: RiccatiGains) -> Sta
 def vectorized_system(
     plant: GeneralizedPlant, gains: RiccatiGains
 ) -> VectorizedSystem:
-    """Kronecker lift of the constrained-channel FIR recursion.
+    """Kronecker lift of the constrained-channel FIR recursion, held as the
+    plant's A, B2, C2 and the gains K, L (see :class:`VectorizedSystem`)."""
+    return VectorizedSystem(plant.a, plant.b2, plant.c2, gains.k_gain, gains.l_gain)
 
-    Column-stacking the i-th FIR coefficient J_i of the constrained channel
-    gives vec(J_i) = C_v x_i + vec(V_i) with x_{i+1} = A_v x_i + B_v vec(V_i)
-    and x_1 = [vec(L); 0].
+
+def _lifted_products(vsys: VectorizedSystem, a_bar: np.ndarray, b_v: np.ndarray):
+    """Left products ``A_bar^T y`` (optionally into ``out``) and ``B_v^T y``
+    for an (order, k) block y.
+
+    Below ``FACTORED_MIN_ORDER`` they are matmuls with the dense ``a_bar``
+    and ``b_v``, whose single BLAS call beats several small ones (measured
+    crossover: lifted dimension 50 to 90).  From there on they
+    act on the n x n factors through vec(M X N) = (N^T kron M) vec(X): a
+    column of y holds [vec(P); vec(Q)] with P n x n_meas and Q n_ctrl x n,
+    which C-order reshapes read back as P^T and Q^T, and
+
+        A_bar^T [vec(P); vec(Q)] = [vec(A^T P); vec(Q A^T - B2^T P L^T)],
+        B_v^T [vec(P); vec(Q)] = vec(B2^T P + Q C2^T),
+
+    which costs O(k * order * n) instead of O(k * order^2).
     """
-    b2, c2 = plant.b2, plant.c2
-    k, l = gains.k_gain, gains.l_gain
-    a_k, a_l = gains.a_k, gains.a_l
-    n, n_u, n_y = plant.n, plant.n_ctrl, plant.n_meas
-    a_v = np.block(
-        [
-            [np.kron(np.eye(n_y), a_k), np.zeros((n * n_y, n * n_u))],
-            [np.kron(c2.T, k), np.kron(a_l.T, np.eye(n_u))],
-        ]
-    )
-    b_v = np.vstack([np.kron(np.eye(n_y), b2), np.kron(c2.T, np.eye(n_u))])
-    c_v = np.hstack([np.kron(np.eye(n_y), k), np.kron(l.T, np.eye(n_u))])
-    x1 = np.concatenate([vec(l), np.zeros(n * n_u)])
-    return VectorizedSystem(a_v, b_v, c_v, x1)
+    if vsys.order < FACTORED_MIN_ORDER:
+        a_bar_t, b_v_t = a_bar.T.copy(), b_v.T.copy()
+        return (lambda y, out=None: np.matmul(a_bar_t, y, out=out)), (lambda y: b_v_t @ y)
+    a, b2, c2, l = vsys.a, vsys.b2, vsys.c2, vsys.l_gain
+    n, n_u = b2.shape
+    n_y = c2.shape[0]
+    split = n * n_y
 
+    def a_bar_t_times(y, out=None):
+        k = y.shape[1]
+        p_t = y[:split].reshape(n_y, n, k)
+        if out is None:
+            out = np.empty((vsys.order, k))
+        np.matmul(a.T, p_t, out=out[:split].reshape(n_y, n, k))
+        q_part = out[split:].reshape(n, n_u * k)
+        np.matmul(a, y[split:].reshape(n, n_u * k), out=q_part)
+        q_part -= l @ (b2.T @ p_t).reshape(n_y, n_u * k)
+        return out
 
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(0.5 * (m + m.T))
-    return v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.T
+    def b_v_t_times(y):
+        k = y.shape[1]
+        p_t = y[:split].reshape(n_y, n, k)
+        out = (b2.T @ p_t).reshape(n_y, n_u * k)
+        out += c2 @ y[split:].reshape(n, n_u * k)
+        return out.reshape(n_y * n_u, k)
+
+    return a_bar_t_times, b_v_t_times
 
 
 def solve_constrained_qp(
@@ -321,16 +420,25 @@ def solve_constrained_qp(
     psi: np.ndarray,
 ) -> tuple[np.ndarray, float]:
     """Minimize sum_i vec(V_i)^T (psi kron omega) vec(V_i) subject to the
-    forbidden coordinates of every constrained FIR coefficient vanishing.
+    forbidden coordinates of every constrained FIR coefficient J_i vanishing.
 
     The problem is a finite-horizon time-varying LQR on the lifted
-    recursion.  At lag i the mask ``cs.entry_mask(i)`` splits vec(V_i) into
-    allowed and forbidden coordinates; the forbidden ones are pinned to
-    cancel the constrained channel, -C_v[forb] x_i, and the allowed ones
-    are the inputs.  A backward Riccati recursion from X_{N+1} = 0 yields
-    feedback gains, and a forward sweep reconstructs the optimal
-    coefficients V_1 ... V_N, returned as an ``(N, n_ctrl, n_meas)`` array.
-    The optimal cost is x_1^T X_1 x_1.
+    recursion in constrained-channel coordinates: the input at lag i is
+    vec(J_i), whose forbidden coordinates (``~cs.entry_mask(i)``, column
+    stacked) are zero, so only the allowed ones are inputs.  The state
+    matrix A_bar is the same at every lag, and the stage cost is
+    (J_i - C_v x_i)^T R (J_i - C_v x_i) with R = psi kron omega.  A backward
+    Riccati sweep from X_{N+1} = 0 picks, at each lag, the allowed rows and
+    columns of B_v^T X B_v, B_v^T X A_bar, R and R C_v:
+
+        h = R_aa + (B_v^T X B_v)_aa,   g = (B_v^T X A_bar)_a - (R C_v)_a,
+        X <- A_bar^T X A_bar + C_v^T R C_v - g^T h^-1 g.
+
+    The products with A_bar and B_v run on the Kronecker factors
+    (:func:`_lifted_products`), which leaves the downdate as the only step
+    costing O(allowed * order^2).  A forward sweep from x_1 then recovers
+    J_i = -h^-1 g x_i and V_i = J_i - C_v x_i, returned as an
+    ``(N, n_ctrl, n_meas)`` array.  The optimal cost is x_1^T X_1 x_1.
     """
     omega = np.atleast_2d(np.asarray(omega, dtype=float))
     psi = np.atleast_2d(np.asarray(psi, dtype=float))
@@ -341,48 +449,68 @@ def solve_constrained_qp(
     if sum(cs.block_rows) != n_u or sum(cs.block_cols) != n_y:
         raise DimensionMismatch("constraint blocks do not match the weight sizes")
 
-    r_half = np.kron(_psd_sqrt(psi), _psd_sqrt(omega))
+    a_bar, b_v, c_v = vsys.a_bar, vsys.b_v, vsys.c_v
+    k, l = vsys.k_gain, vsys.l_gain
+    r = _kron(psi, omega)
+    # R C_v and C_v^T R C_v, block by block
+    r_c = np.hstack([_kron(psi, omega @ k), _kron(psi @ l.T, omega)])
+    c_r_c = np.block(
+        [
+            [_kron(psi, k.T @ omega @ k), _kron(psi @ l.T, k.T @ omega)],
+            [_kron(l @ psi, omega @ k), _kron(l @ psi @ l.T, omega)],
+        ]
+    )
+    # allowed indices, R_aa and (R C_v)_a of each distinct pattern
+    stage_of = {}
     stages = []
-    for lag in range(1, n + 1):
-        allowed = cs.entry_mask(lag).ravel(order="F")
-        forb = ~allowed
-        c_forb = vsys.c_v[forb]
-        stages.append(
-            (
-                vsys.a_v - vsys.b_v[:, forb] @ c_forb,
-                vsys.b_v[:, allowed],
-                -r_half[:, forb] @ c_forb,
-                r_half[:, allowed],
-                allowed,
-            )
-        )
+    for lag, pattern in enumerate(cs.patterns, 1):
+        key = pattern.tobytes()
+        if key not in stage_of:
+            idx = np.flatnonzero(cs.entry_mask(lag).ravel(order="F"))
+            stage_of[key] = (idx, r[np.ix_(idx, idx)], r_c[idx])
+        stages.append(stage_of[key])
+    # Past the last lag with a forbidden coordinate V = 0 and X = 0, so both
+    # sweeps stop there; C_v^T R C_v - g^T h^-1 g would leave rounding noise
+    # where that X is exactly zero.
+    n_con = max(
+        (lag for lag, (idx, _, _) in enumerate(stages, 1) if idx.size < n_u * n_y),
+        default=0,
+    )
+    a_bar_t_times, b_v_t_times = _lifted_products(vsys, a_bar, b_v)
 
-    x_cost = np.zeros_like(vsys.a_v)
-    feedback = [None] * n
-    for i in range(n - 1, -1, -1):
-        a_i, b_i, c_i, d_i, _ = stages[i]
-        h = d_i.T @ d_i + b_i.T @ x_cost @ b_i
-        g = b_i.T @ x_cost @ a_i + d_i.T @ c_i
+    # X_i and two work buffers, reused at every lag: fresh order x order
+    # temporaries would page-fault anew each time
+    x_cost = np.zeros((vsys.order, vsys.order))
+    x_next, work = np.empty_like(x_cost), np.empty_like(x_cost)
+    feedback = [None] * n_con
+    for lag in range(n_con, 0, -1):
+        idx, r_aa, r_c_a = stages[lag - 1]
+        xb = b_v_t_times(x_cost)[idx].T                  # X B_v, allowed columns
+        h = r_aa + b_v_t_times(xb)[idx]
+        g = a_bar_t_times(xb).T - r_c_a
         try:
-            k_i = -np.linalg.solve(h, g)
+            gain = np.linalg.inv(h) @ g
         except np.linalg.LinAlgError as exc:
-            raise SolverFailure("singular stage cost in the QP recursion") from exc
-        x_new = c_i.T @ c_i + a_i.T @ x_cost @ a_i + (a_i.T @ x_cost @ b_i + c_i.T @ d_i) @ k_i
-        x_cost = 0.5 * (x_new + x_new.T)
-        feedback[i] = k_i
+            raise SolverFailure(
+                f"singular stage matrix h at lag {lag} ({idx.size} allowed coordinates)"
+            ) from exc
+        a_bar_t_times(a_bar_t_times(x_cost, out=work).T, out=x_next)
+        x_next += c_r_c
+        x_next -= np.matmul(g.T, gain, out=work)
+        np.add(x_next, x_next.T, out=x_cost)
+        x_cost *= 0.5
+        feedback[lag - 1] = gain
 
-    qp_cost = float(vsys.x1 @ x_cost @ vsys.x1)
+    state = vsys.x1
+    qp_cost = float(state @ x_cost @ state)
 
-    state = vsys.x1.copy()
-    v = np.empty((n, n_u, n_y))
-    for i in range(n):
-        a_i, b_i, _, _, allowed = stages[i]
-        v_vec = np.empty(n_u * n_y)
-        v_vec[allowed] = feedback[i] @ state
-        v_vec[~allowed] = -vsys.c_v[~allowed] @ state
-        v[i] = unvec(v_vec, n_u, n_y)
-        state = (a_i + b_i @ feedback[i]) @ state
-    return v, qp_cost
+    v = np.zeros((n, n_u * n_y))
+    for i, gain in enumerate(feedback):
+        j = np.zeros(n_u * n_y)
+        j[stages[i][0]] = -(gain @ state)
+        v[i] = j - c_v @ state
+        state = a_bar @ state + b_v @ j
+    return v.reshape(n, n_y, n_u).swapaxes(1, 2), qp_cost
 
 
 def realize_controller(

@@ -6,7 +6,9 @@ convolved term by term, and norms are truncated sums.  Truncation horizons
 are chosen from the measured spectral radius so tail errors sit far below
 the assertion tolerances.  The eight coprime factors of g22 and the
 model-matching factors P12, P21, which the pipeline never forms, are
-written out here from their closed-form realizations.
+written out here from their closed-form realizations, and
+:func:`v_coordinate_qp` solves the constrained QP as a dense LQR in V
+coordinates, a second formulation to check the solver against.
 """
 
 from __future__ import annotations
@@ -171,6 +173,69 @@ def model_matching_factors(plant, gains):
     p12 = StateSpaceModel(gains.a_k, plant.b2, -(plant.c1 + plant.d12 @ k), -plant.d12)
     p21 = StateSpaceModel(gains.a_l, plant.b1 + l @ plant.d21, plant.c2, plant.d21)
     return p12, p21
+
+
+def _psd_sqrt(m: np.ndarray) -> np.ndarray:
+    w, v = np.linalg.eigh(0.5 * (m + m.T))
+    return v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.T
+
+
+def v_coordinate_qp(vsys, cs, omega, psi):
+    """Reference solution of the constrained QP as a time-varying LQR whose
+    input is the free coefficient vec(V_i), on the dense lift.
+
+    At lag i the forbidden coordinates of vec(V_i) are pinned to cancel the
+    constrained channel, -C_v[forb] x_i, and the allowed ones are the
+    inputs, so each lag gets its own dense stage (A_i, B_i, C_i, D_i) with
+    cost |C_i x + D_i u|^2 through a square root of psi kron omega.  Returns
+    the ``(N, n_ctrl, n_meas)`` coefficients and the cost x_1^T X_1 x_1.
+    """
+    omega, psi = np.atleast_2d(omega), np.atleast_2d(psi)
+    n_u, n_y = omega.shape[0], psi.shape[0]
+    n = cs.n_horizon
+    if n == 0:
+        return np.zeros((0, n_u, n_y)), 0.0
+    a_v, b_v, c_v, x1 = vsys.a_v, vsys.b_v, vsys.c_v, vsys.x1
+
+    r_half = np.kron(_psd_sqrt(psi), _psd_sqrt(omega))
+    stages = []
+    for lag in range(1, n + 1):
+        allowed = cs.entry_mask(lag).ravel(order="F")
+        forb = ~allowed
+        c_forb = c_v[forb]
+        stages.append(
+            (
+                a_v - b_v[:, forb] @ c_forb,
+                b_v[:, allowed],
+                -r_half[:, forb] @ c_forb,
+                r_half[:, allowed],
+                allowed,
+            )
+        )
+
+    x_cost = np.zeros_like(a_v)
+    feedback = [None] * n
+    for i in range(n - 1, -1, -1):
+        a_i, b_i, c_i, d_i, _ = stages[i]
+        h = d_i.T @ d_i + b_i.T @ x_cost @ b_i
+        g = b_i.T @ x_cost @ a_i + d_i.T @ c_i
+        k_i = -np.linalg.solve(h, g)
+        x_new = c_i.T @ c_i + a_i.T @ x_cost @ a_i + (a_i.T @ x_cost @ b_i + c_i.T @ d_i) @ k_i
+        x_cost = 0.5 * (x_new + x_new.T)
+        feedback[i] = k_i
+
+    qp_cost = float(x1 @ x_cost @ x1)
+
+    state = x1.copy()
+    v = np.empty((n, n_u, n_y))
+    for i in range(n):
+        a_i, b_i, _, _, allowed = stages[i]
+        v_vec = np.empty(n_u * n_y)
+        v_vec[allowed] = feedback[i] @ state
+        v_vec[~allowed] = -c_v[~allowed] @ state
+        v[i] = v_vec.reshape((n_u, n_y), order="F")
+        state = (a_i + b_i @ feedback[i]) @ state
+    return v, qp_cost
 
 
 def random_stable_model(rng, n: int, m: int, p: int, rho: float = 0.85):

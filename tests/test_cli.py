@@ -315,3 +315,46 @@ class TestMalformedFields:
         doc = json.loads(Path(CHAIN).read_text())
         doc["graph"]["comp_delays"] = ["x", 1, 1]
         self.run_bad(tmp_path, capsys, doc, "graph")
+
+    def test_fractional_horizon(self, tmp_path, capsys):
+        doc = json.loads(Path(CHAIN).read_text())
+        doc["options"] = {"n_horizon": 2.7}
+        self.run_bad(tmp_path, capsys, doc, "options")
+
+    def test_fractional_block_size(self, tmp_path, capsys):
+        doc = json.loads(Path(CHAIN).read_text())
+        doc["plant"]["block_rows"] = [1.9, 1, 1]
+        self.run_bad(tmp_path, capsys, doc, "plant")
+
+    def test_fractional_comp_delay(self, tmp_path, capsys):
+        doc = json.loads(Path(CHAIN).read_text())
+        doc["graph"]["comp_delays"] = [1.9, 1, 1]
+        self.run_bad(tmp_path, capsys, doc, "graph")
+
+    def test_fractional_edge_delay(self, tmp_path, capsys):
+        doc = json.loads(Path(CHAIN).read_text())
+        doc["graph"]["edges"][0] = [0, 1, 1.5]
+        self.run_bad(tmp_path, capsys, doc, "graph")
+
+    def test_fractional_delay_matrix_entry(self, tmp_path, capsys):
+        doc = json.loads(Path(CHAIN).read_text())
+        del doc["graph"]
+        doc["delay_matrix"] = [[1, 2, 3], [2, 1, 2], [3, 2.5, 1]]
+        self.run_bad(tmp_path, capsys, doc, "delay_matrix")
+
+    def test_whole_floats_are_integers(self, tmp_path, capsys):
+        doc = json.loads(Path(CHAIN).read_text())
+        doc["graph"]["comp_delays"] = [1.0, 1.0, 1.0]
+        doc["options"] = {"n_horizon": 2.0}
+        assert cli.main(["synth", "--config", write_json(tmp_path / "ok.json", doc)]) == 0
+        assert "34.930" in capsys.readouterr().out
+
+    def test_non_binary_pattern_entry(self, tmp_path, capsys):
+        doc = json.loads(Path(CENTRALIZED).read_text())
+        doc["patterns"] = [[[1, 0, 0], [1, 1, 0], [1, 1, 1]], [[1, 0.5, 0], [1, 1, 1], [1, 1, 1]]]
+        self.run_bad(tmp_path, capsys, doc, "patterns[2]")
+
+    def test_non_binary_sweep_template(self, tmp_path, capsys):
+        doc = json.loads(Path(CENTRALIZED).read_text())
+        doc["sweep"] = {"template": [[1, 0, 0], [2, 1, 0], [1, -1, 1]]}
+        self.run_bad(tmp_path, capsys, doc, "sweep")

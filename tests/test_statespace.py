@@ -14,7 +14,7 @@ from delayh2 import (
     impulse_response,
     spectral_radius,
 )
-from delayh2.statespace import multiply, unvec, vec
+from delayh2.statespace import multiply, vec
 from conftest import make_chain_plant
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -52,7 +52,6 @@ class TestModel:
     def test_vec_is_column_stacking(self):
         m = np.array([[1.0, 3.0], [2.0, 4.0]])
         npt.assert_array_equal(vec(m), [1.0, 2.0, 3.0, 4.0])
-        npt.assert_array_equal(unvec(vec(m), 2, 2), m)
 
 
 class TestImpulseResponse:

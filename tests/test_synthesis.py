@@ -13,6 +13,7 @@ from delayh2 import (
     DimensionMismatch,
     GeneralizedPlant,
     QIViolation,
+    SolverFailure,
     closed_loop,
     coprime_factorization,
     h2_norm_sq,
@@ -26,7 +27,7 @@ from delayh2 import (
     vectorized_system,
 )
 from delayh2.synthesis import _fir_realization
-from conftest import lemma_identity_errors, make_chain_graph
+from conftest import lemma_identity_errors, make_chain_graph, make_chain_plant
 from delayh2 import constraint_space, delay_matrix
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -224,6 +225,13 @@ class TestVectorizedSystem:
         npt.assert_allclose(vsys.x1[:9], chain_gains.l_gain.reshape(-1, order="F"))
         npt.assert_allclose(vsys.x1[9:], 0.0)
 
+    def test_constrained_channel_coordinates(self, chain_plant, chain_gains):
+        # with J_i as input the state matrix is A_v - B_v C_v, whose blocks
+        # involve the open-loop A only
+        vsys = vectorized_system(chain_plant, chain_gains)
+        npt.assert_allclose(vsys.a_bar, vsys.a_v - vsys.b_v @ vsys.c_v, atol=1e-12)
+        assert vsys.order == 18
+
     @pytest.mark.parametrize("seed", [7, 8])
     def test_recursion_matches_transfer_arithmetic(self, chain_plant, chain_gains, seed):
         # FIR terms of (-y_hat + m_hat V) m_tilde from plain state-space
@@ -241,6 +249,23 @@ class TestVectorizedSystem:
             want = resp[i].reshape(-1, order="F")
             npt.assert_allclose(j_vec, want, atol=1e-9)
             state = vsys.a_v @ state + vsys.b_v @ v_vec
+
+
+@pytest.fixture(scope="module")
+def chain_qp():
+    """(vsys, cs, gains) of the n-node chain with its delay pattern, by n."""
+    cache = {}
+
+    def build(n):
+        if n not in cache:
+            plant = make_chain_plant(n)
+            d = delay_matrix(make_chain_graph(n))
+            cs = constraint_space(d, plant.block_rows, plant.block_cols)
+            gains = riccati_gains(plant)
+            cache[n] = (vectorized_system(plant, gains), cs, gains)
+        return cache[n]
+
+    return build
 
 
 class TestSolveConstrainedQp:
@@ -268,6 +293,39 @@ class TestSolveConstrainedQp:
                                        psi=chain_gains.psi)
         total = h2_norm_sq(model_matching_matrices(chain_plant, chain_gains)) + cost
         assert np.sqrt(total) == pytest.approx(CHAIN_NORM, abs=1e-3)
+
+
+    def test_singular_stage_names_its_lag(self, chain_gains, chain_space, chain_plant):
+        # omega = 0 zeroes R, so h vanishes at the first stage of the
+        # backward sweep, lag N = 2, where 7 of the 9 coordinates are allowed
+        vsys = vectorized_system(chain_plant, chain_gains)
+        with pytest.raises(SolverFailure, match=r"lag 2 \(7 allowed coordinates\)"):
+            solve_constrained_qp(vsys, chain_space, np.zeros((3, 3)), chain_gains.psi)
+
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_matches_v_coordinate_recursion(self, chain_qp, n):
+        vsys, cs, gains = chain_qp(n)
+        v_star, cost = solve_constrained_qp(vsys, cs, gains.omega, gains.psi)
+        v_ref, cost_ref = oracles.v_coordinate_qp(vsys, cs, gains.omega, gains.psi)
+        assert cost == pytest.approx(cost_ref, rel=1e-12)
+        assert np.abs(v_star - v_ref).max() <= 1e-9 * (1.0 + np.abs(v_ref).max())
+
+    def test_chain_solution_is_a_feasibility_certificate(self, chain_qp):
+        # the returned V, pushed through the dense lift, must zero every
+        # forbidden coordinate of J and cost exactly what the solver reports
+        vsys, cs, gains = chain_qp(12)
+        v_star, cost = solve_constrained_qp(vsys, cs, gains.omega, gains.psi)
+        a_v, b_v, c_v, state = vsys.a_v, vsys.b_v, vsys.c_v, vsys.x1
+        r = np.kron(gains.psi, gains.omega)
+        total = 0.0
+        for lag in range(1, cs.n_horizon + 1):
+            v_vec = v_star[lag - 1].reshape(-1, order="F")
+            j_vec = c_v @ state + v_vec
+            forbidden = ~cs.entry_mask(lag).ravel(order="F")
+            assert np.abs(j_vec[forbidden]).max() < 1e-9
+            total += v_vec @ r @ v_vec
+            state = a_v @ state + b_v @ v_vec
+        assert total == pytest.approx(cost, rel=1e-12)
 
 
 class TestRealizeController:

@@ -140,6 +140,22 @@ class TestKktOracle:
             assert v_fast.shape == v_ref.shape
             npt.assert_allclose(v_fast, v_ref, atol=1e-7)
 
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_matches_recursive_solver_on_chains(self, n):
+        # lifted dimensions 32 to 128, on both sides of the switch from
+        # dense to Kronecker-factored products
+        plant = make_chain_plant(n)
+        cs = constraint_space(
+            delay_matrix(make_chain_graph(n)), plant.block_rows, plant.block_cols
+        )
+        gains = riccati_gains(plant)
+        vsys = vectorized_system(plant, gains)
+        v_fast, cost_fast = solve_constrained_qp(vsys, cs, gains.omega, gains.psi)
+        v_ref, cost_ref = kkt_oracle(vsys, cs, gains.omega, gains.psi)
+        assert cost_fast == pytest.approx(cost_ref, rel=1e-9, abs=1e-12)
+        assert v_fast.shape == v_ref.shape
+        npt.assert_allclose(v_fast, v_ref, atol=1e-7)
+
     def test_fully_forbidden_patterns_agree(self, chain_plant):
         gains = riccati_gains(chain_plant)
         vsys = vectorized_system(chain_plant, gains)
