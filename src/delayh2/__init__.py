@@ -49,6 +49,7 @@ from .synthesis import (
     realize_controller,
     riccati_gains,
     solve_constrained_qp,
+    sweep_norms,
     synthesize,
     vectorized_system,
 )
@@ -96,6 +97,7 @@ __all__ = [
     "riccati_gains",
     "solve_constrained_qp",
     "spectral_radius",
+    "sweep_norms",
     "synthesize",
     "vectorized_system",
 ]

@@ -25,7 +25,7 @@ from . import delaymodel, verify
 from .config import ProblemConfig, load_config
 from .errors import ConfigError, DelayH2Error
 from .statespace import StateSpaceModel, h2_norm_sq
-from .synthesis import SynthesisResult, synthesize
+from .synthesis import SynthesisResult, sweep_norms, synthesize
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -60,7 +60,7 @@ def _build_parser() -> _Parser:
                        help="skip the quadratic-invariance pre-check")
     synth.add_argument("--tol", type=float, default=None)
 
-    sweep = sub.add_parser("sweep", help="synthesize over a range of horizons N")
+    sweep = sub.add_parser("sweep", help="optimal norms over a range of horizons N")
     sweep.add_argument("--config", required=True)
     sweep.add_argument("--n-min", type=int, required=True)
     sweep.add_argument("--n-max", type=int, required=True)
@@ -192,21 +192,21 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     if args.n_min < 1 or args.n_max < args.n_min:
         raise ConfigError("need 1 <= n-min <= n-max")
-    rows = []
-    for n in range(args.n_min, args.n_max + 1):
-        try:
-            result = synthesize(cfg.plant, cfg.sweep_space(n))
-            rows.append((n, f"{result.h2_norm:.10g}"))
-        except ConfigError:
-            raise
-        except DelayH2Error as exc:
+    if cfg.sweep_template is None:
+        raise ConfigError("config has no 'sweep' section with a 'template'")
+    cells = []
+    try:
+        for norm in sweep_norms(cfg.plant, cfg.sweep_template, args.n_max):
+            cells.append(f"{norm:.10g}")
+    except DelayH2Error as exc:  # a failure at N fails every larger N too
+        for n in range(max(len(cells) + 1, args.n_min), args.n_max + 1):
             print(f"warning: N={n} failed: {exc}", file=sys.stderr)
-            rows.append((n, ""))
+        cells += [""] * (args.n_max - len(cells))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("N,norm\n")
-        for n, norm in rows:
-            fh.write(f"{n},{norm}\n")
-    print(f"wrote {len(rows)} rows to {args.out}")
+        for n in range(args.n_min, args.n_max + 1):
+            fh.write(f"{n},{cells[n - 1]}\n")
+    print(f"wrote {args.n_max - args.n_min + 1} rows to {args.out}")
     return EXIT_OK
 
 

@@ -10,18 +10,20 @@ recursion, whose inputs are the coefficients J_i of the constrained
 channel: the delay constraint, a boolean mask over each column-stacked
 coefficient, pins their forbidden coordinates to zero, the state matrix is
 the same at every lag, and the lifted products act on the n x n Kronecker
-factors.  The optimal controller is then assembled in closed form.
+factors.  The optimal controller is then assembled in closed form.  When
+every lag has one pattern, horizon N's backward sweep is the first N steps
+of one pass, so a sweep over N runs the plant's part and that pass once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from .delaymodel import ConstraintSpace, DelayMatrix, check_qi, plant_block_delays
+from .delaymodel import ConstraintSpace, DelayMatrix, check_qi, expand_pattern, plant_block_delays
 from .errors import (
     AssumptionViolated,
     BezoutCheckFailed,
@@ -42,9 +44,6 @@ from .statespace import (
 # Tolerances for the built-in sanity checks.
 NORMALIZATION_TOL = 1e-9
 BEZOUT_TOL = 1e-6
-# Lifted dimension from which the QP's products with A_bar and B_v run on
-# the Kronecker factors rather than on dense matrices.
-FACTORED_MIN_ORDER = 64
 
 
 @dataclass(frozen=True)
@@ -186,15 +185,6 @@ class RiccatiGains:
     a_l: np.ndarray
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two matrices, without its general n-d handling: the QP's
-    set-up takes about twenty of them per call, where np.kron's overhead
-    alone would be a tenth of a small problem's solve."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
-    )
-
-
 @dataclass(frozen=True)
 class VectorizedSystem:
     """Kronecker lift of the constrained-channel FIR recursion, kept as its
@@ -215,7 +205,7 @@ class VectorizedSystem:
 
     that is x_{i+1} = A_bar x_i + B_v vec(J_i) with the stage-independent
     A_bar = A_v - B_v C_v = [[I kron A, -L^T kron B2], [0, A^T kron I]].
-    The dense lifted matrices are properties formed on each access.
+    The dense A_v, B_v and C_v are properties formed on each access.
     """
 
     a: np.ndarray
@@ -237,23 +227,11 @@ class VectorizedSystem:
         """[[I kron A_K, 0], [C2^T kron K, A_L^T kron I]]"""
         a, b2, c2, k, l = self.a, self.b2, self.c2, self.k_gain, self.l_gain
         eye_u, eye_y = self._identities()
-        upper = _kron(eye_y, a + b2 @ k)
+        upper = np.kron(eye_y, a + b2 @ k)
         return np.block(
             [
                 [upper, np.zeros((len(upper), a.shape[0] * len(eye_u)))],
-                [_kron(c2.T, k), _kron((a + l @ c2).T, eye_u)],
-            ]
-        )
-
-    @property
-    def a_bar(self) -> np.ndarray:
-        """[[I kron A, -L^T kron B2], [0, A^T kron I]]"""
-        eye_u, eye_y = self._identities()
-        lower = _kron(self.a.T, eye_u)
-        return np.block(
-            [
-                [_kron(eye_y, self.a), -_kron(self.l_gain.T, self.b2)],
-                [np.zeros((len(lower), self.a.shape[0] * len(eye_y))), lower],
+                [np.kron(c2.T, k), np.kron((a + l @ c2).T, eye_u)],
             ]
         )
 
@@ -261,13 +239,13 @@ class VectorizedSystem:
     def b_v(self) -> np.ndarray:
         """[I kron B2; C2^T kron I]"""
         eye_u, eye_y = self._identities()
-        return np.vstack([_kron(eye_y, self.b2), _kron(self.c2.T, eye_u)])
+        return np.vstack([np.kron(eye_y, self.b2), np.kron(self.c2.T, eye_u)])
 
     @property
     def c_v(self) -> np.ndarray:
         """[I kron K, L^T kron I]"""
         eye_u, eye_y = self._identities()
-        return np.hstack([_kron(eye_y, self.k_gain), _kron(self.l_gain.T, eye_u)])
+        return np.hstack([np.kron(eye_y, self.k_gain), np.kron(self.l_gain.T, eye_u)])
 
     @property
     def x1(self) -> np.ndarray:
@@ -368,15 +346,12 @@ def vectorized_system(
     return VectorizedSystem(plant.a, plant.b2, plant.c2, gains.k_gain, gains.l_gain)
 
 
-def _lifted_products(vsys: VectorizedSystem, a_bar: np.ndarray, b_v: np.ndarray):
+def _lifted_products(vsys: VectorizedSystem):
     """Left products ``A_bar^T y`` (optionally into ``out``) and ``B_v^T y``
     for an (order, k) block y.
 
-    Below ``FACTORED_MIN_ORDER`` they are matmuls with the dense ``a_bar``
-    and ``b_v``, whose single BLAS call beats several small ones (measured
-    crossover: lifted dimension 50 to 90).  From there on they
-    act on the n x n factors through vec(M X N) = (N^T kron M) vec(X): a
-    column of y holds [vec(P); vec(Q)] with P n x n_meas and Q n_ctrl x n,
+    They act on the n x n factors through vec(M X N) = (N^T kron M) vec(X):
+    a column of y holds [vec(P); vec(Q)] with P n x n_meas and Q n_ctrl x n,
     which C-order reshapes read back as P^T and Q^T, and
 
         A_bar^T [vec(P); vec(Q)] = [vec(A^T P); vec(Q A^T - B2^T P L^T)],
@@ -384,9 +359,6 @@ def _lifted_products(vsys: VectorizedSystem, a_bar: np.ndarray, b_v: np.ndarray)
 
     which costs O(k * order * n) instead of O(k * order^2).
     """
-    if vsys.order < FACTORED_MIN_ORDER:
-        a_bar_t, b_v_t = a_bar.T.copy(), b_v.T.copy()
-        return (lambda y, out=None: np.matmul(a_bar_t, y, out=out)), (lambda y: b_v_t @ y)
     a, b2, c2, l = vsys.a, vsys.b2, vsys.c2, vsys.l_gain
     n, n_u = b2.shape
     n_y = c2.shape[0]
@@ -413,6 +385,44 @@ def _lifted_products(vsys: VectorizedSystem, a_bar: np.ndarray, b_v: np.ndarray)
     return a_bar_t_times, b_v_t_times
 
 
+def _backward_sweep(vsys: VectorizedSystem, omega, psi, stages: Iterable[tuple[str, np.ndarray]]):
+    """The backward sweep of :func:`solve_constrained_qp` from X = 0 over
+    ``stages``, (label, allowed coordinates of vec(J)) from the last lag
+    back; yields h^-1 g and X, a buffer the next stage overwrites."""
+    k, l = vsys.k_gain, vsys.l_gain
+    r = np.kron(psi, omega)
+    # R C_v and C_v^T R C_v, block by block
+    r_c = np.hstack([np.kron(psi, omega @ k), np.kron(psi @ l.T, omega)])
+    c_r_c = np.block(
+        [
+            [np.kron(psi, k.T @ omega @ k), np.kron(psi @ l.T, k.T @ omega)],
+            [np.kron(l @ psi, omega @ k), np.kron(l @ psi @ l.T, omega)],
+        ]
+    )
+    a_bar_t_times, b_v_t_times = _lifted_products(vsys)
+
+    # X and two work buffers, reused at every stage: fresh order x order
+    # temporaries would page-fault anew each time
+    x_cost = np.zeros((vsys.order, vsys.order))
+    x_next, work = np.empty_like(x_cost), np.empty_like(x_cost)
+    for where, idx in stages:
+        xb = b_v_t_times(x_cost)[idx].T                  # X B_v, allowed columns
+        h = r[np.ix_(idx, idx)] + b_v_t_times(xb)[idx]
+        g = a_bar_t_times(xb).T - r_c[idx]
+        try:
+            gain = np.linalg.inv(h) @ g
+        except np.linalg.LinAlgError as exc:
+            raise SolverFailure(
+                f"singular stage matrix h at {where} ({idx.size} allowed coordinates)"
+            ) from exc
+        a_bar_t_times(a_bar_t_times(x_cost, out=work).T, out=x_next)
+        x_next += c_r_c
+        x_next -= np.matmul(g.T, gain, out=work)
+        np.add(x_next, x_next.T, out=x_cost)
+        x_cost *= 0.5
+        yield gain, x_cost
+
+
 def solve_constrained_qp(
     vsys: VectorizedSystem,
     cs: ConstraintSpace,
@@ -436,81 +446,53 @@ def solve_constrained_qp(
 
     The products with A_bar and B_v run on the Kronecker factors
     (:func:`_lifted_products`), which leaves the downdate as the only step
-    costing O(allowed * order^2).  A forward sweep from x_1 then recovers
-    J_i = -h^-1 g x_i and V_i = J_i - C_v x_i, returned as an
-    ``(N, n_ctrl, n_meas)`` array.  The optimal cost is x_1^T X_1 x_1.
+    costing O(allowed * order^2).  A forward sweep of the n x n recursion
+    of :class:`VectorizedSystem` then recovers J_i = -h^-1 g x_i and
+    V_i = J_i - K P_i - Q_i L, returned as an ``(N, n_ctrl, n_meas)`` array,
+    and the optimal cost is x_1^T X_1 x_1.
     """
     omega = np.atleast_2d(np.asarray(omega, dtype=float))
     psi = np.atleast_2d(np.asarray(psi, dtype=float))
     n_u, n_y = omega.shape[0], psi.shape[0]
     n = cs.n_horizon
-    if n == 0:
-        return np.zeros((0, n_u, n_y)), 0.0
     if sum(cs.block_rows) != n_u or sum(cs.block_cols) != n_y:
         raise DimensionMismatch("constraint blocks do not match the weight sizes")
 
-    a_bar, b_v, c_v = vsys.a_bar, vsys.b_v, vsys.c_v
-    k, l = vsys.k_gain, vsys.l_gain
-    r = _kron(psi, omega)
-    # R C_v and C_v^T R C_v, block by block
-    r_c = np.hstack([_kron(psi, omega @ k), _kron(psi @ l.T, omega)])
-    c_r_c = np.block(
-        [
-            [_kron(psi, k.T @ omega @ k), _kron(psi @ l.T, k.T @ omega)],
-            [_kron(l @ psi, omega @ k), _kron(l @ psi @ l.T, omega)],
-        ]
-    )
-    # allowed indices, R_aa and (R C_v)_a of each distinct pattern
-    stage_of = {}
-    stages = []
-    for lag, pattern in enumerate(cs.patterns, 1):
-        key = pattern.tobytes()
-        if key not in stage_of:
-            idx = np.flatnonzero(cs.entry_mask(lag).ravel(order="F"))
-            stage_of[key] = (idx, r[np.ix_(idx, idx)], r_c[idx])
-        stages.append(stage_of[key])
+    allowed = [np.flatnonzero(cs.entry_mask(lag).ravel(order="F")) for lag in range(1, n + 1)]
     # Past the last lag with a forbidden coordinate V = 0 and X = 0, so both
     # sweeps stop there; C_v^T R C_v - g^T h^-1 g would leave rounding noise
     # where that X is exactly zero.
     n_con = max(
-        (lag for lag, (idx, _, _) in enumerate(stages, 1) if idx.size < n_u * n_y),
-        default=0,
+        (lag for lag, idx in enumerate(allowed, 1) if idx.size < n_u * n_y), default=0
     )
-    a_bar_t_times, b_v_t_times = _lifted_products(vsys, a_bar, b_v)
+    stages = ((f"lag {lag}", allowed[lag - 1]) for lag in range(n_con, 0, -1))
+    feedback = []
+    for gain, x_cost in _backward_sweep(vsys, omega, psi, stages):
+        feedback.append(gain)
+    qp_cost = float(vsys.x1 @ x_cost @ vsys.x1) if feedback else 0.0
 
-    # X_i and two work buffers, reused at every lag: fresh order x order
-    # temporaries would page-fault anew each time
-    x_cost = np.zeros((vsys.order, vsys.order))
-    x_next, work = np.empty_like(x_cost), np.empty_like(x_cost)
-    feedback = [None] * n_con
-    for lag in range(n_con, 0, -1):
-        idx, r_aa, r_c_a = stages[lag - 1]
-        xb = b_v_t_times(x_cost)[idx].T                  # X B_v, allowed columns
-        h = r_aa + b_v_t_times(xb)[idx]
-        g = a_bar_t_times(xb).T - r_c_a
-        try:
-            gain = np.linalg.inv(h) @ g
-        except np.linalg.LinAlgError as exc:
-            raise SolverFailure(
-                f"singular stage matrix h at lag {lag} ({idx.size} allowed coordinates)"
-            ) from exc
-        a_bar_t_times(a_bar_t_times(x_cost, out=work).T, out=x_next)
-        x_next += c_r_c
-        x_next -= np.matmul(g.T, gain, out=work)
-        np.add(x_next, x_next.T, out=x_cost)
-        x_cost *= 0.5
-        feedback[lag - 1] = gain
-
-    state = vsys.x1
-    qp_cost = float(state @ x_cost @ state)
-
-    v = np.zeros((n, n_u * n_y))
-    for i, gain in enumerate(feedback):
+    a, b2, c2, k, l = vsys.a, vsys.b2, vsys.c2, vsys.k_gain, vsys.l_gain
+    p, q = l, np.zeros((n_u, a.shape[0]))
+    v = np.zeros((n, n_u, n_y))
+    for i, gain in enumerate(reversed(feedback)):
         j = np.zeros(n_u * n_y)
-        j[stages[i][0]] = -(gain @ state)
-        v[i] = j - c_v @ state
-        state = a_bar @ state + b_v @ j
-    return v.reshape(n, n_y, n_u).swapaxes(1, 2), qp_cost
+        j[allowed[i]] = -(gain @ np.concatenate([vec(p), vec(q)]))
+        j = j.reshape(n_u, n_y, order="F")
+        v[i] = j - k @ p - q @ l
+        p, q = a @ p + b2 @ (j - q @ l), q @ a + j @ c2
+    return v, qp_cost
+
+
+def _horizon_qp_costs(vsys: VectorizedSystem, mask: np.ndarray, omega, psi, n_max: int):
+    """x_1^T X x_1 after each step of one pass with ``mask`` at every stage: the
+    costs of :func:`solve_constrained_qp` for N = 1 ... n_max, bit for bit."""
+    idx = np.flatnonzero(mask.ravel(order="F"))
+    if idx.size == mask.size:  # no forbidden coordinate: X = 0, as in the solver
+        yield from [0.0] * n_max
+        return
+    stages = ((f"backward step {m}", idx) for m in range(1, n_max + 1))
+    for _, x_cost in _backward_sweep(vsys, omega, psi, stages):
+        yield float(vsys.x1 @ x_cost @ vsys.x1)
 
 
 def realize_controller(
@@ -542,6 +524,14 @@ def realize_controller(
     return StateSpaceModel(a_ctrl, b_ctrl, c_ctrl, np.zeros((n_u, n_y)))
 
 
+def _plant_prefix(plant: GeneralizedPlant) -> tuple[RiccatiGains, float, VectorizedSystem]:
+    """The plant's part of synthesis: Bezout-checked gains, ||P11||^2, the lift."""
+    gains = riccati_gains(plant)
+    coprime_factorization(plant, gains)
+    p11_norm_sq = h2_norm_sq(model_matching_matrices(plant, gains))
+    return gains, p11_norm_sq, vectorized_system(plant, gains)
+
+
 def synthesize(
     plant: GeneralizedPlant,
     cs: ConstraintSpace,
@@ -569,10 +559,17 @@ def synthesize(
                 f"< d[{k},{l}]"
             )
 
-    gains = riccati_gains(plant)
-    coprime_factorization(plant, gains)
-    p11_norm_sq = h2_norm_sq(model_matching_matrices(plant, gains))
-    vsys = vectorized_system(plant, gains)
+    gains, p11_norm_sq, vsys = _plant_prefix(plant)
     v_star, qp_cost = solve_constrained_qp(vsys, cs, gains.omega, gains.psi)
     controller = realize_controller(v_star, gains, plant)
     return SynthesisResult(controller, v_star, p11_norm_sq, qp_cost, p11_norm_sq + qp_cost)
+
+
+def sweep_norms(plant: GeneralizedPlant, template, n_max: int) -> Iterator[float]:
+    """The ``h2_norm`` of :func:`synthesize` for N = 1 ... n_max lags of the
+    block pattern ``template``, from one backward pass and no controller.  An
+    error raised after k norms fails every N > k (at backward step k + 1)."""
+    gains, p11_norm_sq, vsys = _plant_prefix(plant)
+    mask = expand_pattern(template, plant.block_rows, plant.block_cols)
+    for qp_cost in _horizon_qp_costs(vsys, mask, gains.omega, gains.psi, n_max):
+        yield math.sqrt(p11_norm_sq + qp_cost)

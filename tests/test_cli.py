@@ -166,28 +166,82 @@ class TestSweep:
             "--out", str(out_csv),
         ]) == 0
 
-    def test_failed_row_leaves_empty_cell_and_continues(self, tmp_path, monkeypatch, capsys):
-        from delayh2 import cli as cli_module
-        from delayh2.errors import SolverFailure
+    def test_norms_match_separate_syntheses(self, tmp_path):
+        from delayh2 import synthesize
+        from delayh2.config import load_config
 
-        real = cli_module.synthesize
-
-        def flaky(plant, cs, delays=None):
-            if cs.n_horizon == 2:
-                raise SolverFailure("synthetic failure")
-            return real(plant, cs, delays)
-
-        monkeypatch.setattr(cli_module, "synthesize", flaky)
-        out_csv = tmp_path / "flaky.csv"
+        out_csv = tmp_path / "norms.csv"
         assert cli.main([
-            "sweep", "--config", SWEEP, "--n-min", "1", "--n-max", "3",
+            "sweep", "--config", SWEEP, "--n-min", "1", "--n-max", "12",
             "--out", str(out_csv),
         ]) == 0
-        assert "N=2 failed" in capsys.readouterr().err
+        cfg = load_config(SWEEP)
+        want = ["N,norm"] + [
+            f"{n},{synthesize(cfg.plant, cfg.sweep_space(n)).h2_norm:.10g}"
+            for n in range(1, 13)
+        ]
+        assert out_csv.read_text().splitlines() == want
+
+    def test_failed_row_leaves_empty_cell_and_continues(self, tmp_path, monkeypatch, capsys):
+        # one backward pass serves every N, so a singular stage at step m
+        # fails each horizon from m on, and a failure in the plant's part
+        # fails them all; the sweep still writes every row and exits 0
+        from delayh2 import synthesis
+        from delayh2.errors import AssumptionViolated
+
+        real_inv = np.linalg.inv
+        calls = []
+
+        def singular_second_stage(h):
+            calls.append(None)
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("synthetic singular matrix")
+            return real_inv(h)
+
+        monkeypatch.setattr(np.linalg, "inv", singular_second_stage)
+        out_csv = tmp_path / "flaky.csv"
+        assert cli.main([
+            "sweep", "--config", SWEEP, "--n-min", "1", "--n-max", "4",
+            "--out", str(out_csv),
+        ]) == 0
+        warnings = capsys.readouterr().err.splitlines()
+        assert warnings == [
+            f"warning: N={n} failed: singular stage matrix h at backward step 2 "
+            "(3 allowed coordinates)"
+            for n in (2, 3, 4)
+        ]
         lines = out_csv.read_text().strip().splitlines()
-        assert lines[2] == "2,"
         assert lines[1].startswith("1,") and len(lines[1]) > 2
-        assert lines[3].startswith("3,") and len(lines[3]) > 2
+        assert lines[2:] == ["2,", "3,", "4,"]
+
+        def no_gains(plant):
+            raise AssumptionViolated("synthetic prefix failure")
+
+        monkeypatch.setattr(np.linalg, "inv", real_inv)
+        monkeypatch.setattr(synthesis, "riccati_gains", no_gains)
+        assert cli.main([
+            "sweep", "--config", SWEEP, "--n-min", "2", "--n-max", "4",
+            "--out", str(out_csv),
+        ]) == 0
+        assert capsys.readouterr().err.count("failed: synthetic prefix failure") == 3
+        assert out_csv.read_text().strip().splitlines()[1:] == ["2,", "3,", "4,"]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="past N = 80 the diagonal template's QP cost drifts from the cost "
+        "of its own V (ROADMAP item 2), and the norms fall by more than 1e-9",
+    )
+    def test_diagonal_template_is_monotone_to_n_120(self, tmp_path):
+        doc = json.loads(Path(SWEEP).read_text())
+        doc["sweep"]["template"] = "diagonal"
+        out_csv = tmp_path / "diag.csv"
+        assert cli.main([
+            "sweep", "--config", write_json(tmp_path / "diag.json", doc),
+            "--n-min", "1", "--n-max", "120", "--out", str(out_csv),
+        ]) == 0
+        norms = [float(line.split(",")[1]) for line in out_csv.read_text().splitlines()[1:]]
+        # the bound of the benchmark's sweep gate
+        assert all(b >= a * (1.0 - 1e-9) for a, b in zip(norms, norms[1:]))
 
 
 class TestVerify:

@@ -16,6 +16,7 @@ from delayh2 import (
     SolverFailure,
     closed_loop,
     coprime_factorization,
+    expand_pattern,
     h2_norm_sq,
     impulse_response,
     model_matching_matrices,
@@ -26,7 +27,7 @@ from delayh2 import (
     synthesize,
     vectorized_system,
 )
-from delayh2.synthesis import _fir_realization
+from delayh2.synthesis import _fir_realization, _horizon_qp_costs, _lifted_products
 from conftest import lemma_identity_errors, make_chain_graph, make_chain_plant
 from delayh2 import constraint_space, delay_matrix
 
@@ -225,12 +226,32 @@ class TestVectorizedSystem:
         npt.assert_allclose(vsys.x1[:9], chain_gains.l_gain.reshape(-1, order="F"))
         npt.assert_allclose(vsys.x1[9:], 0.0)
 
-    def test_constrained_channel_coordinates(self, chain_plant, chain_gains):
-        # with J_i as input the state matrix is A_v - B_v C_v, whose blocks
-        # involve the open-loop A only
-        vsys = vectorized_system(chain_plant, chain_gains)
-        npt.assert_allclose(vsys.a_bar, vsys.a_v - vsys.b_v @ vsys.c_v, atol=1e-12)
-        assert vsys.order == 18
+    @pytest.mark.parametrize(
+        "n, n_ctrl, n_meas, seed",
+        [(3, 3, 3, None), (3, 2, 1, 21), (3, 1, 3, 22), (2, 3, 2, 23), (5, 2, 3, 24)],
+        ids=["chain", "n3-u2-y1", "n3-u1-y3", "n2-u3-y2", "n5-u2-y3"],
+    )
+    def test_factored_products_match_dense_lift(self, n, n_ctrl, n_meas, seed):
+        # with J_i as input the state matrix is A_bar = A_v - B_v C_v; the
+        # QP applies A_bar^T and B_v^T through the n x n factors only
+        if seed is None:
+            plant = make_chain_plant(n)
+        else:
+            plant = oracles.random_normalized_plant(
+                np.random.default_rng(seed), n, n_ctrl, n_meas
+            )
+        vsys = vectorized_system(plant, riccati_gains(plant))
+        assert vsys.order == n * (n_ctrl + n_meas)
+        a_bar = vsys.a_v - vsys.b_v @ vsys.c_v
+        y = np.random.default_rng(5).standard_normal((vsys.order, 7))
+        a_bar_t_times, b_v_t_times = _lifted_products(vsys)
+        # rounding bound: eps-sized relative to max |y| times the 1-norm
+        tol = 1e-12 * np.abs(y).max() * max(np.abs(m).sum(axis=0).max() for m in (a_bar, vsys.b_v))
+        npt.assert_allclose(a_bar_t_times(y), a_bar.T @ y, atol=tol)
+        out = np.full_like(y, np.nan)
+        assert a_bar_t_times(y, out=out) is out
+        npt.assert_allclose(out, a_bar.T @ y, atol=tol)
+        npt.assert_allclose(b_v_t_times(y), vsys.b_v.T @ y, atol=tol)
 
     @pytest.mark.parametrize("seed", [7, 8])
     def test_recursion_matches_transfer_arithmetic(self, chain_plant, chain_gains, seed):
@@ -326,6 +347,39 @@ class TestSolveConstrainedQp:
             total += v_vec @ r @ v_vec
             state = a_v @ state + b_v @ v_vec
         assert total == pytest.approx(cost, rel=1e-12)
+
+
+class TestHorizonQpCosts:
+    @pytest.mark.parametrize(
+        "template",
+        [[[1, 0], [1, 1]], [[1, 0], [0, 1]], [[0, 0], [0, 1]], [[1, 1], [1, 1]]],
+        ids=["lower-triangular", "diagonal", "low", "full"],
+    )
+    def test_one_pass_equals_per_horizon_solves(self, sweep_plant, template):
+        # the one pass shares every stage's arithmetic with the solver, so
+        # the costs agree bit for bit, the all-allowed template's exact
+        # zeros included
+        gains = riccati_gains(sweep_plant)
+        vsys = vectorized_system(sweep_plant, gains)
+        blocks = sweep_plant.block_rows, sweep_plant.block_cols
+        pattern = np.array(template, bool)
+        mask = expand_pattern(pattern, *blocks)
+        costs = list(_horizon_qp_costs(vsys, mask, gains.omega, gains.psi, 40))
+        separate = [
+            solve_constrained_qp(
+                vsys, ConstraintSpace(n, *blocks, (pattern,) * n), gains.omega, gains.psi
+            )[1]
+            for n in range(1, 41)
+        ]
+        assert costs == separate
+
+    def test_singular_stage_names_its_step(self, chain_plant, chain_gains):
+        # omega = 0 zeroes R, so h vanishes at the first step
+        vsys = vectorized_system(chain_plant, chain_gains)
+        costs = _horizon_qp_costs(vsys, np.eye(3, dtype=bool), np.zeros((3, 3)),
+                                  chain_gains.psi, 5)
+        with pytest.raises(SolverFailure, match=r"backward step 1 \(3 allowed coordinates\)"):
+            next(costs)
 
 
 class TestRealizeController:
