@@ -23,7 +23,15 @@ CONFORMANCE_TOL = 1e-7
 
 @dataclass(frozen=True)
 class ClosedLoop:
-    """Disturbance-to-performance map of the plant/controller interconnection."""
+    """Disturbance-to-performance map of the plant/controller interconnection.
+
+    ``model.a`` is the state matrix of the whole interconnection, so its
+    stability is internal stability.  From order 32 on it is proven by a
+    Stein certificate X - A^T X A > 0 built from a few squarings of A; the
+    eigenvalues decide below that order and where the powers grow too far
+    for the proof to survive its rounding (see
+    :attr:`StateSpaceModel.is_stable`).
+    """
 
     model: StateSpaceModel
 

@@ -31,12 +31,18 @@ def make_chain_plant(n: int = 3) -> GeneralizedPlant:
     )
 
 
-def make_chain_graph(n: int = 3) -> DelayGraph:
-    """Unit computational delay at each node and on each link of the line."""
+def make_chain_graph(n: int = 3, comp_delay: int = 1) -> DelayGraph:
+    """Unit delay on each link of the line, ``comp_delay`` (by default 1)
+    at each node."""
     edges = []
     for i in range(n - 1):
         edges += [(i, i + 1, 1), (i + 1, i, 1)]
-    return DelayGraph(n, (1,) * n, tuple(edges))
+    return DelayGraph(n, (comp_delay,) * n, tuple(edges))
+
+
+def no_eigvals(a):
+    """Stand-in for ``np.linalg.eigvals`` in tests that must not reach it."""
+    raise AssertionError("eigenvalues computed")
 
 
 def make_sweep_plant() -> GeneralizedPlant:

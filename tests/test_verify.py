@@ -1,11 +1,15 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from delayh2 import (
     ConstraintSpace,
+    GeneralizedPlant,
     IllPosed,
     StateSpaceModel,
+    UnstableSystem,
     closed_loop,
     conformance,
     constraint_space,
@@ -19,7 +23,8 @@ from delayh2 import (
     synthesize,
     vectorized_system,
 )
-from conftest import make_chain_graph, make_chain_plant, random_qp_instance
+from delayh2.statespace import _stability
+from conftest import make_chain_graph, make_chain_plant, no_eigvals, random_qp_instance
 
 CHAIN_NORM = 34.9304
 CENTRALIZED_NORM = 24.236
@@ -67,6 +72,75 @@ class TestClosedLoop:
         k = StateSpaceModel(2.0 * np.eye(3), np.eye(3), np.eye(3), np.zeros((3, 3)))
         loop = closed_loop(chain_plant, k)
         assert not loop.is_internally_stable
+
+
+@pytest.fixture(scope="module")
+def chain12():
+    """Synthesis result and closed loop of the 12-node chain."""
+    plant = make_chain_plant(12)
+    d = delay_matrix(make_chain_graph(12))
+    cs = constraint_space(d, plant.block_rows, plant.block_cols)
+    result = synthesize(plant, cs, delays=d)
+    return result, closed_loop(plant, result.controller)
+
+
+def shift_chain_loop(a_diag: float, comp_delay: int):
+    """Closed loop of the optimal controller for the 4-node one-way chain
+    A = a_diag I + shift, B2 = C2 = I, with unit link delays and
+    ``comp_delay`` at each node (horizon comp_delay + 2).  Its exact
+    spectrum is that of A_K and A_L plus 0, but the loop's shift register
+    is far from normal and its norm grows with a_diag and the horizon."""
+    n = 4
+    eye, zero = np.eye(n), np.zeros((n, n))
+    plant = GeneralizedPlant(
+        a=a_diag * eye + np.eye(n, k=1),
+        b1=np.hstack([eye, zero]),
+        b2=eye,
+        c1=np.vstack([eye, zero]),
+        c2=eye,
+        d12=np.vstack([zero, eye]),
+        d21=np.hstack([zero, eye]),
+        block_rows=(1,) * n,
+        block_cols=(1,) * n,
+    )
+    d = delay_matrix(make_chain_graph(n, comp_delay))
+    cs = constraint_space(d, plant.block_rows, plant.block_cols)
+    return closed_loop(plant, synthesize(plant, cs, delays=d).controller)
+
+
+class TestStabilityCertificate:
+    """Which test decides the stability of a synthesized closed loop."""
+
+    def test_chain_loop_is_certified_without_eigenvalues(self, chain12, monkeypatch):
+        # the 12-node chain of the benchmark: order 156, proven stable by the
+        # Stein certificate alone
+        _, loop = chain12
+        monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+        assert loop.is_internally_stable
+
+    def test_transient_growth_leaves_the_verdict_to_the_eigenvalues(self):
+        # ||A_cl||_F is about 10^9.8: even balanced, the loop's powers grow so
+        # far that the rounding bound of the Stein residual exceeds the
+        # residual; the eigenvalue solve finds spectral radius 0.509
+        loop = shift_chain_loop(3.1, 14)
+        assert loop.is_internally_stable
+        stable, why = _stability(loop.model.a)
+        assert stable
+        assert re.match(r"Stein certificate: residual rounding bound \S+ after \d doubling steps", why)
+        assert re.search(r"spectral radius 0\.50\d+ < 1 - 1e-09$", why)
+
+    def test_unstable_verdict_names_both_tests(self):
+        # the exact spectrum lies inside the unit circle, but in double
+        # precision neither test can tell: the Stein certificate gives up on
+        # its rounding bound, and the eigenvalue solve reports 1.71
+        loop = shift_chain_loop(6.1, 24)
+        assert not loop.is_internally_stable
+        with pytest.raises(
+            UnstableSystem,
+            match=r"^h2_norm_sq: Stein certificate: residual rounding bound \S+ after \d "
+            r"doubling steps; eigenvalues: spectral radius 1\.7\d* >= 1 - 1e-09$",
+        ):
+            h2_norm_sq(loop.model)
 
 
 class TestConformance:
@@ -176,14 +250,10 @@ class TestEndToEnd:
             chain_result.total_norm_sq, rel=1e-5
         )
 
-    def test_twelve_node_chain_loop_norm_matches_synthesis(self):
+    def test_twelve_node_chain_loop_norm_matches_synthesis(self, chain12):
         # closed-loop order 156: a dense Kronecker Lyapunov solve would need
         # a 24336 x 24336 matrix (4.7 GB); doubling works on 156 x 156
-        plant = make_chain_plant(12)
-        d = delay_matrix(make_chain_graph(12))
-        cs = constraint_space(d, plant.block_rows, plant.block_cols)
-        result = synthesize(plant, cs, delays=d)
-        loop = closed_loop(plant, result.controller)
+        result, loop = chain12
         assert loop.model.order == 156
         assert loop.is_internally_stable
         assert h2_norm_sq(loop.model) == pytest.approx(result.total_norm_sq, rel=1e-9)
