@@ -312,7 +312,8 @@ def dlyap_cross(
     Raises :class:`UnstableSystem` for a factor that is not stable by the
     test of :attr:`StateSpaceModel.is_stable` (spectral radius at least
     1 - ``TOL_STAB``), and :class:`SolverFailure` if the tail has not
-    vanished within ``DOUBLING_MAX_STEPS`` steps.
+    vanished within ``DOUBLING_MAX_STEPS`` steps, or as soon as the powers
+    overflow, which transient growth of a stable factor can cause.
     """
     a_g, c_g, a_h, c_h = map(_as_matrix, (a_g, c_g, a_h, c_h))
     _require_stable(a_g, "dlyap_cross (left factor)")
@@ -324,12 +325,21 @@ def _smith_doubling(a_g, c_g, a_h, c_h) -> np.ndarray:
     """:func:`dlyap_cross` on factors already known to be stable."""
     gamma = c_g.T @ c_h
     p_g, p_h = a_g.T, a_h
-    for _ in range(DOUBLING_MAX_STEPS):
-        tail = np.linalg.norm(p_g) * np.linalg.norm(p_h)
-        if tail < np.finfo(float).eps:
-            return gamma
-        gamma = gamma + p_g @ gamma @ p_h
-        p_g, p_h = p_g @ p_g, p_h @ p_h
+    last = math.nan
+    # powers that overflow show as a non-finite tail, which fails the solve
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(DOUBLING_MAX_STEPS):
+            tail = np.linalg.norm(p_g) * np.linalg.norm(p_h)
+            if not math.isfinite(tail):
+                raise SolverFailure(
+                    f"Smith doubling overflowed at step {step} (last finite tail factor "
+                    f"||P_g|| ||P_h|| = {last:.3g})"
+                )
+            if tail < np.finfo(float).eps:
+                return gamma
+            last = tail
+            gamma = gamma + p_g @ gamma @ p_h
+            p_g, p_h = p_g @ p_g, p_h @ p_h
     raise SolverFailure(f"Smith doubling did not converge in {DOUBLING_MAX_STEPS} "
                         f"steps (tail factor ||P_g|| ||P_h|| = {tail:.3g})")
 

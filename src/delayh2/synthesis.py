@@ -10,13 +10,18 @@ recursion, whose inputs are the coefficients J_i of the constrained
 channel: the delay constraint, a boolean mask over each column-stacked
 coefficient, pins their forbidden coordinates to zero, the state matrix is
 the same at every lag, and the lifted products act on the n x n Kronecker
-factors.  The optimal controller is then assembled in closed form.  When
-every lag has one pattern, horizon N's backward sweep is the first N steps
-of one pass, so a sweep over N runs the plant's part and that pass once.
+factors.  The backward sweep starts on an exact low-rank factor of the
+cost-to-go, whose rank is at most the forbidden coordinates summed over the
+lags already swept, and hands the cost-to-go to a dense stage once that
+bound nears the lifted order.  The optimal controller is then assembled in
+closed form.  When every lag has one pattern, horizon N's backward sweep is
+the first N steps of one pass, so a sweep over N runs the plant's part and
+that pass once.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Tuple
@@ -44,6 +49,15 @@ from .statespace import (
 # Tolerances for the built-in sanity checks.
 NORMALIZATION_TOL = 1e-9
 BEZOUT_TOL = 1e-6
+
+# The QP's backward sweep runs on a factor of its cost-to-go while the
+# factor's rank bound stays within this share of the lifted order, then
+# hands X to the dense stage, which is cheaper once the rank nears the
+# order.  On the n = 20 chain (order 800, one BLAS thread, x86 VM) handing
+# over at 0.25/0.5/0.75/1/1.5 x order took 0.44/0.41/0.47/0.53/0.79 s per
+# QP, against 0.74 s all dense.  A share of 0.5 was slower at n = 5 ... 7,
+# where the factored stage's fixed numpy overhead weighs most.
+FACTORED_RANK_SHARE = 0.25
 
 
 @dataclass(frozen=True)
@@ -385,12 +399,68 @@ def _lifted_products(vsys: VectorizedSystem):
     return a_bar_t_times, b_v_t_times
 
 
+def _c_v_products(vsys: VectorizedSystem):
+    """Products ``C_v x`` for a lifted state x and ``C_v^T u`` for an
+    (n_ctrl * n_meas, k) block u, on the n x n factors: with
+    x = [vec(P); vec(Q)] and u holding vec(U), U n_ctrl x n_meas,
+
+        C_v x = vec(K P + Q L),   C_v^T vec(U) = [vec(K^T U); vec(U L^T)].
+    """
+    k_gain, l = vsys.k_gain, vsys.l_gain
+    n_u, n = k_gain.shape
+    n_y = l.shape[1]
+    split = n * n_y
+
+    def c_v_times(x):
+        return (x[:split].reshape(n_y, n) @ k_gain.T + l.T @ x[split:].reshape(n, n_u)).ravel()
+
+    def c_v_t_times(u):
+        k = u.shape[1]
+        u_t = u.reshape(n_y, n_u, k)
+        return np.vstack([
+            np.matmul(k_gain.T, u_t).reshape(n * n_y, k),
+            (l @ u_t.reshape(n_y, n_u * k)).reshape(n * n_u, k),
+        ])
+
+    return c_v_times, c_v_t_times
+
+
+def _stage_failure(where: str, n_allowed: int) -> SolverFailure:
+    return SolverFailure(f"singular stage matrix h at {where} ({n_allowed} allowed coordinates)")
+
+
 def _backward_sweep(vsys: VectorizedSystem, omega, psi, stages: Iterable[tuple[str, np.ndarray]]):
     """The backward sweep of :func:`solve_constrained_qp` from X = 0 over
     ``stages``, (label, allowed coordinates of vec(J)) from the last lag
-    back; yields h^-1 g and X, a buffer the next stage overwrites."""
-    k, l = vsys.k_gain, vsys.l_gain
+    back.  Yields, per stage, its feedback (a function from the lifted state
+    x to the allowed coordinates of the optimal J) and the cost
+    x_1^T X x_1 after it.
+
+    The first stages run on a factor X = Z Z^T (:func:`_factored_stages`),
+    starting from rank 0, and each adds its forbidden count to the rank.
+    Once that would pass ``FACTORED_RANK_SHARE`` of the order, X is formed
+    and the dense stage finishes the sweep."""
+    order, x1 = vsys.order, vsys.x1
+    n_j = omega.shape[0] * psi.shape[0]
     r = np.kron(psi, omega)
+    stages = iter(stages)
+    z, factored_stage = np.zeros((order, 0)), None
+    for where, idx in stages:
+        forbidden = np.ones(n_j, bool)
+        forbidden[idx] = False
+        forb = np.flatnonzero(forbidden)
+        if z.shape[1] + forb.size > FACTORED_RANK_SHARE * order:
+            stages = itertools.chain([(where, idx)], stages)
+            break
+        if factored_stage is None:
+            factored_stage = _factored_stages(vsys, omega, psi, r, where, idx.size)
+        feedback, z = factored_stage(z, where, idx, forb)
+        zx = x1 @ z
+        yield feedback, float(zx @ zx)
+    else:
+        return
+
+    k, l = vsys.k_gain, vsys.l_gain
     # R C_v and C_v^T R C_v, block by block
     r_c = np.hstack([np.kron(psi, omega @ k), np.kron(psi @ l.T, omega)])
     c_r_c = np.block(
@@ -403,7 +473,7 @@ def _backward_sweep(vsys: VectorizedSystem, omega, psi, stages: Iterable[tuple[s
 
     # X and two work buffers, reused at every stage: fresh order x order
     # temporaries would page-fault anew each time
-    x_cost = np.zeros((vsys.order, vsys.order))
+    x_cost = z @ z.T
     x_next, work = np.empty_like(x_cost), np.empty_like(x_cost)
     for where, idx in stages:
         xb = b_v_t_times(x_cost)[idx].T                  # X B_v, allowed columns
@@ -412,15 +482,79 @@ def _backward_sweep(vsys: VectorizedSystem, omega, psi, stages: Iterable[tuple[s
         try:
             gain = np.linalg.inv(h) @ g
         except np.linalg.LinAlgError as exc:
-            raise SolverFailure(
-                f"singular stage matrix h at {where} ({idx.size} allowed coordinates)"
-            ) from exc
+            raise _stage_failure(where, idx.size) from exc
         a_bar_t_times(a_bar_t_times(x_cost, out=work).T, out=x_next)
         x_next += c_r_c
         x_next -= np.matmul(g.T, gain, out=work)
         np.add(x_next, x_next.T, out=x_cost)
         x_cost *= 0.5
-        yield gain, x_cost
+        yield (lambda x, gain=gain: -(gain @ x)), float(x1 @ x_cost @ x1)
+
+
+def _factored_stages(vsys: VectorizedSystem, omega, psi, r, where: str, n_allowed: int):
+    """The backward stage on a factor, X_{k+1} = Z Z^T -> X_k = Z' Z'^T, as a
+    function of (Z, label, allowed and forbidden coordinates) returning the
+    stage's feedback and Z'.
+
+    With a allowed and f forbidden coordinates, R = psi kron omega and
+    W = B_a^T Z, the stage splits J_a = u_0 + delta.  The part in R alone,
+    min over J_a of (J - C_v x)^T R (J - C_v x), is
+    x^T C_f^T [(R^-1)_ff]^-1 C_f x at u_0 = R_aa^-1 (R C_v x)_a
+    = (C_a + T C_f) x, T = R_aa^-1 R_af.  With
+    A^ = A_bar + B_a R_aa^-1 (R C_v)_a what remains is
+    delta^T R_aa delta + ||Z^T (A^ x + B_a delta)||^2, minimized at
+    delta = -Y M^-1 (A^T Z)^T x with Y = R_aa^-1 W and M = I + W^T Y >= I.
+    So, with (R^-1)_ff = K_f K_f^T and M = L_M L_M^T,
+
+        Z' = [C_f^T K_f^-T, A^T Z L_M^-T],
+        A^T Z = A_bar^T Z + C_v^T (E_a^T W + E_f^T R_fa Y),
+
+    two positive semidefinite square roots joined, nothing subtracted.  The
+    stage costs O(a^3 + a^2 r + (a + order) r^2) for a factor of rank r,
+    against the dense stage's O(a order^2), and it is exact: nothing is
+    truncated.  R^-1 = psi^-1 kron omega^-1 is formed here, so a singular
+    psi or omega fails the first factored stage, labelled ``where``; the
+    products with A_bar, B_v and C_v run on the Kronecker factors."""
+    try:
+        r_inv = np.kron(np.linalg.inv(psi), np.linalg.inv(omega))
+    except np.linalg.LinAlgError as exc:
+        raise _stage_failure(where, n_allowed) from exc
+    order, eye_j = vsys.order, np.eye(r.shape[0])
+    a_bar_t_times, b_v_t_times = _lifted_products(vsys)
+    c_v_times, c_v_t_times = _c_v_products(vsys)
+
+    def stage(z, where, idx, forb):
+        rank, n_f = z.shape[1], forb.size
+        w = b_v_t_times(z)[idx]                          # B_a^T Z
+        try:
+            t_y = np.linalg.solve(r[np.ix_(idx, idx)], np.hstack([r[np.ix_(idx, forb)], w]))
+            k_f = np.linalg.cholesky(r_inv[np.ix_(forb, forb)])
+            l_m = np.linalg.cholesky(np.eye(rank) + w.T @ t_y[:, n_f:]) if rank else None
+        except np.linalg.LinAlgError as exc:
+            raise _stage_failure(where, idx.size) from exc
+        t, y = t_y[:, :n_f], t_y[:, n_f:]
+        z_new = np.empty((order, n_f + rank))
+        z_new[:, :n_f] = np.linalg.solve(k_f, c_v_t_times(eye_j[:, forb]).T).T   # C_f^T K_f^-T
+        if rank:
+            u = np.empty((r.shape[0], rank))
+            u[idx], u[forb] = w, r[np.ix_(forb, idx)] @ y
+            a_hat_z = a_bar_t_times(z) + c_v_t_times(u)   # A^T Z
+            # L_M^-1 [(A^T Z)^T, Y^T]: the new factor's second block and,
+            # with it, Y M^-1 (A^T Z)^T
+            s = np.linalg.solve(l_m, np.hstack([a_hat_z.T, y.T]))
+            z_new[:, n_f:] = s[:, :order].T
+            s_z, s_y = s[:, :order], s[:, order:].T
+
+        def feedback(x):
+            e = c_v_times(x)
+            j_a = e[idx] + t @ e[forb]                   # u_0
+            if rank:
+                j_a -= s_y @ (s_z @ x)                   # delta
+            return j_a
+
+        return feedback, z_new
+
+    return stage
 
 
 def solve_constrained_qp(
@@ -446,10 +580,18 @@ def solve_constrained_qp(
 
     The products with A_bar and B_v run on the Kronecker factors
     (:func:`_lifted_products`), which leaves the downdate as the only step
-    costing O(allowed * order^2).  A forward sweep of the n x n recursion
-    of :class:`VectorizedSystem` then recovers J_i = -h^-1 g x_i and
-    V_i = J_i - K P_i - Q_i L, returned as an ``(N, n_ctrl, n_meas)`` array,
-    and the optimal cost is x_1^T X_1 x_1.
+    costing O(allowed * order^2).  That dense stage runs only at the early
+    lags.  X_k is the cost of the minimum-norm V meeting the constraints of
+    lags k ... N, so its rank is at most their forbidden coordinates summed,
+    and the sweep starts on a factor X = Z Z^T of that width
+    (:func:`_factored_stages`), at O(allowed^3 + allowed^2 r + order r^2) for
+    rank r.  Once the rank bound would pass ``FACTORED_RANK_SHARE`` of the
+    order, X = Z Z^T goes to the dense stage, which finishes the sweep
+    (:func:`_backward_sweep`).  Both forms are exact.  A forward sweep of
+    the n x n recursion of :class:`VectorizedSystem` then recovers each
+    stage's optimal J_i from x_i, here J_i = -h^-1 g x_i, and
+    V_i = J_i - K P_i - Q_i L, returned as an ``(N, n_ctrl, n_meas)`` array;
+    the optimal cost is x_1^T X_1 x_1.
     """
     omega = np.atleast_2d(np.asarray(omega, dtype=float))
     psi = np.atleast_2d(np.asarray(psi, dtype=float))
@@ -466,17 +608,16 @@ def solve_constrained_qp(
         (lag for lag, idx in enumerate(allowed, 1) if idx.size < n_u * n_y), default=0
     )
     stages = ((f"lag {lag}", allowed[lag - 1]) for lag in range(n_con, 0, -1))
-    feedback = []
-    for gain, x_cost in _backward_sweep(vsys, omega, psi, stages):
-        feedback.append(gain)
-    qp_cost = float(vsys.x1 @ x_cost @ vsys.x1) if feedback else 0.0
+    feedback, qp_cost = [], 0.0
+    for stage_feedback, qp_cost in _backward_sweep(vsys, omega, psi, stages):
+        feedback.append(stage_feedback)
 
     a, b2, c2, k, l = vsys.a, vsys.b2, vsys.c2, vsys.k_gain, vsys.l_gain
     p, q = l, np.zeros((n_u, a.shape[0]))
     v = np.zeros((n, n_u, n_y))
-    for i, gain in enumerate(reversed(feedback)):
+    for i, stage_feedback in enumerate(reversed(feedback)):
         j = np.zeros(n_u * n_y)
-        j[allowed[i]] = -(gain @ np.concatenate([vec(p), vec(q)]))
+        j[allowed[i]] = stage_feedback(np.concatenate([vec(p), vec(q)]))
         j = j.reshape(n_u, n_y, order="F")
         v[i] = j - k @ p - q @ l
         p, q = a @ p + b2 @ (j - q @ l), q @ a + j @ c2
@@ -491,8 +632,8 @@ def _horizon_qp_costs(vsys: VectorizedSystem, mask: np.ndarray, omega, psi, n_ma
         yield from [0.0] * n_max
         return
     stages = ((f"backward step {m}", idx) for m in range(1, n_max + 1))
-    for _, x_cost in _backward_sweep(vsys, omega, psi, stages):
-        yield float(vsys.x1 @ x_cost @ vsys.x1)
+    for _, qp_cost in _backward_sweep(vsys, omega, psi, stages):
+        yield qp_cost
 
 
 def realize_controller(

@@ -185,20 +185,23 @@ class TestSweep:
     def test_failed_row_leaves_empty_cell_and_continues(self, tmp_path, monkeypatch, capsys):
         # one backward pass serves every N, so a singular stage at step m
         # fails each horizon from m on, and a failure in the plant's part
-        # fails them all; the sweep still writes every row and exits 0
+        # fails them all; the sweep still writes every row and exits 0.  The
+        # first steps run on a factor of the cost-to-go, each factoring
+        # (R^-1)_ff once (and, from step 2 on, I + W^T Y after it), so the
+        # second Cholesky factorization is step 2's
         from delayh2 import synthesis
         from delayh2.errors import AssumptionViolated
 
-        real_inv = np.linalg.inv
+        real_cholesky = np.linalg.cholesky
         calls = []
 
         def singular_second_stage(h):
             calls.append(None)
             if len(calls) == 2:
                 raise np.linalg.LinAlgError("synthetic singular matrix")
-            return real_inv(h)
+            return real_cholesky(h)
 
-        monkeypatch.setattr(np.linalg, "inv", singular_second_stage)
+        monkeypatch.setattr(np.linalg, "cholesky", singular_second_stage)
         out_csv = tmp_path / "flaky.csv"
         assert cli.main([
             "sweep", "--config", SWEEP, "--n-min", "1", "--n-max", "4",
@@ -217,7 +220,7 @@ class TestSweep:
         def no_gains(plant):
             raise AssumptionViolated("synthetic prefix failure")
 
-        monkeypatch.setattr(np.linalg, "inv", real_inv)
+        monkeypatch.setattr(np.linalg, "cholesky", real_cholesky)
         monkeypatch.setattr(synthesis, "riccati_gains", no_gains)
         assert cli.main([
             "sweep", "--config", SWEEP, "--n-min", "2", "--n-max", "4",

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import numpy.testing as npt
@@ -27,7 +28,13 @@ from delayh2 import (
     synthesize,
     vectorized_system,
 )
-from delayh2.synthesis import _fir_realization, _horizon_qp_costs, _lifted_products
+from delayh2 import synthesis
+from delayh2.synthesis import (
+    _c_v_products,
+    _fir_realization,
+    _horizon_qp_costs,
+    _lifted_products,
+)
 from conftest import lemma_identity_errors, make_chain_graph, make_chain_plant
 from delayh2 import constraint_space, delay_matrix
 
@@ -253,6 +260,19 @@ class TestVectorizedSystem:
         npt.assert_allclose(out, a_bar.T @ y, atol=tol)
         npt.assert_allclose(b_v_t_times(y), vsys.b_v.T @ y, atol=tol)
 
+    @pytest.mark.parametrize("n, n_ctrl, n_meas, seed", [(3, 2, 1, 21), (2, 3, 2, 23), (4, 1, 3, 25)])
+    def test_factored_c_v_products_match_dense_lift(self, n, n_ctrl, n_meas, seed):
+        plant = oracles.random_normalized_plant(np.random.default_rng(seed), n, n_ctrl, n_meas)
+        vsys = vectorized_system(plant, riccati_gains(plant))
+        rng = np.random.default_rng(6)
+        u, x = rng.standard_normal((n_ctrl * n_meas, 5)), rng.standard_normal(vsys.order)
+        c_v = vsys.c_v
+        c_v_times, c_v_t_times = _c_v_products(vsys)
+        tol = 1e-12 * np.abs(u).max() * np.abs(c_v).sum(axis=1).max()
+        npt.assert_allclose(c_v_t_times(u), c_v.T @ u, atol=tol)
+        tol = 1e-12 * np.abs(x).max() * np.abs(c_v).sum(axis=0).max()
+        npt.assert_allclose(c_v_times(x), c_v @ x, atol=tol)
+
     @pytest.mark.parametrize("seed", [7, 8])
     def test_recursion_matches_transfer_arithmetic(self, chain_plant, chain_gains, seed):
         # FIR terms of (-y_hat + m_hat V) m_tilde from plain state-space
@@ -347,6 +367,116 @@ class TestSolveConstrainedQp:
             total += v_vec @ r @ v_vec
             state = a_v @ state + b_v @ v_vec
         assert total == pytest.approx(cost, rel=1e-12)
+
+
+class MaskSequence:
+    """A constraint given as one entry mask per lag, without the monotonicity
+    that :class:`ConstraintSpace` enforces; the solver and the oracle read
+    only these attributes."""
+
+    def __init__(self, masks):
+        self.masks = masks
+        self.n_horizon = len(masks)
+        self.block_rows, self.block_cols = (masks[0].shape[0],), (masks[0].shape[1],)
+
+    def entry_mask(self, lag):
+        return self.masks[lag - 1]
+
+
+@pytest.fixture
+def factored_stages(monkeypatch):
+    """Labels of the backward stages run on a factor of the cost-to-go."""
+    seen = []
+    real = synthesis._factored_stages
+
+    def spy(*args):
+        stage = real(*args)
+
+        def recorded(z, where, idx, forb):
+            seen.append(where)
+            return stage(z, where, idx, forb)
+
+        return recorded
+
+    monkeypatch.setattr(synthesis, "_factored_stages", spy)
+    return seen
+
+
+def well_conditioned_plant(rng, n, n_u, n_y):
+    """Random plant with a stable symmetric tridiagonal A and orthonormal B2
+    and C2 (n_u, n_y <= n), whose QP costs are neither tiny nor huge."""
+    eye = np.eye(n)
+    return GeneralizedPlant(
+        a=rng.uniform(0.4, 0.6) * eye + rng.uniform(0.2, 0.4) * (np.eye(n, k=1) + np.eye(n, k=-1)),
+        b1=np.hstack([eye, np.zeros((n, n_y))]),
+        b2=np.linalg.qr(rng.standard_normal((n, n_u)))[0],
+        c1=np.vstack([eye, np.zeros((n_u, n))]),
+        c2=np.linalg.qr(rng.standard_normal((n, n_y)))[0].T,
+        d12=np.vstack([np.zeros((n, n_u)), np.eye(n_u)]),
+        d21=np.hstack([np.zeros((n_y, n)), np.eye(n_y)]),
+        block_rows=(n_u,),
+        block_cols=(n_y,),
+    )
+
+
+def assert_solves_qp(vsys, cs, gains):
+    """The solver agrees with the V-coordinate oracle, and its V is a
+    feasibility certificate: pushed through the dense lift it zeroes every
+    forbidden coordinate of J and costs what the solver reports.  The
+    oracle's cost is its V priced directly, a sum of positive terms: its
+    x_1^T X_1 x_1 comes from a Riccati downdate whose cancellation can
+    exceed rel 1e-12 by itself."""
+    v_star, cost = solve_constrained_qp(vsys, cs, gains.omega, gains.psi)
+    v_ref, _ = oracles.v_coordinate_qp(vsys, cs, gains.omega, gains.psi)
+    assert np.abs(v_star - v_ref).max() <= 1e-9 * (1.0 + np.abs(v_ref).max())
+    r = np.kron(gains.psi, gains.omega)
+    priced = [sum(vec @ r @ vec for vec in v.reshape(len(v), -1, order="F")) for v in (v_star, v_ref)]
+    assert cost == pytest.approx(priced[1], rel=1e-12)
+    assert cost == pytest.approx(priced[0], rel=1e-12)
+    a_v, b_v, c_v, state = vsys.a_v, vsys.b_v, vsys.c_v, vsys.x1
+    for lag in range(1, cs.n_horizon + 1):
+        v_vec = v_star[lag - 1].reshape(-1, order="F")
+        j_vec = c_v @ state + v_vec
+        forbidden = ~cs.entry_mask(lag).ravel(order="F")
+        assert np.abs(j_vec[forbidden]).max(initial=0.0) < 1e-9
+        state = a_v @ state + b_v @ v_vec
+
+
+class TestFactoredStages:
+    """The first backward stages run on X = Z Z^T until the rank bound, the
+    forbidden coordinates summed from lag n_con down, would pass
+    ``FACTORED_RANK_SHARE`` of the order; the dense stage finishes."""
+
+    def test_chain_hands_over_where_the_rank_bound_passes_the_share(self, chain_qp, factored_stages):
+        # n = 12, order 288: the forbidden counts from lag 11 down are
+        # 2, 6, 12, 20, 30 and 42, so the rank bound 70 of lag 7 is the last
+        # within 288 / 4
+        vsys, cs, gains = chain_qp(12)
+        solve_constrained_qp(vsys, cs, gains.omega, gains.psi)
+        assert factored_stages == [f"lag {lag}" for lag in range(11, 6, -1)]
+
+    def test_random_patterns_match_the_oracle(self, factored_stages):
+        # non-monotone masks mixing lags with no allowed coordinate, fully
+        # allowed lags and partial ones, on plants of order 6 to 30
+        rng = np.random.default_rng(808)
+        hits = Counter()
+        for _ in range(80):
+            n, n_u, n_y = (int(v) for v in rng.integers([3, 1, 1], [6, 4, 4]))
+            plant = well_conditioned_plant(rng, n, n_u, n_y)
+            gains = riccati_gains(plant)
+            vsys = vectorized_system(plant, gains)
+            share = [float(rng.choice([0.0, 0.6, 0.85, 1.0])) for _ in range(int(rng.integers(1, 6)))]
+            masks = [rng.random((n_u, n_y)) < p for p in share]
+            factored_stages.clear()
+            assert_solves_qp(vsys, MaskSequence(masks), gains)
+
+            lags = [int(label.split()[1]) for label in factored_stages]
+            n_con = max((lag for lag, m in enumerate(masks, 1) if not m.all()), default=0)
+            hits["factored to lag 1"] += 1 in lags
+            hits["handover"] += 0 < len(lags) < n_con
+            hits["no allowed coordinate"] += any(not masks[lag - 1].any() for lag in lags)
+            hits["fully allowed below n_con"] += any(masks[lag - 1].all() for lag in lags)
+        assert min(hits.values()) >= 3 and len(hits) == 4, hits
 
 
 class TestHorizonQpCosts:
