@@ -9,6 +9,7 @@ controller network must never lag information flowing through the plant.
 import numpy as np
 
 import delayh2 as dh
+from delayh2.delaymodel import qi_witness_text
 
 np.set_printoptions(precision=4, suppress=True)
 
@@ -42,9 +43,7 @@ print(p)
 verdict = dh.check_qi(d, p)
 print("QI with the 4-step network:", verdict.ok)
 if not verdict.ok:
-    k, i, j, l = verdict.witness
-    print(f"  witness: d[{k},{i}] + p[{i},{j}] + d[{j},{l}] = "
-          f"{d.d[k, i] + p[i, j] + d.d[j, l]} < d[{k},{l}] = {d.d[k, l]}")
+    print(f"  {qi_witness_text(d, p, verdict)}")
     print("  the plant couples the nodes faster than they can talk;")
     print("  the constrained problem is not convex and synthesis refuses it:")
     try:

@@ -23,15 +23,19 @@ exact = dh.h2_norm_sq(g)
 truncated = float(np.sum(dh.impulse_response(g, 200) ** 2))
 print(f"\nsquared H2 norm, Gramian vs. truncated sum: {exact:.12f} vs {truncated:.12f}")
 
-# --- cross Lyapunov/Sylvester solve ----------------------------------------
+# --- the observability Gramian behind the norm ------------------------------
+# h2_norm_sq(A, B, C, 0) is trace(B^T W B) for the Gramian of the Stein
+# equation W = A^T W A + C^T C, so replacing B by A B drops exactly the
+# first Markov parameter C B from the sum.
 rng = np.random.default_rng(0)
-a1 = 0.7 * rng.standard_normal((3, 3)) / 3
-a2 = 0.7 * rng.standard_normal((3, 3)) / 3
-c1 = rng.standard_normal((2, 3))
-c2 = rng.standard_normal((2, 3))
-gamma = dh.dlyap_cross(a1, c1, a2, c2)
-residual = gamma - (a1.T @ gamma @ a2 + c1.T @ c2)
-print(f"\ncross-Gramian equation residual: {np.linalg.norm(residual):.2e}")
+a = 0.7 * rng.standard_normal((3, 3)) / 3
+b = rng.standard_normal((3, 2))
+c = rng.standard_normal((2, 3))
+zero = np.zeros((2, 2))
+whole = dh.h2_norm_sq(dh.StateSpaceModel(a, b, c, zero))
+shifted = dh.h2_norm_sq(dh.StateSpaceModel(a, a @ b, c, zero))
+print(f"\nStein equation residual through the Gramian: "
+      f"{abs(whole - shifted - np.sum((c @ b) ** 2)):.2e}")
 
 # --- Riccati equation by doubling -------------------------------------------
 x = dh.dare_solve([[1.0]], [[1.0]], [[1.0]])

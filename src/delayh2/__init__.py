@@ -34,7 +34,6 @@ from .errors import (
 from .statespace import (
     StateSpaceModel,
     dare_solve,
-    dlyap_cross,
     h2_norm_sq,
     impulse_response,
     spectral_radius,
@@ -86,7 +85,6 @@ __all__ = [
     "coprime_factorization",
     "dare_solve",
     "delay_matrix",
-    "dlyap_cross",
     "expand_pattern",
     "h2_norm_sq",
     "impulse_response",

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import delaymodel, verify
 from .config import ProblemConfig, load_config
-from .errors import ConfigError, DelayH2Error
+from .errors import ConfigError, DelayH2Error, QIViolation, UnstableSystem
 from .statespace import StateSpaceModel, h2_norm_sq
 from .synthesis import SynthesisResult, sweep_norms, synthesize
 
@@ -139,12 +139,7 @@ def cmd_check_qi(args) -> int:
     if verdict.ok:
         print("QI: PASS")
         return EXIT_OK
-    k, i, j, l = verdict.witness
-    lhs = d.d[k, i] + p[i, j] + d.d[j, l]
-    print(
-        f"QI: FAIL  witness (k={k}, i={i}, j={j}, l={l}): "
-        f"d[{k},{i}] + p[{i},{j}] + d[{j},{l}] = {lhs} < d[{k},{l}] = {d.d[k, l]}"
-    )
+    print(f"QI: FAIL  {delaymodel.qi_witness_text(d, p, verdict)}")
     return EXIT_DOMAIN
 
 
@@ -175,8 +170,8 @@ def cmd_synth(args) -> int:
                 file=sys.stderr,
             )
         elif not qi[2].ok:
-            raise DelayH2Error(
-                f"delay pattern is not quadratically invariant (witness {qi[2].witness}); "
+            raise QIViolation(
+                f"delay pattern is not quadratically invariant ({delaymodel.qi_witness_text(*qi)}); "
                 "re-run with --force to synthesize anyway"
             )
     result = synthesize(cfg.plant, cfg.constraint_space())
@@ -228,8 +223,11 @@ def cmd_verify(args) -> int:
     cs = cfg.constraint_space()
     report = verify.conformance(k, cs, tol=args.tol)
     loop = verify.closed_loop(cfg.plant, k)
-    stable = loop.is_internally_stable
-    norm = math.sqrt(h2_norm_sq(loop.model)) if stable else float("nan")
+    # h2_norm_sq proves the loop stable before it sums the Gramian
+    try:
+        norm, stable = math.sqrt(h2_norm_sq(loop.model)), True
+    except UnstableSystem:
+        norm, stable = float("nan"), False
 
     print(f"conformance: {'PASS' if report.ok else 'FAIL'}")
     for lag, i, j, mag in report.violations[:10]:

@@ -213,6 +213,16 @@ def check_qi(d: DelayMatrix, p) -> QiCheck:
     return QiCheck(False, (int(k), int(i), int(j), int(l)))
 
 
+def qi_witness_text(d: DelayMatrix, p, verdict: QiCheck) -> str:
+    """The inequality that the witness (k, i, j, l) of a failed
+    :func:`check_qi` verdict violates, with its values; every QI failure
+    message quotes it."""
+    k, i, j, l = verdict.witness
+    p = np.asarray(p)
+    return (f"witness (k={k}, i={i}, j={j}, l={l}): d[{k},{i}] + p[{i},{j}] + d[{j},{l}] "
+            f"= {d.d[k, i] + p[i, j] + d.d[j, l]} < d[{k},{l}] = {d.d[k, l]}")
+
+
 def block_norms(m, row_sizes, col_sizes) -> np.ndarray:
     """Frobenius norms of the blocks of a matrix or of a stack of matrices.
 

@@ -4,15 +4,17 @@ Systems evolve as ``x[t+1] = A x[t] + B u[t]``, ``y[t] = C x[t] + D u[t]``
 and are represented by immutable :class:`StateSpaceModel` values.  The
 pipeline needs only a few operations on them: impulse responses (one
 ``(T+1, outputs, inputs)`` array indexed by lag), the series product behind
-the Bezout check, squared H2 norms, and the Stein (discrete
-Lyapunov/Sylvester) and Riccati equations, both solved by doubling, O(n^3)
-per step, each step covering twice the horizon of the last.
+the Bezout check, squared H2 norms and the Riccati equation, the last two
+by doubling, O(n^3) per step, each step covering twice the horizon of the
+last.  One Smith doubling sums the symmetric Stein series
+sum_t (A^t)^T Q A^t, for the observability Gramian (Q = C^T C) and for the
+stability test.
 
-One predicate decides stability everywhere (``is_stable``, the solvers'
-preconditions, the Riccati closed loop).  From order 32 on it tries a Stein
-(Lyapunov) certificate X - A^T X A > 0, X > 0, built by Smith doubling and
-proven positive definite in floating point; the eigenvalues decide below
-that order and wherever the certificate cannot be proven.
+One predicate decides stability everywhere (``is_stable``, the norm's
+precondition, the Riccati closed loop).  From order 32 on it tries a Stein
+(Lyapunov) certificate X - A^T X A > 0, X > 0 (Q = I), proven positive
+definite in floating point; the eigenvalues decide below that order and
+wherever the certificate cannot be proven.
 
 ``vec`` stacks columns (Fortran order) throughout, which is the convention
 under which vec(A X B) = (B^T kron A) vec(X).
@@ -44,8 +46,8 @@ DARE_TOL = 1e-12
 # BLAS thread, and at order 420 the certificate takes half the time.
 CERTIFY_MIN_ORDER = 32
 
-# Step cap of both doubling solvers: step k covers 2^k terms, so a spectral
-# radius of 1 - TOL_STAB decays below eps within about 35 steps.
+# Step cap of the Gramian and Riccati doublings: step k covers 2^k terms, so
+# a spectral radius of 1 - TOL_STAB decays below eps within about 35 steps.
 DOUBLING_MAX_STEPS = 64
 
 
@@ -95,7 +97,7 @@ def _stein_certificate(a: np.ndarray) -> tuple[bool, str]:
     A is stable with that margin if some X > 0 has X - A^T X A / c^2 > 0,
     since an eigenvector v of eigenvalue lambda gives
     (1 - |lambda|^2 / c^2) v* X v > 0.  A is first balanced, an exact
-    similarity (:func:`_balanced`).  Smith doubling then builds
+    similarity (:func:`_balanced`).  :func:`_smith_doubling` then builds
     X = sum_{t < 2^k} (A^t)^T A^t, squaring A at most ceil(log2 m) + 2 times
     (a nilpotent A of order m vanishes by then), until ||A^(2^k)||_F < 1/2,
     where the residual is close to I.  Both matrices are then proven
@@ -118,9 +120,7 @@ def _stein_certificate(a: np.ndarray) -> tuple[bool, str]:
     abs_b = np.abs(b)
     abs_b_rows = abs_b.sum(axis=1)
     max_squarings = math.ceil(math.log2(m)) + 2
-    # x = sum_{t < 2^k} (B^t)^T B^t, kept exactly symmetric; p = B^(2^k)
-    x, p = np.eye(m), b
-    for k in range(max_squarings + 1):
+    for k, (x, p) in zip(range(max_squarings + 1), _smith_doubling(b, np.eye(m))):
         # Every entry of fl(R), R = X - lift B^T X B, is within
         # gamma (lift |B^T| |X| |B| + |X|) of R's; that matrix is symmetric
         # and >= 0, so its inf-norm bounds the 2-norm of the error.
@@ -134,9 +134,6 @@ def _stein_certificate(a: np.ndarray) -> tuple[bool, str]:
             break
         if k == max_squarings:
             return False, f"||A^(2^{k})||_F = {p_norm:.3g} after {k} doubling steps"
-        w = p.T @ (x @ p)
-        x = x + 0.5 * (w + w.T)
-        p = p @ p
     # np.linalg.cholesky reads the lower triangle only, so the residual need
     # not be symmetrized: its error there is bounded entrywise as above.
     residual = x - lift * (b.T @ (x @ b))
@@ -179,12 +176,6 @@ def _proven_positive_definite(h: np.ndarray, gamma: float) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
-
-
-def _require_stable(a: np.ndarray, what: str) -> None:
-    stable, why = _stability(a)
-    if not stable:
-        raise UnstableSystem(f"{what}: {why}")
 
 
 @dataclass(frozen=True)
@@ -291,55 +282,57 @@ def h2_norm_sq(g: StateSpaceModel) -> float:
     UnstableSystem
         If A is not stable by the test of :attr:`StateSpaceModel.is_stable`;
         the message names the test that decided and by how much.
+    SolverFailure
+        If the Gramian's doubling overflows or does not converge
+        (:func:`_gramian`).
     """
-    _require_stable(g.a, "h2_norm_sq")
+    stable, why = _stability(g.a)
+    if not stable:
+        raise UnstableSystem(f"h2_norm_sq: {why}")
     static_part = float(np.trace(g.d.T @ g.d))
     if g.order == 0:
         return static_part
-    w_obs = _smith_doubling(g.a, g.c, g.a, g.c)
+    w_obs = _gramian(g.a, g.c)
     return static_part + float(np.trace(g.b.T @ w_obs @ g.b))
 
 
-def dlyap_cross(
-    a_g: np.ndarray, c_g: np.ndarray, a_h: np.ndarray, c_h: np.ndarray
-) -> np.ndarray:
-    """Solve the Stein equation  Gamma = A_g^T Gamma A_h + C_g^T C_h.
+def _smith_doubling(a: np.ndarray, q: np.ndarray):
+    """Smith doubling (Smith 1968): yield X_k = sum_{t < 2^k} (A^t)^T Q A^t
+    and A^(2^k) for k = 0, 1, ..., from X_0 = Q.  Each step is
+    X <- X + P^T X P and P <- P P, three products, and keeps X exactly
+    symmetric.  A step is taken only when the next pair is asked for, so the
+    consumer's stopping rule decides how many are paid for."""
+    x, p = q, a
+    while True:
+        yield x, p
+        w = p.T @ (x @ p)
+        x = x + 0.5 * (w + w.T)
+        p = p @ p
 
-    Smith doubling (Smith 1968) from P_g = A_g^T, P_h = A_h: each step sets
-    ``Gamma <- Gamma + P_g Gamma P_h``, which doubles the terms of the series
-    sum_k (A_g^T)^k C_g^T C_h A_h^k summed, then squares P_g and P_h.  It
-    stops once ||P_g|| ||P_h|| < eps, leaving a tail below eps ||Gamma||.
-    Raises :class:`UnstableSystem` for a factor that is not stable by the
-    test of :attr:`StateSpaceModel.is_stable` (spectral radius at least
-    1 - ``TOL_STAB``), and :class:`SolverFailure` if the tail has not
-    vanished within ``DOUBLING_MAX_STEPS`` steps, or as soon as the powers
-    overflow, which transient growth of a stable factor can cause.
+
+def _gramian(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Observability Gramian sum_t (A^t)^T C^T C A^t of a stable A, the
+    solution of the Stein equation W = A^T W A + C^T C.
+
+    It stops the doubling (:func:`_smith_doubling`) once the tail factor
+    ||A^(2^k)||_F^2 is below eps, leaving a tail below eps ||W||.  Raises
+    :class:`SolverFailure` if the tail has not vanished within
+    ``DOUBLING_MAX_STEPS`` steps, or as soon as the powers overflow, which
+    transient growth of a stable A can cause.
     """
-    a_g, c_g, a_h, c_h = map(_as_matrix, (a_g, c_g, a_h, c_h))
-    _require_stable(a_g, "dlyap_cross (left factor)")
-    _require_stable(a_h, "dlyap_cross (right factor)")
-    return _smith_doubling(a_g, c_g, a_h, c_h)
-
-
-def _smith_doubling(a_g, c_g, a_h, c_h) -> np.ndarray:
-    """:func:`dlyap_cross` on factors already known to be stable."""
-    gamma = c_g.T @ c_h
-    p_g, p_h = a_g.T, a_h
     last = math.nan
     # powers that overflow show as a non-finite tail, which fails the solve
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(DOUBLING_MAX_STEPS):
-            tail = np.linalg.norm(p_g) * np.linalg.norm(p_h)
+        for step, (w, p) in zip(range(DOUBLING_MAX_STEPS), _smith_doubling(a, c.T @ c)):
+            tail = np.linalg.norm(p) ** 2
             if not math.isfinite(tail):
                 raise SolverFailure(
                     f"Smith doubling overflowed at step {step} (last finite tail factor "
                     f"||P_g|| ||P_h|| = {last:.3g})"
                 )
             if tail < np.finfo(float).eps:
-                return gamma
+                return w
             last = tail
-            gamma = gamma + p_g @ gamma @ p_h
-            p_g, p_h = p_g @ p_g, p_h @ p_h
     raise SolverFailure(f"Smith doubling did not converge in {DOUBLING_MAX_STEPS} "
                         f"steps (tail factor ||P_g|| ||P_h|| = {tail:.3g})")
 

@@ -29,6 +29,7 @@ from typing import Iterable, Iterator, Optional, Tuple
 import numpy as np
 
 from .delaymodel import ConstraintSpace, DelayMatrix, check_qi, expand_pattern, plant_block_delays
+from .delaymodel import qi_witness_text
 from .errors import (
     AssumptionViolated,
     BezoutCheckFailed,
@@ -694,10 +695,8 @@ def synthesize(
         p = plant_block_delays(plant.g22, plant.block_rows, plant.block_cols, horizon)
         verdict = check_qi(delays, p)
         if not verdict.ok:
-            k, i, j, l = verdict.witness
             raise QIViolation(
-                f"not quadratically invariant: d[{k},{i}] + p[{i},{j}] + d[{j},{l}] "
-                f"< d[{k},{l}]"
+                f"not quadratically invariant: {qi_witness_text(delays, p, verdict)}"
             )
 
     gains, p11_norm_sq, vsys = _plant_prefix(plant)

@@ -8,7 +8,8 @@ the assertion tolerances.  The eight coprime factors of g22 and the
 model-matching factors P12, P21, which the pipeline never forms, are
 written out here from their closed-form realizations, and
 :func:`v_coordinate_qp` solves the constrained QP as a dense LQR in V
-coordinates, a second formulation to check the solver against.
+coordinates, a second formulation to check the solver against, and prices
+its V directly (:func:`priced_cost`).
 """
 
 from __future__ import annotations
@@ -180,6 +181,15 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     return v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.T
 
 
+def priced_cost(v, omega, psi) -> float:
+    """QP cost sum_i vec(V_i)^T (psi kron omega) vec(V_i) of the
+    ``(N, n_ctrl, n_meas)`` coefficients ``v``: a sum of nonnegative terms,
+    accurate to a few eps whatever the conditioning of the recursion that
+    produced ``v``."""
+    r = np.kron(np.atleast_2d(psi), np.atleast_2d(omega))
+    return float(sum(vec @ r @ vec for vec in np.reshape(v, (len(v), -1), order="F")))
+
+
 def v_coordinate_qp(vsys, cs, omega, psi):
     """Reference solution of the constrained QP as a time-varying LQR whose
     input is the free coefficient vec(V_i), on the dense lift.
@@ -188,7 +198,9 @@ def v_coordinate_qp(vsys, cs, omega, psi):
     constrained channel, -C_v[forb] x_i, and the allowed ones are the
     inputs, so each lag gets its own dense stage (A_i, B_i, C_i, D_i) with
     cost |C_i x + D_i u|^2 through a square root of psi kron omega.  Returns
-    the ``(N, n_ctrl, n_meas)`` coefficients and the cost x_1^T X_1 x_1.
+    the ``(N, n_ctrl, n_meas)`` coefficients and their :func:`priced_cost`,
+    not the recursion's x_1^T X_1 x_1: that comes from the same subtracting
+    Riccati downdate as the solvers checked against it.
     """
     omega, psi = np.atleast_2d(omega), np.atleast_2d(psi)
     n_u, n_y = omega.shape[0], psi.shape[0]
@@ -224,8 +236,6 @@ def v_coordinate_qp(vsys, cs, omega, psi):
         x_cost = 0.5 * (x_new + x_new.T)
         feedback[i] = k_i
 
-    qp_cost = float(x1 @ x_cost @ x1)
-
     state = x1.copy()
     v = np.empty((n, n_u, n_y))
     for i in range(n):
@@ -235,7 +245,7 @@ def v_coordinate_qp(vsys, cs, omega, psi):
         v_vec[~allowed] = -c_v[~allowed] @ state
         v[i] = v_vec.reshape((n_u, n_y), order="F")
         state = (a_i + b_i @ feedback[i]) @ state
-    return v, qp_cost
+    return v, priced_cost(v, omega, psi)
 
 
 def random_stable_model(rng, n: int, m: int, p: int, rho: float = 0.85):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from delayh2 import cli
+from delayh2 import QIViolation, cli, statespace
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CHAIN = str(CONFIG_DIR / "chain_three_player.json")
@@ -116,6 +117,15 @@ class TestSynth:
         cfg = non_qi_config(tmp_path)
         assert cli.main(["synth", "--config", cfg]) == 2
         assert "quadratically invariant" in capsys.readouterr().err
+
+    def test_refusal_is_a_qi_violation_quoting_the_check_qi_witness(self, tmp_path, capsys):
+        cfg = non_qi_config(tmp_path)
+        assert cli.main(["check-qi", "--config", cfg]) == 2
+        witness = capsys.readouterr().out.split("QI: FAIL  ")[1].strip()
+        assert witness.startswith("witness (k=")
+        args = cli._build_parser().parse_args(["synth", "--config", cfg])
+        with pytest.raises(QIViolation, match=re.escape(f"({witness}); re-run with --force")):
+            cli.cmd_synth(args)
 
     def test_force_overrides_qi_guard(self, tmp_path, capsys):
         cfg = non_qi_config(tmp_path)
@@ -259,6 +269,24 @@ class TestVerify:
         assert "internal stability: PASS" in out
         verified = float(out.split("closed-loop H2 norm:")[1].splitlines()[0])
         assert verified == pytest.approx(synth_norm, rel=1e-6)
+
+    def test_loop_stability_is_decided_once(self, tmp_path, capsys, monkeypatch):
+        # the loop norm's stability precondition is the printed verdict
+        out_file = tmp_path / "controller.json"
+        cli.main(["synth", "--config", CHAIN, "--out", str(out_file)])
+        controller_order = len(json.loads(out_file.read_text())["controller"]["a"])
+        order = cli.load_config(CHAIN).plant.n + controller_order
+        orders = []
+        real = statespace._stability
+
+        def spy(a):
+            orders.append(a.shape[0])
+            return real(a)
+
+        monkeypatch.setattr(statespace, "_stability", spy)
+        assert cli.main(["verify", str(out_file), "--config", CHAIN]) == 0
+        assert "internal stability: PASS" in capsys.readouterr().out
+        assert orders == [order]
 
     def test_centralized_controller_fails_chain_conformance(self, tmp_path, capsys):
         out_file = tmp_path / "central.json"

@@ -12,7 +12,6 @@ from delayh2 import (
     StateSpaceModel,
     UnstableSystem,
     dare_solve,
-    dlyap_cross,
     h2_norm_sq,
     impulse_response,
     spectral_radius,
@@ -21,6 +20,7 @@ from delayh2 import statespace
 from delayh2.statespace import (
     CERTIFY_MIN_ORDER,
     TOL_STAB,
+    _gramian,
     _stability,
     _stein_certificate,
     multiply,
@@ -246,49 +246,41 @@ class TestH2Norm:
 
 
 class TestDlyapCross:
+    """The observability Gramian W = A^T W A + C^T C behind :func:`h2_norm_sq`,
+    the symmetric Stein solve of :func:`statespace._gramian`."""
+
     def test_zero_dynamics_degenerates(self):
-        c_g = np.array([[1.0, 2.0]])
-        c_h = np.array([[3.0, -1.0]])
-        got = dlyap_cross(np.zeros((2, 2)), c_g, np.zeros((2, 2)), c_h)
-        npt.assert_allclose(got, c_g.T @ c_h)
+        c = np.array([[1.0, 2.0], [3.0, -1.0]])
+        got = _gramian(np.zeros((2, 2)), c)
+        npt.assert_allclose(got, c.T @ c)
 
     def test_scalar_geometric_fixed_point(self):
-        got = dlyap_cross([[0.5]], [[1.0]], [[0.5]], [[1.0]])
+        got = _gramian(np.array([[0.5]]), np.array([[1.0]]))
         npt.assert_allclose(got, [[1.0 / 0.75]], rtol=1e-12)
 
     def test_matches_series_oracle(self):
         rng = np.random.default_rng(12)
-        a_g = oracles.random_stable_model(rng, 3, 1, 1, rho=0.7).a
-        a_h = oracles.random_stable_model(rng, 3, 1, 1, rho=0.7).a
-        c_g = rng.standard_normal((2, 3))
-        c_h = rng.standard_normal((2, 3))
-        got = dlyap_cross(a_g, c_g, a_h, c_h)
-        want = oracles.cross_gramian_series(a_g, c_g, a_h, c_h, 400)
+        a = oracles.random_stable_model(rng, 3, 1, 1, rho=0.7).a
+        c = rng.standard_normal((2, 3))
+        got = _gramian(a, c)
+        want = oracles.cross_gramian_series(a, c, a, c, 400)
         npt.assert_allclose(got, want, atol=1e-10)
 
     def test_defining_equation_residual(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
-            a_g = oracles.random_stable_model(rng, 4, 1, 1, rho=0.9).a
-            a_h = oracles.random_stable_model(rng, 3, 1, 1, rho=0.9).a
-            c_g = rng.standard_normal((2, 4))
-            c_h = rng.standard_normal((2, 3))
-            gamma = dlyap_cross(a_g, c_g, a_h, c_h)
-            residual = gamma - (a_g.T @ gamma @ a_h + c_g.T @ c_h)
-            assert np.linalg.norm(residual) <= 1e-10 * (1 + np.linalg.norm(gamma))
+            a = oracles.random_stable_model(rng, 4, 1, 1, rho=0.9).a
+            c = rng.standard_normal((2, 4))
+            w = _gramian(a, c)
+            residual = w - (a.T @ w @ a + c.T @ c)
+            assert np.linalg.norm(residual) <= 1e-10 * (1 + np.linalg.norm(w))
 
-    def test_unstable_factor_rejected(self):
-        with pytest.raises(UnstableSystem):
-            dlyap_cross([[1.1]], [[1.0]], [[0.5]], [[1.0]])
-
-    def test_matches_dense_kronecker_solve_on_distinct_factors(self):
+    def test_matches_dense_kronecker_solve(self):
         rng = np.random.default_rng(14)
-        a_g = oracles.random_stable_model(rng, 9, 1, 1, rho=0.95).a
-        a_h = oracles.random_stable_model(rng, 7, 1, 1, rho=0.95).a
-        c_g = rng.standard_normal((3, 9))
-        c_h = rng.standard_normal((3, 7))
-        got = dlyap_cross(a_g, c_g, a_h, c_h)
-        want = oracles.stein_kronecker(a_g, c_g, a_h, c_h)
+        a = oracles.random_stable_model(rng, 9, 1, 1, rho=0.95).a
+        c = rng.standard_normal((3, 9))
+        got = _gramian(a, c)
+        want = oracles.stein_kronecker(a, c, a, c)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_jordan_block_with_large_transient_growth(self):
@@ -301,7 +293,7 @@ class TestDlyapCross:
         s0, s1, s2 = 1 / (1 - r), r / (lam * (1 - r) ** 2), (1 + r) / (1 - r) ** 3
         want = np.array([[s0, mu * s1], [mu * s1, mu * mu * s2 + s0]])
         a = np.array([[lam, mu], [0.0, lam]])
-        got = dlyap_cross(a, np.eye(2), a, np.eye(2))
+        got = _gramian(a, np.eye(2))
         npt.assert_allclose(got, want, rtol=1e-12)
 
     def test_scalar_pole_next_to_the_unit_circle(self):
@@ -310,7 +302,7 @@ class TestDlyapCross:
         # 2a^2/(1-a^2) ~ 1e6, so any backward-stable solver is within
         # about 1e6 eps ~ 2e-10 of it
         a = 1.0 - 1e-6
-        got = dlyap_cross([[a]], [[1.0]], [[a]], [[1.0]])
+        got = _gramian(np.array([[a]]), np.array([[1.0]]))
         npt.assert_allclose(got, [[1.0 / ((1.0 - a) * (1.0 + a))]], rtol=1e-9)
 
     @pytest.mark.parametrize("order", [156, 420])
@@ -318,7 +310,7 @@ class TestDlyapCross:
         linalg = pytest.importorskip("scipy.linalg")
         rng = np.random.default_rng(order)
         g = oracles.random_stable_model(rng, order, 1, 4, rho=0.98)
-        got = dlyap_cross(g.a, g.c, g.a, g.c)
+        got = _gramian(g.a, g.c)
         want = linalg.solve_discrete_lyapunov(g.a.T, g.c.T @ g.c)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 

@@ -357,16 +357,13 @@ class TestSolveConstrainedQp:
         vsys, cs, gains = chain_qp(12)
         v_star, cost = solve_constrained_qp(vsys, cs, gains.omega, gains.psi)
         a_v, b_v, c_v, state = vsys.a_v, vsys.b_v, vsys.c_v, vsys.x1
-        r = np.kron(gains.psi, gains.omega)
-        total = 0.0
         for lag in range(1, cs.n_horizon + 1):
             v_vec = v_star[lag - 1].reshape(-1, order="F")
             j_vec = c_v @ state + v_vec
             forbidden = ~cs.entry_mask(lag).ravel(order="F")
             assert np.abs(j_vec[forbidden]).max() < 1e-9
-            total += v_vec @ r @ v_vec
             state = a_v @ state + b_v @ v_vec
-        assert total == pytest.approx(cost, rel=1e-12)
+        assert oracles.priced_cost(v_star, gains.omega, gains.psi) == pytest.approx(cost, rel=1e-12)
 
 
 class MaskSequence:
@@ -422,17 +419,12 @@ def well_conditioned_plant(rng, n, n_u, n_y):
 def assert_solves_qp(vsys, cs, gains):
     """The solver agrees with the V-coordinate oracle, and its V is a
     feasibility certificate: pushed through the dense lift it zeroes every
-    forbidden coordinate of J and costs what the solver reports.  The
-    oracle's cost is its V priced directly, a sum of positive terms: its
-    x_1^T X_1 x_1 comes from a Riccati downdate whose cancellation can
-    exceed rel 1e-12 by itself."""
+    forbidden coordinate of J and costs what the solver reports."""
     v_star, cost = solve_constrained_qp(vsys, cs, gains.omega, gains.psi)
-    v_ref, _ = oracles.v_coordinate_qp(vsys, cs, gains.omega, gains.psi)
+    v_ref, cost_ref = oracles.v_coordinate_qp(vsys, cs, gains.omega, gains.psi)
     assert np.abs(v_star - v_ref).max() <= 1e-9 * (1.0 + np.abs(v_ref).max())
-    r = np.kron(gains.psi, gains.omega)
-    priced = [sum(vec @ r @ vec for vec in v.reshape(len(v), -1, order="F")) for v in (v_star, v_ref)]
-    assert cost == pytest.approx(priced[1], rel=1e-12)
-    assert cost == pytest.approx(priced[0], rel=1e-12)
+    assert cost == pytest.approx(cost_ref, rel=1e-12)
+    assert cost == pytest.approx(oracles.priced_cost(v_star, gains.omega, gains.psi), rel=1e-12)
     a_v, b_v, c_v, state = vsys.a_v, vsys.b_v, vsys.c_v, vsys.x1
     for lag in range(1, cs.n_horizon + 1):
         v_vec = v_star[lag - 1].reshape(-1, order="F")
@@ -631,7 +623,9 @@ class TestSynthesize:
         )
         d = DelayMatrix([[1, 5], [5, 1]])
         cs = constraint_space(d, (1, 1), (1, 1))
-        with pytest.raises(QIViolation):
+        with pytest.raises(QIViolation, match=r"^not quadratically invariant: witness "
+                           r"\(k=0, i=0, j=1, l=1\): d\[0,0\] \+ p\[0,1\] \+ d\[1,1\] = 4 "
+                           r"< d\[0,1\] = 5$"):
             synthesize(plant, cs, delays=d)
 
     def test_block_mismatch_rejected(self, chain_plant):
