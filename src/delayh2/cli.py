@@ -97,38 +97,31 @@ def main(argv: Optional[list] = None) -> int:
         return EXIT_DOMAIN
 
 
-def _tol_zero(args, cfg) -> float:
-    # CLI flag beats the config's options.tol_zero beats the library default
-    if args.tol is not None:
-        return args.tol
-    if cfg.tol_zero is not None:
-        return cfg.tol_zero
-    return delaymodel.TOL_ZERO
-
-
 def _format_matrix(m: np.ndarray) -> str:
     return "\n".join("  " + "  ".join(f"{v:g}" for v in row) for row in np.atleast_2d(m))
 
 
-def _qi_verdict(cfg: ProblemConfig, tol: float):
+def _qi_verdict(cfg: ProblemConfig, tol: Optional[float]):
     """(d, p, verdict) for a graph or delay-matrix config; None for explicit
-    patterns, which carry no delay information."""
-    d = cfg.delay_matrix()
+    patterns, which carry no delay information.  ``tol`` (the --tol flag)
+    overrides the config's ``tol_zero``."""
+    d = cfg.delays
     if d is None:
         return None
     plant = cfg.plant
     p = delaymodel.plant_block_delays(
-        plant.g22, plant.block_rows, plant.block_cols, d.max_delay(), tol_zero=tol
+        plant.g22, plant.block_rows, plant.block_cols, d.max_delay(),
+        tol_zero=cfg.tol_zero if tol is None else tol,
     )
     return d, p, delaymodel.check_qi(d, p)
 
 
 def cmd_check_qi(args) -> int:
     cfg = load_config(args.config)
-    qi = _qi_verdict(cfg, _tol_zero(args, cfg))
+    qi = _qi_verdict(cfg, args.tol)
     if qi is None:
         raise ConfigError(
-            "check-qi needs a 'graph' or 'delay_matrix' constraint; "
+            f"{args.config}.patterns: check-qi needs a 'graph' or 'delay_matrix' constraint; "
             "explicit patterns carry no delay information"
         )
     d, p, verdict = qi
@@ -163,7 +156,7 @@ def _result_document(result: SynthesisResult) -> dict:
 def cmd_synth(args) -> int:
     cfg = load_config(args.config)
     if not args.force:
-        qi = _qi_verdict(cfg, _tol_zero(args, cfg))
+        qi = _qi_verdict(cfg, args.tol)
         if qi is None:
             print(
                 "note: constraint given as explicit patterns; QI not checkable, proceeding",
@@ -174,7 +167,7 @@ def cmd_synth(args) -> int:
                 f"delay pattern is not quadratically invariant ({delaymodel.qi_witness_text(*qi)}); "
                 "re-run with --force to synthesize anyway"
             )
-    result = synthesize(cfg.plant, cfg.constraint_space())
+    result = synthesize(cfg.plant, cfg.space)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(_result_document(result), fh, indent=1)
@@ -188,7 +181,7 @@ def cmd_sweep(args) -> int:
     if args.n_min < 1 or args.n_max < args.n_min:
         raise ConfigError("need 1 <= n-min <= n-max")
     if cfg.sweep_template is None:
-        raise ConfigError("config has no 'sweep' section with a 'template'")
+        raise ConfigError(f"{args.config}: no 'sweep' section with a 'template'")
     cells = []
     try:
         for norm in sweep_norms(cfg.plant, cfg.sweep_template, args.n_max):
@@ -220,8 +213,7 @@ def cmd_verify(args) -> int:
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot read controller file: {exc}") from exc
 
-    cs = cfg.constraint_space()
-    report = verify.conformance(k, cs, tol=args.tol)
+    report = verify.conformance(k, cfg.space, tol=args.tol)
     loop = verify.closed_loop(cfg.plant, k)
     # h2_norm_sq proves the loop stable before it sums the Gramian
     try:

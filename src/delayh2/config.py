@@ -21,9 +21,14 @@ one constraint section (``graph``, ``delay_matrix`` or ``patterns``)::
 Sweep templates may also be the strings "diagonal", "lower-triangular" or
 "full".  ``options.n_horizon`` overrides the FIR horizon of a graph or
 delay-matrix constraint (blocks stay allowed from their delay onward, so a
-longer window only appends unconstrained lags); ``options.tol_zero`` sets
-the file-level threshold for plant block-delay detection, overridable by
-the CLI's --tol flag.
+longer window only appends unconstrained lags) and must equal the count of
+explicit patterns; ``options.tol_zero`` sets the file-level threshold for
+plant block-delay detection, overridable by the CLI's --tol flag.
+
+:func:`load_config` resolves the whole problem as it reads the file: the
+graph's delay matrix, the constraint space and every check on them.  Any
+rejection is a :class:`ConfigError` naming the file and the section at
+fault (``{path}.{section}``), so every subcommand refuses the same files.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .delaymodel import ConstraintSpace, DelayGraph, DelayMatrix
+from .delaymodel import TOL_ZERO, ConstraintSpace, DelayGraph, DelayMatrix
 from .delaymodel import constraint_space as build_constraint_space
 from .delaymodel import delay_matrix as build_delay_matrix
 from .errors import ConfigError, DelayH2Error
@@ -68,41 +73,21 @@ def _whole(value) -> int:
 
 @dataclass(frozen=True)
 class ProblemConfig:
-    """Parsed problem description: plant plus one constraint specification."""
+    """A problem file, resolved and validated once when it is loaded.
+
+    ``space`` is the constraint that ``synth`` and ``verify`` use, with
+    ``options.n_horizon`` applied.  ``delays`` is the delay matrix given or
+    built from the graph; it is None for explicit patterns, which carry no
+    delay information.  ``sweep_template`` is the block pattern that
+    ``sweep`` repeats (None without a ``sweep`` section), and ``tol_zero``
+    the block-delay threshold of the QI check.
+    """
 
     plant: GeneralizedPlant
-    graph: Optional[DelayGraph]
     delays: Optional[DelayMatrix]
-    explicit_patterns: Optional[tuple]
+    space: ConstraintSpace
     sweep_template: Optional[np.ndarray]
-    n_horizon_override: Optional[int] = None
-    tol_zero: Optional[float] = None
-
-    def constraint_space(self) -> ConstraintSpace:
-        """Constraint space from whichever style the config used."""
-        if self.explicit_patterns is not None:
-            pats = tuple(np.asarray(p, dtype=bool) for p in self.explicit_patterns)
-            if self.n_horizon_override not in (None, len(pats)):
-                raise ConfigError(
-                    "options.n_horizon conflicts with the explicit pattern count"
-                )
-            return ConstraintSpace(
-                len(pats), self.plant.block_rows, self.plant.block_cols, pats
-            )
-        return build_constraint_space(
-            self.delay_matrix(),
-            self.plant.block_rows,
-            self.plant.block_cols,
-            self.n_horizon_override,
-        )
-
-    def delay_matrix(self) -> Optional[DelayMatrix]:
-        """Delay matrix when one is derivable (None for explicit patterns)."""
-        if self.delays is not None:
-            return self.delays
-        if self.graph is not None:
-            return build_delay_matrix(self.graph)
-        return None
+    tol_zero: float
 
     def sweep_space(self, n_horizon: int) -> ConstraintSpace:
         """Constraint space repeating the sweep template at lags 1..N."""
@@ -129,6 +114,7 @@ def load_config(path: str) -> ProblemConfig:
 
 
 def parse_config(doc: dict, where: str = "config") -> ProblemConfig:
+    """Resolve and check a problem document; errors start with ``where``."""
     if "plant" not in doc or not isinstance(doc["plant"], dict):
         raise ConfigError(f"{where}: missing 'plant' section")
     psec = doc["plant"]
@@ -150,72 +136,67 @@ def parse_config(doc: dict, where: str = "config") -> ProblemConfig:
         raise ConfigError(
             f"{where}: exactly one of {_CONSTRAINT_KEYS} required, found {present or 'none'}"
         )
+    n_horizon, tol_zero = _parse_options(doc.get("options", {}), where)
+    delays, space = _constraint(doc[present[0]], present[0], plant, n_horizon, where)
+    template = _parse_template(doc["sweep"], plant, where) if "sweep" in doc else None
+    return ProblemConfig(plant, delays, space, template, tol_zero)
 
-    graph = delays = explicit = None
-    style = present[0]
-    if style == "graph":
-        gsec = doc["graph"]
-        if not isinstance(gsec, dict) or "comp_delays" not in gsec:
-            raise ConfigError(f"{where}.graph: need 'comp_delays' and 'edges'")
+
+def _parse_options(osec, where: str) -> tuple[Optional[int], float]:
+    """``options.n_horizon`` (None when absent) and ``options.tol_zero``."""
+    if not isinstance(osec, dict):
+        raise ConfigError(f"{where}.options: must be an object")
+    unknown = set(osec) - {"n_horizon", "tol_zero"}
+    if unknown:
+        raise ConfigError(f"{where}.options: unknown keys {sorted(unknown)}")
+    try:
+        n_horizon = _whole(osec["n_horizon"]) if "n_horizon" in osec else None
+        tol_zero = float(osec.get("tol_zero", TOL_ZERO))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}.options: {exc}") from exc
+    if n_horizon is not None and n_horizon < 0:
+        raise ConfigError(f"{where}.options: n_horizon must be >= 0")
+    if not tol_zero > 0:
+        raise ConfigError(f"{where}.options: tol_zero must be > 0")
+    return n_horizon, tol_zero
+
+
+def _constraint(
+    section, style: str, plant: GeneralizedPlant, n_horizon: Optional[int], where: str
+) -> tuple[Optional[DelayMatrix], ConstraintSpace]:
+    """(delays, space) of the constraint section ``style``; ``delays`` is
+    None for explicit patterns."""
+    grid = (len(plant.block_rows), len(plant.block_cols))
+    if style == "patterns":
+        if not isinstance(section, list):
+            raise ConfigError(f"{where}.patterns: must be a list of 0/1 block matrices")
+        pats = tuple(
+            _block_pattern(p, grid, f"{where}.patterns[{idx}]") for idx, p in enumerate(section, 1)
+        )
+        if n_horizon not in (None, len(pats)):
+            raise ConfigError(f"{where}.options: n_horizon {n_horizon} conflicts "
+                              f"with the {len(pats)} explicit patterns")
         try:
-            comp = [_whole(c) for c in gsec["comp_delays"]]
-            edges = [tuple(_whole(x) for x in e) for e in gsec.get("edges", [])]
+            return None, ConstraintSpace(len(pats), plant.block_rows, plant.block_cols, pats)
+        except (DelayH2Error, ValueError) as exc:
+            raise ConfigError(f"{where}.patterns: {exc}") from exc
+    if style == "graph" and (not isinstance(section, dict) or "comp_delays" not in section):
+        raise ConfigError(f"{where}.graph: need 'comp_delays' and 'edges'")
+    try:
+        if style == "graph":
+            comp = [_whole(c) for c in section["comp_delays"]]
+            edges = [tuple(_whole(x) for x in e) for e in section.get("edges", [])]
             if any(len(e) != 3 for e in edges):
                 raise ValueError("edges must be [from, to, delay] triples")
-            graph = DelayGraph(len(comp), tuple(comp), tuple(edges))
-        except (DelayH2Error, ValueError, TypeError) as exc:
-            raise ConfigError(f"{where}.graph: {exc}") from exc
-        _check_block_count(len(comp), plant, where)
-    elif style == "delay_matrix":
-        try:
-            rows = [[_whole(x) for x in row] for row in doc["delay_matrix"]]
-            delays = DelayMatrix(np.array(rows, dtype=int))
-        except (DelayH2Error, ValueError, TypeError) as exc:
-            raise ConfigError(f"{where}.delay_matrix: {exc}") from exc
-        _check_block_count(delays.node_count, plant, where)
-    else:
-        raw = doc["patterns"]
-        if not isinstance(raw, list):
-            raise ConfigError(f"{where}.patterns: must be a list of 0/1 block matrices")
-        shape = (len(plant.block_rows), len(plant.block_cols))
-        explicit = tuple(
-            _block_pattern(p, shape, f"{where}.patterns[{idx}]") for idx, p in enumerate(raw, 1)
-        )
-
-    template = None
-    if "sweep" in doc:
-        template = _parse_template(doc["sweep"], plant, where)
-
-    n_override = None
-    tol_zero = None
-    if "options" in doc:
-        osec = doc["options"]
-        if not isinstance(osec, dict):
-            raise ConfigError(f"{where}.options: must be an object")
-        unknown = set(osec) - {"n_horizon", "tol_zero"}
-        if unknown:
-            raise ConfigError(f"{where}.options: unknown keys {sorted(unknown)}")
-        try:
-            if "n_horizon" in osec:
-                n_override = _whole(osec["n_horizon"])
-            if "tol_zero" in osec:
-                tol_zero = float(osec["tol_zero"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}.options: {exc}") from exc
-        if n_override is not None and n_override < 0:
-            raise ConfigError(f"{where}.options: n_horizon must be >= 0")
-        if tol_zero is not None and not tol_zero > 0:
-            raise ConfigError(f"{where}.options: tol_zero must be > 0")
-
-    return ProblemConfig(plant, graph, delays, explicit, template, n_override, tol_zero)
-
-
-def _check_block_count(nodes: int, plant: GeneralizedPlant, where: str) -> None:
-    if nodes != len(plant.block_rows) or nodes != len(plant.block_cols):
-        raise ConfigError(
-            f"{where}: {nodes} network nodes but plant declares "
-            f"{len(plant.block_rows)}/{len(plant.block_cols)} blocks"
-        )
+            delays = build_delay_matrix(DelayGraph(len(comp), tuple(comp), tuple(edges)))
+        else:
+            delays = DelayMatrix(np.array([[_whole(x) for x in row] for row in section], dtype=int))
+        if (delays.node_count,) * 2 != grid:
+            raise ValueError(f"{delays.node_count} network nodes but plant declares "
+                             f"{grid[0]}/{grid[1]} blocks")
+        return delays, build_constraint_space(delays, plant.block_rows, plant.block_cols, n_horizon)
+    except (DelayH2Error, ValueError, TypeError) as exc:
+        raise ConfigError(f"{where}.{style}: {exc}") from exc
 
 
 def _parse_template(section, plant: GeneralizedPlant, where: str) -> np.ndarray:

@@ -328,13 +328,13 @@ def _gramian(a: np.ndarray, c: np.ndarray) -> np.ndarray:
             if not math.isfinite(tail):
                 raise SolverFailure(
                     f"Smith doubling overflowed at step {step} (last finite tail factor "
-                    f"||P_g|| ||P_h|| = {last:.3g})"
+                    f"||A^(2^k)||_F^2 = {last:.3g})"
                 )
             if tail < np.finfo(float).eps:
                 return w
             last = tail
     raise SolverFailure(f"Smith doubling did not converge in {DOUBLING_MAX_STEPS} "
-                        f"steps (tail factor ||P_g|| ||P_h|| = {tail:.3g})")
+                        f"steps (tail factor ||A^(2^k)||_F^2 = {tail:.3g})")
 
 
 def dare_solve(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:

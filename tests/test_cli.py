@@ -365,6 +365,63 @@ class TestOptionsSection:
         assert cli.main(["check-qi", "--config", cfg]) == 1
 
 
+def nonmonotone_patterns(tmp_path: Path) -> str:
+    """Every block allowed at lag 1, only the diagonal at lag 2."""
+    doc = json.loads(Path(CENTRALIZED).read_text())
+    doc["patterns"] = [np.ones((3, 3)).tolist(), np.eye(3).tolist()]
+    doc["sweep"] = {"template": "diagonal"}
+    return write_json(tmp_path / "nonmonotone.json", doc)
+
+
+def conflicting_horizon(tmp_path: Path) -> str:
+    """A horizon of 3 against the sweep config's one explicit pattern."""
+    doc = json.loads(Path(SWEEP).read_text())
+    doc["options"] = {"n_horizon": 3}
+    return write_json(tmp_path / "conflict.json", doc)
+
+
+def unreachable_graph(tmp_path: Path) -> str:
+    """The three-player chain without node 2's outgoing link."""
+    doc = json.loads(Path(CHAIN).read_text())
+    doc["graph"]["edges"] = [e for e in doc["graph"]["edges"] if e[0] != 2]
+    return write_json(tmp_path / "unreachable.json", doc)
+
+
+class TestConfigResolvedOnLoad:
+    """A file that defines no valid constraint is refused by every subcommand
+    alike, as a config error naming its section; an exception escaping
+    ``main`` would fail the test."""
+
+    @pytest.mark.parametrize(
+        "make_config, section, command",
+        [
+            (nonmonotone_patterns, "patterns", "synth"),
+            (nonmonotone_patterns, "patterns", "sweep"),
+            (nonmonotone_patterns, "patterns", "verify"),
+            (conflicting_horizon, "options", "sweep"),
+            (unreachable_graph, "graph", "synth"),
+            (unreachable_graph, "graph", "check-qi"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else v.__name__,
+    )
+    def test_rejected_with_the_section_named(self, tmp_path, capsys, make_config, section,
+                                             command):
+        cfg = make_config(tmp_path)
+        controller = write_json(tmp_path / "zero.json", {"controller": {
+            "a": [[0.0]], "b": [[0.0] * 3], "c": [[0.0]] * 3, "d": np.zeros((3, 3)).tolist(),
+        }})
+        argv = {
+            "check-qi": ["check-qi"],
+            "synth": ["synth"],
+            "sweep": ["sweep", "--n-min", "1", "--n-max", "2", "--out", str(tmp_path / "n.csv")],
+            "verify": ["verify", controller],
+        }[command]
+        assert cli.main(argv + ["--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"delayh2: config error: {cfg}.{section}: ")
+        assert "Traceback" not in err
+
+
 class TestMalformedFields:
     """Fields of the wrong type are config errors naming their section,
     never a traceback."""

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import warnings
 
@@ -26,7 +27,8 @@ from delayh2 import (
     synthesize,
     vectorized_system,
 )
-from delayh2.statespace import _stability
+from delayh2 import statespace
+from delayh2.statespace import _balanced, _stability, _stein_certificate
 from conftest import make_chain_graph, make_chain_plant, no_eigvals, random_qp_instance
 
 CHAIN_NORM = 34.9304
@@ -121,6 +123,35 @@ class TestStabilityCertificate:
         monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
         assert loop.is_internally_stable
 
+    def test_balancing_lets_the_certificate_prove_a_badly_scaled_loop(self, monkeypatch):
+        # the 6-node chain with B2 scaled by 1e4 and C2 by 1e-4: order 42.
+        # Its loop mixes entries from 1e-4 to 1e4, so the rounding bound of
+        # the unbalanced Stein residual passes 1/2 within a few steps
+        plant = make_chain_plant(6)
+        plant = dataclasses.replace(plant, b2=1e4 * plant.b2, c2=1e-4 * plant.c2)
+        d = delay_matrix(make_chain_graph(6))
+        cs = constraint_space(d, plant.block_rows, plant.block_cols)
+        loop = closed_loop(plant, synthesize(plant, cs, delays=d).controller).model
+        a = loop.a
+        assert a.shape == (42, 42)
+
+        b = _balanced(a)
+        rows, cols = np.nonzero(a)
+        npt.assert_array_equal(np.nonzero(b), (rows, cols))
+        npt.assert_array_equal(np.diag(b), np.diag(a))
+        # a similarity by powers of two: every entry moves by an exact power
+        # of two and the characteristic polynomial stays
+        assert not np.array_equal(b, a)
+        npt.assert_array_equal(np.frexp(b[rows, cols] / a[rows, cols])[0], 0.5)
+        npt.assert_allclose(np.poly(b), np.poly(a), rtol=0, atol=1e-12 * np.abs(np.poly(a)).max())
+
+        monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+        assert loop.is_stable
+        monkeypatch.setattr(statespace, "_balanced", lambda m: m)
+        certified, why = _stein_certificate(a)
+        assert not certified
+        assert re.fullmatch(r"residual rounding bound \S+ after \d doubling steps", why)
+
     def test_transient_growth_leaves_the_verdict_to_the_eigenvalues(self):
         # ||A_cl||_F is about 10^9.8: even balanced, the loop's powers grow so
         # far that the rounding bound of the Stein residual exceeds the
@@ -145,7 +176,7 @@ class TestStabilityCertificate:
             with pytest.raises(
                 SolverFailure,
                 match=r"^Smith doubling overflowed at step \d+ \(last finite tail factor "
-                r"\|\|P_g\|\| \|\|P_h\|\| = [\d.]+e\+\d+\)$",
+                r"\|\|A\^\(2\^k\)\|\|_F\^2 = [\d.]+e\+\d+\)$",
             ):
                 h2_norm_sq(loop.model)
 
