@@ -39,6 +39,7 @@ from .statespace import (
     spectral_radius,
 )
 from .synthesis import (
+    FactoredController,
     GeneralizedPlant,
     RiccatiGains,
     SynthesisResult,
@@ -67,6 +68,7 @@ __all__ = [
     "DelayH2Error",
     "DelayMatrix",
     "DimensionMismatch",
+    "FactoredController",
     "GeneralizedPlant",
     "IllPosed",
     "NotStronglyConnected",

@@ -21,9 +21,11 @@ one constraint section (``graph``, ``delay_matrix`` or ``patterns``)::
 Sweep templates may also be the strings "diagonal", "lower-triangular" or
 "full".  ``options.n_horizon`` overrides the FIR horizon of a graph or
 delay-matrix constraint (blocks stay allowed from their delay onward, so a
-longer window only appends unconstrained lags) and must equal the count of
-explicit patterns; ``options.tol_zero`` sets the file-level threshold for
-plant block-delay detection, overridable by the CLI's --tol flag.
+longer window only appends unconstrained lags); it must be 0, the
+centralized design, or at least max(d) - 1, since a shorter window would
+drop constrained lags, and it must equal the count of explicit patterns.
+``options.tol_zero`` sets the file-level threshold for plant block-delay
+detection, overridable by the CLI's --tol flag.
 
 :func:`load_config` resolves the whole problem as it reads the file: the
 graph's delay matrix, the constraint space and every check on them.  Any
@@ -194,9 +196,15 @@ def _constraint(
         if (delays.node_count,) * 2 != grid:
             raise ValueError(f"{delays.node_count} network nodes but plant declares "
                              f"{grid[0]}/{grid[1]} blocks")
-        return delays, build_constraint_space(delays, plant.block_rows, plant.block_cols, n_horizon)
+        space = build_constraint_space(delays, plant.block_rows, plant.block_cols, n_horizon)
     except (DelayH2Error, ValueError, TypeError) as exc:
         raise ConfigError(f"{where}.{style}: {exc}") from exc
+    full = delays.max_delay() - 1
+    if 0 < space.n_horizon < full:
+        raise ConfigError(f"{where}.options: n_horizon {n_horizon} would drop the delay "
+                          f"constraint past lag {n_horizon}; use 0 (centralized) or at least "
+                          f"max(d) - 1 = {full}")
+    return delays, space
 
 
 def _parse_template(section, plant: GeneralizedPlant, where: str) -> np.ndarray:

@@ -40,7 +40,8 @@ from .errors import (
 from .statespace import (
     StateSpaceModel,
     TOL_STAB,
-    dare_solve,
+    _dare,
+    dare_solve,  # noqa: F401 -- perfbench/run.py traces it under this module
     h2_norm_sq,
     impulse_response,
     multiply,
@@ -278,8 +279,26 @@ def _fir_realization(v: np.ndarray):
 
 
 @dataclass(frozen=True)
+class FactoredController(StateSpaceModel):
+    """A controller realization (A, B, C, D) that also carries the factors it
+    was assembled from: the LQG gains K (``k_gain``) and L (``l_gain``) and
+    the ``(N, n_ctrl, n_meas)`` FIR coefficients ``v`` of the free
+    parameter.  See :func:`realize_controller` for how they combine;
+    :func:`delayh2.verify.closed_loop` re-checks them against A, B, C."""
+
+    k_gain: np.ndarray
+    l_gain: np.ndarray
+    v: np.ndarray
+
+    def __post_init__(self):
+        super().__post_init__()
+        for name in ("k_gain", "l_gain", "v"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+
+
+@dataclass(frozen=True)
 class SynthesisResult:
-    controller: StateSpaceModel
+    controller: FactoredController
     v_star: np.ndarray
     p11_norm_sq: float
     qp_cost: float
@@ -295,18 +314,19 @@ def riccati_gains(plant: GeneralizedPlant) -> RiccatiGains:
 
     X solves X = C1^T C1 + A^T X A - A^T X B2 (I + B2^T X B2)^{-1} B2^T X A
     and Y the dual equation with (A^T, C2^T, B1 B1^T); the gains are
-    K = -(I + B2^T X B2)^{-1} B2^T X A and L = -A Y C2^T (I + C2 Y C2^T)^{-1}.
-    :func:`dare_solve` raises :class:`AssumptionViolated` unless both loops
-    are stable; the filter's loop (A + L C2)^T has the eigenvalues of A + L C2.
+    K = -(I + B2^T X B2)^{-1} B2^T X A and L = -A Y C2^T (I + C2 Y C2^T)^{-1},
+    the gains the Riccati solver forms for its own closed-loop check; L is
+    the transpose of the dual equation's gain.  The solver raises
+    :class:`AssumptionViolated` unless both loops are stable; the filter's
+    loop (A + L C2)^T has the eigenvalues of A + L C2.
     """
     a, b2, c1 = plant.a, plant.b2, plant.c1
     c2, b1 = plant.c2, plant.b1
-    x = dare_solve(a, b2, c1.T @ c1)
-    y = dare_solve(a.T, c2.T, b1 @ b1.T)
+    x, k = _dare(a, b2, c1.T @ c1)
+    y, l_dual = _dare(a.T, c2.T, b1 @ b1.T)
     omega = np.eye(plant.n_ctrl) + b2.T @ x @ b2
     psi = np.eye(plant.n_meas) + c2 @ y @ c2.T
-    k = -np.linalg.solve(omega, b2.T @ x @ a)
-    l = -np.linalg.solve(psi.T, (a @ y @ c2.T).T).T
+    l = l_dual.T
     return RiccatiGains(x, y, k, l, omega, psi, a + b2 @ k, a + l @ c2)
 
 
@@ -639,12 +659,18 @@ def _horizon_qp_costs(vsys: VectorizedSystem, mask: np.ndarray, omega, psi, n_ma
 
 def realize_controller(
     v_star: np.ndarray, gains: RiccatiGains, plant: GeneralizedPlant
-) -> StateSpaceModel:
+) -> FactoredController:
     """Assemble the strictly proper controller for a FIR free parameter,
     given as its ``(N, n_ctrl, n_meas)`` coefficients V_1 ... V_N.
 
     The realization couples the LQG observer loop with a shift register
-    holding the last N measurements; its order is n + n_meas * N.
+    holding the last N measurements; its order is n + n_meas * N:
+
+        A = [[A + B2 K + L C2, B2 C_fir], [B_fir C2, A_fir]],
+        B = [-L; -B_fir],   C = [K, C_fir],   D = 0,
+
+    with (A_fir, B_fir, C_fir) the shift register of V.  The result carries
+    K, L and V along with the realization.
     """
     b2, c2 = plant.b2, plant.c2
     k, l = gains.k_gain, gains.l_gain
@@ -663,7 +689,7 @@ def realize_controller(
     )
     b_ctrl = np.vstack([-l, -b_fir])
     c_ctrl = np.hstack([k, c_fir])
-    return StateSpaceModel(a_ctrl, b_ctrl, c_ctrl, np.zeros((n_u, n_y)))
+    return FactoredController(a_ctrl, b_ctrl, c_ctrl, np.zeros((n_u, n_y)), k, l, v_star)
 
 
 def _plant_prefix(plant: GeneralizedPlant) -> tuple[RiccatiGains, float, VectorizedSystem]:

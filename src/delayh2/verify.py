@@ -1,22 +1,27 @@
 """Independent checks on synthesized controllers.
 
-Nothing here reuses the synthesis pipeline's intermediate quantities: the
-closed loop is rebuilt from the raw interconnection, delay-pattern
+The closed loop is rebuilt from the raw interconnection, delay-pattern
 conformance is read off the controller's own Markov parameters, and the
-quadratic program is re-solved as one explicit KKT system.
+quadratic program is re-solved as one explicit KKT system.  The one
+quantity taken from synthesis is what a :class:`FactoredController`
+carries: its gains K, L and FIR coefficients V.  They are not trusted.
+:func:`closed_loop` rebuilds the controller's realization from the plant
+and those factors with its own code and uses them only if the rebuild
+matches the realization it was given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
+from . import statespace
 from .delaymodel import ConstraintSpace, block_norms
 from .errors import DimensionMismatch, IllPosed, SolverFailure
 from .statespace import StateSpaceModel, impulse_response
-from .synthesis import GeneralizedPlant, VectorizedSystem
+from .synthesis import FactoredController, GeneralizedPlant, VectorizedSystem
 
 CONFORMANCE_TOL = 1e-7
 
@@ -26,22 +31,41 @@ class ClosedLoop:
     """Disturbance-to-performance map of the plant/controller interconnection.
 
     ``model.a`` is the state matrix of the whole interconnection, so its
-    stability is internal stability.  From order 32 on it is proven by a
-    Stein certificate X - A^T X A > 0 built from a few squarings of A; the
-    eigenvalues decide below that order and where the powers grow too far
-    for the proof to survive its rounding (see
-    :attr:`StateSpaceModel.is_stable`).
+    stability is internal stability.  Which test decides it:
+
+    * ``youla_blocks`` holds A_K = A + B2 K and A_L = A + L C2 when the
+      controller carried factors (K, L, V) that rebuild its realization
+      (see :func:`closed_loop`).  In the coordinates (x - x^, shift
+      register, x) that loop is block lower triangular with diagonal blocks
+      A_L, the nilpotent shift and A_K, so its spectrum is
+      spec(A_L) u {0} u spec(A_K), and the two n x n blocks decide, each by
+      the test of :attr:`StateSpaceModel.is_stable`.  That verdict
+      certifies the exact loop of (K, L, V), not its rounded dense matrix:
+      a far-from-normal shift register can make the dense matrix's
+      eigenvalues say otherwise.
+    * Otherwise (``youla_blocks`` None) ``model.a`` decides: from order 32
+      on by a Stein certificate X - A^T X A > 0 built from a few squarings
+      of A, and by the eigenvalues below that order and where the powers
+      grow too far for the proof to survive its rounding.
     """
 
     model: StateSpaceModel
+    youla_blocks: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def is_internally_stable(self) -> bool:
-        return self.model.is_stable
+        if self.youla_blocks is None:
+            return self.model.is_stable
+        return all(statespace._stability(block)[0] for block in self.youla_blocks)
 
 
 def closed_loop(plant: GeneralizedPlant, k: StateSpaceModel) -> ClosedLoop:
     """Interconnect a strictly proper controller with the plant.
+
+    A :class:`FactoredController` whose realization matches the rebuild
+    from the plant and its factors (:func:`_youla_blocks`) gives a loop
+    whose stability A_K and A_L decide; any other controller's loop is
+    decided on its dense state matrix (see :class:`ClosedLoop`).
 
     Raises
     ------
@@ -53,7 +77,6 @@ def closed_loop(plant: GeneralizedPlant, k: StateSpaceModel) -> ClosedLoop:
         raise DimensionMismatch("controller dimensions do not match the plant")
     if np.count_nonzero(k.d):
         raise IllPosed("controller must be strictly proper (zero feedthrough)")
-    n, nk = plant.n, k.order
     a = np.block(
         [
             [plant.a, plant.b2 @ k.c],
@@ -63,7 +86,54 @@ def closed_loop(plant: GeneralizedPlant, k: StateSpaceModel) -> ClosedLoop:
     b = np.vstack([plant.b1, k.b @ plant.d21])
     c = np.hstack([plant.c1, plant.d12 @ k.c])
     d = np.zeros((plant.n_perf, plant.n_dist))
-    return ClosedLoop(StateSpaceModel(a, b, c, d))
+    return ClosedLoop(StateSpaceModel(a, b, c, d), _youla_blocks(plant, k))
+
+
+def _youla_blocks(plant: GeneralizedPlant, k: StateSpaceModel):
+    """(A_K, A_L), formed from the plant and the factors K, L, V that ``k``
+    carries, if ``k``'s realization is the one they give; None if ``k``
+    carries no factors or differs from that rebuild.
+
+    The rebuild is A = [[A + B2 K + L C2, B2 C_fir], [B_fir C2, A_fir]],
+    B = [-L; -B_fir], C = [K, C_fir], with the shift register A_fir,
+    the tap selector B_fir and C_fir = [V_1 ... V_N].  Copied and selected
+    blocks must match bit for bit; the two product blocks, whose rounding
+    depends on the order of summation, must match within a bound on it.
+    """
+    if not isinstance(k, FactoredController):
+        return None
+    a, b2, c2 = plant.a, plant.b2, plant.c2
+    gain, filt, v = k.k_gain, k.l_gain, k.v
+    n, n_u, n_y = plant.n, plant.n_ctrl, plant.n_meas
+    if (gain.shape != (n_u, n) or filt.shape != (n, n_y) or v.ndim != 3
+            or v.shape[1:] != (n_u, n_y) or k.order != n + v.shape[0] * n_y):
+        return None
+    m = k.order - n
+    c_fir = v.transpose(1, 0, 2).reshape(n_u, m)
+    taps = np.eye(m, n_y)
+    copied = (
+        np.array_equal(k.b, np.vstack([-filt, -taps]))
+        and np.array_equal(k.c, np.hstack([gain, c_fir]))
+        and np.array_equal(k.a[n:, n:], np.eye(m, k=-n_y))
+        and np.array_equal(k.a[n:, :n], taps @ c2)
+    )
+    if not copied:
+        return None
+    # An entry of a sum of products with at most j = max(n_u, n_y) terms,
+    # plus two additions, is within gamma_(j+2) = (j + 2) u / (1 - (j + 2) u),
+    # u = eps / 2, of its exact value relative to the same sum of absolute
+    # values, in any order of summation (Higham 2002, section 3.5).  Both
+    # realizations are that close to the exact block, so they differ by
+    # about (j + 2) eps times it; a factor 2 more covers the second-order
+    # terms and the rounding of the bound itself.
+    gamma = 2.0 * (max(n_u, n_y) + 2) * np.finfo(float).eps
+    a_k, a_l = a + b2 @ gain, a + filt @ c2
+    bound_11 = gamma * (np.abs(a) + np.abs(b2) @ np.abs(gain) + np.abs(filt) @ np.abs(c2))
+    bound_12 = gamma * (np.abs(b2) @ np.abs(c_fir))
+    if (np.all(np.abs(k.a[:n, :n] - (a_k + filt @ c2)) <= bound_11)
+            and np.all(np.abs(k.a[:n, n:] - b2 @ c_fir) <= bound_12)):
+        return a_k, a_l
+    return None
 
 
 @dataclass(frozen=True)

@@ -344,6 +344,17 @@ class TestOptionsSection:
         norm = float(capsys.readouterr().out.split("H2 norm:")[1].strip())
         assert norm == pytest.approx(24.236, abs=1e-2)
 
+    def test_horizon_below_the_delay_constraint_rejected(self, tmp_path, capsys):
+        # max(d) = 3 on the chain: a horizon of 1 would leave the lag-2
+        # constraint out of the QP while the QI check still judged it
+        doc = json.loads(Path(CHAIN).read_text())
+        doc["options"] = {"n_horizon": 1}
+        cfg = write_json(tmp_path / "short.json", doc)
+        assert cli.main(["synth", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"delayh2: config error: {cfg}.options: n_horizon 1 ")
+        assert "max(d) - 1 = 2" in err
+
     def test_override_conflicting_with_patterns_rejected(self, tmp_path):
         doc = json.loads(Path(CENTRALIZED).read_text())
         doc["options"] = {"n_horizon": 3}

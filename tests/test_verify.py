@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -8,6 +9,7 @@ import pytest
 
 from delayh2 import (
     ConstraintSpace,
+    FactoredController,
     GeneralizedPlant,
     IllPosed,
     SolverFailure,
@@ -28,6 +30,7 @@ from delayh2 import (
     vectorized_system,
 )
 from delayh2 import statespace
+from delayh2.config import load_config
 from delayh2.statespace import _balanced, _stability, _stein_certificate
 from conftest import make_chain_graph, make_chain_plant, no_eigvals, random_qp_instance
 
@@ -121,7 +124,7 @@ class TestStabilityCertificate:
         # Stein certificate alone
         _, loop = chain12
         monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
-        assert loop.is_internally_stable
+        assert loop.model.is_stable
 
     def test_balancing_lets_the_certificate_prove_a_badly_scaled_loop(self, monkeypatch):
         # the 6-node chain with B2 scaled by 1e4 and C2 by 1e-4: order 42.
@@ -182,16 +185,101 @@ class TestStabilityCertificate:
 
     def test_unstable_verdict_names_both_tests(self):
         # the exact spectrum lies inside the unit circle, but in double
-        # precision neither test can tell: the Stein certificate gives up on
-        # its rounding bound, and the eigenvalue solve reports 1.71
+        # precision neither test can tell from the dense loop: the Stein
+        # certificate gives up on its rounding bound, and the eigenvalue
+        # solve reports about 1.7.  A_K and A_L, of radius 0.161, decide the
+        # synthesized controller's loop
         loop = shift_chain_loop(6.1, 24)
-        assert not loop.is_internally_stable
+        assert not loop.model.is_stable
+        assert loop.is_internally_stable
         with pytest.raises(
             UnstableSystem,
             match=r"^h2_norm_sq: Stein certificate: residual rounding bound \S+ after \d "
             r"doubling steps; eigenvalues: spectral radius 1\.7\d* >= 1 - 1e-09$",
         ):
             h2_norm_sq(loop.model)
+
+
+SWEEP_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "two_subsystem_sweep.json")
+
+
+def stability_orders(monkeypatch) -> list:
+    """Orders of the matrices ``statespace._stability`` decides from now on."""
+    seen, decide = [], statespace._stability
+
+    def spy(a):
+        seen.append(a.shape[0])
+        return decide(a)
+
+    monkeypatch.setattr(statespace, "_stability", spy)
+    return seen
+
+
+def with_changed_shift_entry(k: FactoredController) -> FactoredController:
+    """``k`` with the first one of its shift register moved by one ulp."""
+    n, n_meas = k.l_gain.shape
+    a = k.a.copy()
+    a[n + n_meas, n] = np.nextafter(1.0, 2.0)
+    return dataclasses.replace(k, a=a)
+
+
+class TestYoulaStability:
+    """A synthesized controller's loop is decided from A_K and A_L, the
+    n x n diagonal blocks of its block-triangular form, once the rebuild
+    from (K, L, V) matches the controller's realization."""
+
+    def test_synthesized_loop_is_decided_at_the_plant_order(self, chain12, monkeypatch):
+        result, _ = chain12
+        loop = closed_loop(make_chain_plant(12), result.controller)
+        seen = stability_orders(monkeypatch)
+        assert loop.is_internally_stable
+        assert seen == [12, 12]
+        a_k, a_l = loop.youla_blocks
+        assert spectral_radius(a_k) < 1 and spectral_radius(a_l) < 1
+
+    @pytest.mark.parametrize(
+        "strip",
+        [lambda k: StateSpaceModel(k.a, k.b, k.c, k.d), with_changed_shift_entry],
+        ids=["plain realization", "changed shift entry"],
+    )
+    def test_other_controllers_are_decided_on_the_whole_loop(self, chain12, monkeypatch, strip):
+        result, _ = chain12
+        loop = closed_loop(make_chain_plant(12), strip(result.controller))
+        assert loop.youla_blocks is None
+        seen = stability_orders(monkeypatch)
+        assert loop.is_internally_stable
+        assert seen == [156]
+
+    def test_a_product_block_off_by_more_than_rounding_is_refused(self, chain_plant, chain_result):
+        k = chain_result.controller
+        a = k.a.copy()
+        a[0, 0] *= 1 + 1e-12
+        assert closed_loop(chain_plant, k).youla_blocks is not None
+        assert closed_loop(chain_plant, dataclasses.replace(k, a=a)).youla_blocks is None
+
+    def test_centralized_controller_has_no_shift_register(self, chain_plant):
+        gains = riccati_gains(chain_plant)
+        k = realize_controller(np.zeros((0, 3, 3)), gains, chain_plant)
+        loop = closed_loop(chain_plant, k)
+        assert loop.youla_blocks is not None
+        assert loop.is_internally_stable is loop.model.is_stable is True
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_verdicts_agree_on_chains(self, n):
+        plant = make_chain_plant(n)
+        d = delay_matrix(make_chain_graph(n))
+        cs = constraint_space(d, plant.block_rows, plant.block_cols)
+        loop = closed_loop(plant, synthesize(plant, cs, delays=d).controller)
+        assert loop.youla_blocks is not None
+        assert loop.is_internally_stable is loop.model.is_stable is True
+
+    @pytest.mark.parametrize("n_horizon", [5, 10, 20])
+    def test_verdicts_agree_on_the_sweep_config(self, n_horizon):
+        cfg = load_config(SWEEP_CONFIG)
+        k = synthesize(cfg.plant, cfg.sweep_space(n_horizon)).controller
+        loop = closed_loop(cfg.plant, k)
+        assert loop.youla_blocks is not None
+        assert loop.is_internally_stable is loop.model.is_stable is True
 
 
 class TestConformance:
