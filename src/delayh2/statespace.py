@@ -353,12 +353,6 @@ def dare_solve(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:
     resulting closed loop A + B K is not stable by the test of
     :attr:`StateSpaceModel.is_stable`.
     """
-    return _dare(a, b, q)[0]
-
-
-def _dare(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The solution X of :func:`dare_solve` and the gain
-    K = -(I + B^T X B)^{-1} B^T X A whose closed loop A + B K it checked."""
     a, b, q = map(_as_matrix, (a, b, q))
     n, m = a.shape[0], b.shape[1]
     if q.shape != (n, n) or b.shape[0] != n:
@@ -389,4 +383,4 @@ def _dare(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.n
         raise AssumptionViolated(
             f"Riccati closed loop is not stable ({why}); check stabilizability/detectability"
         )
-    return x, k
+    return x

@@ -40,8 +40,7 @@ from .errors import (
 from .statespace import (
     StateSpaceModel,
     TOL_STAB,
-    _dare,
-    dare_solve,  # noqa: F401 -- perfbench/run.py traces it under this module
+    dare_solve,
     h2_norm_sq,
     impulse_response,
     multiply,
@@ -314,19 +313,18 @@ def riccati_gains(plant: GeneralizedPlant) -> RiccatiGains:
 
     X solves X = C1^T C1 + A^T X A - A^T X B2 (I + B2^T X B2)^{-1} B2^T X A
     and Y the dual equation with (A^T, C2^T, B1 B1^T); the gains are
-    K = -(I + B2^T X B2)^{-1} B2^T X A and L = -A Y C2^T (I + C2 Y C2^T)^{-1},
-    the gains the Riccati solver forms for its own closed-loop check; L is
-    the transpose of the dual equation's gain.  The solver raises
-    :class:`AssumptionViolated` unless both loops are stable; the filter's
-    loop (A + L C2)^T has the eigenvalues of A + L C2.
+    K = -(I + B2^T X B2)^{-1} B2^T X A and L = -A Y C2^T (I + C2 Y C2^T)^{-1}.
+    :func:`dare_solve` raises :class:`AssumptionViolated` unless both loops
+    are stable; the filter's loop (A + L C2)^T has the eigenvalues of A + L C2.
     """
     a, b2, c1 = plant.a, plant.b2, plant.c1
     c2, b1 = plant.c2, plant.b1
-    x, k = _dare(a, b2, c1.T @ c1)
-    y, l_dual = _dare(a.T, c2.T, b1 @ b1.T)
+    x = dare_solve(a, b2, c1.T @ c1)
+    y = dare_solve(a.T, c2.T, b1 @ b1.T)
     omega = np.eye(plant.n_ctrl) + b2.T @ x @ b2
     psi = np.eye(plant.n_meas) + c2 @ y @ c2.T
-    l = l_dual.T
+    k = -np.linalg.solve(omega, b2.T @ x @ a)
+    l = -np.linalg.solve(psi.T, (a @ y @ c2.T).T).T
     return RiccatiGains(x, y, k, l, omega, psi, a + b2 @ k, a + l @ c2)
 
 

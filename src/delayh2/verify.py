@@ -12,7 +12,7 @@ matches the realization it was given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -43,17 +43,28 @@ class ClosedLoop:
       certifies the exact loop of (K, L, V), not its rounded dense matrix:
       a far-from-normal shift register can make the dense matrix's
       eigenvalues say otherwise.
-    * Otherwise (``youla_blocks`` None) ``model.a`` decides: from order 32
-      on by a Stein certificate X - A^T X A > 0 built from a few squarings
-      of A, and by the eigenvalues below that order and where the powers
-      grow too far for the proof to survive its rounding.
+    * Otherwise (``youla_blocks`` None) ``model.a`` decides, by the test
+      that :func:`h2_norm_sq` requires of it: from order 32 on by a Stein
+      certificate X - A^T X A > 0 built from a few squarings of A, and by
+      the eigenvalues below that order and where the powers grow too far
+      for the proof to survive its rounding.
     """
 
     model: StateSpaceModel
-    youla_blocks: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    # Set only by closed_loop, after the rebuild check; not an init field,
+    # so a verdict cannot come from blocks that were not checked.
+    youla_blocks: Optional[Tuple[np.ndarray, np.ndarray]] = field(
+        default=None, init=False, repr=False
+    )
 
     @property
     def is_internally_stable(self) -> bool:
+        """Whether the loop is internally stable, by the test described in
+        :class:`ClosedLoop`.  On the Youla path a True verdict is about the
+        exact loop of (K, L, V), not about ``model``: ``h2_norm_sq(model)``
+        can still raise :class:`UnstableSystem` when the dense matrix's
+        rounding hides its stability, so a caller that computes the norm
+        after this verdict must expect that error."""
         if self.youla_blocks is None:
             return self.model.is_stable
         return all(statespace._stability(block)[0] for block in self.youla_blocks)
@@ -86,7 +97,9 @@ def closed_loop(plant: GeneralizedPlant, k: StateSpaceModel) -> ClosedLoop:
     b = np.vstack([plant.b1, k.b @ plant.d21])
     c = np.hstack([plant.c1, plant.d12 @ k.c])
     d = np.zeros((plant.n_perf, plant.n_dist))
-    return ClosedLoop(StateSpaceModel(a, b, c, d), _youla_blocks(plant, k))
+    loop = ClosedLoop(StateSpaceModel(a, b, c, d))
+    object.__setattr__(loop, "youla_blocks", _youla_blocks(plant, k))
+    return loop
 
 
 def _youla_blocks(plant: GeneralizedPlant, k: StateSpaceModel):

@@ -8,6 +8,7 @@ import numpy.testing as npt
 import pytest
 
 from delayh2 import (
+    ClosedLoop,
     ConstraintSpace,
     FactoredController,
     GeneralizedPlant,
@@ -256,6 +257,11 @@ class TestYoulaStability:
         a[0, 0] *= 1 + 1e-12
         assert closed_loop(chain_plant, k).youla_blocks is not None
         assert closed_loop(chain_plant, dataclasses.replace(k, a=a)).youla_blocks is None
+
+    def test_blocks_cannot_be_handed_in(self, chain_plant, chain_result):
+        loop = closed_loop(chain_plant, chain_result.controller)
+        with pytest.raises(TypeError):
+            ClosedLoop(loop.model, loop.youla_blocks)
 
     def test_centralized_controller_has_no_shift_register(self, chain_plant):
         gains = riccati_gains(chain_plant)
