@@ -44,13 +44,25 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _tolerance(text: str) -> float:
+    """The --tol flags' type: a finite number > 0.  NaN would compare false
+    with every block norm, and a bound <= 0 would flag exact zeros."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="delayh2", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     qi = sub.add_parser("check-qi", help="test quadratic invariance of the delay pattern")
     qi.add_argument("--config", required=True, help="problem JSON file")
-    qi.add_argument("--tol", type=float, default=None,
+    qi.add_argument("--tol", type=_tolerance, default=None,
                     help="threshold for a Markov-parameter block to count as nonzero")
 
     synth = sub.add_parser("synth", help="synthesize the optimal controller")
@@ -58,7 +70,7 @@ def _build_parser() -> _Parser:
     synth.add_argument("--out", help="write the controller and costs to this JSON file")
     synth.add_argument("--force", action="store_true",
                        help="skip the quadratic-invariance pre-check")
-    synth.add_argument("--tol", type=float, default=None)
+    synth.add_argument("--tol", type=_tolerance, default=None)
 
     sweep = sub.add_parser("sweep", help="optimal norms over a range of horizons N")
     sweep.add_argument("--config", required=True)
@@ -69,7 +81,7 @@ def _build_parser() -> _Parser:
     ver = sub.add_parser("verify", help="re-check a synthesized controller")
     ver.add_argument("controller", help="controller JSON file written by synth")
     ver.add_argument("--config", required=True)
-    ver.add_argument("--tol", type=float, default=verify.CONFORMANCE_TOL,
+    ver.add_argument("--tol", type=_tolerance, default=verify.CONFORMANCE_TOL,
                      help="relative tolerance for conformance")
     return parser
 

@@ -36,6 +36,7 @@ fault (``{path}.{section}``), so every subcommand refuses the same files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -158,8 +159,8 @@ def _parse_options(osec, where: str) -> tuple[Optional[int], float]:
         raise ConfigError(f"{where}.options: {exc}") from exc
     if n_horizon is not None and n_horizon < 0:
         raise ConfigError(f"{where}.options: n_horizon must be >= 0")
-    if not tol_zero > 0:
-        raise ConfigError(f"{where}.options: tol_zero must be > 0")
+    if not (math.isfinite(tol_zero) and tol_zero > 0):
+        raise ConfigError(f"{where}.options: tol_zero must be finite and > 0")
     return n_horizon, tol_zero
 
 

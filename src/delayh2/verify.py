@@ -2,12 +2,18 @@
 
 The closed loop is rebuilt from the raw interconnection, delay-pattern
 conformance is read off the controller's own Markov parameters, and the
-quadratic program is re-solved as one explicit KKT system.  The one
-quantity taken from synthesis is what a :class:`FactoredController`
-carries: its gains K, L and FIR coefficients V.  They are not trusted.
-:func:`closed_loop` rebuilds the controller's realization from the plant
-and those factors with its own code and uses them only if the rebuild
-matches the realization it was given.
+quadratic program is re-solved as one explicit KKT system.  The Markov
+parameters come from the realization alone: when its last states are a
+shift register of the past N measurements, as in every synthesized
+controller and every controller file written from one, each lag costs two
+products with A's top rows instead of one with the whole A; any other
+realization takes the dense recursion.
+
+The one quantity taken from synthesis is what a
+:class:`FactoredController` carries: its gains K, L and FIR coefficients
+V.  They are not trusted.  :func:`closed_loop` rebuilds the controller's
+realization from the plant and those factors with its own code and uses
+them only if the rebuild matches the realization it was given.
 """
 
 from __future__ import annotations
@@ -127,7 +133,7 @@ def _youla_blocks(plant: GeneralizedPlant, k: StateSpaceModel):
     copied = (
         np.array_equal(k.b, np.vstack([-filt, -taps]))
         and np.array_equal(k.c, np.hstack([gain, c_fir]))
-        and np.array_equal(k.a[n:, n:], np.eye(m, k=-n_y))
+        and _is_shift_register(k.a, n, n_y)
         and np.array_equal(k.a[n:, :n], taps @ c2)
     )
     if not copied:
@@ -147,6 +153,51 @@ def _youla_blocks(plant: GeneralizedPlant, k: StateSpaceModel):
             and np.all(np.abs(k.a[:n, n:] - b2 @ c_fir) <= bound_12)):
         return a_k, a_l
     return None
+
+
+def _is_shift_register(a: np.ndarray, n: int, n_y: int) -> bool:
+    """Whether the states of ``a`` from n on are exactly a shift register
+    of n_y-vectors fed only through its first slot: ``a[n:, n:]`` is
+    ``np.eye(m, k=-n_y)``, m = order - n, and ``a[n + n_y:, :n]`` is zero.
+    Decided without forming the m x m shift: with the register's ones in
+    place, the contiguous rows ``a[n:]`` may have no nonzeros besides them
+    and the feed block ``a[n:n + n_y, :n]``.
+    """
+    ones = np.diagonal(a[n + n_y:], offset=n)
+    return (np.count_nonzero(ones == 1.0) == ones.size
+            and np.count_nonzero(a[n:]) == ones.size + np.count_nonzero(a[n:n + n_y, :n]))
+
+
+def _markov_parameters(k: StateSpaceModel, horizon: int) -> np.ndarray:
+    """``impulse_response(k, horizon)``, through the shift register when
+    the realization shows one.
+
+    With n = order - horizon * n_y, the realization qualifies when its last
+    horizon * n_y states are a shift register (:func:`_is_shift_register`):
+    then only the first n + n_y rows of A x are products, and the rest of x
+    moves down by n_y rows.  A^(i-1) B is kept as a window sliding up one
+    buffer: each lag multiplies C and those top rows by the window and
+    writes the second product just above it, at O((n + n_y) order n_y)
+    instead of O(order^2 n_y).  Any other realization takes the dense
+    recursion of :func:`impulse_response`.
+    """
+    a, order, n_y = k.a, k.order, k.n_inputs
+    n = order - horizon * n_y
+    if n < 0 or not _is_shift_register(a, n, n_y):
+        return impulse_response(k, horizon)
+    top = a[:n + n_y]
+    resp = np.empty((horizon + 1,) + k.d.shape)
+    resp[0] = k.d
+    p = horizon * n_y
+    buf = np.empty((p + order, n_y))
+    buf[p:] = k.b
+    for lag in range(1, horizon + 1):
+        w = buf[p:p + order]
+        np.matmul(k.c, w, out=resp[lag])
+        if lag < horizon:
+            p -= n_y
+            buf[p:p + n + n_y] = top @ w
+    return resp
 
 
 @dataclass(frozen=True)
@@ -169,8 +220,16 @@ def conformance(
     The feedthrough must vanish and, for each lag 1..N, every forbidden
     block of the corresponding Markov parameter must be zero up to ``tol``
     relative to the overall response scale.
+
+    The Markov parameters are computed from (A, B, C, D) alone; no factor
+    is trusted.  When A's last N n_y states are exactly a shift register of
+    the measurements, as in every synthesized controller, factored or read
+    from a file, each lag costs two products with A's top n + n_y rows
+    (:func:`_markov_parameters`).  Any other realization, and one with
+    fewer than N n_y states, falls back to the dense recursion of
+    :func:`impulse_response`.  At N = 0 only the feedthrough is read.
     """
-    resp = impulse_response(k, cs.n_horizon)
+    resp = _markov_parameters(k, cs.n_horizon)
     tol = tol * (1.0 + float(np.linalg.norm(resp, axis=(1, 2)).max()))
     no_feedthrough = np.zeros((len(cs.block_rows), len(cs.block_cols)), dtype=bool)
     allowed = np.stack((no_feedthrough,) + cs.patterns)

@@ -9,6 +9,7 @@ from delayh2 import (
     delay_matrix,
     model_matching_matrices,
     spectral_radius,
+    verify,
 )
 
 
@@ -43,6 +44,19 @@ def make_chain_graph(n: int = 3, comp_delay: int = 1) -> DelayGraph:
 def no_eigvals(a):
     """Stand-in for ``np.linalg.eigvals`` in tests that must not reach it."""
     raise AssertionError("eigenvalues computed")
+
+
+def dense_orders(monkeypatch) -> list:
+    """Orders of the models whose Markov parameters ``verify`` computes by
+    the dense recursion from now on."""
+    seen, dense = [], verify.impulse_response
+
+    def spy(g, horizon):
+        seen.append(g.order)
+        return dense(g, horizon)
+
+    monkeypatch.setattr(verify, "impulse_response", spy)
+    return seen
 
 
 def make_sweep_plant() -> GeneralizedPlant:

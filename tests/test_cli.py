@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from delayh2 import QIViolation, cli, statespace
+from conftest import dense_orders
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CHAIN = str(CONFIG_DIR / "chain_three_player.json")
@@ -257,6 +258,18 @@ class TestSweep:
         assert all(b >= a * (1.0 - 1e-9) for a, b in zip(norms, norms[1:]))
 
 
+@pytest.fixture(scope="module")
+def perturbed_controller(tmp_path_factory) -> str:
+    """A chain controller file whose V_1 entry (0,1), in a block forbidden
+    at lag 1, is moved by 0.05."""
+    path = tmp_path_factory.mktemp("perturbed") / "controller.json"
+    cli.main(["synth", "--config", CHAIN, "--out", str(path)])
+    doc = json.loads(path.read_text())
+    n = cli.load_config(CHAIN).plant.n
+    doc["controller"]["c"][0][n + 1] += 0.05
+    return write_json(path, doc)
+
+
 class TestVerify:
     def test_round_trip_reproduces_norm(self, tmp_path, capsys):
         out_file = tmp_path / "controller.json"
@@ -310,6 +323,31 @@ class TestVerify:
 
     def test_missing_controller_file_is_usage_error(self, tmp_path):
         assert cli.main(["verify", str(tmp_path / "nope.json"), "--config", CHAIN]) == 1
+
+    def test_perturbed_forbidden_block_is_reported(self, perturbed_controller, capsys,
+                                                   monkeypatch):
+        seen = dense_orders(monkeypatch)
+        assert cli.main(["verify", perturbed_controller, "--config", CHAIN]) == 2
+        out = capsys.readouterr().out
+        assert ("conformance: FAIL\n"
+                "  lag 1 block (0,1) magnitude 0.05\n"
+                "  lag 2 block (0,2) magnitude 0.0454\n"
+                "internal stability: PASS\n") in out
+        assert seen == []  # the file's shift register is read as one
+
+
+class TestTolerance:
+    """--tol must be a finite number > 0: NaN passes every block as zero,
+    inf blanks every block, and a bound <= 0 flags exact zeros."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "tiny"])
+    @pytest.mark.parametrize("command", ["check-qi", "synth", "verify"])
+    def test_is_usage_error(self, perturbed_controller, capsys, command, value):
+        argv = [command, "--config", CHAIN, f"--tol={value}"]
+        if command == "verify":
+            argv.insert(1, perturbed_controller)
+        assert cli.main(argv) == 1
+        assert "argument --tol: must be a finite number > 0" in capsys.readouterr().err
 
 
 class TestEntryPoint:
@@ -368,6 +406,14 @@ class TestOptionsSection:
         assert cli.main(["check-qi", "--config", cfg]) == 0
         out = capsys.readouterr().out
         assert "QI: PASS" in out and "4" in out  # sentinel delays max(d)+1 = 4
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), 0.0])
+    def test_config_tol_zero_must_be_finite_and_positive(self, tmp_path, capsys, value):
+        doc = json.loads(Path(CHAIN).read_text())
+        doc["options"] = {"tol_zero": value}
+        cfg = write_json(tmp_path / "tol.json", doc)
+        assert cli.main(["check-qi", "--config", cfg]) == 1
+        assert "tol_zero must be finite and > 0" in capsys.readouterr().err
 
     def test_unknown_option_rejected(self, tmp_path):
         doc = json.loads(Path(CHAIN).read_text())

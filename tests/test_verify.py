@@ -10,6 +10,7 @@ import pytest
 from delayh2 import (
     ClosedLoop,
     ConstraintSpace,
+    DimensionMismatch,
     FactoredController,
     GeneralizedPlant,
     IllPosed,
@@ -30,10 +31,11 @@ from delayh2 import (
     synthesize,
     vectorized_system,
 )
-from delayh2 import statespace
+from delayh2 import statespace, verify
 from delayh2.config import load_config
 from delayh2.statespace import _balanced, _stability, _stein_certificate
-from conftest import make_chain_graph, make_chain_plant, no_eigvals, random_qp_instance
+from conftest import (
+    dense_orders, make_chain_graph, make_chain_plant, no_eigvals, random_qp_instance)
 
 CHAIN_NORM = 34.9304
 CENTRALIZED_NORM = 24.236
@@ -288,6 +290,44 @@ class TestYoulaStability:
         assert loop.is_internally_stable is loop.model.is_stable is True
 
 
+CONFORMANCE_CASES = [f"chain-{n}" for n in range(3, 13)] + [
+    "sweep-5", "sweep-10", "sweep-20", "centralized"]
+
+
+def conformance_case(case: str):
+    """A synthesized controller and the space it was designed for: the
+    n-node chain ('chain-<n>'), the sweep config at horizon N
+    ('sweep-<N>'), or the 3-node chain at N = 0 ('centralized')."""
+    kind, _, size = case.partition("-")
+    if kind == "chain":
+        plant = make_chain_plant(int(size))
+        d = delay_matrix(make_chain_graph(int(size)))
+        cs = constraint_space(d, plant.block_rows, plant.block_cols)
+        return synthesize(plant, cs, delays=d).controller, cs
+    if kind == "sweep":
+        cfg = load_config(SWEEP_CONFIG)
+        cs = cfg.sweep_space(int(size))
+        return synthesize(cfg.plant, cs).controller, cs
+    plant = make_chain_plant(3)
+    cs = ConstraintSpace(0, plant.block_rows, plant.block_cols, ())
+    return synthesize(plant, cs).controller, cs
+
+
+def with_register_fed_from_the_observer(k, cs):
+    """``k`` with one entry of ``a[n + n_y:, :n]``, which a shift register
+    keeps zero, made nonzero."""
+    n = k.order - cs.n_horizon * k.n_inputs
+    a = k.a.copy()
+    a[n + k.n_inputs, 0] = 1e-3
+    return dataclasses.replace(k, a=a), cs
+
+
+def checked_one_lag_longer(k, cs):
+    """``k`` against ``cs`` with one more lag, on which every block is free."""
+    pats = cs.patterns + (np.ones_like(cs.patterns[-1]),)
+    return k, ConstraintSpace(cs.n_horizon + 1, cs.block_rows, cs.block_cols, pats)
+
+
 class TestConformance:
     def test_central_lqg_breaks_the_chain_pattern(self, chain_plant, chain_space):
         gains = riccati_gains(chain_plant)
@@ -326,6 +366,62 @@ class TestConformance:
         lag, i, j, mag = report.violations[0]
         assert (lag, i, j) == (0, 1, 2)
         assert mag == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("case", CONFORMANCE_CASES)
+    def test_shift_register_path_matches_the_dense_recursion(self, case):
+        k, cs = conformance_case(case)
+        dense = impulse_response(k, cs.n_horizon)
+        fast = verify._markov_parameters(k, cs.n_horizon)
+        assert fast.shape == dense.shape
+        assert np.abs(fast - dense).max() <= 1e-13 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("case", CONFORMANCE_CASES)
+    def test_synthesized_controllers_skip_the_dense_recursion(self, case, monkeypatch):
+        k, cs = conformance_case(case)
+        seen = dense_orders(monkeypatch)
+        assert conformance(k, cs).ok
+        assert conformance(StateSpaceModel(k.a, k.b, k.c, k.d), cs).ok
+        assert seen == []
+
+    @pytest.mark.parametrize(
+        "change",
+        [lambda k, cs: (with_changed_shift_entry(k), cs), with_register_fed_from_the_observer,
+         checked_one_lag_longer],
+        ids=["changed shift entry", "register fed from the observer", "one lag longer"],
+    )
+    def test_other_realizations_take_the_dense_recursion(self, change, monkeypatch):
+        k, cs = change(*conformance_case("chain-6"))
+        seen = dense_orders(monkeypatch)
+        conformance(k, cs)
+        assert seen == [k.order]
+
+    @pytest.mark.parametrize("case", ["chain-3", "chain-8", "sweep-10"])
+    def test_a_perturbed_forbidden_entry_is_reported_alike_on_both_paths(self, case, monkeypatch):
+        k, cs = conformance_case(case)
+        i, j = np.argwhere(~cs.entry_mask(1))[0]
+        n = k.order - cs.n_horizon * k.n_inputs
+        c = k.c.copy()
+        c[i, n + j] += 0.05  # V_1 entry (i, j)
+        k = dataclasses.replace(k, c=c)
+        fast = conformance(k, cs)
+        monkeypatch.setattr(verify, "_is_shift_register", lambda *args: False)
+        seen = dense_orders(monkeypatch)
+        dense = conformance(k, cs)
+        assert seen == [k.order]
+        assert not fast.ok
+        assert [v[:3] for v in fast.violations] == [v[:3] for v in dense.violations]
+        npt.assert_allclose([v[3] for v in fast.violations], [v[3] for v in dense.violations],
+                            rtol=1e-12, atol=0)
+
+    def test_a_controller_that_does_not_fit_the_blocks_is_refused(self, chain_result,
+                                                                   monkeypatch):
+        # the controller's own n_y = 3 sets its split, so it takes the
+        # shift-register path, but its 3 x 3 response does not tile 2 x 2 blocks
+        cs = ConstraintSpace(2, (1, 1), (1, 1), (np.eye(2, dtype=bool),) * 2)
+        seen = dense_orders(monkeypatch)
+        with pytest.raises(DimensionMismatch):
+            conformance(chain_result.controller, cs)
+        assert seen == []
 
 
 class TestKktOracle:
