@@ -25,7 +25,7 @@ from . import delaymodel, verify
 from .config import ProblemConfig, load_config
 from .errors import ConfigError, DelayH2Error, QIViolation, UnstableSystem
 from .statespace import StateSpaceModel, h2_norm_sq
-from .synthesis import SynthesisResult, sweep_norms, synthesize
+from .synthesis import FactoredController, SynthesisResult, sweep_norms, synthesize
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -157,6 +157,8 @@ def _result_document(result: SynthesisResult) -> dict:
             "c": k.c.tolist(),
             "d": k.d.tolist(),
         },
+        "k_gain": k.k_gain.tolist(),
+        "l_gain": k.l_gain.tolist(),
         "v_star": result.v_star.tolist(),
         "p11_norm_sq": result.p11_norm_sq,
         "qp_cost": result.qp_cost,
@@ -222,12 +224,22 @@ def cmd_verify(args) -> int:
             np.array(ksec["c"], dtype=float),
             np.array(ksec["d"], dtype=float),
         )
+        if all(key in doc for key in ("k_gain", "l_gain", "v_star")):
+            # the factors synth writes; closed_loop uses them only if they
+            # rebuild (A, B, C, D)
+            k = FactoredController(
+                k.a, k.b, k.c, k.d,
+                np.array(doc["k_gain"], dtype=float),
+                np.array(doc["l_gain"], dtype=float),
+                np.array(doc["v_star"], dtype=float).reshape(-1, k.n_outputs, k.n_inputs),
+            )
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot read controller file: {exc}") from exc
 
     report = verify.conformance(k, cfg.space, tol=args.tol)
     loop = verify.closed_loop(cfg.plant, k)
-    # h2_norm_sq proves the loop stable before it sums the Gramian
+    # h2_norm_sq proves the loop stable before it sums the Gramian; on the
+    # loop of a factored controller that is the Youla verdict
     try:
         norm, stable = math.sqrt(h2_norm_sq(loop.model)), True
     except UnstableSystem:

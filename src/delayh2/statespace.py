@@ -11,7 +11,9 @@ sum_t (A^t)^T Q A^t, for the observability Gramian (Q = C^T C) and for the
 stability test.
 
 One predicate decides stability everywhere (``is_stable``, the norm's
-precondition, the Riccati closed loop).  From order 32 on it tries a Stein
+precondition, the Riccati closed loop).  It splits A into the diagonal
+blocks of its finest block upper triangular form in the stored order and
+decides each alone.  From order 32 on a block is tried by a Stein
 (Lyapunov) certificate X - A^T X A > 0, X > 0 (Q = I), proven positive
 definite in floating point; the eigenvalues decide below that order and
 wherever the certificate cannot be proven.
@@ -70,14 +72,69 @@ def spectral_radius(a: np.ndarray) -> float:
 
 def _stability(a: np.ndarray) -> tuple[bool, str]:
     """Whether the spectral radius of ``a`` is below 1 - ``TOL_STAB``, and
-    which test decided it, by how much: from order ``CERTIFY_MIN_ORDER`` on,
-    the Stein certificate of :func:`_stein_certificate` where it proves
-    stability, otherwise the eigenvalues (:func:`spectral_radius`).  The
-    certificate never turns a stable verdict unstable; it only spares the
-    eigenvalue solve."""
+    which test decided it, by how much.
+
+    ``a`` is first split into its finest block upper triangular partition
+    in the stored order (:func:`_diagonal_blocks`).  The spectrum of a block
+    triangular matrix is the union of its diagonal blocks' spectra, so the
+    verdict is exact for ``a`` when each block is decided alone: a 1 x 1
+    block by its modulus, all at once, and a larger one by
+    :func:`_block_stability`.  A matrix that does not split is one block
+    and goes to :func:`_block_stability` whole."""
     m = a.shape[0]
     if m == 0:
         return True, "zero-order system"
+    bounds = _diagonal_blocks(a)
+    if len(bounds) == 2:
+        return _block_stability(a)
+    blocks = list(zip(bounds, bounds[1:]))
+    head = f"{len(blocks)} diagonal blocks"
+    whys = []
+    single = [s for s, t in blocks if t == s + 1]
+    if single:
+        moduli = np.abs(a[single, single])
+        inside = moduli < 1.0 - TOL_STAB  # false for nan too
+        if not inside.all():
+            i = int(inside.argmin())
+            return False, (f"{head}; block {single[i]}:{single[i] + 1}: modulus "
+                           f"{moduli[i]:.6g} >= 1 - {TOL_STAB:g}")
+        whys.append(f"{len(single)} of order 1 below 1 - {TOL_STAB:g}")
+    for s, t in blocks:
+        if t > s + 1:
+            # a contiguous copy: the block is decided as the same matrix alone
+            stable, why = _block_stability(np.ascontiguousarray(a[s:t, s:t]))
+            if not stable:
+                return False, f"{head}; block {s}:{t}: {why}"
+            whys.append(f"block {s}:{t}: {why}")
+    return True, f"{head}; " + "; ".join(whys)
+
+
+def _diagonal_blocks(a: np.ndarray) -> list:
+    """Boundaries 0 = k_0 < k_1 < ... < k_r = m of the finest block upper
+    triangular partition of the m x m ``a`` without permuting, that is every
+    k with ``a[k:, :k] == 0``.  That holds when no row from k on has its
+    first nonzero before column k: the first nonzeros come from one argmax
+    per row of the C-order ``a != 0`` (a zero row counts as m), and their
+    running minimum from the bottom row up is compared with k.  A nonzero
+    bottom-left entry lies below every boundary, so it alone shows that
+    ``a`` is one block."""
+    m = a.shape[0]
+    if a[-1, 0] != 0:
+        return [0, m]
+    nonzero = np.empty((m, m + 1), dtype=bool)
+    nonzero[:, m] = True
+    np.not_equal(a, 0.0, out=nonzero[:, :m])
+    reach = np.minimum.accumulate(nonzero.argmax(axis=1)[::-1])[::-1]
+    return np.flatnonzero(reach >= np.arange(m)).tolist() + [m]
+
+
+def _block_stability(a: np.ndarray) -> tuple[bool, str]:
+    """The test :func:`_stability` applies to one diagonal block: from order
+    ``CERTIFY_MIN_ORDER`` on, the Stein certificate of
+    :func:`_stein_certificate` where it proves stability, otherwise the
+    eigenvalues (:func:`spectral_radius`).  The certificate never turns a
+    stable verdict unstable; it only spares the eigenvalue solve."""
+    m = a.shape[0]
     why = ""
     if m >= CERTIFY_MIN_ORDER:
         certified, why = _stein_certificate(a)
@@ -224,9 +281,10 @@ class StateSpaceModel:
     @property
     def is_stable(self) -> bool:
         """Spectral radius of A below 1 - ``TOL_STAB``, the margin every
-        solver that needs a stable A applies.  Proven by a Stein certificate
-        from order ``CERTIFY_MIN_ORDER`` on where its rounding allows,
-        otherwise decided by the eigenvalues (see :func:`_stability`)."""
+        solver that needs a stable A applies.  Decided on each diagonal block
+        of A's block triangular form: proven by a Stein certificate from order
+        ``CERTIFY_MIN_ORDER`` on where its rounding allows, otherwise decided
+        by the eigenvalues (see :func:`_stability`)."""
         return _stability(self.a)[0]
 
     @staticmethod
@@ -252,9 +310,10 @@ def impulse_response(g: StateSpaceModel, horizon: int) -> np.ndarray:
         raise ValueError("horizon must be >= 0")
     terms = [g.d]
     w = g.b
-    for _ in range(horizon):
+    for lag in range(1, horizon + 1):
         terms.append(g.c @ w)
-        w = g.a @ w
+        if lag < horizon:
+            w = g.a @ w
     return np.stack(terms)
 
 

@@ -1,6 +1,6 @@
 """Independent checks on synthesized controllers.
 
-The closed loop is rebuilt from the raw interconnection, delay-pattern
+The closed loop is rebuilt from the plant and the controller, delay-pattern
 conformance is read off the controller's own Markov parameters, and the
 quadratic program is re-solved as one explicit KKT system.  The Markov
 parameters come from the realization alone: when its last states are a
@@ -13,7 +13,9 @@ The one quantity taken from synthesis is what a
 :class:`FactoredController` carries: its gains K, L and FIR coefficients
 V.  They are not trusted.  :func:`closed_loop` rebuilds the controller's
 realization from the plant and those factors with its own code and uses
-them only if the rebuild matches the realization it was given.
+them only if the rebuild matches the realization it was given: then the
+loop is realized in Youla coordinates, block upper triangular, and
+otherwise as the raw interconnection.
 """
 
 from __future__ import annotations
@@ -37,23 +39,25 @@ class ClosedLoop:
     """Disturbance-to-performance map of the plant/controller interconnection.
 
     ``model.a`` is the state matrix of the whole interconnection, so its
-    stability is internal stability.  Which test decides it:
+    stability is internal stability.  Its realization depends on the
+    controller:
 
-    * ``youla_blocks`` holds A_K = A + B2 K and A_L = A + L C2 when the
-      controller carried factors (K, L, V) that rebuild its realization
-      (see :func:`closed_loop`).  In the coordinates (x - x^, shift
-      register, x) that loop is block lower triangular with diagonal blocks
-      A_L, the nilpotent shift and A_K, so its spectrum is
-      spec(A_L) u {0} u spec(A_K), and the two n x n blocks decide, each by
-      the test of :attr:`StateSpaceModel.is_stable`.  That verdict
-      certifies the exact loop of (K, L, V), not its rounded dense matrix:
-      a far-from-normal shift register can make the dense matrix's
-      eigenvalues say otherwise.
-    * Otherwise (``youla_blocks`` None) ``model.a`` decides, by the test
-      that :func:`h2_norm_sq` requires of it: from order 32 on by a Stein
-      certificate X - A^T X A > 0 built from a few squarings of A, and by
-      the eigenvalues below that order and where the powers grow too far
-      for the proof to survive its rounding.
+    * A controller that carried factors (K, L, V) rebuilding its realization
+      (see :func:`closed_loop`) gives the loop of (K, L, V) in the state
+      order (x, shift-register slots oldest first, e = x - x^).  There
+      ``model.a`` is block upper triangular, with exact zeros below its
+      diagonal blocks A_K = A + B2 K, the nilpotent shift and A_L = A + L C2,
+      and ``youla_blocks`` holds (A_K, A_L).  Its spectrum is
+      spec(A_K) u {0} u spec(A_L).
+    * Any other controller gives the raw interconnection in the state order
+      (x, controller state), and ``youla_blocks`` is None.
+
+    Either way :attr:`StateSpaceModel.is_stable` splits ``model.a`` into
+    the diagonal blocks of its block triangular form and decides each by
+    the test that :func:`h2_norm_sq` requires of it: from order 32 on by a
+    Stein certificate X - A^T X A > 0 built from a few squarings of the
+    block, and by the eigenvalues below that order and where the powers grow
+    too far for the proof to survive its rounding.
     """
 
     model: StateSpaceModel
@@ -66,11 +70,10 @@ class ClosedLoop:
     @property
     def is_internally_stable(self) -> bool:
         """Whether the loop is internally stable, by the test described in
-        :class:`ClosedLoop`.  On the Youla path a True verdict is about the
-        exact loop of (K, L, V), not about ``model``: ``h2_norm_sq(model)``
-        can still raise :class:`UnstableSystem` when the dense matrix's
-        rounding hides its stability, so a caller that computes the norm
-        after this verdict must expect that error."""
+        :class:`ClosedLoop`.  With ``youla_blocks`` it decides A_K and A_L
+        alone, which spares the scan of the whole ``model.a`` for its
+        diagonal blocks; it equals ``model.is_stable`` exactly, since those
+        blocks are A_K's, the shift's zero diagonal and A_L's."""
         if self.youla_blocks is None:
             return self.model.is_stable
         return all(statespace._stability(block)[0] for block in self.youla_blocks)
@@ -80,9 +83,11 @@ def closed_loop(plant: GeneralizedPlant, k: StateSpaceModel) -> ClosedLoop:
     """Interconnect a strictly proper controller with the plant.
 
     A :class:`FactoredController` whose realization matches the rebuild
-    from the plant and its factors (:func:`_youla_blocks`) gives a loop
-    whose stability A_K and A_L decide; any other controller's loop is
-    decided on its dense state matrix (see :class:`ClosedLoop`).
+    from the plant and its factors (:func:`_youla_blocks`) gives the loop of
+    (K, L, V) in the state order (x, shift-register slots oldest first,
+    e = x - x^), block upper triangular (:func:`_youla_model`); any other
+    controller gives the raw interconnection in the state order
+    (x, controller state).  Both realize the same transfer matrix.
 
     Raises
     ------
@@ -94,6 +99,11 @@ def closed_loop(plant: GeneralizedPlant, k: StateSpaceModel) -> ClosedLoop:
         raise DimensionMismatch("controller dimensions do not match the plant")
     if np.count_nonzero(k.d):
         raise IllPosed("controller must be strictly proper (zero feedthrough)")
+    blocks = _youla_blocks(plant, k)
+    if blocks is not None:
+        loop = ClosedLoop(_youla_model(plant, k, *blocks))
+        object.__setattr__(loop, "youla_blocks", blocks[:2])
+        return loop
     a = np.block(
         [
             [plant.a, plant.b2 @ k.c],
@@ -103,15 +113,13 @@ def closed_loop(plant: GeneralizedPlant, k: StateSpaceModel) -> ClosedLoop:
     b = np.vstack([plant.b1, k.b @ plant.d21])
     c = np.hstack([plant.c1, plant.d12 @ k.c])
     d = np.zeros((plant.n_perf, plant.n_dist))
-    loop = ClosedLoop(StateSpaceModel(a, b, c, d))
-    object.__setattr__(loop, "youla_blocks", _youla_blocks(plant, k))
-    return loop
+    return ClosedLoop(StateSpaceModel(a, b, c, d))
 
 
 def _youla_blocks(plant: GeneralizedPlant, k: StateSpaceModel):
-    """(A_K, A_L), formed from the plant and the factors K, L, V that ``k``
-    carries, if ``k``'s realization is the one they give; None if ``k``
-    carries no factors or differs from that rebuild.
+    """(A_K, A_L, B2 K, B2 C_fir), formed from the plant and the factors K,
+    L, V that ``k`` carries, if ``k``'s realization is the one they give;
+    None if ``k`` carries no factors or differs from that rebuild.
 
     The rebuild is A = [[A + B2 K + L C2, B2 C_fir], [B_fir C2, A_fir]],
     B = [-L; -B_fir], C = [K, C_fir], with the shift register A_fir,
@@ -146,13 +154,57 @@ def _youla_blocks(plant: GeneralizedPlant, k: StateSpaceModel):
     # about (j + 2) eps times it; a factor 2 more covers the second-order
     # terms and the rounding of the bound itself.
     gamma = 2.0 * (max(n_u, n_y) + 2) * np.finfo(float).eps
-    a_k, a_l = a + b2 @ gain, a + filt @ c2
+    b2_k, b2_c_fir, l_c2 = b2 @ gain, b2 @ c_fir, filt @ c2
+    a_k, a_l = a + b2_k, a + l_c2
     bound_11 = gamma * (np.abs(a) + np.abs(b2) @ np.abs(gain) + np.abs(filt) @ np.abs(c2))
     bound_12 = gamma * (np.abs(b2) @ np.abs(c_fir))
-    if (np.all(np.abs(k.a[:n, :n] - (a_k + filt @ c2)) <= bound_11)
-            and np.all(np.abs(k.a[:n, n:] - b2 @ c_fir) <= bound_12)):
-        return a_k, a_l
+    if (np.all(np.abs(k.a[:n, :n] - (a_k + l_c2)) <= bound_11)
+            and np.all(np.abs(k.a[:n, n:] - b2_c_fir) <= bound_12)):
+        return a_k, a_l, b2_k, b2_c_fir
     return None
+
+
+def _youla_model(plant: GeneralizedPlant, k: FactoredController, a_k: np.ndarray,
+                 a_l: np.ndarray, b2_k: np.ndarray, b2_c_fir: np.ndarray) -> StateSpaceModel:
+    """The loop of the controller ``k``, whose realization
+    :func:`_youla_blocks` matched to its factors (K, L, V), in the state
+    order (x, shift-register slots oldest first, e = x - x^):
+
+        A = [[A_K, B2 C_fir, -B2 K], [0, S, F], [0, 0, A_L]],
+        B = [B1; 0 ... 0; -D21; B1 + L D21],
+        C = [C1 + D12 K, D12 C_fir, -D12 K],   D = 0,
+
+    where S is the strictly upper shift of the N slots, F is zero except
+    for the newest (last) slot's rows, -C2, and C_fir = [V_N ... V_1]
+    holds the coefficients in that reversed slot order.  It follows from
+    x^ = x - e: e+ = A_L e + (B1 + L D21) w, the newest slot takes
+    -(y - C2 x^) = -C2 e - D21 w, and
+    x+ = A_K x - B2 K e + B2 C_fir xi + B1 w.  The blocks below the
+    diagonal are exact zeros, so the stability test splits A into A_K, the
+    shift's 1 x 1 zeros and A_L.  At N = 0 there is no register and the
+    state is (x, e).
+    """
+    n, n_y = plant.n, plant.n_meas
+    m = k.order - n
+    e = n + m  # first state of e
+    oldest_first = np.arange(m).reshape(-1, n_y)[::-1].ravel()
+    c_fir = k.c[:, n:][:, oldest_first]
+    a = np.zeros((e + n, e + n))
+    a[:n, :n] = a_k
+    a[:n, n:e] = b2_c_fir[:, oldest_first]
+    a[:n, e:] = -b2_k
+    a[e:, e:] = a_l
+    b = np.zeros((e + n, plant.n_dist))
+    b[:n] = plant.b1
+    b[e:] = plant.b1 + k.l_gain @ plant.d21
+    if m:
+        slot = np.arange(n, e - n_y)
+        a[slot, slot + n_y] = 1.0
+        a[e - n_y:e, e:] = -plant.c2
+        b[e - n_y:e] = -plant.d21
+    d12_k = plant.d12 @ k.k_gain
+    c = np.hstack([plant.c1 + d12_k, plant.d12 @ c_fir, -d12_k])
+    return StateSpaceModel(a, b, c, np.zeros((plant.n_perf, plant.n_dist)))
 
 
 def _is_shift_register(a: np.ndarray, n: int, n_y: int) -> bool:

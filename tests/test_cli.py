@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from delayh2 import QIViolation, cli, statespace
+from delayh2 import QIViolation, cli, statespace, synthesize, verify
 from conftest import dense_orders
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -101,9 +102,11 @@ class TestSynth:
 
         doc = json.loads(out_file.read_text())
         assert set(doc) == {
-            "controller", "v_star", "p11_norm_sq", "qp_cost", "total_norm_sq", "h2_norm"
+            "controller", "k_gain", "l_gain", "v_star", "p11_norm_sq", "qp_cost",
+            "total_norm_sq", "h2_norm"
         }
         assert len(doc["v_star"]) == 2
+        assert np.array(doc["k_gain"]).shape == np.array(doc["l_gain"]).shape == (3, 3)
         assert np.array(doc["controller"]["a"]).shape == (9, 9)
         assert doc["total_norm_sq"] == pytest.approx(
             doc["p11_norm_sq"] + doc["qp_cost"], rel=1e-12
@@ -334,6 +337,64 @@ class TestVerify:
                 "  lag 2 block (0,2) magnitude 0.0454\n"
                 "internal stability: PASS\n") in out
         assert seen == []  # the file's shift register is read as one
+
+
+def verified_loops(monkeypatch) -> list:
+    """The closed loops ``delayh2 verify`` builds from now on."""
+    loops, build = [], verify.closed_loop
+
+    def spy(plant, k):
+        loops.append(build(plant, k))
+        return loops[-1]
+
+    monkeypatch.setattr(verify, "closed_loop", spy)
+    return loops
+
+
+class TestVerifyFactoredFile:
+    """A synth file carries K, L and V, so verify takes the Youla path when
+    they rebuild the file's realization, and the raw loop otherwise."""
+
+    @pytest.mark.parametrize("config", [CHAIN, CENTRALIZED, SWEEP])
+    def test_synth_file_takes_the_youla_path(self, config, tmp_path, capsys, monkeypatch):
+        out_file = tmp_path / "controller.json"
+        assert cli.main(["synth", "--config", config, "--out", str(out_file)]) == 0
+        capsys.readouterr()
+        loops = verified_loops(monkeypatch)
+        assert cli.main(["verify", str(out_file), "--config", config]) == 0
+        out = capsys.readouterr().out
+        assert [loop.youla_blocks is not None for loop in loops] == [True]
+        cfg = cli.load_config(config)
+        library = verify.closed_loop(cfg.plant, synthesize(cfg.plant, cfg.space).controller)
+        norm = math.sqrt(statespace.h2_norm_sq(library.model))
+        assert f"closed-loop H2 norm: {norm:.6f}\n" in out
+
+    @pytest.mark.parametrize("config", [CHAIN, CENTRALIZED, SWEEP])
+    def test_a_moved_entry_falls_back_to_the_raw_loop(self, config, tmp_path, capsys,
+                                                      monkeypatch):
+        out_file = tmp_path / "controller.json"
+        assert cli.main(["synth", "--config", config, "--out", str(out_file)]) == 0
+        capsys.readouterr()
+        assert cli.main(["verify", str(out_file), "--config", config]) == 0
+        factored = capsys.readouterr().out
+        doc = json.loads(out_file.read_text())
+        doc["controller"]["a"][0][0] *= 1 + 1e-12
+        moved = write_json(tmp_path / "moved.json", doc)
+        loops = verified_loops(monkeypatch)
+        assert cli.main(["verify", moved, "--config", config]) == 0
+        assert [loop.youla_blocks is None for loop in loops] == [True]
+        assert capsys.readouterr().out == factored
+
+    def test_a_file_without_factors_takes_the_raw_loop(self, tmp_path, capsys, monkeypatch):
+        out_file = tmp_path / "controller.json"
+        assert cli.main(["synth", "--config", CHAIN, "--out", str(out_file)]) == 0
+        capsys.readouterr()
+        doc = json.loads(out_file.read_text())
+        del doc["l_gain"]
+        loops = verified_loops(monkeypatch)
+        assert cli.main(["verify", write_json(tmp_path / "plain.json", doc), "--config", CHAIN]) == 0
+        assert "internal stability: PASS" in capsys.readouterr().out
+        assert [loop.youla_blocks is None for loop in loops] == [True]
 
 
 class TestTolerance:

@@ -4,6 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from hypothesis import given, seed, settings, strategies as st
+
 import oracles
 from delayh2 import (
     AssumptionViolated,
@@ -11,22 +13,31 @@ from delayh2 import (
     SolverFailure,
     StateSpaceModel,
     UnstableSystem,
+    conformance,
+    constraint_space,
+    coprime_factorization,
     dare_solve,
+    delay_matrix,
     h2_norm_sq,
     impulse_response,
+    plant_block_delays,
+    realize_controller,
+    riccati_gains,
     spectral_radius,
+    synthesize,
 )
-from delayh2 import statespace
+from delayh2 import delaymodel, statespace, synthesis, verify
 from delayh2.statespace import (
     CERTIFY_MIN_ORDER,
     TOL_STAB,
+    _diagonal_blocks,
     _gramian,
     _stability,
     _stein_certificate,
     multiply,
     vec,
 )
-from conftest import make_chain_plant, no_eigvals
+from conftest import make_chain_graph, make_chain_plant, no_eigvals
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -93,10 +104,15 @@ class TestStabilityPredicate:
         assert why.startswith("Stein certificate from 2^6 powers")
 
     def test_small_orders_go_to_the_eigenvalues(self, monkeypatch):
+        # tridiagonal with nonzero off-diagonals: irreducible, so the
+        # matrix is one diagonal block of its own order
+        def irreducible(m):
+            return 0.5 * np.eye(m) + 0.2 * (np.eye(m, k=1) + np.eye(m, k=-1))
+
         monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
-        assert _stability(0.5 * np.eye(CERTIFY_MIN_ORDER))[0]
+        assert _stability(irreducible(CERTIFY_MIN_ORDER))[0]
         with pytest.raises(AssertionError, match="eigenvalues computed"):
-            _stability(0.5 * np.eye(CERTIFY_MIN_ORDER - 1))
+            _stability(irreducible(CERTIFY_MIN_ORDER - 1))
 
     def test_riccati_closed_loop_uses_the_predicate(self, monkeypatch):
         plant = make_chain_plant()
@@ -153,6 +169,70 @@ class TestStabilityPredicate:
         assert certified > 50
 
 
+def block_triangular(blocks, entropy):
+    """A random block upper triangular matrix and the boundaries of its
+    diagonal blocks: ``blocks`` lists (size, spectral radius) per block, and
+    every entry on or above the block diagonal is drawn from ``entropy``."""
+    rng = np.random.default_rng(entropy)
+    bounds = np.concatenate(([0], np.cumsum([size for size, _ in blocks])))
+    a = rng.standard_normal((bounds[-1], bounds[-1]))
+    for (s, t), (_, radius) in zip(zip(bounds, bounds[1:]), blocks):
+        a[t:, s:t] = 0.0
+        a[s:t, s:t] *= radius / spectral_radius(a[s:t, s:t])
+    return a, bounds
+
+
+BLOCKS = st.lists(st.tuples(st.integers(1, 12), st.floats(0.2, 1.5)), min_size=1, max_size=6)
+SPLIT_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+
+class TestBlockTriangularSplit:
+    """``_stability`` decides each diagonal block of the finest block upper
+    triangular partition alone."""
+
+    @seed(20130705)
+    @SPLIT_SETTINGS
+    @given(BLOCKS, st.integers(0, 2**32 - 1))
+    def test_verdict_is_that_of_the_blocks_one_by_one(self, blocks, entropy):
+        a, bounds = block_triangular(blocks, entropy)
+        assert _diagonal_blocks(a) == bounds.tolist()
+        alone = [_stability(a[s:t, s:t].copy())[0] for s, t in zip(bounds, bounds[1:])]
+        assert _stability(a)[0] == all(alone)
+
+    @seed(20130706)
+    @SPLIT_SETTINGS
+    @given(BLOCKS.filter(lambda blocks: len(blocks) > 1), st.integers(0, 2**32 - 1))
+    def test_an_entry_below_a_boundary_merges_the_blocks(self, blocks, entropy):
+        a, bounds = block_triangular(blocks, entropy)
+        rng = np.random.default_rng(entropy + 1)
+        k = bounds[rng.integers(1, bounds.size - 1)]
+        i, j = rng.integers(k, bounds[-1]), rng.integers(0, k)
+        a[i, j] = 1e-300
+        merged = bounds[(bounds <= j) | (bounds > i)]
+        assert _diagonal_blocks(a) == merged.tolist()
+
+    def test_zero_rows_and_columns_split_off(self):
+        a = np.zeros((4, 4))
+        a[1, 3] = 2.0
+        assert _diagonal_blocks(a) == [0, 1, 2, 3, 4]
+        assert _stability(a) == (True, "4 diagonal blocks; 4 of order 1 below 1 - 1e-09")
+
+    def test_an_unstable_block_is_named(self, monkeypatch):
+        a = np.zeros((5, 5))
+        a[:2, :2] = [[0.5, 1.0], [-1.0, 0.5]]  # radius 1.118
+        a[2, 2], a[3:, 3:] = -0.5, 0.9 * np.eye(2)[::-1]
+        a[0, 2:] = 1.0
+        assert _stability(a) == (
+            False, "3 diagonal blocks; block 0:2: eigenvalues: spectral radius 1.11803 "
+            ">= 1 - 1e-09")
+        a[2, 2] = np.nan
+        assert _stability(a) == (False, "3 diagonal blocks; block 2:3: modulus nan >= 1 - 1e-09")
+        monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+        a[:2, :2] = np.triu(a[:2, :2])
+        a[2, 2] = -1.0
+        assert _stability(a) == (False, "4 diagonal blocks; block 2:3: modulus 1 >= 1 - 1e-09")
+
+
 class TestImpulseResponse:
     def test_nilpotent_scalar(self):
         resp = impulse_response(scalar_model(0.0), 3)
@@ -200,6 +280,49 @@ class TestImpulseResponse:
         assert resp.shape == (horizon + 1, 2, 3)
         npt.assert_array_equal(resp[0], d)
         npt.assert_array_equal(resp[1:], 0.0)
+
+    @pytest.mark.parametrize("markov", [[0.0, 1e150], [0.0, 1e-50, 1e150],
+                                        [0.0, 1e-250, 1e-50, 1e150]])
+    def test_no_product_after_the_last_lag(self, markov):
+        # C A^(k-1) B is finite up to the last lag, 1e150, and one more
+        # product with A overflows, which the suite turns into an error
+        g = StateSpaceModel([[1e200]], [[markov[1]]], [[1.0]], [[0.0]])
+        npt.assert_array_equal(impulse_response(g, len(markov) - 1)[:, 0, 0], markov)
+
+    @pytest.mark.parametrize("caller", ["plant block delays", "Bezout check",
+                                        "conformance fallback"])
+    def test_callers_are_bit_identical_to_the_full_recursion(self, caller, monkeypatch):
+        # the recursion that also forms the discarded product after the last
+        # lag, patched in where each caller looks the function up
+        plant = make_chain_plant(4)
+        d = delay_matrix(make_chain_graph(4))
+        cs = constraint_space(d, plant.block_rows, plant.block_cols)
+        gains = riccati_gains(plant)
+        k = realize_controller(synthesize(plant, cs).v_star, gains, plant)
+        a = k.a.copy()
+        a[plant.n + plant.n_meas, plant.n] = np.nextafter(1.0, 2.0)  # no shift register
+        c = k.c.copy()
+        c[0, plant.n + 1] += 0.05  # V_1 entry (0, 1), forbidden at lag 1
+        k = StateSpaceModel(a, k.b, c, k.d)
+        module, run = {
+            "plant block delays": (delaymodel, lambda: plant_block_delays(
+                plant.g22, plant.block_rows, plant.block_cols, 6, tol_zero=1e-300)),
+            "Bezout check": (synthesis, lambda: coprime_factorization(plant, gains)),
+            "conformance fallback": (verify, lambda: conformance(k, cs)),
+        }[caller]
+        seen = []
+
+        def full_recursion(g, horizon):
+            seen.append(horizon)
+            return oracles.model_terms(g, horizon)
+
+        got = run()
+        monkeypatch.setattr(module, "impulse_response", full_recursion)
+        want = run()
+        assert seen
+        if caller == "conformance fallback":
+            assert not got.ok
+        assert np.array_equal(got, want) if isinstance(got, np.ndarray) else got == want
 
 
 class TestAlgebraHelpers:

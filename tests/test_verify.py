@@ -24,6 +24,7 @@ from delayh2 import (
     h2_norm_sq,
     impulse_response,
     kkt_oracle,
+    model_matching_matrices,
     realize_controller,
     riccati_gains,
     solve_constrained_qp,
@@ -95,12 +96,16 @@ def chain12():
     return result, closed_loop(plant, result.controller)
 
 
-def shift_chain_loop(a_diag: float, comp_delay: int):
-    """Closed loop of the optimal controller for the 4-node one-way chain
+def plain_copy(k: StateSpaceModel) -> StateSpaceModel:
+    """``k``'s realization without its factors: its loop is the raw
+    interconnection, one dense matrix."""
+    return StateSpaceModel(k.a, k.b, k.c, k.d)
+
+
+def shift_chain_problem(a_diag: float, comp_delay: int):
+    """(plant, synthesis result) of the 4-node one-way chain
     A = a_diag I + shift, B2 = C2 = I, with unit link delays and
-    ``comp_delay`` at each node (horizon comp_delay + 2).  Its exact
-    spectrum is that of A_K and A_L plus 0, but the loop's shift register
-    is far from normal and its norm grows with a_diag and the horizon."""
+    ``comp_delay`` at each node (horizon comp_delay + 2)."""
     n = 4
     eye, zero = np.eye(n), np.zeros((n, n))
     plant = GeneralizedPlant(
@@ -116,16 +121,29 @@ def shift_chain_loop(a_diag: float, comp_delay: int):
     )
     d = delay_matrix(make_chain_graph(n, comp_delay))
     cs = constraint_space(d, plant.block_rows, plant.block_cols)
-    return closed_loop(plant, synthesize(plant, cs, delays=d).controller)
+    return plant, synthesize(plant, cs, delays=d)
+
+
+def shift_chain_loop(a_diag: float, comp_delay: int, plain: bool = False):
+    """Closed loop of the optimal controller of :func:`shift_chain_problem`.
+    Its exact spectrum is that of A_K and A_L plus 0.  With ``plain`` the
+    controller is a :func:`plain_copy`, and the loop is the raw
+    interconnection, whose shift register is far from normal and whose
+    norm grows with a_diag and the horizon."""
+    plant, result = shift_chain_problem(a_diag, comp_delay)
+    k = result.controller
+    return closed_loop(plant, plain_copy(k) if plain else k)
 
 
 class TestStabilityCertificate:
-    """Which test decides the stability of a synthesized closed loop."""
+    """Which test decides the stability of a dense closed loop: the raw
+    interconnection of a synthesized controller's plain copy."""
 
     def test_chain_loop_is_certified_without_eigenvalues(self, chain12, monkeypatch):
         # the 12-node chain of the benchmark: order 156, proven stable by the
         # Stein certificate alone
-        _, loop = chain12
+        result, _ = chain12
+        loop = closed_loop(make_chain_plant(12), plain_copy(result.controller))
         monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
         assert loop.model.is_stable
 
@@ -137,7 +155,8 @@ class TestStabilityCertificate:
         plant = dataclasses.replace(plant, b2=1e4 * plant.b2, c2=1e-4 * plant.c2)
         d = delay_matrix(make_chain_graph(6))
         cs = constraint_space(d, plant.block_rows, plant.block_cols)
-        loop = closed_loop(plant, synthesize(plant, cs, delays=d).controller).model
+        k = plain_copy(synthesize(plant, cs, delays=d).controller)
+        loop = closed_loop(plant, k).model
         a = loop.a
         assert a.shape == (42, 42)
 
@@ -164,7 +183,7 @@ class TestStabilityCertificate:
         # residual, and the eigenvalue solve decides.  Its radius (about 0.5)
         # is itself rounding-dominated and moves with the controller's last
         # bits, so the verdict must report exactly what the solve returns
-        loop = shift_chain_loop(3.1, 14)
+        loop = shift_chain_loop(3.1, 14, plain=True)
         assert loop.is_internally_stable
         stable, why = _stability(loop.model.a)
         assert stable
@@ -176,7 +195,7 @@ class TestStabilityCertificate:
         # the loop is stable by its eigenvalues, but its powers overflow
         # double precision long before Smith doubling's tail vanishes: the
         # solve stops at the first non-finite tail, with no numpy warning
-        loop = shift_chain_loop(3.1, 14)
+        loop = shift_chain_loop(3.1, 14, plain=True)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(
@@ -192,9 +211,11 @@ class TestStabilityCertificate:
         # certificate gives up on its rounding bound, and the eigenvalue
         # solve reports about 1.7.  A_K and A_L, of radius 0.161, decide the
         # synthesized controller's loop
-        loop = shift_chain_loop(6.1, 24)
+        plant, result = shift_chain_problem(6.1, 24)
+        loop = closed_loop(plant, plain_copy(result.controller))
         assert not loop.model.is_stable
-        assert loop.is_internally_stable
+        assert not loop.is_internally_stable
+        assert closed_loop(plant, result.controller).is_internally_stable
         with pytest.raises(
             UnstableSystem,
             match=r"^h2_norm_sq: Stein certificate: residual rounding bound \S+ after \d "
@@ -242,7 +263,7 @@ class TestYoulaStability:
 
     @pytest.mark.parametrize(
         "strip",
-        [lambda k: StateSpaceModel(k.a, k.b, k.c, k.d), with_changed_shift_entry],
+        [plain_copy, with_changed_shift_entry],
         ids=["plain realization", "changed shift entry"],
     )
     def test_other_controllers_are_decided_on_the_whole_loop(self, chain12, monkeypatch, strip):
@@ -294,23 +315,103 @@ CONFORMANCE_CASES = [f"chain-{n}" for n in range(3, 13)] + [
     "sweep-5", "sweep-10", "sweep-20", "centralized"]
 
 
-def conformance_case(case: str):
-    """A synthesized controller and the space it was designed for: the
-    n-node chain ('chain-<n>'), the sweep config at horizon N
-    ('sweep-<N>'), or the 3-node chain at N = 0 ('centralized')."""
+class TestYoulaLoop:
+    """The loop of a factored controller is realized in the state order
+    (x, shift-register slots oldest first, e = x - x^), block upper
+    triangular with A_K, the shift and A_L on its diagonal."""
+
+    @pytest.mark.parametrize("a_diag, comp_delay", [(3.1, 14), (6.1, 24), (4.6, 5), (6.1, 5)])
+    def test_fragile_loops_have_their_norm(self, a_diag, comp_delay):
+        # the raw interconnections of these loops overflow the Gramian's
+        # doubling (3.1, 14) or cannot be proven stable (the others)
+        plant, result = shift_chain_problem(a_diag, comp_delay)
+        loop = closed_loop(plant, result.controller)
+        assert loop.is_internally_stable is loop.model.is_stable is True
+        assert h2_norm_sq(loop.model) == pytest.approx(result.total_norm_sq, rel=1e-9)
+
+    @pytest.mark.parametrize("case", CONFORMANCE_CASES[:-1])
+    def test_youla_and_raw_loops_agree(self, case):
+        plant, cs, result = synthesized_case(case)
+        youla = closed_loop(plant, result.controller)
+        raw = closed_loop(plant, plain_copy(result.controller))
+        assert youla.youla_blocks is not None and raw.youla_blocks is None
+        assert youla.model.order == raw.model.order
+        assert youla.is_internally_stable is youla.model.is_stable is True
+        assert h2_norm_sq(youla.model) == pytest.approx(h2_norm_sq(raw.model), rel=1e-9)
+        lags = youla.model.order + 10
+        want = impulse_response(raw.model, lags)
+        got = impulse_response(youla.model, lags)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("case", ["chain-6", "sweep-10", "centralized"])
+    def test_loop_is_block_upper_triangular(self, case):
+        plant, cs, result = synthesized_case(case)
+        loop = closed_loop(plant, result.controller)
+        a_k, a_l = loop.youla_blocks
+        n, n_y = plant.n, plant.n_meas
+        m = cs.n_horizon * n_y
+        e = n + m
+        a, b = loop.model.a, loop.model.b
+        npt.assert_array_equal(a[:n, :n], a_k)
+        npt.assert_array_equal(a[e:, e:], a_l)
+        npt.assert_array_equal(a[n:, :n], 0.0)
+        npt.assert_array_equal(a[e:, :e], 0.0)
+        npt.assert_array_equal(a[n:e, n:e], np.eye(m, k=n_y))
+        if m:  # only the newest slot is fed
+            npt.assert_array_equal(a[n:e - n_y, e:], 0.0)
+            npt.assert_array_equal(a[e - n_y:e, e:], -plant.c2)
+            npt.assert_array_equal(b[n:e - n_y], 0.0)
+            npt.assert_array_equal(b[e - n_y:e], -plant.d21)
+        # one 1 x 1 diagonal block per register state, between A_K's and A_L's
+        bounds = statespace._diagonal_blocks(a)
+        assert [k for k in bounds if n <= k <= e] == list(range(n, e + 1))
+
+    def test_zero_horizon_loop_is_p11_bit_for_bit(self):
+        plant, _, result = synthesized_case("centralized")
+        loop = closed_loop(plant, result.controller).model
+        p11 = model_matching_matrices(plant, riccati_gains(plant))
+        for name in "abcd":
+            npt.assert_array_equal(getattr(loop, name), getattr(p11, name))
+
+    def test_norm_decides_stability_on_the_small_blocks(self, chain12, monkeypatch):
+        # order 156, decided from A_K and A_L (order 12) and 132 zeros on
+        # the diagonal: no certificate of the whole loop, no eigenvalues of it
+        result, loop = chain12
+        orders, decide = [], statespace._block_stability
+
+        def spy(a):
+            orders.append(a.shape[0])
+            return decide(a)
+
+        monkeypatch.setattr(statespace, "_block_stability", spy)
+        assert h2_norm_sq(loop.model) == pytest.approx(result.total_norm_sq, rel=1e-9)
+        assert orders == [12, 12]
+
+
+def synthesized_case(case: str):
+    """(plant, constraint space, synthesis result) of the n-node chain
+    ('chain-<n>'), the sweep config at horizon N ('sweep-<N>'), or the
+    3-node chain at N = 0 ('centralized')."""
     kind, _, size = case.partition("-")
     if kind == "chain":
         plant = make_chain_plant(int(size))
         d = delay_matrix(make_chain_graph(int(size)))
         cs = constraint_space(d, plant.block_rows, plant.block_cols)
-        return synthesize(plant, cs, delays=d).controller, cs
+        return plant, cs, synthesize(plant, cs, delays=d)
     if kind == "sweep":
         cfg = load_config(SWEEP_CONFIG)
         cs = cfg.sweep_space(int(size))
-        return synthesize(cfg.plant, cs).controller, cs
+        return cfg.plant, cs, synthesize(cfg.plant, cs)
     plant = make_chain_plant(3)
     cs = ConstraintSpace(0, plant.block_rows, plant.block_cols, ())
-    return synthesize(plant, cs).controller, cs
+    return plant, cs, synthesize(plant, cs)
+
+
+def conformance_case(case: str):
+    """A synthesized controller of :func:`synthesized_case` and the space it
+    was designed for."""
+    _, cs, result = synthesized_case(case)
+    return result.controller, cs
 
 
 def with_register_fed_from_the_observer(k, cs):
