@@ -233,7 +233,13 @@ def cmd_verify(args) -> int:
                 np.array(doc["l_gain"], dtype=float),
                 np.array(doc["v_star"], dtype=float).reshape(-1, k.n_outputs, k.n_inputs),
             )
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        stored = doc.get("h2_norm")
+        if stored is not None:
+            if isinstance(stored, bool) or not isinstance(stored, (int, float)):
+                raise TypeError(f"h2_norm must be a number, got {stored!r}")
+            stored = float(stored)
+    except (OSError, OverflowError, json.JSONDecodeError, KeyError, TypeError,
+            ValueError) as exc:
         raise ConfigError(f"cannot read controller file: {exc}") from exc
 
     report = verify.conformance(k, cfg.space, tol=args.tol)
@@ -252,7 +258,6 @@ def cmd_verify(args) -> int:
     print(f"closed-loop H2 norm: {norm:.6f}")
 
     ok = report.ok and stable
-    stored = doc.get("h2_norm")
     if stored is not None and stable:
         rel = abs(norm - stored) / max(abs(stored), 1e-12)
         match = rel <= 1e-6

@@ -6,17 +6,14 @@ pipeline needs only a few operations on them: impulse responses (one
 ``(T+1, outputs, inputs)`` array indexed by lag), the series product behind
 the Bezout check, squared H2 norms and the Riccati equation, the last two
 by doubling, O(n^3) per step, each step covering twice the horizon of the
-last.  One Smith doubling sums the symmetric Stein series
-sum_t (A^t)^T Q A^t, for the observability Gramian (Q = C^T C) and for the
-stability test.
+last.  The observability Gramian is Smith doubling of the symmetric Stein
+series sum_t (A^t)^T C^T C A^t.
 
 One predicate decides stability everywhere (``is_stable``, the norm's
 precondition, the Riccati closed loop).  It splits A into the diagonal
 blocks of its finest block upper triangular form in the stored order and
-decides each alone.  From order 32 on a block is tried by a Stein
-(Lyapunov) certificate X - A^T X A > 0, X > 0 (Q = I), proven positive
-definite in floating point; the eigenvalues decide below that order and
-wherever the certificate cannot be proven.
+reads their eigenvalues, which are A's: the 1 x 1 blocks by modulus, all at
+once, and each larger block by an eigenvalue solve.
 
 ``vec`` stacks columns (Fortran order) throughout, which is the convention
 under which vec(A X B) = (B^T kron A) vec(X).
@@ -41,12 +38,6 @@ TOL_STAB = 1e-9
 
 # Relative change of the Riccati iterate at which doubling stops.
 DARE_TOL = 1e-12
-
-# Order from which stability is first tried by a Stein certificate.  Below
-# it one eigenvalue solve costs less than the certificate's forty-odd numpy
-# calls (about 0.1 ms); they break even near order 32 on an x86 VM with one
-# BLAS thread, and at order 420 the certificate takes half the time.
-CERTIFY_MIN_ORDER = 32
 
 # Step cap of the Gramian and Riccati doublings: step k covers 2^k terms, so
 # a spectral radius of 1 - TOL_STAB decays below eps within about 35 steps.
@@ -129,110 +120,12 @@ def _diagonal_blocks(a: np.ndarray) -> list:
 
 
 def _block_stability(a: np.ndarray) -> tuple[bool, str]:
-    """The test :func:`_stability` applies to one diagonal block: from order
-    ``CERTIFY_MIN_ORDER`` on, the Stein certificate of
-    :func:`_stein_certificate` where it proves stability, otherwise the
-    eigenvalues (:func:`spectral_radius`).  The certificate never turns a
-    stable verdict unstable; it only spares the eigenvalue solve."""
-    m = a.shape[0]
-    why = ""
-    if m >= CERTIFY_MIN_ORDER:
-        certified, why = _stein_certificate(a)
-        if certified:
-            return True, why
-        why = f"Stein certificate: {why}; "
+    """The test :func:`_stability` applies to one diagonal block: its
+    eigenvalues (:func:`spectral_radius`)."""
     rho = spectral_radius(a)
     stable = rho < 1.0 - TOL_STAB
-    return stable, (f"{why}eigenvalues: spectral radius {rho:.6g} "
+    return stable, (f"eigenvalues: spectral radius {rho:.6g} "
                     f"{'<' if stable else '>='} 1 - {TOL_STAB:g}")
-
-
-def _stein_certificate(a: np.ndarray) -> tuple[bool, str]:
-    """Prove that the spectral radius of ``a`` is below c = 1 - ``TOL_STAB``,
-    or say why not.
-
-    A is stable with that margin if some X > 0 has X - A^T X A / c^2 > 0,
-    since an eigenvector v of eigenvalue lambda gives
-    (1 - |lambda|^2 / c^2) v* X v > 0.  A is first balanced, an exact
-    similarity (:func:`_balanced`).  :func:`_smith_doubling` then builds
-    X = sum_{t < 2^k} (A^t)^T A^t, squaring A at most ceil(log2 m) + 2 times
-    (a nilpotent A of order m vanishes by then), until ||A^(2^k)||_F < 1/2,
-    where the residual is close to I.  Both matrices are then proven
-    positive definite in floating point: X, and the computed residual less a
-    bound on its rounding, each by a Cholesky factorization shifted by the
-    rounding of the factorization (Rump 2006).  The proof holds for the
-    computed X whatever its own rounding, so transient growth of the powers
-    costs only the size of the residual's rounding bound,
-    m eps || |A^T| |X| |A| ||, which gives up once it reaches 1/2.
-    """
-    m = a.shape[0]
-    eps = np.finfo(float).eps
-    # Twice the relative rounding of a length-m dot product and a few
-    # operations more (Higham 2002, section 3.5), leaving room for the
-    # rounding of the bounds computed with it.
-    gamma = 2.0 * (m + 3) * eps
-    # At least 1 / c^2 despite the rounding of its own computation.
-    lift = (1.0 + 4.0 * eps) / (1.0 - TOL_STAB) ** 2
-    b = _balanced(a)
-    abs_b = np.abs(b)
-    abs_b_rows = abs_b.sum(axis=1)
-    max_squarings = math.ceil(math.log2(m)) + 2
-    for k, (x, p) in zip(range(max_squarings + 1), _smith_doubling(b, np.eye(m))):
-        # Every entry of fl(R), R = X - lift B^T X B, is within
-        # gamma (lift |B^T| |X| |B| + |X|) of R's; that matrix is symmetric
-        # and >= 0, so its inf-norm bounds the 2-norm of the error.
-        abs_x = np.abs(x)
-        rounding = gamma * float((lift * (abs_b.T @ (abs_x @ abs_b_rows))
-                                  + abs_x.sum(axis=1)).max())
-        if not rounding < 0.5:  # false for nan too
-            return False, f"residual rounding bound {rounding:.3g} after {k} doubling steps"
-        p_norm = float(np.linalg.norm(p))
-        if p_norm < 0.5:
-            break
-        if k == max_squarings:
-            return False, f"||A^(2^{k})||_F = {p_norm:.3g} after {k} doubling steps"
-    # np.linalg.cholesky reads the lower triangle only, so the residual need
-    # not be symmetrized: its error there is bounded entrywise as above.
-    residual = x - lift * (b.T @ (x @ b))
-    residual.flat[:: m + 1] -= rounding
-    if not (_proven_positive_definite(x, gamma) and _proven_positive_definite(residual, gamma)):
-        return False, (f"residual not proven positive definite after {k} doubling "
-                       f"steps (rounding bound {rounding:.3g})")
-    return True, (f"Stein certificate from 2^{k} powers (||X||_F = {np.linalg.norm(x):.3g}, "
-                  f"residual rounding bound {rounding:.3g})")
-
-
-def _balanced(a: np.ndarray) -> np.ndarray:
-    """D^-1 A D for a diagonal D of powers of two that evens out the
-    off-diagonal row and column sums of A: one sweep of Osborne's balancing
-    (Osborne 1960), scaling all indices at once.  Scaling by powers of two
-    is exact in floating point, so the spectrum is A's; should an entry
-    leave the normal range, A itself is returned."""
-    off = np.abs(a)
-    np.fill_diagonal(off, 0.0)
-    rows, cols = off.sum(axis=1), off.sum(axis=0)
-    e = np.where((rows > 0) & (cols > 0), (np.frexp(rows)[1] - np.frexp(cols)[1]) // 2, 0)
-    if not e.any():
-        return a
-    f = np.ldexp(1.0, e)
-    b = a * f / f[:, None]
-    moved = np.abs(b[a != 0])
-    if np.all(moved >= np.finfo(float).tiny) and np.all(moved < np.inf):
-        return b
-    return a
-
-
-def _proven_positive_definite(h: np.ndarray, gamma: float) -> bool:
-    """Whether the symmetric ``h`` is positive definite, proven by a Cholesky
-    factorization of h - gamma |tr(h)| I that runs to completion; the shift
-    covers the rounding of the factorization (Rump 2006, BIT 46)."""
-    shifted = h.copy()
-    shifted.flat[:: h.shape[0] + 1] -= gamma * abs(h.trace())
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -281,10 +174,9 @@ class StateSpaceModel:
     @property
     def is_stable(self) -> bool:
         """Spectral radius of A below 1 - ``TOL_STAB``, the margin every
-        solver that needs a stable A applies.  Decided on each diagonal block
-        of A's block triangular form: proven by a Stein certificate from order
-        ``CERTIFY_MIN_ORDER`` on where its rounding allows, otherwise decided
-        by the eigenvalues (see :func:`_stability`)."""
+        solver that needs a stable A applies.  Decided by the eigenvalues of
+        the diagonal blocks of A's block triangular form (see
+        :func:`_stability`)."""
         return _stability(self.a)[0]
 
     @staticmethod
@@ -339,8 +231,9 @@ def h2_norm_sq(g: StateSpaceModel) -> float:
     Raises
     ------
     UnstableSystem
-        If A is not stable by the test of :attr:`StateSpaceModel.is_stable`;
-        the message names the test that decided and by how much.
+        If A is not stable by the test of :attr:`StateSpaceModel.is_stable`,
+        the eigenvalues of its diagonal blocks; the message names the block
+        that decided and its modulus or spectral radius.
     SolverFailure
         If the Gramian's doubling overflows or does not converge
         (:func:`_gramian`).
@@ -355,34 +248,23 @@ def h2_norm_sq(g: StateSpaceModel) -> float:
     return static_part + float(np.trace(g.b.T @ w_obs @ g.b))
 
 
-def _smith_doubling(a: np.ndarray, q: np.ndarray):
-    """Smith doubling (Smith 1968): yield X_k = sum_{t < 2^k} (A^t)^T Q A^t
-    and A^(2^k) for k = 0, 1, ..., from X_0 = Q.  Each step is
-    X <- X + P^T X P and P <- P P, three products, and keeps X exactly
-    symmetric.  A step is taken only when the next pair is asked for, so the
-    consumer's stopping rule decides how many are paid for."""
-    x, p = q, a
-    while True:
-        yield x, p
-        w = p.T @ (x @ p)
-        x = x + 0.5 * (w + w.T)
-        p = p @ p
-
-
 def _gramian(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Observability Gramian sum_t (A^t)^T C^T C A^t of a stable A, the
     solution of the Stein equation W = A^T W A + C^T C.
 
-    It stops the doubling (:func:`_smith_doubling`) once the tail factor
-    ||A^(2^k)||_F^2 is below eps, leaving a tail below eps ||W||.  Raises
-    :class:`SolverFailure` if the tail has not vanished within
-    ``DOUBLING_MAX_STEPS`` steps, or as soon as the powers overflow, which
-    transient growth of a stable A can cause.
+    Smith doubling (Smith 1968): from W = C^T C and P = A, each step takes
+    W <- W + P^T W P and P <- P P, three products that keep W exactly
+    symmetric and double the number of terms W sums.  It stops once the
+    tail factor ||P||_F^2 = ||A^(2^k)||_F^2 is below eps, leaving a tail
+    below eps ||W||.  Raises :class:`SolverFailure` if the tail has not
+    vanished within ``DOUBLING_MAX_STEPS`` steps, or as soon as the powers
+    overflow, which transient growth of a stable A can cause.
     """
+    w, p = c.T @ c, a
     last = math.nan
     # powers that overflow show as a non-finite tail, which fails the solve
     with np.errstate(over="ignore", invalid="ignore"):
-        for step, (w, p) in zip(range(DOUBLING_MAX_STEPS), _smith_doubling(a, c.T @ c)):
+        for step in range(DOUBLING_MAX_STEPS):
             tail = np.linalg.norm(p) ** 2
             if not math.isfinite(tail):
                 raise SolverFailure(
@@ -392,6 +274,9 @@ def _gramian(a: np.ndarray, c: np.ndarray) -> np.ndarray:
             if tail < np.finfo(float).eps:
                 return w
             last = tail
+            v = p.T @ (w @ p)
+            w = w + 0.5 * (v + v.T)
+            p = p @ p
     raise SolverFailure(f"Smith doubling did not converge in {DOUBLING_MAX_STEPS} "
                         f"steps (tail factor ||A^(2^k)||_F^2 = {tail:.3g})")
 

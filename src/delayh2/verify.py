@@ -52,12 +52,10 @@ class ClosedLoop:
     * Any other controller gives the raw interconnection in the state order
       (x, controller state), and ``youla_blocks`` is None.
 
-    Either way :attr:`StateSpaceModel.is_stable` splits ``model.a`` into
-    the diagonal blocks of its block triangular form and decides each by
-    the test that :func:`h2_norm_sq` requires of it: from order 32 on by a
-    Stein certificate X - A^T X A > 0 built from a few squarings of the
-    block, and by the eigenvalues below that order and where the powers grow
-    too far for the proof to survive its rounding.
+    Either way :attr:`StateSpaceModel.is_stable`, the test that
+    :func:`h2_norm_sq` requires, splits ``model.a`` into the diagonal blocks
+    of its block triangular form and reads their eigenvalues: a 1 x 1 block
+    by its modulus and a larger block by an eigenvalue solve.
     """
 
     model: StateSpaceModel

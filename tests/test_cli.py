@@ -327,6 +327,18 @@ class TestVerify:
     def test_missing_controller_file_is_usage_error(self, tmp_path):
         assert cli.main(["verify", str(tmp_path / "nope.json"), "--config", CHAIN]) == 1
 
+    @pytest.mark.parametrize("stored", ["abc", [1], True, 10**400],
+                             ids=["string", "list", "bool", "huge-int"])
+    def test_malformed_stored_norm_is_config_error(self, perturbed_controller, tmp_path,
+                                                   capsys, stored):
+        # the loop is stable, so the stored norm would be compared
+        doc = json.loads(Path(perturbed_controller).read_text())
+        doc["h2_norm"] = stored
+        path = write_json(tmp_path / "bad_norm.json", doc)
+        assert cli.main(["verify", path, "--config", CHAIN]) == 1
+        assert capsys.readouterr().err.startswith(
+            "delayh2: config error: cannot read controller file: ")
+
     def test_perturbed_forbidden_block_is_reported(self, perturbed_controller, capsys,
                                                    monkeypatch):
         seen = dense_orders(monkeypatch)

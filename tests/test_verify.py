@@ -1,5 +1,4 @@
 import dataclasses
-import re
 import warnings
 from pathlib import Path
 
@@ -34,9 +33,9 @@ from delayh2 import (
 )
 from delayh2 import statespace, verify
 from delayh2.config import load_config
-from delayh2.statespace import _balanced, _stability, _stein_certificate
+from delayh2.statespace import _diagonal_blocks, _stability
 from conftest import (
-    dense_orders, make_chain_graph, make_chain_plant, no_eigvals, random_qp_instance)
+    dense_orders, make_chain_graph, make_chain_plant, random_qp_instance)
 
 CHAIN_NORM = 34.9304
 CENTRALIZED_NORM = 24.236
@@ -135,61 +134,37 @@ def shift_chain_loop(a_diag: float, comp_delay: int, plain: bool = False):
     return closed_loop(plant, plain_copy(k) if plain else k)
 
 
-class TestStabilityCertificate:
-    """Which test decides the stability of a dense closed loop: the raw
-    interconnection of a synthesized controller's plain copy."""
+class TestDenseLoopStability:
+    """Verdicts on dense closed loops: the raw interconnection of a
+    synthesized controller's plain copy, decided by one eigenvalue solve."""
 
-    def test_chain_loop_is_certified_without_eigenvalues(self, chain12, monkeypatch):
-        # the 12-node chain of the benchmark: order 156, proven stable by the
-        # Stein certificate alone
-        result, _ = chain12
-        loop = closed_loop(make_chain_plant(12), plain_copy(result.controller))
-        monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
-        assert loop.model.is_stable
-
-    def test_balancing_lets_the_certificate_prove_a_badly_scaled_loop(self, monkeypatch):
-        # the 6-node chain with B2 scaled by 1e4 and C2 by 1e-4: order 42.
-        # Its loop mixes entries from 1e-4 to 1e4, so the rounding bound of
-        # the unbalanced Stein residual passes 1/2 within a few steps
-        plant = make_chain_plant(6)
-        plant = dataclasses.replace(plant, b2=1e4 * plant.b2, c2=1e-4 * plant.c2)
-        d = delay_matrix(make_chain_graph(6))
+    @pytest.mark.parametrize("n, scale", [(n, 1.0) for n in range(6, 13)] + [(6, 1e4)])
+    def test_plain_copy_loops_are_stable(self, n, scale):
+        # chains of 6 to 12 nodes, orders 42 to 156, each loop one diagonal
+        # block; with B2 scaled by 1e4 and C2 by 1e-4 the 6-node loop mixes
+        # entries from 1e-4 to 1e4
+        plant = make_chain_plant(n)
+        plant = dataclasses.replace(plant, b2=scale * plant.b2, c2=plant.c2 / scale)
+        d = delay_matrix(make_chain_graph(n))
         cs = constraint_space(d, plant.block_rows, plant.block_cols)
-        k = plain_copy(synthesize(plant, cs, delays=d).controller)
-        loop = closed_loop(plant, k).model
-        a = loop.a
-        assert a.shape == (42, 42)
-
-        b = _balanced(a)
-        rows, cols = np.nonzero(a)
-        npt.assert_array_equal(np.nonzero(b), (rows, cols))
-        npt.assert_array_equal(np.diag(b), np.diag(a))
-        # a similarity by powers of two: every entry moves by an exact power
-        # of two and the characteristic polynomial stays
-        assert not np.array_equal(b, a)
-        npt.assert_array_equal(np.frexp(b[rows, cols] / a[rows, cols])[0], 0.5)
-        npt.assert_allclose(np.poly(b), np.poly(a), rtol=0, atol=1e-12 * np.abs(np.poly(a)).max())
-
-        monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
-        assert loop.is_stable
-        monkeypatch.setattr(statespace, "_balanced", lambda m: m)
-        certified, why = _stein_certificate(a)
-        assert not certified
-        assert re.fullmatch(r"residual rounding bound \S+ after \d doubling steps", why)
+        loop = closed_loop(plant, plain_copy(synthesize(plant, cs, delays=d).controller))
+        order = n * (n + 1)
+        assert _diagonal_blocks(loop.model.a) == [0, order]
+        assert loop.model.is_stable
+        assert loop.is_internally_stable
 
     def test_transient_growth_leaves_the_verdict_to_the_eigenvalues(self):
-        # ||A_cl||_F is about 10^9.8: even balanced, the loop's powers grow so
-        # far that the rounding bound of the Stein residual exceeds the
-        # residual, and the eigenvalue solve decides.  Its radius (about 0.5)
-        # is itself rounding-dominated and moves with the controller's last
-        # bits, so the verdict must report exactly what the solve returns
+        # ||A_cl||_F is about 10^9.8, so the loop's powers grow far before
+        # they decay, and the eigenvalue solve of the one order-72 block
+        # decides.  Its radius (about 0.5) is itself rounding-dominated and
+        # moves with the controller's last bits, so the verdict must report
+        # exactly what the solve returns
         loop = shift_chain_loop(3.1, 14, plain=True)
         assert loop.is_internally_stable
         stable, why = _stability(loop.model.a)
         assert stable
-        assert re.match(r"Stein certificate: residual rounding bound \S+ after \d doubling steps", why)
         rho = spectral_radius(loop.model.a)
-        assert why.endswith(f"; eigenvalues: spectral radius {rho:.6g} < 1 - 1e-09")
+        assert why == f"eigenvalues: spectral radius {rho:.6g} < 1 - 1e-09"
 
     def test_overflowing_doubling_fails_early_with_a_typed_error(self):
         # the loop is stable by its eigenvalues, but its powers overflow
@@ -205,12 +180,11 @@ class TestStabilityCertificate:
             ):
                 h2_norm_sq(loop.model)
 
-    def test_unstable_verdict_names_both_tests(self):
+    def test_unstable_verdict_names_the_eigenvalues(self):
         # the exact spectrum lies inside the unit circle, but in double
-        # precision neither test can tell from the dense loop: the Stein
-        # certificate gives up on its rounding bound, and the eigenvalue
-        # solve reports about 1.7.  A_K and A_L, of radius 0.161, decide the
-        # synthesized controller's loop
+        # precision the eigenvalue solve of the dense loop reports about 1.7.
+        # A_K and A_L, of radius 0.161, decide the synthesized controller's
+        # loop
         plant, result = shift_chain_problem(6.1, 24)
         loop = closed_loop(plant, plain_copy(result.controller))
         assert not loop.model.is_stable
@@ -218,8 +192,7 @@ class TestStabilityCertificate:
         assert closed_loop(plant, result.controller).is_internally_stable
         with pytest.raises(
             UnstableSystem,
-            match=r"^h2_norm_sq: Stein certificate: residual rounding bound \S+ after \d "
-            r"doubling steps; eigenvalues: spectral radius 1\.7\d* >= 1 - 1e-09$",
+            match=r"^h2_norm_sq: eigenvalues: spectral radius 1\.7\d* >= 1 - 1e-09$",
         ):
             h2_norm_sq(loop.model)
 
@@ -375,7 +348,7 @@ class TestYoulaLoop:
 
     def test_norm_decides_stability_on_the_small_blocks(self, chain12, monkeypatch):
         # order 156, decided from A_K and A_L (order 12) and 132 zeros on
-        # the diagonal: no certificate of the whole loop, no eigenvalues of it
+        # the diagonal: no eigenvalues of the whole loop
         result, loop = chain12
         orders, decide = [], statespace._block_stability
 
