@@ -39,7 +39,6 @@ from .statespace import (
     spectral_radius,
 )
 from .synthesis import (
-    FactoredController,
     GeneralizedPlant,
     RiccatiGains,
     SynthesisResult,
@@ -68,7 +67,6 @@ __all__ = [
     "DelayH2Error",
     "DelayMatrix",
     "DimensionMismatch",
-    "FactoredController",
     "GeneralizedPlant",
     "IllPosed",
     "NotStronglyConnected",

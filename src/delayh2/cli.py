@@ -23,9 +23,9 @@ import numpy as np
 
 from . import delaymodel, verify
 from .config import ProblemConfig, load_config
-from .errors import ConfigError, DelayH2Error, QIViolation, UnstableSystem
+from .errors import ConfigError, DelayH2Error, DimensionMismatch, QIViolation, UnstableSystem
 from .statespace import StateSpaceModel, h2_norm_sq
-from .synthesis import FactoredController, SynthesisResult, sweep_norms, synthesize
+from .synthesis import SynthesisResult, sweep_norms, synthesize
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -157,8 +157,6 @@ def _result_document(result: SynthesisResult) -> dict:
             "c": k.c.tolist(),
             "d": k.d.tolist(),
         },
-        "k_gain": k.k_gain.tolist(),
-        "l_gain": k.l_gain.tolist(),
         "v_star": result.v_star.tolist(),
         "p11_norm_sq": result.p11_norm_sq,
         "qp_cost": result.qp_cost,
@@ -224,28 +222,25 @@ def cmd_verify(args) -> int:
             np.array(ksec["c"], dtype=float),
             np.array(ksec["d"], dtype=float),
         )
-        if all(key in doc for key in ("k_gain", "l_gain", "v_star")):
-            # the factors synth writes; closed_loop uses them only if they
-            # rebuild (A, B, C, D)
-            k = FactoredController(
-                k.a, k.b, k.c, k.d,
-                np.array(doc["k_gain"], dtype=float),
-                np.array(doc["l_gain"], dtype=float),
-                np.array(doc["v_star"], dtype=float).reshape(-1, k.n_outputs, k.n_inputs),
+        plant = cfg.plant
+        if (k.n_inputs, k.n_outputs) != (plant.n_meas, plant.n_ctrl):
+            raise DimensionMismatch(
+                f"controller has {k.n_inputs} inputs and {k.n_outputs} outputs, "
+                f"the plant {plant.n_meas} measurements and {plant.n_ctrl} controls"
             )
         stored = doc.get("h2_norm")
         if stored is not None:
             if isinstance(stored, bool) or not isinstance(stored, (int, float)):
                 raise TypeError(f"h2_norm must be a number, got {stored!r}")
             stored = float(stored)
-    except (OSError, OverflowError, json.JSONDecodeError, KeyError, TypeError,
-            ValueError) as exc:
+    except (DimensionMismatch, OSError, OverflowError, json.JSONDecodeError, KeyError,
+            TypeError, ValueError) as exc:
         raise ConfigError(f"cannot read controller file: {exc}") from exc
 
     report = verify.conformance(k, cfg.space, tol=args.tol)
     loop = verify.closed_loop(cfg.plant, k)
     # h2_norm_sq proves the loop stable before it sums the Gramian; on the
-    # loop of a factored controller that is the Youla verdict
+    # loop of a synthesized realization that is the Youla verdict
     try:
         norm, stable = math.sqrt(h2_norm_sq(loop.model)), True
     except UnstableSystem:

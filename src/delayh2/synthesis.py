@@ -278,26 +278,8 @@ def _fir_realization(v: np.ndarray):
 
 
 @dataclass(frozen=True)
-class FactoredController(StateSpaceModel):
-    """A controller realization (A, B, C, D) that also carries the factors it
-    was assembled from: the LQG gains K (``k_gain``) and L (``l_gain``) and
-    the ``(N, n_ctrl, n_meas)`` FIR coefficients ``v`` of the free
-    parameter.  See :func:`realize_controller` for how they combine;
-    :func:`delayh2.verify.closed_loop` re-checks them against A, B, C."""
-
-    k_gain: np.ndarray
-    l_gain: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        super().__post_init__()
-        for name in ("k_gain", "l_gain", "v"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-
-
-@dataclass(frozen=True)
 class SynthesisResult:
-    controller: FactoredController
+    controller: StateSpaceModel
     v_star: np.ndarray
     p11_norm_sq: float
     qp_cost: float
@@ -657,7 +639,7 @@ def _horizon_qp_costs(vsys: VectorizedSystem, mask: np.ndarray, omega, psi, n_ma
 
 def realize_controller(
     v_star: np.ndarray, gains: RiccatiGains, plant: GeneralizedPlant
-) -> FactoredController:
+) -> StateSpaceModel:
     """Assemble the strictly proper controller for a FIR free parameter,
     given as its ``(N, n_ctrl, n_meas)`` coefficients V_1 ... V_N.
 
@@ -667,8 +649,9 @@ def realize_controller(
         A = [[A + B2 K + L C2, B2 C_fir], [B_fir C2, A_fir]],
         B = [-L; -B_fir],   C = [K, C_fir],   D = 0,
 
-    with (A_fir, B_fir, C_fir) the shift register of V.  The result carries
-    K, L and V along with the realization.
+    with (A_fir, B_fir, C_fir) the shift register of V.  K, L and V are
+    stored bit for bit in B and C, where :func:`delayh2.verify.closed_loop`
+    reads them back.
     """
     b2, c2 = plant.b2, plant.c2
     k, l = gains.k_gain, gains.l_gain
@@ -687,7 +670,7 @@ def realize_controller(
     )
     b_ctrl = np.vstack([-l, -b_fir])
     c_ctrl = np.hstack([k, c_fir])
-    return FactoredController(a_ctrl, b_ctrl, c_ctrl, np.zeros((n_u, n_y)), k, l, v_star)
+    return StateSpaceModel(a_ctrl, b_ctrl, c_ctrl, np.zeros((n_u, n_y)))
 
 
 def _plant_prefix(plant: GeneralizedPlant) -> tuple[RiccatiGains, float, VectorizedSystem]:

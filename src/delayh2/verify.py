@@ -9,13 +9,13 @@ controller and every controller file written from one, each lag costs two
 products with A's top rows instead of one with the whole A; any other
 realization takes the dense recursion.
 
-The one quantity taken from synthesis is what a
-:class:`FactoredController` carries: its gains K, L and FIR coefficients
-V.  They are not trusted.  :func:`closed_loop` rebuilds the controller's
-realization from the plant and those factors with its own code and uses
-them only if the rebuild matches the realization it was given: then the
-loop is realized in Youla coordinates, block upper triangular, and
-otherwise as the raw interconnection.
+The loop is realized from (A, B, C, D) alone as well.  A synthesized
+controller's realization holds its factors bit for bit: the LQG gains K
+and L in the first n columns of C and rows of B, and the FIR coefficients
+V in the rest of C.  :func:`closed_loop` reads them there and uses them
+only if the rest of the realization is the one they give: then the loop
+is realized in Youla coordinates, block upper triangular, and otherwise as
+the raw interconnection.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from . import statespace
 from .delaymodel import ConstraintSpace, block_norms
 from .errors import DimensionMismatch, IllPosed, SolverFailure
 from .statespace import StateSpaceModel, impulse_response
-from .synthesis import FactoredController, GeneralizedPlant, VectorizedSystem
+from .synthesis import GeneralizedPlant, VectorizedSystem
 
 CONFORMANCE_TOL = 1e-7
 
@@ -42,9 +42,9 @@ class ClosedLoop:
     stability is internal stability.  Its realization depends on the
     controller:
 
-    * A controller that carried factors (K, L, V) rebuilding its realization
-      (see :func:`closed_loop`) gives the loop of (K, L, V) in the state
-      order (x, shift-register slots oldest first, e = x - x^).  There
+    * A controller whose realization has the synthesized structure (see
+      :func:`_youla_blocks`) gives the loop of its factors (K, L, V) in the
+      state order (x, shift-register slots oldest first, e = x - x^).  There
       ``model.a`` is block upper triangular, with exact zeros below its
       diagonal blocks A_K = A + B2 K, the nilpotent shift and A_L = A + L C2,
       and ``youla_blocks`` holds (A_K, A_L).  Its spectrum is
@@ -80,12 +80,14 @@ class ClosedLoop:
 def closed_loop(plant: GeneralizedPlant, k: StateSpaceModel) -> ClosedLoop:
     """Interconnect a strictly proper controller with the plant.
 
-    A :class:`FactoredController` whose realization matches the rebuild
-    from the plant and its factors (:func:`_youla_blocks`) gives the loop of
-    (K, L, V) in the state order (x, shift-register slots oldest first,
-    e = x - x^), block upper triangular (:func:`_youla_model`); any other
-    controller gives the raw interconnection in the state order
-    (x, controller state).  Both realize the same transfer matrix.
+    A controller whose realization is the one its factors (K, L, V), read
+    off B and C, give with the plant (:func:`_youla_blocks`) -- any
+    controller :func:`delayh2.synthesis.synthesize` returns, or a copy of
+    one -- gives the loop of (K, L, V) in the state order (x, shift-register
+    slots oldest first, e = x - x^), block upper triangular
+    (:func:`_youla_model`); any other realization gives the raw
+    interconnection in the state order (x, controller state).  Both
+    realize the same transfer matrix.
 
     Raises
     ------
@@ -115,35 +117,34 @@ def closed_loop(plant: GeneralizedPlant, k: StateSpaceModel) -> ClosedLoop:
 
 
 def _youla_blocks(plant: GeneralizedPlant, k: StateSpaceModel):
-    """(A_K, A_L, B2 K, B2 C_fir), formed from the plant and the factors K,
-    L, V that ``k`` carries, if ``k``'s realization is the one they give;
-    None if ``k`` carries no factors or differs from that rebuild.
+    """(A_K, A_L, K, L, B2 K, B2 C_fir) of the factors read off ``k``'s
+    realization, if that realization is the one they give with the plant;
+    None otherwise.
 
-    The rebuild is A = [[A + B2 K + L C2, B2 C_fir], [B_fir C2, A_fir]],
-    B = [-L; -B_fir], C = [K, C_fir], with the shift register A_fir,
-    the tap selector B_fir and C_fir = [V_1 ... V_N].  Copied and selected
-    blocks must match bit for bit; the two product blocks, whose rounding
-    depends on the order of summation, must match within a bound on it.
+    The realization of factors K, L and FIR coefficients V is
+    A = [[A + B2 K + L C2, B2 C_fir], [B_fir C2, A_fir]],
+    B = [-L; -B_fir], C = [K, C_fir], with the shift register A_fir of
+    m = N n_y states, the tap selector B_fir and C_fir = [V_1 ... V_N]
+    (:func:`delayh2.synthesis.realize_controller`).  So with n the plant
+    order, a realization of order n + m, m a multiple of n_y, holds
+    K = C[:, :n], L = -B[:n] and C_fir = C[:, n:] exactly, and is theirs
+    when the rest of it follows: the register, its taps and its feed C2 bit
+    for bit, and the two product blocks, whose rounding depends on the
+    order of summation, within a bound on it.
     """
-    if not isinstance(k, FactoredController):
-        return None
     a, b2, c2 = plant.a, plant.b2, plant.c2
-    gain, filt, v = k.k_gain, k.l_gain, k.v
     n, n_u, n_y = plant.n, plant.n_ctrl, plant.n_meas
-    if (gain.shape != (n_u, n) or filt.shape != (n, n_y) or v.ndim != 3
-            or v.shape[1:] != (n_u, n_y) or k.order != n + v.shape[0] * n_y):
-        return None
     m = k.order - n
-    c_fir = v.transpose(1, 0, 2).reshape(n_u, m)
-    taps = np.eye(m, n_y)
-    copied = (
-        np.array_equal(k.b, np.vstack([-filt, -taps]))
-        and np.array_equal(k.c, np.hstack([gain, c_fir]))
-        and _is_shift_register(k.a, n, n_y)
-        and np.array_equal(k.a[n:, :n], taps @ c2)
-    )
-    if not copied:
+    if m < 0 or m % n_y:
         return None
+    structured = (
+        np.array_equal(k.b[n:], -np.eye(m, n_y))
+        and _is_shift_register(k.a, n, n_y)
+        and (m == 0 or np.array_equal(k.a[n:n + n_y, :n], c2))
+    )
+    if not structured:
+        return None
+    gain, filt, c_fir = k.c[:, :n], -k.b[:n], k.c[:, n:]
     # An entry of a sum of products with at most j = max(n_u, n_y) terms,
     # plus two additions, is within gamma_(j+2) = (j + 2) u / (1 - (j + 2) u),
     # u = eps / 2, of its exact value relative to the same sum of absolute
@@ -158,15 +159,17 @@ def _youla_blocks(plant: GeneralizedPlant, k: StateSpaceModel):
     bound_12 = gamma * (np.abs(b2) @ np.abs(c_fir))
     if (np.all(np.abs(k.a[:n, :n] - (a_k + l_c2)) <= bound_11)
             and np.all(np.abs(k.a[:n, n:] - b2_c_fir) <= bound_12)):
-        return a_k, a_l, b2_k, b2_c_fir
+        return a_k, a_l, gain, filt, b2_k, b2_c_fir
     return None
 
 
-def _youla_model(plant: GeneralizedPlant, k: FactoredController, a_k: np.ndarray,
-                 a_l: np.ndarray, b2_k: np.ndarray, b2_c_fir: np.ndarray) -> StateSpaceModel:
+def _youla_model(plant: GeneralizedPlant, k: StateSpaceModel, a_k: np.ndarray,
+                 a_l: np.ndarray, gain: np.ndarray, filt: np.ndarray,
+                 b2_k: np.ndarray, b2_c_fir: np.ndarray) -> StateSpaceModel:
     """The loop of the controller ``k``, whose realization
-    :func:`_youla_blocks` matched to its factors (K, L, V), in the state
-    order (x, shift-register slots oldest first, e = x - x^):
+    :func:`_youla_blocks` matched to its factors K = ``gain``, L = ``filt``
+    and V, in the state order (x, shift-register slots oldest first,
+    e = x - x^):
 
         A = [[A_K, B2 C_fir, -B2 K], [0, S, F], [0, 0, A_L]],
         B = [B1; 0 ... 0; -D21; B1 + L D21],
@@ -194,13 +197,13 @@ def _youla_model(plant: GeneralizedPlant, k: FactoredController, a_k: np.ndarray
     a[e:, e:] = a_l
     b = np.zeros((e + n, plant.n_dist))
     b[:n] = plant.b1
-    b[e:] = plant.b1 + k.l_gain @ plant.d21
+    b[e:] = plant.b1 + filt @ plant.d21
     if m:
         slot = np.arange(n, e - n_y)
         a[slot, slot + n_y] = 1.0
         a[e - n_y:e, e:] = -plant.c2
         b[e - n_y:e] = -plant.d21
-    d12_k = plant.d12 @ k.k_gain
+    d12_k = plant.d12 @ gain
     c = np.hstack([plant.c1 + d12_k, plant.d12 @ c_fir, -d12_k])
     return StateSpaceModel(a, b, c, np.zeros((plant.n_perf, plant.n_dist)))
 
@@ -271,10 +274,9 @@ def conformance(
     block of the corresponding Markov parameter must be zero up to ``tol``
     relative to the overall response scale.
 
-    The Markov parameters are computed from (A, B, C, D) alone; no factor
-    is trusted.  When A's last N n_y states are exactly a shift register of
-    the measurements, as in every synthesized controller, factored or read
-    from a file, each lag costs two products with A's top n + n_y rows
+    The Markov parameters are computed from (A, B, C, D) alone.  When A's
+    last N n_y states are exactly a shift register of the measurements, as
+    in every synthesized controller, each lag costs two products with A's top n + n_y rows
     (:func:`_markov_parameters`).  Any other realization, and one with
     fewer than N n_y states, falls back to the dense recursion of
     :func:`impulse_response`.  At N = 0 only the feedthrough is read.

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from delayh2 import QIViolation, cli, statespace, synthesize, verify
+from delayh2 import QIViolation, cli, riccati_gains, statespace, synthesize, verify
 from conftest import dense_orders
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -102,11 +102,9 @@ class TestSynth:
 
         doc = json.loads(out_file.read_text())
         assert set(doc) == {
-            "controller", "k_gain", "l_gain", "v_star", "p11_norm_sq", "qp_cost",
-            "total_norm_sq", "h2_norm"
+            "controller", "v_star", "p11_norm_sq", "qp_cost", "total_norm_sq", "h2_norm"
         }
         assert len(doc["v_star"]) == 2
-        assert np.array(doc["k_gain"]).shape == np.array(doc["l_gain"]).shape == (3, 3)
         assert np.array(doc["controller"]["a"]).shape == (9, 9)
         assert doc["total_norm_sq"] == pytest.approx(
             doc["p11_norm_sq"] + doc["qp_cost"], rel=1e-12
@@ -339,6 +337,20 @@ class TestVerify:
         assert capsys.readouterr().err.startswith(
             "delayh2: config error: cannot read controller file: ")
 
+    @pytest.mark.parametrize("change, mismatch", [
+        (lambda ksec: ksec.update(a=[[1.0]]), "B has 9 rows, expected 1"),
+        (lambda ksec: [row.pop() for row in ksec["b"] + ksec["d"]],
+         "controller has 2 inputs and 3 outputs, the plant 3 measurements and 3 controls"),
+    ], ids=["state matrix", "plant dimensions"])
+    def test_mismatched_matrices_are_config_error(self, perturbed_controller, tmp_path,
+                                                  capsys, change, mismatch):
+        doc = json.loads(Path(perturbed_controller).read_text())
+        change(doc["controller"])
+        path = write_json(tmp_path / "mismatched.json", doc)
+        assert cli.main(["verify", path, "--config", CHAIN]) == 1
+        assert capsys.readouterr().err == (
+            f"delayh2: config error: cannot read controller file: {mismatch}\n")
+
     def test_perturbed_forbidden_block_is_reported(self, perturbed_controller, capsys,
                                                    monkeypatch):
         seen = dense_orders(monkeypatch)
@@ -363,9 +375,10 @@ def verified_loops(monkeypatch) -> list:
     return loops
 
 
-class TestVerifyFactoredFile:
-    """A synth file carries K, L and V, so verify takes the Youla path when
-    they rebuild the file's realization, and the raw loop otherwise."""
+class TestVerifySynthFile:
+    """A synth file's realization holds K, L and V in its B and C, so verify
+    takes the Youla path when the rest of the realization is the one they
+    give, and the raw loop otherwise."""
 
     @pytest.mark.parametrize("config", [CHAIN, CENTRALIZED, SWEEP])
     def test_synth_file_takes_the_youla_path(self, config, tmp_path, capsys, monkeypatch):
@@ -388,25 +401,83 @@ class TestVerifyFactoredFile:
         assert cli.main(["synth", "--config", config, "--out", str(out_file)]) == 0
         capsys.readouterr()
         assert cli.main(["verify", str(out_file), "--config", config]) == 0
-        factored = capsys.readouterr().out
+        youla = capsys.readouterr().out
         doc = json.loads(out_file.read_text())
         doc["controller"]["a"][0][0] *= 1 + 1e-12
         moved = write_json(tmp_path / "moved.json", doc)
         loops = verified_loops(monkeypatch)
         assert cli.main(["verify", moved, "--config", config]) == 0
         assert [loop.youla_blocks is None for loop in loops] == [True]
-        assert capsys.readouterr().out == factored
+        assert capsys.readouterr().out == youla
 
-    def test_a_file_without_factors_takes_the_raw_loop(self, tmp_path, capsys, monkeypatch):
+    def test_a_file_without_factors_takes_the_youla_path(self, tmp_path, capsys, monkeypatch):
         out_file = tmp_path / "controller.json"
         assert cli.main(["synth", "--config", CHAIN, "--out", str(out_file)]) == 0
         capsys.readouterr()
-        doc = json.loads(out_file.read_text())
-        del doc["l_gain"]
+        plain = write_json(tmp_path / "plain.json",
+                           {"controller": json.loads(out_file.read_text())["controller"]})
         loops = verified_loops(monkeypatch)
-        assert cli.main(["verify", write_json(tmp_path / "plain.json", doc), "--config", CHAIN]) == 0
+        assert cli.main(["verify", plain, "--config", CHAIN]) == 0
         assert "internal stability: PASS" in capsys.readouterr().out
-        assert [loop.youla_blocks is None for loop in loops] == [True]
+        assert [loop.youla_blocks is not None for loop in loops] == [True]
+
+    @pytest.mark.parametrize("config", [CHAIN, CENTRALIZED, SWEEP])
+    def test_a_file_with_the_old_factor_keys_verifies_alike(self, config, tmp_path, capsys,
+                                                            monkeypatch):
+        # files once carried K and L under these keys; they are ignored now
+        out_file = tmp_path / "controller.json"
+        assert cli.main(["synth", "--config", config, "--out", str(out_file)]) == 0
+        capsys.readouterr()
+        doc = json.loads(out_file.read_text())
+        assert "k_gain" not in doc and "l_gain" not in doc
+        gains = riccati_gains(cli.load_config(config).plant)
+        doc.update(k_gain=gains.k_gain.tolist(), l_gain=gains.l_gain.tolist())
+        old = write_json(tmp_path / "old.json", doc)
+        loops = verified_loops(monkeypatch)
+        assert cli.main(["verify", str(out_file), "--config", config]) == 0
+        new_out = capsys.readouterr().out
+        assert cli.main(["verify", old, "--config", config]) == 0
+        assert capsys.readouterr().out == new_out
+        assert [loop.youla_blocks is not None for loop in loops] == [True, True]
+
+    def test_a_fragile_loop_is_stable(self, tmp_path, capsys, monkeypatch):
+        # the 4-node one-way chain A = 6.1 I + shift with computation delay
+        # 24: the raw loop's eigenvalue solve reports radius about 1.7, the
+        # Youla loop's blocks A_K and A_L radius 0.161
+        n, eye = 4, np.eye(4).tolist()
+        zero = np.zeros((n, n)).tolist()
+        doc = {
+            "plant": {
+                "a": (6.1 * np.eye(n) + np.eye(n, k=1)).tolist(),
+                "b1": np.hstack([eye, zero]).tolist(),
+                "b2": eye,
+                "c1": np.vstack([eye, zero]).tolist(),
+                "c2": eye,
+                "d12": np.vstack([zero, eye]).tolist(),
+                "d21": np.hstack([zero, eye]).tolist(),
+                "block_rows": [1] * n,
+                "block_cols": [1] * n,
+            },
+            "graph": {
+                "comp_delays": [24] * n,
+                "edges": [[i, i + 1, 1] for i in range(n - 1)]
+                + [[i + 1, i, 1] for i in range(n - 1)],
+            },
+        }
+        config = write_json(tmp_path / "fragile.json", doc)
+        out_file = tmp_path / "controller.json"
+        assert cli.main(["synth", "--config", config, "--out", str(out_file)]) == 0
+        capsys.readouterr()
+        stored = json.loads(out_file.read_text())
+        assert not {"k_gain", "l_gain"} & set(stored)
+        loops = verified_loops(monkeypatch)
+        assert cli.main(["verify", str(out_file), "--config", config]) == 0
+        out = capsys.readouterr().out
+        assert "internal stability: PASS\n" in out
+        assert f"matches stored norm {stored['h2_norm']:.6f}: PASS\n" in out
+        assert [loop.youla_blocks is not None for loop in loops] == [True]
+        norm_sq = statespace.h2_norm_sq(loops[0].model)
+        assert norm_sq == pytest.approx(stored["total_norm_sq"], rel=1e-9)
 
 
 class TestTolerance:

@@ -10,7 +10,6 @@ from delayh2 import (
     ClosedLoop,
     ConstraintSpace,
     DimensionMismatch,
-    FactoredController,
     GeneralizedPlant,
     IllPosed,
     SolverFailure,
@@ -96,9 +95,15 @@ def chain12():
 
 
 def plain_copy(k: StateSpaceModel) -> StateSpaceModel:
-    """``k``'s realization without its factors: its loop is the raw
-    interconnection, one dense matrix."""
+    """A copy of ``k``'s realization, as a controller file holds it."""
     return StateSpaceModel(k.a, k.b, k.c, k.d)
+
+
+def reversed_copy(k: StateSpaceModel) -> StateSpaceModel:
+    """``k`` with its states in reverse order, an exact similarity
+    transform: the realization loses the synthesized structure, so its loop
+    is the raw interconnection, one dense matrix."""
+    return StateSpaceModel(k.a[::-1, ::-1], k.b[::-1], k.c[:, ::-1], k.d)
 
 
 def shift_chain_problem(a_diag: float, comp_delay: int):
@@ -123,23 +128,23 @@ def shift_chain_problem(a_diag: float, comp_delay: int):
     return plant, synthesize(plant, cs, delays=d)
 
 
-def shift_chain_loop(a_diag: float, comp_delay: int, plain: bool = False):
+def shift_chain_loop(a_diag: float, comp_delay: int, raw: bool = False):
     """Closed loop of the optimal controller of :func:`shift_chain_problem`.
-    Its exact spectrum is that of A_K and A_L plus 0.  With ``plain`` the
-    controller is a :func:`plain_copy`, and the loop is the raw
+    Its exact spectrum is that of A_K and A_L plus 0.  With ``raw`` the
+    controller is a :func:`reversed_copy`, and the loop is the raw
     interconnection, whose shift register is far from normal and whose
     norm grows with a_diag and the horizon."""
     plant, result = shift_chain_problem(a_diag, comp_delay)
     k = result.controller
-    return closed_loop(plant, plain_copy(k) if plain else k)
+    return closed_loop(plant, reversed_copy(k) if raw else k)
 
 
 class TestDenseLoopStability:
     """Verdicts on dense closed loops: the raw interconnection of a
-    synthesized controller's plain copy, decided by one eigenvalue solve."""
+    synthesized controller's reversed copy, decided by one eigenvalue solve."""
 
     @pytest.mark.parametrize("n, scale", [(n, 1.0) for n in range(6, 13)] + [(6, 1e4)])
-    def test_plain_copy_loops_are_stable(self, n, scale):
+    def test_reversed_copy_loops_are_stable(self, n, scale):
         # chains of 6 to 12 nodes, orders 42 to 156, each loop one diagonal
         # block; with B2 scaled by 1e4 and C2 by 1e-4 the 6-node loop mixes
         # entries from 1e-4 to 1e4
@@ -147,7 +152,7 @@ class TestDenseLoopStability:
         plant = dataclasses.replace(plant, b2=scale * plant.b2, c2=plant.c2 / scale)
         d = delay_matrix(make_chain_graph(n))
         cs = constraint_space(d, plant.block_rows, plant.block_cols)
-        loop = closed_loop(plant, plain_copy(synthesize(plant, cs, delays=d).controller))
+        loop = closed_loop(plant, reversed_copy(synthesize(plant, cs, delays=d).controller))
         order = n * (n + 1)
         assert _diagonal_blocks(loop.model.a) == [0, order]
         assert loop.model.is_stable
@@ -159,7 +164,7 @@ class TestDenseLoopStability:
         # decides.  Its radius (about 0.5) is itself rounding-dominated and
         # moves with the controller's last bits, so the verdict must report
         # exactly what the solve returns
-        loop = shift_chain_loop(3.1, 14, plain=True)
+        loop = shift_chain_loop(3.1, 14, raw=True)
         assert loop.is_internally_stable
         stable, why = _stability(loop.model.a)
         assert stable
@@ -170,7 +175,7 @@ class TestDenseLoopStability:
         # the loop is stable by its eigenvalues, but its powers overflow
         # double precision long before Smith doubling's tail vanishes: the
         # solve stops at the first non-finite tail, with no numpy warning
-        loop = shift_chain_loop(3.1, 14, plain=True)
+        loop = shift_chain_loop(3.1, 14, raw=True)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(
@@ -182,17 +187,17 @@ class TestDenseLoopStability:
 
     def test_unstable_verdict_names_the_eigenvalues(self):
         # the exact spectrum lies inside the unit circle, but in double
-        # precision the eigenvalue solve of the dense loop reports about 1.7.
+        # precision the eigenvalue solve of the dense loop reports 1.69973.
         # A_K and A_L, of radius 0.161, decide the synthesized controller's
         # loop
         plant, result = shift_chain_problem(6.1, 24)
-        loop = closed_loop(plant, plain_copy(result.controller))
+        loop = closed_loop(plant, reversed_copy(result.controller))
         assert not loop.model.is_stable
         assert not loop.is_internally_stable
         assert closed_loop(plant, result.controller).is_internally_stable
         with pytest.raises(
             UnstableSystem,
-            match=r"^h2_norm_sq: eigenvalues: spectral radius 1\.7\d* >= 1 - 1e-09$",
+            match=r"^h2_norm_sq: eigenvalues: spectral radius 1\.69973 >= 1 - 1e-09$",
         ):
             h2_norm_sq(loop.model)
 
@@ -212,18 +217,51 @@ def stability_orders(monkeypatch) -> list:
     return seen
 
 
-def with_changed_shift_entry(k: FactoredController) -> FactoredController:
-    """``k`` with the first one of its shift register moved by one ulp."""
-    n, n_meas = k.l_gain.shape
+def with_changed_shift_entry(k: StateSpaceModel, n: int) -> StateSpaceModel:
+    """``k``, of plant order ``n``, with the first one of its shift register
+    moved by one ulp."""
     a = k.a.copy()
-    a[n + n_meas, n] = np.nextafter(1.0, 2.0)
+    a[n + k.n_inputs, n] = np.nextafter(1.0, 2.0)
     return dataclasses.replace(k, a=a)
+
+
+def with_changed_tap(k: StateSpaceModel, n: int) -> StateSpaceModel:
+    """``k`` with the first tap of its register rows of B, -1, moved by one
+    ulp."""
+    b = k.b.copy()
+    b[n, 0] = np.nextafter(-1.0, -2.0)
+    return dataclasses.replace(k, b=b)
+
+
+def with_changed_feed(k: StateSpaceModel, n: int) -> StateSpaceModel:
+    """``k`` with the entry (0, 0) of its register's feed rows, C2's, moved by
+    one ulp."""
+    a = k.a.copy()
+    a[n, 0] = np.nextafter(a[n, 0], 2.0 * a[n, 0])
+    return dataclasses.replace(k, a=a)
+
+
+def with_an_extra_state(k: StateSpaceModel, n: int) -> StateSpaceModel:
+    """``k`` with one more state, decoupled and stable (pole 0.5), so that
+    the order past the plant's is no multiple of n_y."""
+    order = k.order
+    a = np.zeros((order + 1, order + 1))
+    a[:order, :order] = k.a
+    a[order, order] = 0.5
+    return StateSpaceModel(a, np.vstack([k.b, np.zeros((1, k.n_inputs))]),
+                           np.hstack([k.c, np.zeros((k.n_outputs, 1))]), k.d)
+
+
+def zero_order_controller(k: StateSpaceModel, n: int) -> StateSpaceModel:
+    """The zero controller with no state, of order below the plant's."""
+    return StateSpaceModel(np.zeros((0, 0)), np.zeros((0, k.n_inputs)),
+                           np.zeros((k.n_outputs, 0)), k.d)
 
 
 class TestYoulaStability:
     """A synthesized controller's loop is decided from A_K and A_L, the
     n x n diagonal blocks of its block-triangular form, once the rebuild
-    from (K, L, V) matches the controller's realization."""
+    from the (K, L, V) read off its B and C matches its realization."""
 
     def test_synthesized_loop_is_decided_at_the_plant_order(self, chain12, monkeypatch):
         result, _ = chain12
@@ -235,17 +273,23 @@ class TestYoulaStability:
         assert spectral_radius(a_k) < 1 and spectral_radius(a_l) < 1
 
     @pytest.mark.parametrize(
-        "strip",
-        [plain_copy, with_changed_shift_entry],
-        ids=["plain realization", "changed shift entry"],
+        "strip, stable",
+        [(lambda k, n: reversed_copy(k), True), (with_changed_shift_entry, True),
+         (with_changed_tap, True), (with_changed_feed, True), (with_an_extra_state, True),
+         (zero_order_controller, False)],
+        ids=["reversed states", "changed shift entry", "changed tap", "changed feed",
+             "order not n plus a multiple of n_y", "order below n"],
     )
-    def test_other_controllers_are_decided_on_the_whole_loop(self, chain12, monkeypatch, strip):
+    def test_other_controllers_are_decided_on_the_whole_loop(self, chain12, monkeypatch, strip,
+                                                             stable):
         result, _ = chain12
-        loop = closed_loop(make_chain_plant(12), strip(result.controller))
+        plant = make_chain_plant(12)
+        k = strip(result.controller, plant.n)
+        loop = closed_loop(plant, k)
         assert loop.youla_blocks is None
         seen = stability_orders(monkeypatch)
-        assert loop.is_internally_stable
-        assert seen == [156]
+        assert loop.is_internally_stable is stable
+        assert seen == [plant.n + k.order]
 
     def test_a_product_block_off_by_more_than_rounding_is_refused(self, chain_plant, chain_result):
         k = chain_result.controller
@@ -289,7 +333,7 @@ CONFORMANCE_CASES = [f"chain-{n}" for n in range(3, 13)] + [
 
 
 class TestYoulaLoop:
-    """The loop of a factored controller is realized in the state order
+    """The loop of a synthesized controller is realized in the state order
     (x, shift-register slots oldest first, e = x - x^), block upper
     triangular with A_K, the shift and A_L on its diagonal."""
 
@@ -302,11 +346,24 @@ class TestYoulaLoop:
         assert loop.is_internally_stable is loop.model.is_stable is True
         assert h2_norm_sq(loop.model) == pytest.approx(result.total_norm_sq, rel=1e-9)
 
+    @pytest.mark.parametrize("a_diag, comp_delay", [(3.1, 14), (6.1, 24), (4.6, 5), (6.1, 5)])
+    def test_a_plain_copy_has_the_same_loop(self, a_diag, comp_delay):
+        # a controller file holds only (A, B, C, D), and its loop is the
+        # library controller's bit for bit: on (6.1, 24) it is not the raw
+        # loop, whose eigenvalue solve reports radius 1.69973
+        plant, result = shift_chain_problem(a_diag, comp_delay)
+        library = closed_loop(plant, result.controller).model
+        loop = closed_loop(plant, plain_copy(result.controller))
+        for name in "abcd":
+            npt.assert_array_equal(getattr(loop.model, name), getattr(library, name))
+        assert loop.is_internally_stable is loop.model.is_stable is True
+        assert h2_norm_sq(loop.model) == pytest.approx(result.total_norm_sq, rel=1e-9)
+
     @pytest.mark.parametrize("case", CONFORMANCE_CASES[:-1])
     def test_youla_and_raw_loops_agree(self, case):
         plant, cs, result = synthesized_case(case)
         youla = closed_loop(plant, result.controller)
-        raw = closed_loop(plant, plain_copy(result.controller))
+        raw = closed_loop(plant, reversed_copy(result.controller))
         assert youla.youla_blocks is not None and raw.youla_blocks is None
         assert youla.model.order == raw.model.order
         assert youla.is_internally_stable is youla.model.is_stable is True
@@ -459,8 +516,8 @@ class TestConformance:
 
     @pytest.mark.parametrize(
         "change",
-        [lambda k, cs: (with_changed_shift_entry(k), cs), with_register_fed_from_the_observer,
-         checked_one_lag_longer],
+        [lambda k, cs: (with_changed_shift_entry(k, k.order - cs.n_horizon * k.n_inputs), cs),
+         with_register_fed_from_the_observer, checked_one_lag_longer],
         ids=["changed shift entry", "register fed from the observer", "one lag longer"],
     )
     def test_other_realizations_take_the_dense_recursion(self, change, monkeypatch):
