@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage or parse error, 2 domain-check failure
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -165,6 +166,16 @@ def _result_document(result: SynthesisResult) -> dict:
     }
 
 
+def _open_output(path: str):
+    """``path`` opened for writing, before the work whose result goes there:
+    a path that cannot be written is a :class:`ConfigError` at once, not a
+    traceback after the work."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def cmd_synth(args) -> int:
     cfg = load_config(args.config)
     if not args.force:
@@ -179,9 +190,9 @@ def cmd_synth(args) -> int:
                 f"delay pattern is not quadratically invariant ({delaymodel.qi_witness_text(*qi)}); "
                 "re-run with --force to synthesize anyway"
             )
-    result = synthesize(cfg.plant, cfg.space)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    with _open_output(args.out) if args.out else contextlib.nullcontext() as fh:
+        result = synthesize(cfg.plant, cfg.space)
+        if fh is not None:
             json.dump(_result_document(result), fh, indent=1)
             fh.write("\n")
     print(f"H2 norm: {result.h2_norm:.6f}")
@@ -194,15 +205,15 @@ def cmd_sweep(args) -> int:
         raise ConfigError("need 1 <= n-min <= n-max")
     if cfg.sweep_template is None:
         raise ConfigError(f"{args.config}: no 'sweep' section with a 'template'")
-    cells = []
-    try:
-        for norm in sweep_norms(cfg.plant, cfg.sweep_template, args.n_max):
-            cells.append(f"{norm:.10g}")
-    except DelayH2Error as exc:  # a failure at N fails every larger N too
-        for n in range(max(len(cells) + 1, args.n_min), args.n_max + 1):
-            print(f"warning: N={n} failed: {exc}", file=sys.stderr)
-        cells += [""] * (args.n_max - len(cells))
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with _open_output(args.out) as fh:
+        cells = []
+        try:
+            for norm in sweep_norms(cfg.plant, cfg.sweep_template, args.n_max):
+                cells.append(f"{norm:.10g}")
+        except DelayH2Error as exc:  # a failure at N fails every larger N too
+            for n in range(max(len(cells) + 1, args.n_min), args.n_max + 1):
+                print(f"warning: N={n} failed: {exc}", file=sys.stderr)
+            cells += [""] * (args.n_max - len(cells))
         fh.write("N,norm\n")
         for n in range(args.n_min, args.n_max + 1):
             fh.write(f"{n},{cells[n - 1]}\n")

@@ -2,12 +2,12 @@
 
 Systems evolve as ``x[t+1] = A x[t] + B u[t]``, ``y[t] = C x[t] + D u[t]``
 and are represented by immutable :class:`StateSpaceModel` values.  The
-pipeline needs only a few operations on them: impulse responses (one
+package needs only a few operations on them: impulse responses (one
 ``(T+1, outputs, inputs)`` array indexed by lag), the series product behind
-the Bezout check, squared H2 norms and the Riccati equation, the last two
-by doubling, O(n^3) per step, each step covering twice the horizon of the
-last.  The observability Gramian is Smith doubling of the symmetric Stein
-series sum_t (A^t)^T C^T C A^t.
+the reference Bezout check, squared H2 norms and the Riccati equation, the
+last two by doubling, O(n^3) per step, each step covering twice the horizon
+of the last.  The observability Gramian is Smith doubling of the symmetric
+Stein series sum_t (A^t)^T C^T C A^t.
 
 One predicate decides stability everywhere (``is_stable``, the norm's
 precondition, the Riccati closed loop).  It splits A into the diagonal
@@ -302,12 +302,13 @@ def dare_solve(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:
     if q.shape != (n, n) or b.shape[0] != n:
         raise DimensionMismatch("dare_solve: incompatible shapes")
     a_k, g_k, x = a, b @ b.T, 0.5 * (q + q.T)
+    eye = np.eye(n)
     for _ in range(DOUBLING_MAX_STEPS):
         try:
-            w_inv = np.linalg.solve(np.eye(n) + g_k @ x, np.hstack([a_k, g_k]))
+            w_inv = np.linalg.solve(eye + g_k @ x, np.hstack([a_k, g_k]))
         except np.linalg.LinAlgError as exc:
             raise SolverFailure("singular I + G H in Riccati doubling") from exc
-        w_inv_a, w_inv_g = np.hsplit(w_inv, 2)
+        w_inv_a, w_inv_g = w_inv[:, :n], w_inv[:, n:]
         x_next = x + a_k.T @ x @ w_inv_a
         x_next = 0.5 * (x_next + x_next.T)
         if not np.isfinite(x_next).all():

@@ -1,5 +1,6 @@
 import dataclasses
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -29,11 +30,17 @@ from delayh2 import (
     vectorized_system,
 )
 from delayh2 import synthesis
+from delayh2.config import load_config
 from delayh2.synthesis import (
+    RICCATI_RESIDUAL_TOL,
     _c_v_products,
     _fir_realization,
     _horizon_qp_costs,
+    _kron,
     _lifted_products,
+    _plant_prefix,
+    riccati_residuals,
+    sweep_norms,
 )
 from conftest import lemma_identity_errors, make_chain_graph, make_chain_plant
 from delayh2 import constraint_space, delay_matrix
@@ -42,6 +49,11 @@ GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
 CHAIN_NORM = 34.9304          # published three-player chain optimum
 CENTRALIZED_NORM = 24.236     # published centralized reference
+
+CONFIGS = [
+    str(Path(__file__).resolve().parent.parent / "configs" / f"{name}.json")
+    for name in ("chain_three_player", "chain_centralized", "two_subsystem_sweep")
+]
 
 
 def channel_terms(plant, gains, v, n_lags):
@@ -149,6 +161,134 @@ class TestRiccatiGains:
         assert spectral_radius(p.a + g.l_gain @ p.c2) < 1.0
         npt.assert_allclose(g.omega, np.eye(3) + p.b2.T @ x @ p.b2, rtol=1e-12)
         npt.assert_allclose(g.psi, np.eye(3) + p.c2 @ y @ p.c2.T, rtol=1e-12)
+
+
+def perturbed_gains(plant, gains, which, seed):
+    """``gains`` with K or L moved by 0.05 N(0, 1) and its loop rebuilt, so
+    the loop still is A + B2 K or A + L C2 for the gain it holds."""
+    rng = np.random.default_rng(seed)
+    if which == "K":
+        k = gains.k_gain + 0.05 * rng.standard_normal(gains.k_gain.shape)
+        return dataclasses.replace(gains, k_gain=k, a_k=plant.a + plant.b2 @ k)
+    l = gains.l_gain + 0.05 * rng.standard_normal(gains.l_gain.shape)
+    return dataclasses.replace(gains, l_gain=l, a_l=plant.a + l @ plant.c2)
+
+
+def scaled_chain(n, self_coupling, io_scale):
+    """The n-chain with its self coupling replaced and B2, C2 = io_scale I."""
+    p = make_chain_plant(n)
+    a = p.a + (self_coupling - 1.5) * np.eye(n)
+    return dataclasses.replace(p, a=a, b2=io_scale * p.b2, c2=io_scale * p.c2)
+
+
+class TestRiccatiResiduals:
+    """The pipeline's check of the gains: both Riccati equations, formed with
+    the K and L that synthesis uses, hold to RICCATI_RESIDUAL_TOL relative."""
+
+    @pytest.mark.parametrize("n", [3, 6, 12, 20])
+    def test_correct_gains_read_an_eps_sized_residual(self, n):
+        plant = make_chain_plant(n)
+        residuals = riccati_residuals(plant, riccati_gains(plant))
+        assert max(residuals) < 4 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("which, equation", [("K", "control"), ("L", "filter")])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_a_perturbed_gain_fails_where_the_bezout_check_passes(self, which, equation, seed):
+        plant = make_chain_plant(6)
+        bad = perturbed_gains(plant, riccati_gains(plant), which, seed)
+        # any stabilizing K and L give a doubly-coprime pair
+        assert spectral_radius(bad.a_k) < 1.0 and spectral_radius(bad.a_l) < 1.0
+        assert coprime_factorization(plant, bad) < 1e-14
+        with pytest.raises(SolverFailure, match=rf"^{equation} Riccati equation: relative "
+                           rf"residual \S+ exceeds {RICCATI_RESIDUAL_TOL:.3g}$"):
+            riccati_residuals(plant, bad)
+
+    def test_riccati_gains_runs_the_check(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(synthesis, "riccati_residuals", lambda p, g: seen.append(g))
+        gains = riccati_gains(make_chain_plant(3))
+        assert len(seen) == 1 and seen[0] is gains
+
+    @pytest.mark.parametrize("scale", [1e-2, 1e-3, 1e-4])
+    def test_badly_scaled_chains_pass(self, scale):
+        # the residual grows like 1/scale^2 (5.1e4 eps at 1e-4); an eps-sized
+        # bound would refuse these correct solutions
+        plant = scaled_chain(6, 1.5, scale)
+        assert max(riccati_residuals(plant, riccati_gains(plant))) < RICCATI_RESIDUAL_TOL
+
+    def test_vanishing_terms_read_zero(self):
+        # C1 = 0 and a stable A give X = 0: every term of the control
+        # equation vanishes
+        plant = GeneralizedPlant(
+            a=[[0.5]], b1=[[1.0, 0.0]], b2=[[1.0]],
+            c1=[[0.0], [0.0]], c2=[[1.0]],
+            d12=[[0.0], [1.0]], d21=[[0.0, 1.0]],
+            block_rows=(1,), block_cols=(1,),
+        )
+        assert riccati_residuals(plant, riccati_gains(plant))[0] == 0.0
+
+
+def closed_form_cases():
+    for n in range(3, 21):
+        yield pytest.param(make_chain_plant(n), id=f"chain{n}")
+    for path in CONFIGS:
+        yield pytest.param(load_config(path).plant, id=Path(path).stem)
+    for seed in range(5):
+        rng = np.random.default_rng(900 + seed)
+        yield pytest.param(oracles.random_normalized_plant(rng, 5, 2, 3), id=f"random{seed}")
+
+
+class TestP11ClosedForm:
+    @pytest.mark.parametrize("plant", closed_form_cases())
+    def test_matches_the_gramian_of_p11(self, plant):
+        gains, p11_norm_sq, _ = _plant_prefix(plant)
+        want = h2_norm_sq(model_matching_matrices(plant, gains))
+        assert abs(p11_norm_sq - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("plant, cs", [
+        pytest.param(scaled_chain(3, 300.0, 0.01),
+                     constraint_space(delay_matrix(make_chain_graph(3)), (1,) * 3, (1,) * 3),
+                     id="chain-300"),
+        pytest.param(GeneralizedPlant(a=[[300.0]], b1=[[1.0, 0.0]], b2=[[0.01]],
+                                      c1=[[1.0], [0.0]], c2=[[0.01]], d12=[[0.0], [1.0]],
+                                      d21=[[0.0, 1.0]], block_rows=(1,), block_cols=(1,)),
+                     ConstraintSpace(0, (1,), (1,), ()),
+                     id="scalar-300-centralized"),
+    ])
+    def test_badly_scaled_plants_synthesize(self, plant, cs):
+        # the Bezout check refused both (residuals 2.1e-5 and 9.7e-6 against
+        # its absolute 1e-6), though the solutions are right
+        with pytest.raises(BezoutCheckFailed):
+            coprime_factorization(plant, riccati_gains(plant))
+        result = synthesize(plant, cs)
+        loop = closed_loop(plant, result.controller)
+        assert h2_norm_sq(loop.model) == pytest.approx(result.total_norm_sq, rel=1e-9)
+
+    def test_the_pipeline_runs_no_reference(self, chain_plant, chain_space, sweep_plant,
+                                            monkeypatch):
+        def reference(*args):
+            raise AssertionError("a reference ran in the pipeline")
+
+        for name in ("coprime_factorization", "model_matching_matrices", "h2_norm_sq"):
+            monkeypatch.setattr(synthesis, name, reference)
+        assert synthesize(chain_plant, chain_space).h2_norm == pytest.approx(CHAIN_NORM, abs=1e-3)
+        assert len(list(sweep_norms(sweep_plant, np.eye(2, dtype=bool), 5))) == 5
+
+
+class TestKron:
+    @pytest.mark.parametrize("a_shape, b_shape", [((3, 3), (3, 3)), ((2, 5), (4, 1)),
+                                                  ((1, 4), (3, 2)), ((3, 2), (2, 3))])
+    def test_equals_np_kron_bit_for_bit(self, a_shape, b_shape):
+        rng = np.random.default_rng(41)
+        a, b = rng.standard_normal(a_shape), rng.standard_normal(b_shape)
+        want = np.kron(a, b)
+        assert np.array_equal(_kron(a, b), want)
+        # into a block of a larger matrix, leaving the rest alone
+        big = np.full((want.shape[0] + 3, want.shape[1] + 2), np.nan)
+        block = big[1:-2, 2:]
+        assert _kron(a, b, out=block) is block
+        assert np.array_equal(block, want)
+        assert np.isnan(big[0]).all() and np.isnan(big[-2:]).all() and np.isnan(big[:, :2]).all()
 
 
 class TestCoprimeFactorization:
