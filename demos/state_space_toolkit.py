@@ -1,8 +1,8 @@
 """Tour of the low-level state-space machinery.
 
-Everything downstream (the Bezout check, the P11 norm, the Riccati pair)
-rests on a handful of dense-matrix primitives; this script pokes at each
-one.
+The synthesis pipeline (the Riccati pair, the closed-loop norm, the
+controller's impulse response) rests on a handful of dense-matrix
+primitives; this script pokes at each one.
 """
 
 import numpy as np

@@ -21,7 +21,6 @@ from .delaymodel import (
 )
 from .errors import (
     AssumptionViolated,
-    BezoutCheckFailed,
     ConfigError,
     DelayH2Error,
     DimensionMismatch,
@@ -43,8 +42,6 @@ from .synthesis import (
     RiccatiGains,
     SynthesisResult,
     VectorizedSystem,
-    coprime_factorization,
-    model_matching_matrices,
     realize_controller,
     riccati_gains,
     solve_constrained_qp,
@@ -52,13 +49,12 @@ from .synthesis import (
     synthesize,
     vectorized_system,
 )
-from .verify import ClosedLoop, ConformanceReport, closed_loop, conformance, kkt_oracle
+from .verify import ClosedLoop, ConformanceReport, closed_loop, conformance
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AssumptionViolated",
-    "BezoutCheckFailed",
     "ClosedLoop",
     "ConfigError",
     "ConformanceReport",
@@ -82,14 +78,11 @@ __all__ = [
     "closed_loop",
     "conformance",
     "constraint_space",
-    "coprime_factorization",
     "dare_solve",
     "delay_matrix",
     "expand_pattern",
     "h2_norm_sq",
     "impulse_response",
-    "kkt_oracle",
-    "model_matching_matrices",
     "plant_block_delays",
     "realize_controller",
     "riccati_gains",

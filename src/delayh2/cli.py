@@ -226,13 +226,11 @@ def cmd_verify(args) -> int:
     try:
         with open(args.controller, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        ksec = doc["controller"]
-        k = StateSpaceModel(
-            np.array(ksec["a"], dtype=float),
-            np.array(ksec["b"], dtype=float),
-            np.array(ksec["c"], dtype=float),
-            np.array(ksec["d"], dtype=float),
-        )
+        mats = {name: np.array(doc["controller"][name], dtype=float) for name in "abcd"}
+        for name, m in mats.items():
+            if not np.isfinite(m).all():
+                raise ValueError(f"controller.{name} has a non-finite entry")
+        k = StateSpaceModel(**mats)
         plant = cfg.plant
         if (k.n_inputs, k.n_outputs) != (plant.n_meas, plant.n_ctrl):
             raise DimensionMismatch(

@@ -25,10 +25,6 @@ class DimensionMismatch(DelayH2Error):
     """Matrix or block dimensions are mutually inconsistent."""
 
 
-class BezoutCheckFailed(DelayH2Error):
-    """The coprime factors do not satisfy the Bezout identity numerically."""
-
-
 class QIViolation(DelayH2Error):
     """The delay constraint is not quadratically invariant for this plant."""
 

@@ -3,17 +3,12 @@
 Systems evolve as ``x[t+1] = A x[t] + B u[t]``, ``y[t] = C x[t] + D u[t]``
 and are represented by immutable :class:`StateSpaceModel` values.  The
 package needs only a few operations on them: impulse responses (one
-``(T+1, outputs, inputs)`` array indexed by lag), the series product behind
-the reference Bezout check, squared H2 norms and the Riccati equation, the
-last two by doubling, O(n^3) per step, each step covering twice the horizon
-of the last.  The observability Gramian is Smith doubling of the symmetric
-Stein series sum_t (A^t)^T C^T C A^t.
-
-One predicate decides stability everywhere (``is_stable``, the norm's
-precondition, the Riccati closed loop).  It splits A into the diagonal
-blocks of its finest block upper triangular form in the stored order and
-reads their eigenvalues, which are A's: the 1 x 1 blocks by modulus, all at
-once, and each larger block by an eigenvalue solve.
+``(T+1, outputs, inputs)`` array indexed by lag), squared H2 norms and the
+Riccati equation, the last two by doubling, O(n^3) per step, each step
+covering twice the horizon of the last.  The series product
+(:func:`multiply`) serves only the Bezout reference off the pipeline and the
+demos.  One predicate, :func:`_stability`, decides stability everywhere
+(``is_stable``, the norm's precondition, the Riccati closed loop).
 
 ``vec`` stacks columns (Fortran order) throughout, which is the convention
 under which vec(A X B) = (B^T kron A) vec(X).
@@ -174,18 +169,8 @@ class StateSpaceModel:
     @property
     def is_stable(self) -> bool:
         """Spectral radius of A below 1 - ``TOL_STAB``, the margin every
-        solver that needs a stable A applies.  Decided by the eigenvalues of
-        the diagonal blocks of A's block triangular form (see
-        :func:`_stability`)."""
+        solver that needs a stable A applies (:func:`_stability`)."""
         return _stability(self.a)[0]
-
-    @staticmethod
-    def static(d) -> "StateSpaceModel":
-        """Zero-state model realizing a constant gain."""
-        d = _as_matrix(d)
-        return StateSpaceModel(
-            np.zeros((0, 0)), np.zeros((0, d.shape[1])), np.zeros((d.shape[0], 0)), d
-        )
 
 
 def impulse_response(g: StateSpaceModel, horizon: int) -> np.ndarray:
@@ -231,8 +216,7 @@ def h2_norm_sq(g: StateSpaceModel) -> float:
     Raises
     ------
     UnstableSystem
-        If A is not stable by the test of :attr:`StateSpaceModel.is_stable`,
-        the eigenvalues of its diagonal blocks; the message names the block
+        If A is not stable (:func:`_stability`); the message names the block
         that decided and its modulus or spectral radius.
     SolverFailure
         If the Gramian's doubling overflows or does not converge
@@ -294,8 +278,7 @@ def dare_solve(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:
     different weighting is wanted.  Raises :class:`SolverFailure` if the
     iterates stop being finite or miss ``DARE_TOL`` within
     ``DOUBLING_MAX_STEPS`` steps, and :class:`AssumptionViolated` if the
-    resulting closed loop A + B K is not stable by the test of
-    :attr:`StateSpaceModel.is_stable`.
+    resulting closed loop A + B K is not stable (:func:`_stability`).
     """
     a, b, q = map(_as_matrix, (a, b, q))
     n, m = a.shape[0], b.shape[1]

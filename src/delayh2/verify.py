@@ -1,21 +1,11 @@
 """Independent checks on synthesized controllers.
 
-The closed loop is rebuilt from the plant and the controller, delay-pattern
-conformance is read off the controller's own Markov parameters, and the
-quadratic program is re-solved as one explicit KKT system.  The Markov
-parameters come from the realization alone: when its last states are a
-shift register of the past N measurements, as in every synthesized
-controller and every controller file written from one, each lag costs two
-products with A's top rows instead of one with the whole A; any other
-realization takes the dense recursion.
-
-The loop is realized from (A, B, C, D) alone as well.  A synthesized
-controller's realization holds its factors bit for bit: the LQG gains K
-and L in the first n columns of C and rows of B, and the FIR coefficients
-V in the rest of C.  :func:`closed_loop` reads them there and uses them
-only if the rest of the realization is the one they give: then the loop
-is realized in Youla coordinates, block upper triangular, and otherwise as
-the raw interconnection.
+The closed loop is rebuilt from the plant and the controller
+(:func:`closed_loop`), delay-pattern conformance is read off the
+controller's own Markov parameters (:func:`conformance`), and the quadratic
+program is re-solved as one explicit KKT system (:func:`kkt_oracle`).  Both
+checks read the controller's realization (A, B, C, D) alone, so a
+controller file verifies like the controller it was written from.
 """
 
 from __future__ import annotations
@@ -51,11 +41,6 @@ class ClosedLoop:
       spec(A_K) u {0} u spec(A_L).
     * Any other controller gives the raw interconnection in the state order
       (x, controller state), and ``youla_blocks`` is None.
-
-    Either way :attr:`StateSpaceModel.is_stable`, the test that
-    :func:`h2_norm_sq` requires, splits ``model.a`` into the diagonal blocks
-    of its block triangular form and reads their eigenvalues: a 1 x 1 block
-    by its modulus and a larger block by an eigenvalue solve.
     """
 
     model: StateSpaceModel
@@ -67,27 +52,19 @@ class ClosedLoop:
 
     @property
     def is_internally_stable(self) -> bool:
-        """Whether the loop is internally stable, by the test described in
-        :class:`ClosedLoop`.  With ``youla_blocks`` it decides A_K and A_L
-        alone, which spares the scan of the whole ``model.a`` for its
-        diagonal blocks; it equals ``model.is_stable`` exactly, since those
-        blocks are A_K's, the shift's zero diagonal and A_L's."""
+        """``model.is_stable``, the precondition of :func:`h2_norm_sq`.  With
+        ``youla_blocks`` it decides A_K and A_L alone, to the same verdict
+        (see :class:`ClosedLoop`), without scanning ``model.a`` for its
+        diagonal blocks."""
         if self.youla_blocks is None:
             return self.model.is_stable
         return all(statespace._stability(block)[0] for block in self.youla_blocks)
 
 
 def closed_loop(plant: GeneralizedPlant, k: StateSpaceModel) -> ClosedLoop:
-    """Interconnect a strictly proper controller with the plant.
-
-    A controller whose realization is the one its factors (K, L, V), read
-    off B and C, give with the plant (:func:`_youla_blocks`) -- any
-    controller :func:`delayh2.synthesis.synthesize` returns, or a copy of
-    one -- gives the loop of (K, L, V) in the state order (x, shift-register
-    slots oldest first, e = x - x^), block upper triangular
-    (:func:`_youla_model`); any other realization gives the raw
-    interconnection in the state order (x, controller state).  Both
-    realize the same transfer matrix.
+    """Interconnect a strictly proper controller with the plant, in one of
+    the two realizations of :class:`ClosedLoop`; both realize the same
+    transfer matrix.
 
     Raises
     ------
@@ -121,16 +98,12 @@ def _youla_blocks(plant: GeneralizedPlant, k: StateSpaceModel):
     realization, if that realization is the one they give with the plant;
     None otherwise.
 
-    The realization of factors K, L and FIR coefficients V is
-    A = [[A + B2 K + L C2, B2 C_fir], [B_fir C2, A_fir]],
-    B = [-L; -B_fir], C = [K, C_fir], with the shift register A_fir of
-    m = N n_y states, the tap selector B_fir and C_fir = [V_1 ... V_N]
-    (:func:`delayh2.synthesis.realize_controller`).  So with n the plant
-    order, a realization of order n + m, m a multiple of n_y, holds
-    K = C[:, :n], L = -B[:n] and C_fir = C[:, n:] exactly, and is theirs
-    when the rest of it follows: the register, its taps and its feed C2 bit
-    for bit, and the two product blocks, whose rounding depends on the
-    order of summation, within a bound on it.
+    By the realization of :func:`delayh2.synthesis.realize_controller`,
+    with n the plant order, a realization of order n + m, m a multiple of
+    n_y, holds K = C[:, :n], L = -B[:n] and C_fir = C[:, n:] exactly, and is
+    theirs when the rest of it follows: the register, its taps and its feed
+    C2 bit for bit, and the two product blocks, whose rounding depends on
+    the order of summation, within a bound on it.
     """
     a, b2, c2 = plant.a, plant.b2, plant.c2
     n, n_u, n_y = plant.n, plant.n_ctrl, plant.n_meas
@@ -180,10 +153,8 @@ def _youla_model(plant: GeneralizedPlant, k: StateSpaceModel, a_k: np.ndarray,
     holds the coefficients in that reversed slot order.  It follows from
     x^ = x - e: e+ = A_L e + (B1 + L D21) w, the newest slot takes
     -(y - C2 x^) = -C2 e - D21 w, and
-    x+ = A_K x - B2 K e + B2 C_fir xi + B1 w.  The blocks below the
-    diagonal are exact zeros, so the stability test splits A into A_K, the
-    shift's 1 x 1 zeros and A_L.  At N = 0 there is no register and the
-    state is (x, e).
+    x+ = A_K x - B2 K e + B2 C_fir xi + B1 w.  At N = 0 there is no
+    register and the state is (x, e).
     """
     n, n_y = plant.n, plant.n_meas
     m = k.order - n
@@ -272,14 +243,8 @@ def conformance(
 
     The feedthrough must vanish and, for each lag 1..N, every forbidden
     block of the corresponding Markov parameter must be zero up to ``tol``
-    relative to the overall response scale.
-
-    The Markov parameters are computed from (A, B, C, D) alone.  When A's
-    last N n_y states are exactly a shift register of the measurements, as
-    in every synthesized controller, each lag costs two products with A's top n + n_y rows
-    (:func:`_markov_parameters`).  Any other realization, and one with
-    fewer than N n_y states, falls back to the dense recursion of
-    :func:`impulse_response`.  At N = 0 only the feedthrough is read.
+    relative to the overall response scale.  The Markov parameters come
+    from :func:`_markov_parameters`; at N = 0 only the feedthrough is read.
     """
     resp = _markov_parameters(k, cs.n_horizon)
     tol = tol * (1.0 + float(np.linalg.norm(resp, axis=(1, 2)).max()))

@@ -5,12 +5,13 @@ from delayh2 import (
     ConstraintSpace,
     DelayGraph,
     GeneralizedPlant,
+    StateSpaceModel,
     constraint_space,
     delay_matrix,
-    model_matching_matrices,
     spectral_radius,
     verify,
 )
+from delayh2.synthesis import model_matching_matrices
 
 
 def make_chain_plant(n: int = 3) -> GeneralizedPlant:
@@ -72,6 +73,19 @@ def make_sweep_plant() -> GeneralizedPlant:
         block_rows=(1, 1),
         block_cols=(1, 1),
     )
+
+
+def static_model(d) -> StateSpaceModel:
+    """Zero-state model realizing the constant gain ``d``."""
+    d = np.atleast_2d(np.asarray(d, dtype=float))
+    return StateSpaceModel(
+        np.zeros((0, 0)), np.zeros((0, d.shape[1])), np.zeros((d.shape[0], 0)), d
+    )
+
+
+def g11(plant: GeneralizedPlant) -> StateSpaceModel:
+    """The plant's open-loop disturbance-to-performance channel."""
+    return StateSpaceModel(plant.a, plant.b1, plant.c1, np.zeros((plant.n_perf, plant.n_dist)))
 
 
 @pytest.fixture(scope="session")

@@ -20,13 +20,13 @@ from delayh2 import (
     cli,
     closed_loop,
     conformance,
-    coprime_factorization,
     h2_norm_sq,
-    kkt_oracle,
     riccati_gains,
     solve_constrained_qp,
     synthesize,
 )
+from delayh2.synthesis import coprime_factorization
+from delayh2.verify import kkt_oracle
 from conftest import (
     lemma_identity_errors,
     make_chain_plant,

@@ -375,6 +375,21 @@ class TestVerify:
         assert capsys.readouterr().err == (
             f"delayh2: config error: cannot read controller file: {mismatch}\n")
 
+    @pytest.mark.parametrize("key, row, col, value", [
+        ("a", 0, 0, math.nan), ("c", 0, -1, math.inf),
+    ], ids=["nan in a", "infinity in c"])
+    def test_non_finite_entries_are_config_error(self, tmp_path, capsys, key, row, col, value):
+        out_file = tmp_path / "controller.json"
+        assert cli.main(["synth", "--config", CHAIN, "--out", str(out_file)]) == 0
+        capsys.readouterr()
+        doc = json.loads(out_file.read_text())
+        doc["controller"][key][row][col] = value
+        path = write_json(tmp_path / "non_finite.json", doc)
+        assert cli.main(["verify", path, "--config", CHAIN]) == 1
+        assert capsys.readouterr().err == (
+            f"delayh2: config error: cannot read controller file: "
+            f"controller.{key} has a non-finite entry\n")
+
     def test_perturbed_forbidden_block_is_reported(self, perturbed_controller, capsys,
                                                    monkeypatch):
         seen = dense_orders(monkeypatch)
@@ -657,6 +672,7 @@ class TestMalformedFields:
         err = capsys.readouterr().err
         assert err.startswith("delayh2: config error:")
         assert f"{cfg}.{where}" in err
+        return err
 
     def test_non_integer_horizon(self, tmp_path, capsys):
         doc = json.loads(Path(CHAIN).read_text())
@@ -715,6 +731,14 @@ class TestMalformedFields:
         doc["options"] = {"n_horizon": 2.0}
         assert cli.main(["synth", "--config", write_json(tmp_path / "ok.json", doc)]) == 0
         assert "34.930" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["a", "b1", "b2", "c1", "c2", "d12", "d21"])
+    def test_non_finite_plant_entry(self, tmp_path, capsys, name):
+        # json reads the literal NaN; in d12 or d21 it passed every check
+        doc = json.loads(Path(CHAIN).read_text())
+        doc["plant"][name][0][0] = math.nan
+        err = self.run_bad(tmp_path, capsys, doc, "plant")
+        assert err.endswith(f".plant: {name} has a non-finite entry\n")
 
     def test_non_binary_pattern_entry(self, tmp_path, capsys):
         doc = json.loads(Path(CENTRALIZED).read_text())

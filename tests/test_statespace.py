@@ -13,7 +13,6 @@ from delayh2 import (
     UnstableSystem,
     conformance,
     constraint_space,
-    coprime_factorization,
     dare_solve,
     delay_matrix,
     h2_norm_sq,
@@ -33,7 +32,8 @@ from delayh2.statespace import (
     multiply,
     vec,
 )
-from conftest import make_chain_graph, make_chain_plant, no_eigvals
+from delayh2.synthesis import coprime_factorization
+from conftest import make_chain_graph, make_chain_plant, no_eigvals, static_model
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -50,14 +50,14 @@ class TestModel:
             StateSpaceModel(np.zeros((2, 2)), np.zeros((3, 1)), np.zeros((1, 2)), 0.0)
 
     def test_static_gain_has_zero_order(self):
-        g = StateSpaceModel.static([[1.0, 2.0], [3.0, 4.0]])
+        g = static_model([[1.0, 2.0], [3.0, 4.0]])
         assert g.order == 0
         assert (g.n_outputs, g.n_inputs) == (2, 2)
 
     def test_stability_predicate_is_strict(self):
         assert scalar_model(0.999).is_stable
         assert not scalar_model(1.0).is_stable
-        assert StateSpaceModel.static([[5.0]]).is_stable
+        assert static_model([[5.0]]).is_stable
 
     def test_stability_predicate_agrees_with_h2_norm(self):
         # a pole inside the unit circle but within the stability margin is
@@ -220,7 +220,7 @@ class TestImpulseResponse:
     @pytest.mark.parametrize("horizon", [0, 3])
     def test_zero_state_model_is_feedthrough_then_zero(self, horizon):
         d = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        resp = impulse_response(StateSpaceModel.static(d), horizon)
+        resp = impulse_response(static_model(d), horizon)
         assert resp.shape == (horizon + 1, 2, 3)
         npt.assert_array_equal(resp[0], d)
         npt.assert_array_equal(resp[1:], 0.0)
@@ -296,7 +296,7 @@ class TestH2Norm:
         )
 
     def test_static_gain_frobenius(self):
-        g = StateSpaceModel.static([[2.0, 0.0], [0.0, 0.0]])
+        g = static_model([[2.0, 0.0], [0.0, 0.0]])
         assert h2_norm_sq(g) == 4.0
 
     def test_unstable_rejected(self):

@@ -21,8 +21,6 @@ from delayh2 import (
     delay_matrix,
     h2_norm_sq,
     impulse_response,
-    kkt_oracle,
-    model_matching_matrices,
     realize_controller,
     riccati_gains,
     solve_constrained_qp,
@@ -33,8 +31,10 @@ from delayh2 import (
 from delayh2 import statespace, verify
 from delayh2.config import load_config
 from delayh2.statespace import _diagonal_blocks, _stability
+from delayh2.synthesis import model_matching_matrices
+from delayh2.verify import kkt_oracle
 from conftest import (
-    dense_orders, make_chain_graph, make_chain_plant, random_qp_instance)
+    dense_orders, g11, make_chain_graph, make_chain_plant, random_qp_instance, static_model)
 
 CHAIN_NORM = 34.9304
 CENTRALIZED_NORM = 24.236
@@ -47,10 +47,10 @@ def chain_result(chain_plant, chain_space):
 
 class TestClosedLoop:
     def test_zero_controller_recovers_open_loop_channel(self, chain_plant):
-        k0 = StateSpaceModel.static(np.zeros((3, 3)))
+        k0 = static_model(np.zeros((3, 3)))
         loop = closed_loop(chain_plant, k0)
         got = impulse_response(loop.model, 8)
-        want = impulse_response(chain_plant.g11, 8)
+        want = impulse_response(g11(chain_plant), 8)
         for lag in range(9):
             npt.assert_allclose(got[lag], want[lag], atol=1e-12)
         assert not loop.is_internally_stable  # chain plant is open-loop unstable
@@ -74,7 +74,7 @@ class TestClosedLoop:
         assert loop.model.order == chain_plant.n + chain_result.controller.order
 
     def test_nonzero_feedthrough_rejected(self, chain_plant):
-        k = StateSpaceModel.static(0.1 * np.eye(3))
+        k = static_model(0.1 * np.eye(3))
         with pytest.raises(IllPosed):
             closed_loop(chain_plant, k)
 
@@ -474,11 +474,11 @@ class TestConformance:
         assert report.violations == ()
 
     def test_zero_controller_conforms(self, chain_space):
-        k = StateSpaceModel.static(np.zeros((3, 3)))
+        k = static_model(np.zeros((3, 3)))
         assert conformance(k, chain_space).ok
 
     def test_nonzero_feedthrough_reported_at_lag_zero(self, chain_space):
-        k = StateSpaceModel.static(np.eye(3))
+        k = static_model(np.eye(3))
         report = conformance(k, chain_space)
         assert not report.ok
         assert all(v[0] == 0 for v in report.violations)
@@ -491,7 +491,7 @@ class TestConformance:
         assert conformance(central, cs).ok
         d = np.zeros((3, 3))
         d[1, 2] = 0.5
-        report = conformance(StateSpaceModel.static(d), cs)
+        report = conformance(static_model(d), cs)
         assert not report.ok
         assert len(report.violations) == 1
         lag, i, j, mag = report.violations[0]
