@@ -14,9 +14,9 @@ Exit codes: 0 success, 1 usage or parse error, 2 domain-check failure
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
+import os
 import sys
 from typing import Optional
 
@@ -46,8 +46,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _tolerance(text: str) -> float:
-    """The --tol flags' type: a finite number > 0.  NaN would compare false
-    with every block norm, and a bound <= 0 would flag exact zeros."""
+    """The type of verify's --tol: a finite number > 0.  NaN would compare
+    false with every violation, and a bound <= 0 would flag exact zeros."""
     try:
         value = float(text)
     except ValueError:
@@ -63,15 +63,12 @@ def _build_parser() -> _Parser:
 
     qi = sub.add_parser("check-qi", help="test quadratic invariance of the delay pattern")
     qi.add_argument("--config", required=True, help="problem JSON file")
-    qi.add_argument("--tol", type=_tolerance, default=None,
-                    help="threshold for a Markov-parameter block to count as nonzero")
 
     synth = sub.add_parser("synth", help="synthesize the optimal controller")
     synth.add_argument("--config", required=True)
     synth.add_argument("--out", help="write the controller and costs to this JSON file")
     synth.add_argument("--force", action="store_true",
                        help="skip the quadratic-invariance pre-check")
-    synth.add_argument("--tol", type=_tolerance, default=None)
 
     sweep = sub.add_parser("sweep", help="optimal norms over a range of horizons N")
     sweep.add_argument("--config", required=True)
@@ -114,24 +111,21 @@ def _format_matrix(m: np.ndarray) -> str:
     return "\n".join("  " + "  ".join(f"{v:g}" for v in row) for row in np.atleast_2d(m))
 
 
-def _qi_verdict(cfg: ProblemConfig, tol: Optional[float]):
+def _qi_verdict(cfg: ProblemConfig):
     """(d, p, verdict) for a graph or delay-matrix config; None for explicit
-    patterns, which carry no delay information.  ``tol`` (the --tol flag)
-    overrides the config's ``tol_zero``."""
+    patterns, which carry no delay information."""
     d = cfg.delays
     if d is None:
         return None
     plant = cfg.plant
-    p = delaymodel.plant_block_delays(
-        plant.g22, plant.block_rows, plant.block_cols, d.max_delay(),
-        tol_zero=cfg.tol_zero if tol is None else tol,
-    )
+    p = delaymodel.plant_block_delays(plant.g22, plant.block_rows, plant.block_cols,
+                                      d.max_delay())
     return d, p, delaymodel.check_qi(d, p)
 
 
 def cmd_check_qi(args) -> int:
     cfg = load_config(args.config)
-    qi = _qi_verdict(cfg, args.tol)
+    qi = _qi_verdict(cfg)
     if qi is None:
         raise ConfigError(
             f"{args.config}.patterns: check-qi needs a 'graph' or 'delay_matrix' constraint; "
@@ -166,12 +160,21 @@ def _result_document(result: SynthesisResult) -> dict:
     }
 
 
-def _open_output(path: str):
-    """``path`` opened for writing, before the work whose result goes there:
-    a path that cannot be written is a :class:`ConfigError` at once, not a
-    traceback after the work."""
+def _check_writable(path: str) -> None:
+    """Fail with a :class:`ConfigError` if ``path`` cannot be written, before
+    the work whose result goes there, not with a traceback after it.  The
+    check opens ``path`` without truncating it and removes it again if it
+    made it, so a run that fails leaves the file as it was."""
+    existed = os.path.lexists(path)
+    _write(path, "", "a")
+    if not existed:
+        os.remove(path)
+
+
+def _write(path: str, text: str, mode: str = "w") -> None:
     try:
-        return open(path, "w", encoding="utf-8")
+        with open(path, mode, encoding="utf-8") as fh:
+            fh.write(text)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -179,7 +182,7 @@ def _open_output(path: str):
 def cmd_synth(args) -> int:
     cfg = load_config(args.config)
     if not args.force:
-        qi = _qi_verdict(cfg, args.tol)
+        qi = _qi_verdict(cfg)
         if qi is None:
             print(
                 "note: constraint given as explicit patterns; QI not checkable, proceeding",
@@ -190,11 +193,11 @@ def cmd_synth(args) -> int:
                 f"delay pattern is not quadratically invariant ({delaymodel.qi_witness_text(*qi)}); "
                 "re-run with --force to synthesize anyway"
             )
-    with _open_output(args.out) if args.out else contextlib.nullcontext() as fh:
-        result = synthesize(cfg.plant, cfg.space)
-        if fh is not None:
-            json.dump(_result_document(result), fh, indent=1)
-            fh.write("\n")
+    if args.out:
+        _check_writable(args.out)
+    result = synthesize(cfg.plant, cfg.space)
+    if args.out:
+        _write(args.out, json.dumps(_result_document(result), indent=1) + "\n")
     print(f"H2 norm: {result.h2_norm:.6f}")
     return EXIT_OK
 
@@ -205,18 +208,17 @@ def cmd_sweep(args) -> int:
         raise ConfigError("need 1 <= n-min <= n-max")
     if cfg.sweep_template is None:
         raise ConfigError(f"{args.config}: no 'sweep' section with a 'template'")
-    with _open_output(args.out) as fh:
-        cells = []
-        try:
-            for norm in sweep_norms(cfg.plant, cfg.sweep_template, args.n_max):
-                cells.append(f"{norm:.10g}")
-        except DelayH2Error as exc:  # a failure at N fails every larger N too
-            for n in range(max(len(cells) + 1, args.n_min), args.n_max + 1):
-                print(f"warning: N={n} failed: {exc}", file=sys.stderr)
-            cells += [""] * (args.n_max - len(cells))
-        fh.write("N,norm\n")
-        for n in range(args.n_min, args.n_max + 1):
-            fh.write(f"{n},{cells[n - 1]}\n")
+    _check_writable(args.out)
+    cells = []
+    try:
+        for norm in sweep_norms(cfg.plant, cfg.sweep_template, args.n_max):
+            cells.append(f"{norm:.10g}")
+    except DelayH2Error as exc:  # a failure at N fails every larger N too
+        for n in range(max(len(cells) + 1, args.n_min), args.n_max + 1):
+            print(f"warning: N={n} failed: {exc}", file=sys.stderr)
+        cells += [""] * (args.n_max - len(cells))
+    rows = "".join(f"{n},{cells[n - 1]}\n" for n in range(args.n_min, args.n_max + 1))
+    _write(args.out, "N,norm\n" + rows)
     print(f"wrote {args.n_max - args.n_min + 1} rows to {args.out}")
     return EXIT_OK
 
@@ -242,6 +244,8 @@ def cmd_verify(args) -> int:
             if isinstance(stored, bool) or not isinstance(stored, (int, float)):
                 raise TypeError(f"h2_norm must be a number, got {stored!r}")
             stored = float(stored)
+            if not math.isfinite(stored):
+                raise ValueError(f"h2_norm must be finite, got {stored}")
     except (DimensionMismatch, OSError, OverflowError, json.JSONDecodeError, KeyError,
             TypeError, ValueError) as exc:
         raise ConfigError(f"cannot read controller file: {exc}") from exc

@@ -13,19 +13,15 @@ one constraint section (``graph``, ``delay_matrix`` or ``patterns``)::
       "graph": {"comp_delays": [1, 1], "edges": [[0, 1, 1], [1, 0, 1]]},
       # or "delay_matrix": [[1, 2], [2, 1]],
       # or "patterns": [[[1, 0], [0, 1]], [[1, 1], [1, 1]]],   # lags 1..N
-      "sweep": {"template": [[1, 0], [0, 1]]},  # only needed by sweeps
-      "options": {"n_horizon": 4, "tol_zero": 1e-9}   # optional
+      "sweep": {"template": [[1, 0], [0, 1]]}  # only needed by sweeps
     }
 
 ``patterns: []`` is the vacuous constraint (centralized, one-step delay).
-Sweep templates may also be the strings "diagonal", "lower-triangular" or
-"full".  ``options.n_horizon`` overrides the FIR horizon of a graph or
-delay-matrix constraint (blocks stay allowed from their delay onward, so a
-longer window only appends unconstrained lags); it must be 0, the
-centralized design, or at least max(d) - 1, since a shorter window would
-drop constrained lags, and it must equal the count of explicit patterns.
-``options.tol_zero`` sets the file-level threshold for plant block-delay
-detection, overridable by the CLI's --tol flag.
+A graph or delay matrix constrains lags 1 .. max(d) - 1; every block is
+free after that.  Sweep templates may also be the strings "diagonal",
+"lower-triangular" or "full".  The file holds only the problem: any other
+top-level key is refused, so that a setting the program does not read (the
+``options`` section of older files, say) cannot go unnoticed.
 
 :func:`load_config` resolves the whole problem as it reads the file: the
 graph's delay matrix, the constraint space and every check on them.  Any
@@ -36,13 +32,12 @@ fault (``{path}.{section}``), so every subcommand refuses the same files.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .delaymodel import TOL_ZERO, ConstraintSpace, DelayGraph, DelayMatrix
+from .delaymodel import ConstraintSpace, DelayGraph, DelayMatrix
 from .delaymodel import constraint_space as build_constraint_space
 from .delaymodel import delay_matrix as build_delay_matrix
 from .errors import ConfigError, DelayH2Error
@@ -50,6 +45,7 @@ from .synthesis import GeneralizedPlant
 
 _PLANT_KEYS = ("a", "b1", "b2", "c1", "c2", "d12", "d21")
 _CONSTRAINT_KEYS = ("graph", "delay_matrix", "patterns")
+_TOP_KEYS = ("plant",) + _CONSTRAINT_KEYS + ("sweep",)
 
 
 def _matrix(section: dict, key: str, where: str) -> np.ndarray:
@@ -78,19 +74,17 @@ def _whole(value) -> int:
 class ProblemConfig:
     """A problem file, resolved and validated once when it is loaded.
 
-    ``space`` is the constraint that ``synth`` and ``verify`` use, with
-    ``options.n_horizon`` applied.  ``delays`` is the delay matrix given or
-    built from the graph; it is None for explicit patterns, which carry no
-    delay information.  ``sweep_template`` is the block pattern that
-    ``sweep`` repeats (None without a ``sweep`` section), and ``tol_zero``
-    the block-delay threshold of the QI check.
+    ``space`` is the constraint that ``synth`` and ``verify`` use.
+    ``delays`` is the delay matrix given or built from the graph; it is
+    None for explicit patterns, which carry no delay information.
+    ``sweep_template`` is the block pattern that ``sweep`` repeats (None
+    without a ``sweep`` section).
     """
 
     plant: GeneralizedPlant
     delays: Optional[DelayMatrix]
     space: ConstraintSpace
     sweep_template: Optional[np.ndarray]
-    tol_zero: float
 
     def sweep_space(self, n_horizon: int) -> ConstraintSpace:
         """Constraint space repeating the sweep template at lags 1..N."""
@@ -118,6 +112,10 @@ def load_config(path: str) -> ProblemConfig:
 
 def parse_config(doc: dict, where: str = "config") -> ProblemConfig:
     """Resolve and check a problem document; errors start with ``where``."""
+    unknown = [key for key in doc if key not in _TOP_KEYS]
+    if unknown:
+        raise ConfigError(f"{where}.{unknown[0]}: unknown section; a problem file "
+                          f"holds only {', '.join(_TOP_KEYS)}")
     if "plant" not in doc or not isinstance(doc["plant"], dict):
         raise ConfigError(f"{where}: missing 'plant' section")
     psec = doc["plant"]
@@ -139,33 +137,13 @@ def parse_config(doc: dict, where: str = "config") -> ProblemConfig:
         raise ConfigError(
             f"{where}: exactly one of {_CONSTRAINT_KEYS} required, found {present or 'none'}"
         )
-    n_horizon, tol_zero = _parse_options(doc.get("options", {}), where)
-    delays, space = _constraint(doc[present[0]], present[0], plant, n_horizon, where)
+    delays, space = _constraint(doc[present[0]], present[0], plant, where)
     template = _parse_template(doc["sweep"], plant, where) if "sweep" in doc else None
-    return ProblemConfig(plant, delays, space, template, tol_zero)
-
-
-def _parse_options(osec, where: str) -> tuple[Optional[int], float]:
-    """``options.n_horizon`` (None when absent) and ``options.tol_zero``."""
-    if not isinstance(osec, dict):
-        raise ConfigError(f"{where}.options: must be an object")
-    unknown = set(osec) - {"n_horizon", "tol_zero"}
-    if unknown:
-        raise ConfigError(f"{where}.options: unknown keys {sorted(unknown)}")
-    try:
-        n_horizon = _whole(osec["n_horizon"]) if "n_horizon" in osec else None
-        tol_zero = float(osec.get("tol_zero", TOL_ZERO))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}.options: {exc}") from exc
-    if n_horizon is not None and n_horizon < 0:
-        raise ConfigError(f"{where}.options: n_horizon must be >= 0")
-    if not (math.isfinite(tol_zero) and tol_zero > 0):
-        raise ConfigError(f"{where}.options: tol_zero must be finite and > 0")
-    return n_horizon, tol_zero
+    return ProblemConfig(plant, delays, space, template)
 
 
 def _constraint(
-    section, style: str, plant: GeneralizedPlant, n_horizon: Optional[int], where: str
+    section, style: str, plant: GeneralizedPlant, where: str
 ) -> tuple[Optional[DelayMatrix], ConstraintSpace]:
     """(delays, space) of the constraint section ``style``; ``delays`` is
     None for explicit patterns."""
@@ -176,12 +154,9 @@ def _constraint(
         pats = tuple(
             _block_pattern(p, grid, f"{where}.patterns[{idx}]") for idx, p in enumerate(section, 1)
         )
-        if n_horizon not in (None, len(pats)):
-            raise ConfigError(f"{where}.options: n_horizon {n_horizon} conflicts "
-                              f"with the {len(pats)} explicit patterns")
         try:
             return None, ConstraintSpace(len(pats), plant.block_rows, plant.block_cols, pats)
-        except (DelayH2Error, ValueError) as exc:
+        except DelayH2Error as exc:
             raise ConfigError(f"{where}.patterns: {exc}") from exc
     if style == "graph" and (not isinstance(section, dict) or "comp_delays" not in section):
         raise ConfigError(f"{where}.graph: need 'comp_delays' and 'edges'")
@@ -197,14 +172,9 @@ def _constraint(
         if (delays.node_count,) * 2 != grid:
             raise ValueError(f"{delays.node_count} network nodes but plant declares "
                              f"{grid[0]}/{grid[1]} blocks")
-        space = build_constraint_space(delays, plant.block_rows, plant.block_cols, n_horizon)
+        space = build_constraint_space(delays, plant.block_rows, plant.block_cols)
     except (DelayH2Error, ValueError, TypeError) as exc:
         raise ConfigError(f"{where}.{style}: {exc}") from exc
-    full = delays.max_delay() - 1
-    if 0 < space.n_horizon < full:
-        raise ConfigError(f"{where}.options: n_horizon {n_horizon} would drop the delay "
-                          f"constraint past lag {n_horizon}; use 0 (centralized) or at least "
-                          f"max(d) - 1 = {full}")
     return delays, space
 
 

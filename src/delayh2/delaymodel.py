@@ -16,11 +16,8 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotStronglyConnected
+from .errors import AssumptionViolated, DimensionMismatch, NotStronglyConnected
 from .statespace import StateSpaceModel, impulse_response
-
-# Frobenius norm below which a Markov-parameter block counts as zero.
-TOL_ZERO = 1e-9
 
 
 @dataclass(frozen=True)
@@ -44,14 +41,14 @@ class DelayGraph:
         if len(comp) != self.node_count:
             raise DimensionMismatch("one computational delay per node required")
         if any(c < 1 for c in comp):
-            raise ValueError("computational delays must be >= 1")
+            raise AssumptionViolated("computational delays must be >= 1")
         edges = []
         for u, v, w in self.edges:
             u, v, w = int(u), int(v), int(w)
             if not (0 <= u < self.node_count and 0 <= v < self.node_count):
                 raise DimensionMismatch(f"edge ({u},{v}) out of range")
             if w < 0:
-                raise ValueError("edge delays must be >= 0")
+                raise AssumptionViolated("edge delays must be >= 0")
             edges.append((u, v, w))
         object.__setattr__(self, "comp_delays", comp)
         object.__setattr__(self, "edges", tuple(edges))
@@ -68,7 +65,7 @@ class DelayMatrix:
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise DimensionMismatch("delay matrix must be square")
         if (d < 1).any():
-            raise ValueError("delays must be positive integers")
+            raise AssumptionViolated("delays must be positive integers")
         object.__setattr__(self, "d", d)
 
     @property
@@ -109,7 +106,7 @@ class ConstraintSpace:
                 )
         for earlier, later in zip(pats, pats[1:]):
             if (earlier & ~later).any():
-                raise ValueError("patterns must be monotone: allowed blocks stay allowed")
+                raise AssumptionViolated("patterns must be monotone: allowed blocks stay allowed")
         object.__setattr__(self, "block_rows", rows)
         object.__setattr__(self, "block_cols", cols)
         object.__setattr__(self, "patterns", pats)
@@ -117,7 +114,7 @@ class ConstraintSpace:
     def entry_mask(self, lag: int) -> np.ndarray:
         """Entry-level boolean mask for the pattern at ``lag`` (1-based)."""
         if not 1 <= lag <= self.n_horizon:
-            raise IndexError(f"lag {lag} outside 1..{self.n_horizon}")
+            raise DimensionMismatch(f"lag {lag} outside 1..{self.n_horizon}")
         return expand_pattern(self.patterns[lag - 1], self.block_rows, self.block_cols)
 
 
@@ -162,22 +159,18 @@ def delay_matrix(g: DelayGraph) -> DelayMatrix:
     return DelayMatrix(comp[:, None] + dist.T.astype(int))
 
 
-def constraint_space(
-    d: DelayMatrix, block_rows, block_cols, n_horizon: Optional[int] = None
-) -> ConstraintSpace:
+def constraint_space(d: DelayMatrix, block_rows, block_cols) -> ConstraintSpace:
     """FIR constraint space induced by a delay matrix.
 
-    Block (i, j) is allowed at lag k iff ``d[i, j] <= k``.  The horizon
-    defaults to ``N = max(d) - 1``, the last lag with a forbidden block; a
-    longer horizon only appends unconstrained lags.  ``N = 0`` yields the
-    vacuous constraint (every block free from lag 1 on), i.e. the
-    centralized one-step-delayed case.
+    Block (i, j) is allowed at lag k iff ``d[i, j] <= k``.  The horizon is
+    ``N = max(d) - 1``, the last lag with a forbidden block; N = 0 (every
+    delay 1) is the vacuous constraint, the centralized one-step-delayed
+    case.
     """
     n = d.node_count
     if len(block_rows) != n or len(block_cols) != n:
         raise DimensionMismatch("block lists must have one entry per node")
-    if n_horizon is None:
-        n_horizon = d.max_delay() - 1
+    n_horizon = d.max_delay() - 1
     patterns = tuple(d.d <= k for k in range(1, n_horizon + 1))
     return ConstraintSpace(n_horizon, tuple(block_rows), tuple(block_cols), patterns)
 
@@ -200,7 +193,7 @@ def check_qi(d: DelayMatrix, p) -> QiCheck:
     if p.shape != (n, n):
         raise DimensionMismatch(f"plant delay matrix {p.shape} != {(n, n)}")
     if (p < 0).any():
-        raise ValueError("plant block delays must be >= 0")
+        raise AssumptionViolated("plant block delays must be >= 0")
     dd = d.d
     mid = (dd[:, :, None] + p[None, :, :]).min(axis=1)
     reach = (mid[:, :, None] + dd[None, :, :]).min(axis=1)
@@ -238,16 +231,33 @@ def block_norms(m, row_sizes, col_sizes) -> np.ndarray:
     return np.sqrt(np.add.reduceat(sq, np.cumsum(cols) - cols, axis=-1))
 
 
-def plant_block_delays(
-    g22: StateSpaceModel, block_rows, block_cols, horizon: int, tol_zero: float = TOL_ZERO
-) -> np.ndarray:
+def plant_block_delays(g22: StateSpaceModel, block_rows, block_cols, horizon: int) -> np.ndarray:
     """Per-block transport delays of a plant, read off its Markov parameters.
 
     Block (i, j) pairs measurement block i (sizes ``block_cols``, the rows
     of g22) with control block j (sizes ``block_rows``, its columns).  The
-    delay is the smallest lag k <= horizon at which the block of the k-th
-    Markov parameter exceeds ``tol_zero`` in Frobenius norm, or
-    ``horizon + 1`` when the block stays zero throughout.
+    delay is the smallest lag k <= horizon at which the block of G_k is
+    nonzero, or ``horizon + 1`` when the block stays zero throughout.
+
+    A block counts as zero when its computed Frobenius norm is no larger
+    than the rounding of its own computation could make it:
+    ||G_k,ij|| <= gamma_k ||M_k,ij||, with M_k = |C| |A|^(k-1) |B|
+    (M_0 = |D|), gamma_k = 2 (k + 1)(n + 1) eps and n the order.  G_k =
+    C A^(k-1) B takes k products of inner dimension n, so each computed
+    entry is within (1 + gamma_n)^k - 1, about k n u (u = eps / 2), of its
+    exact value relative to the same entry of M_k (Higham 2002, section
+    3.5), and so is each block in norm.  gamma_k is at least four times
+    that first-order term, which covers the second-order terms and the
+    rounding of M_k itself.  So the verdict does not depend on the plant's
+    units (scaling B or C scales both sides), a structural zero gives
+    0 <= 0, and a block of D is zero only when it is exactly zero
+    (gamma_0 < 1).  A nonzero block below its bound reads as zero; coupling
+    that rounding put into the stored matrices themselves reads as
+    coupling.
     """
-    nonzero = block_norms(impulse_response(g22, horizon), block_cols, block_rows) > tol_zero
+    markov = block_norms(impulse_response(g22, horizon), block_cols, block_rows)
+    size = StateSpaceModel(*(np.abs(m) for m in (g22.a, g22.b, g22.c, g22.d)))
+    bound = block_norms(impulse_response(size, horizon), block_cols, block_rows)
+    gamma = 2.0 * np.arange(1, horizon + 2)[:, None, None] * (g22.order + 1) * np.finfo(float).eps
+    nonzero = markov > gamma * bound
     return np.where(nonzero.any(axis=0), nonzero.argmax(axis=0), horizon + 1)

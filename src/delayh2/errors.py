@@ -14,7 +14,8 @@ class SolverFailure(DelayH2Error):
 
 
 class AssumptionViolated(DelayH2Error):
-    """Plant data breaks a standing assumption (normalization, stabilizability...)."""
+    """Problem data breaks a standing assumption (normalization,
+    stabilizability, positive delays, nested patterns...)."""
 
 
 class NotStronglyConnected(DelayH2Error):

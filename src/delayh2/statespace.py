@@ -184,7 +184,7 @@ def impulse_response(g: StateSpaceModel, horizon: int) -> np.ndarray:
         Largest lag to compute; must be >= 0.
     """
     if horizon < 0:
-        raise ValueError("horizon must be >= 0")
+        raise DimensionMismatch("horizon must be >= 0")
     terms = [g.d]
     w = g.b
     for lag in range(1, horizon + 1):

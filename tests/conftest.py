@@ -19,13 +19,20 @@ def make_chain_plant(n: int = 3) -> GeneralizedPlant:
     node measures and actuates its own state, performance weights state and
     input equally."""
     a = 1.5 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+    return plant_with_channel(a, np.eye(n), np.eye(n))
+
+
+def plant_with_channel(a, b2, c2) -> GeneralizedPlant:
+    """The chain plant's disturbance and performance channels around the
+    control channel (a, b2, c2), one scalar block per state."""
+    n = len(a)
     eye, zero = np.eye(n), np.zeros((n, n))
     return GeneralizedPlant(
         a=a,
         b1=np.hstack([eye, zero]),
-        b2=eye,
+        b2=b2,
         c1=np.vstack([eye, zero]),
-        c2=eye,
+        c2=c2,
         d12=np.vstack([zero, eye]),
         d21=np.hstack([zero, eye]),
         block_rows=(1,) * n,
@@ -33,13 +40,23 @@ def make_chain_plant(n: int = 3) -> GeneralizedPlant:
     )
 
 
-def make_chain_graph(n: int = 3, comp_delay: int = 1) -> DelayGraph:
-    """Unit delay on each link of the line, ``comp_delay`` (by default 1)
-    at each node."""
+def make_chain_graph(n: int = 3, comp_delay: int = 1, link_delay: int = 1) -> DelayGraph:
+    """``link_delay`` (by default 1) on each link of the line, ``comp_delay``
+    (by default 1) at each node."""
     edges = []
     for i in range(n - 1):
-        edges += [(i, i + 1, 1), (i + 1, i, 1)]
+        edges += [(i, i + 1, link_delay), (i + 1, i, link_delay)]
     return DelayGraph(n, (comp_delay,) * n, tuple(edges))
+
+
+# A dense stable A of three states: every block couples at lag 2.
+DENSE_A = np.full((3, 3), 0.3) + 0.2 * np.eye(3)
+
+
+def householder(v) -> np.ndarray:
+    """The orthogonal reflector I - 2 v v^T / (v^T v)."""
+    v = np.asarray(v, dtype=float)
+    return np.eye(len(v)) - 2.0 * np.outer(v, v) / (v @ v)
 
 
 def no_eigvals(a):

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from delayh2 import QIViolation, cli, riccati_gains, statespace, synthesize, verify
-from conftest import dense_orders
+from delayh2 import (AssumptionViolated, QIViolation, cli, riccati_gains, statespace, synthesize,
+                     verify)
+from conftest import DENSE_A, dense_orders, householder
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CHAIN = str(CONFIG_DIR / "chain_three_player.json")
@@ -22,6 +23,17 @@ SRC_DIR = CONFIG_DIR.parent / "src"
 def write_json(path: Path, doc: dict) -> str:
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def channel_config(tmp_path: Path, a, b2, c2) -> str:
+    """The three-player chain file with control channel (a, b2, c2) and a
+    delay of 2 on every link."""
+    doc = json.loads(Path(CHAIN).read_text())
+    doc["plant"].update(a=np.asarray(a).tolist(), b2=np.asarray(b2).tolist(),
+                        c2=np.asarray(c2).tolist())
+    for edge in doc["graph"]["edges"]:
+        edge[2] = 2
+    return write_json(tmp_path / "channel.json", doc)
 
 
 def non_qi_config(tmp_path: Path) -> str:
@@ -85,11 +97,26 @@ class TestCheckQi:
         del doc["graph"]
         assert cli.main(["check-qi", "--config", write_json(tmp_path / "none.json", doc)]) == 1
 
-    def test_huge_tol_blanks_the_plant_delays(self, capsys):
-        # with an absurd zero-threshold every block looks dead, so every
-        # delay hits the sentinel and QI passes trivially
-        assert cli.main(["check-qi", "--config", CHAIN, "--tol", "1e9"]) == 0
-        assert "QI: PASS" in capsys.readouterr().out
+    def test_badly_scaled_dense_plant_fails_with_witness(self, tmp_path, capsys):
+        # B2 = C2 = 1e-5 I: an absolute zero threshold of 1e-9 read every
+        # block as zero, passed QI, and synth gave a controller that breaks
+        # the delay constraint
+        cfg = channel_config(tmp_path, DENSE_A, 1e-5 * np.eye(3), 1e-5 * np.eye(3))
+        assert cli.main(["check-qi", "--config", cfg]) == 2
+        assert ("QI: FAIL  witness (k=0, i=0, j=2, l=2): d[0,0] + p[0,2] + d[2,2] = 4 "
+                "< d[0,2] = 5") in capsys.readouterr().out
+        assert cli.main(["synth", "--config", cfg]) == 2
+        assert "not quadratically invariant" in capsys.readouterr().err
+
+    def test_rotated_decoupled_plant_passes(self, tmp_path, capsys):
+        # A = Q diag(0.5, 0.7, 0.9) Q^T, B2 = s Q, C2 = s Q^T at s = 1e5:
+        # rounding noise of size s^2 eps read as coupling under an absolute
+        # zero threshold
+        q, s = householder([1.0, 2.0, 3.0]), 1e5
+        cfg = channel_config(tmp_path, q @ np.diag([0.5, 0.7, 0.9]) @ q.T, s * q, s * q.T)
+        assert cli.main(["check-qi", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "plant block delays p:\n  1  6  6\n  6  1  6\n  6  6  1\nQI: PASS" in out
 
 
 def no_work(*args):
@@ -138,6 +165,21 @@ class TestSynth:
         cfg = non_qi_config(tmp_path)
         assert cli.main(["synth", "--config", cfg, "--force"]) == 0
         assert "H2 norm:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["existing file", "new file"])
+    def test_failed_synthesis_leaves_the_out_file_as_it_was(self, tmp_path, capsys, monkeypatch,
+                                                           existing):
+        def fails(plant, cs):
+            raise AssumptionViolated("synthetic synthesis failure")
+
+        out = tmp_path / "controller.json"
+        if existing:
+            assert cli.main(["synth", "--config", CHAIN, "--out", str(out)]) == 0
+        before = out.read_bytes() if existing else None
+        monkeypatch.setattr(cli, "synthesize", fails)
+        assert cli.main(["synth", "--config", CHAIN, "--out", str(out)]) == 2
+        assert "synthetic synthesis failure" in capsys.readouterr().err
+        assert (out.read_bytes() if out.exists() else None) == before
 
     def test_unwritable_out_is_config_error_before_synthesis(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "synthesize", no_work)
@@ -349,8 +391,8 @@ class TestVerify:
     def test_missing_controller_file_is_usage_error(self, tmp_path):
         assert cli.main(["verify", str(tmp_path / "nope.json"), "--config", CHAIN]) == 1
 
-    @pytest.mark.parametrize("stored", ["abc", [1], True, 10**400],
-                             ids=["string", "list", "bool", "huge-int"])
+    @pytest.mark.parametrize("stored", ["abc", [1], True, 10**400, math.nan, math.inf, -math.inf],
+                             ids=["string", "list", "bool", "huge-int", "nan", "inf", "-inf"])
     def test_malformed_stored_norm_is_config_error(self, perturbed_controller, tmp_path,
                                                    capsys, stored):
         # the loop is stable, so the stored norm would be compared
@@ -520,17 +562,21 @@ class TestVerifySynthFile:
 
 
 class TestTolerance:
-    """--tol must be a finite number > 0: NaN passes every block as zero,
-    inf blanks every block, and a bound <= 0 flags exact zeros."""
+    """verify's --tol must be a finite number > 0: NaN passes every
+    violation, inf blanks every violation, and a bound <= 0 flags exact
+    zeros.  check-qi and synth have no --tol: the block-delay zero test
+    derives its threshold from the plant."""
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "tiny"])
-    @pytest.mark.parametrize("command", ["check-qi", "synth", "verify"])
-    def test_is_usage_error(self, perturbed_controller, capsys, command, value):
-        argv = [command, "--config", CHAIN, f"--tol={value}"]
-        if command == "verify":
-            argv.insert(1, perturbed_controller)
+    def test_is_usage_error(self, perturbed_controller, capsys, value):
+        argv = ["verify", perturbed_controller, "--config", CHAIN, f"--tol={value}"]
         assert cli.main(argv) == 1
         assert "argument --tol: must be a finite number > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check-qi", "synth"])
+    def test_zero_test_takes_no_flag(self, capsys, command):
+        assert cli.main([command, "--config", CHAIN, "--tol", "1e9"]) == 1
+        assert "unrecognized arguments: --tol 1e9" in capsys.readouterr().err
 
 
 class TestEntryPoint:
@@ -546,65 +592,6 @@ class TestEntryPoint:
         assert "QI: PASS" in proc.stdout
 
 
-class TestOptionsSection:
-    def test_horizon_override_appends_unconstrained_lags(self, tmp_path, capsys):
-        # past the natural horizon every block is already allowed, so a
-        # longer window cannot change the optimum
-        doc = json.loads(Path(CHAIN).read_text())
-        doc["options"] = {"n_horizon": 4}
-        cfg = write_json(tmp_path / "wide.json", doc)
-        assert cli.main(["synth", "--config", cfg]) == 0
-        norm = float(capsys.readouterr().out.split("H2 norm:")[1].strip())
-        assert norm == pytest.approx(34.9304, abs=1e-3)
-
-    def test_zero_horizon_override_gives_centralized(self, tmp_path, capsys):
-        doc = json.loads(Path(CHAIN).read_text())
-        doc["options"] = {"n_horizon": 0}
-        cfg = write_json(tmp_path / "central.json", doc)
-        assert cli.main(["synth", "--config", cfg]) == 0
-        norm = float(capsys.readouterr().out.split("H2 norm:")[1].strip())
-        assert norm == pytest.approx(24.236, abs=1e-2)
-
-    def test_horizon_below_the_delay_constraint_rejected(self, tmp_path, capsys):
-        # max(d) = 3 on the chain: a horizon of 1 would leave the lag-2
-        # constraint out of the QP while the QI check still judged it
-        doc = json.loads(Path(CHAIN).read_text())
-        doc["options"] = {"n_horizon": 1}
-        cfg = write_json(tmp_path / "short.json", doc)
-        assert cli.main(["synth", "--config", cfg]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"delayh2: config error: {cfg}.options: n_horizon 1 ")
-        assert "max(d) - 1 = 2" in err
-
-    def test_override_conflicting_with_patterns_rejected(self, tmp_path):
-        doc = json.loads(Path(CENTRALIZED).read_text())
-        doc["options"] = {"n_horizon": 3}
-        cfg = write_json(tmp_path / "clash.json", doc)
-        assert cli.main(["synth", "--config", cfg]) == 1
-
-    def test_config_tol_zero_is_honored(self, tmp_path, capsys):
-        doc = json.loads(Path(CHAIN).read_text())
-        doc["options"] = {"tol_zero": 1e9}
-        cfg = write_json(tmp_path / "tol.json", doc)
-        assert cli.main(["check-qi", "--config", cfg]) == 0
-        out = capsys.readouterr().out
-        assert "QI: PASS" in out and "4" in out  # sentinel delays max(d)+1 = 4
-
-    @pytest.mark.parametrize("value", [float("inf"), float("nan"), 0.0])
-    def test_config_tol_zero_must_be_finite_and_positive(self, tmp_path, capsys, value):
-        doc = json.loads(Path(CHAIN).read_text())
-        doc["options"] = {"tol_zero": value}
-        cfg = write_json(tmp_path / "tol.json", doc)
-        assert cli.main(["check-qi", "--config", cfg]) == 1
-        assert "tol_zero must be finite and > 0" in capsys.readouterr().err
-
-    def test_unknown_option_rejected(self, tmp_path):
-        doc = json.loads(Path(CHAIN).read_text())
-        doc["options"] = {"horizon": 2}
-        cfg = write_json(tmp_path / "unknown.json", doc)
-        assert cli.main(["check-qi", "--config", cfg]) == 1
-
-
 def nonmonotone_patterns(tmp_path: Path) -> str:
     """Every block allowed at lag 1, only the diagonal at lag 2."""
     doc = json.loads(Path(CENTRALIZED).read_text())
@@ -613,11 +600,19 @@ def nonmonotone_patterns(tmp_path: Path) -> str:
     return write_json(tmp_path / "nonmonotone.json", doc)
 
 
-def conflicting_horizon(tmp_path: Path) -> str:
-    """A horizon of 3 against the sweep config's one explicit pattern."""
-    doc = json.loads(Path(SWEEP).read_text())
-    doc["options"] = {"n_horizon": 3}
-    return write_json(tmp_path / "conflict.json", doc)
+def legacy_options(tmp_path: Path) -> str:
+    """The chain with the ``options`` section of older files, which asked
+    for the centralized design; run as the chain it would not be that."""
+    doc = json.loads(Path(CHAIN).read_text())
+    doc["options"] = {"n_horizon": 0}
+    return write_json(tmp_path / "options.json", doc)
+
+
+def unknown_section(tmp_path: Path) -> str:
+    """The chain with a section the program does not read."""
+    doc = json.loads(Path(CHAIN).read_text())
+    doc["solver"] = "dense"
+    return write_json(tmp_path / "solver.json", doc)
 
 
 def unreachable_graph(tmp_path: Path) -> str:
@@ -627,10 +622,14 @@ def unreachable_graph(tmp_path: Path) -> str:
     return write_json(tmp_path / "unreachable.json", doc)
 
 
+COMMANDS = ("check-qi", "synth", "sweep", "verify")
+
+
 class TestConfigResolvedOnLoad:
-    """A file that defines no valid constraint is refused by every subcommand
-    alike, as a config error naming its section; an exception escaping
-    ``main`` would fail the test."""
+    """A file that defines no valid constraint, or holds a section the
+    program does not read, is refused by every subcommand alike, as a config
+    error naming its section; an exception escaping ``main`` would fail the
+    test."""
 
     @pytest.mark.parametrize(
         "make_config, section, command",
@@ -638,7 +637,8 @@ class TestConfigResolvedOnLoad:
             (nonmonotone_patterns, "patterns", "synth"),
             (nonmonotone_patterns, "patterns", "sweep"),
             (nonmonotone_patterns, "patterns", "verify"),
-            (conflicting_horizon, "options", "sweep"),
+            *[(legacy_options, "options", command) for command in COMMANDS],
+            *[(unknown_section, "solver", command) for command in COMMANDS],
             (unreachable_graph, "graph", "synth"),
             (unreachable_graph, "graph", "check-qi"),
         ],
@@ -674,16 +674,6 @@ class TestMalformedFields:
         assert f"{cfg}.{where}" in err
         return err
 
-    def test_non_integer_horizon(self, tmp_path, capsys):
-        doc = json.loads(Path(CHAIN).read_text())
-        doc["options"] = {"n_horizon": "four"}
-        self.run_bad(tmp_path, capsys, doc, "options")
-
-    def test_non_numeric_tol_zero(self, tmp_path, capsys):
-        doc = json.loads(Path(CHAIN).read_text())
-        doc["options"] = {"tol_zero": "tiny"}
-        self.run_bad(tmp_path, capsys, doc, "options")
-
     def test_non_integer_block_size(self, tmp_path, capsys):
         doc = json.loads(Path(CHAIN).read_text())
         doc["plant"]["block_rows"] = ["a", 1]
@@ -698,11 +688,6 @@ class TestMalformedFields:
         doc = json.loads(Path(CHAIN).read_text())
         doc["graph"]["comp_delays"] = ["x", 1, 1]
         self.run_bad(tmp_path, capsys, doc, "graph")
-
-    def test_fractional_horizon(self, tmp_path, capsys):
-        doc = json.loads(Path(CHAIN).read_text())
-        doc["options"] = {"n_horizon": 2.7}
-        self.run_bad(tmp_path, capsys, doc, "options")
 
     def test_fractional_block_size(self, tmp_path, capsys):
         doc = json.loads(Path(CHAIN).read_text())
@@ -728,7 +713,6 @@ class TestMalformedFields:
     def test_whole_floats_are_integers(self, tmp_path, capsys):
         doc = json.loads(Path(CHAIN).read_text())
         doc["graph"]["comp_delays"] = [1.0, 1.0, 1.0]
-        doc["options"] = {"n_horizon": 2.0}
         assert cli.main(["synth", "--config", write_json(tmp_path / "ok.json", doc)]) == 0
         assert "34.930" in capsys.readouterr().out
 

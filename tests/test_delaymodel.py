@@ -4,21 +4,24 @@ import pytest
 
 import oracles
 from delayh2 import (
+    AssumptionViolated,
     ConstraintSpace,
     DelayGraph,
     DelayMatrix,
     DimensionMismatch,
     NotStronglyConnected,
+    QIViolation,
     StateSpaceModel,
     check_qi,
     constraint_space,
     delay_matrix,
     expand_pattern,
     plant_block_delays,
+    synthesize,
 )
 from delayh2.delaymodel import block_norms
 from delayh2.statespace import vec
-from conftest import make_chain_graph, make_chain_plant
+from conftest import DENSE_A, householder, make_chain_graph, make_chain_plant, plant_with_channel
 
 
 def random_connected_graph(rng, n_nodes):
@@ -76,7 +79,7 @@ class TestDelayMatrix:
                         assert comm[i, j] <= comm[i, k] + comm[k, j]
 
     def test_computational_delay_must_be_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(AssumptionViolated):
             DelayGraph(1, (0,), ())
 
 
@@ -116,7 +119,7 @@ class TestConstraintSpace:
                 npt.assert_array_equal(~cs.patterns[-1], d.d == cs.n_horizon + 1)
 
     def test_non_monotone_patterns_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(AssumptionViolated):
             ConstraintSpace(
                 2, (1,), (1,),
                 (np.array([[True]]), np.array([[False]])),
@@ -130,19 +133,6 @@ class TestConstraintSpace:
         npt.assert_array_equal(np.flatnonzero(allowed), [0, 4, 8])
         npt.assert_array_equal(np.flatnonzero(~allowed), [1, 2, 3, 5, 6, 7])
         npt.assert_array_equal(allowed, vec(cs.entry_mask(1)).astype(bool))
-
-    def test_explicit_horizon_appends_unconstrained_lags(self):
-        d = delay_matrix(make_chain_graph())
-        cs = constraint_space(d, (1, 1, 1), (1, 1, 1), n_horizon=4)
-        default = constraint_space(d, (1, 1, 1), (1, 1, 1))
-        assert cs.n_horizon == 4
-        for got, want in zip(cs.patterns, default.patterns):
-            npt.assert_array_equal(got, want)
-        assert cs.patterns[2].all() and cs.patterns[3].all()
-        short = constraint_space(d, (1, 1, 1), (1, 1, 1), n_horizon=1)
-        assert short.n_horizon == 1
-        npt.assert_array_equal(short.patterns[0], np.eye(3, dtype=bool))
-        assert constraint_space(d, (1, 1, 1), (1, 1, 1), n_horizon=0).patterns == ()
 
     def test_entry_mask_expansion(self):
         pattern = np.array([[True, False], [False, True]])
@@ -272,6 +262,51 @@ class TestPlantBlockDelays:
         )
         p = plant_block_delays(g, (1, 1), (1,), 6)
         npt.assert_array_equal(p, [[1, 7]])
+
+    @pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5])
+    @pytest.mark.parametrize("a, want", [
+        (make_chain_plant().a, [[1, 2, 3], [2, 1, 2], [3, 2, 1]]),
+        (DENSE_A, [[1, 2, 2], [2, 1, 2], [2, 2, 1]]),
+    ], ids=["chain", "dense"])
+    def test_delays_do_not_depend_on_the_units(self, a, want, scale):
+        # an absolute threshold of 1e-9 read every block of the 1e-5 plants
+        # as zero
+        g22 = plant_with_channel(a, scale * np.eye(3), scale * np.eye(3)).g22
+        npt.assert_array_equal(plant_block_delays(g22, (1,) * 3, (1,) * 3, 5), want)
+
+    @pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5])
+    def test_rotated_decoupled_plant_reads_decoupled(self, scale):
+        # A = Q diag(0.5, 0.7, 0.9) Q^T, B2 = s Q, C2 = s Q^T: G_k is
+        # s^2 diag(...)^(k-1), and its off-diagonal blocks are rounding
+        # noise of size s^2 eps, which read as coupling at s = 1e5 under an
+        # absolute threshold.  The stored reflector's columns are orthogonal
+        # well within the rounding bound; a Q whose stored columns are not
+        # carries real coupling in its data, and that reads as coupling
+        q = householder([1.0, 2.0, 3.0])
+        plant = plant_with_channel(q @ np.diag([0.5, 0.7, 0.9]) @ q.T, scale * q, scale * q.T)
+        d = delay_matrix(make_chain_graph(link_delay=2))
+        p = plant_block_delays(plant.g22, plant.block_rows, plant.block_cols, d.max_delay())
+        npt.assert_array_equal(p, np.where(np.eye(3, dtype=bool), 1, d.max_delay() + 1))
+        assert check_qi(d, p).ok
+        synthesize(plant, constraint_space(d, plant.block_rows, plant.block_cols), delays=d)
+
+    def test_badly_scaled_dense_plant_is_refused(self):
+        plant = plant_with_channel(DENSE_A, 1e-5 * np.eye(3), 1e-5 * np.eye(3))
+        d = delay_matrix(make_chain_graph(link_delay=2))
+        cs = constraint_space(d, plant.block_rows, plant.block_cols)
+        with pytest.raises(QIViolation, match=r"witness \(k=0, i=0, j=2, l=2\)"):
+            synthesize(plant, cs, delays=d)
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: DelayGraph(2, (1, 1), ((0, 1, -1), (1, 0, 1))), AssumptionViolated),
+    (lambda: DelayMatrix([[1, 0], [2, 1]]), AssumptionViolated),
+    (lambda: check_qi(DelayMatrix([[1]]), [[-1]]), AssumptionViolated),
+    (lambda: ConstraintSpace(1, (1,), (1,), (np.ones((1, 1)),)).entry_mask(2), DimensionMismatch),
+], ids=["negative edge delay", "zero delay", "negative plant delay", "lag past the horizon"])
+def test_bad_inputs_raise_typed_errors(make, error):
+    with pytest.raises(error):
+        make()
 
 
 class TestBlockNorms:

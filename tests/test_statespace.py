@@ -206,7 +206,7 @@ class TestImpulseResponse:
             npt.assert_allclose(resp[k], expected[k], atol=1e-12)
 
     def test_negative_horizon_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatch):
             impulse_response(scalar_model(0.0), -1)
 
     @pytest.mark.parametrize("horizon", [0, 1, 5])
@@ -250,7 +250,7 @@ class TestImpulseResponse:
         k = StateSpaceModel(a, k.b, c, k.d)
         module, run = {
             "plant block delays": (delaymodel, lambda: plant_block_delays(
-                plant.g22, plant.block_rows, plant.block_cols, 6, tol_zero=1e-300)),
+                plant.g22, plant.block_rows, plant.block_cols, 6)),
             "Bezout check": (synthesis, lambda: coprime_factorization(plant, gains)),
             "conformance fallback": (verify, lambda: conformance(k, cs)),
         }[caller]
@@ -439,6 +439,22 @@ class TestDareSolve:
             want = linalg.solve_discrete_are(a, b, q, np.eye(m))
             got = dare_solve(a, b, q)
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssumptionViolated,
+        reason="doubling from H_0 = Q = 0 stays at the non-stabilizing solution X = 0 "
+        "(ROADMAP item 4)",
+    )
+    def test_zero_state_weight_finds_the_stabilizing_solution(self):
+        # the chain with C1's state rows zeroed, so Q = 0: no eigenvalue of A
+        # (2.914, 1.5, 0.086) is on the unit circle, so the stabilizing
+        # solution exists; scipy finds it with closed-loop radius 2/3
+        linalg = pytest.importorskip("scipy.linalg")
+        plant = make_chain_plant()
+        q = np.zeros((3, 3))
+        want = linalg.solve_discrete_are(plant.a, plant.b2, q, np.eye(3))
+        got = dare_solve(plant.a, plant.b2, q)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_uncontrollable_unstable_mode_rejected(self):
         # second state is unstable and unreachable: no stabilizing solution
