@@ -7,6 +7,10 @@ Subcommands::
     delayh2 sweep    --config problem.json --n-min 1 --n-max 8 --out norms.csv
     delayh2 verify   controller.json --config problem.json
 
+``synth`` checks that ``--out`` can be written, then refuses a delay pattern
+that is not quadratically invariant through ``synthesize(..., delays=d)``,
+the check ``check-qi`` prints; ``--force`` skips it.
+
 Exit codes: 0 success, 1 usage or parse error, 2 domain-check failure
 (QI violation, conformance or stability failure).
 """
@@ -23,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import delaymodel, verify
-from .config import ProblemConfig, load_config
+from .config import load_config
 from .errors import ConfigError, DelayH2Error, DimensionMismatch, QIViolation, UnstableSystem
 from .statespace import StateSpaceModel, h2_norm_sq
 from .synthesis import SynthesisResult, sweep_norms, synthesize
@@ -43,18 +47,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise _UsageError(message)
-
-
-def _tolerance(text: str) -> float:
-    """The type of verify's --tol: a finite number > 0.  NaN would compare
-    false with every violation, and a bound <= 0 would flag exact zeros."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
-    return value
 
 
 def _build_parser() -> _Parser:
@@ -79,8 +71,6 @@ def _build_parser() -> _Parser:
     ver = sub.add_parser("verify", help="re-check a synthesized controller")
     ver.add_argument("controller", help="controller JSON file written by synth")
     ver.add_argument("--config", required=True)
-    ver.add_argument("--tol", type=_tolerance, default=verify.CONFORMANCE_TOL,
-                     help="relative tolerance for conformance")
     return parser
 
 
@@ -111,27 +101,17 @@ def _format_matrix(m: np.ndarray) -> str:
     return "\n".join("  " + "  ".join(f"{v:g}" for v in row) for row in np.atleast_2d(m))
 
 
-def _qi_verdict(cfg: ProblemConfig):
-    """(d, p, verdict) for a graph or delay-matrix config; None for explicit
-    patterns, which carry no delay information."""
-    d = cfg.delays
-    if d is None:
-        return None
-    plant = cfg.plant
-    p = delaymodel.plant_block_delays(plant.g22, plant.block_rows, plant.block_cols,
-                                      d.max_delay())
-    return d, p, delaymodel.check_qi(d, p)
-
-
 def cmd_check_qi(args) -> int:
     cfg = load_config(args.config)
-    qi = _qi_verdict(cfg)
-    if qi is None:
+    d, plant = cfg.delays, cfg.plant
+    if d is None:
         raise ConfigError(
             f"{args.config}.patterns: check-qi needs a 'graph' or 'delay_matrix' constraint; "
             "explicit patterns carry no delay information"
         )
-    d, p, verdict = qi
+    p = delaymodel.plant_block_delays(plant.g22, plant.block_rows, plant.block_cols,
+                                      d.max_delay())
+    verdict = delaymodel.check_qi(d, p)
     print("delay matrix d:")
     print(_format_matrix(d.d))
     print("plant block delays p:")
@@ -181,21 +161,15 @@ def _write(path: str, text: str, mode: str = "w") -> None:
 
 def cmd_synth(args) -> int:
     cfg = load_config(args.config)
-    if not args.force:
-        qi = _qi_verdict(cfg)
-        if qi is None:
-            print(
-                "note: constraint given as explicit patterns; QI not checkable, proceeding",
-                file=sys.stderr,
-            )
-        elif not qi[2].ok:
-            raise QIViolation(
-                f"delay pattern is not quadratically invariant ({delaymodel.qi_witness_text(*qi)}); "
-                "re-run with --force to synthesize anyway"
-            )
+    if cfg.delays is None and not args.force:
+        print("note: constraint given as explicit patterns; QI not checkable, proceeding",
+              file=sys.stderr)
     if args.out:
         _check_writable(args.out)
-    result = synthesize(cfg.plant, cfg.space)
+    try:
+        result = synthesize(cfg.plant, cfg.space, delays=None if args.force else cfg.delays)
+    except QIViolation as exc:
+        raise QIViolation(f"{exc}; re-run with --force to synthesize anyway") from exc
     if args.out:
         _write(args.out, json.dumps(_result_document(result), indent=1) + "\n")
     print(f"H2 norm: {result.h2_norm:.6f}")
@@ -250,7 +224,7 @@ def cmd_verify(args) -> int:
             TypeError, ValueError) as exc:
         raise ConfigError(f"cannot read controller file: {exc}") from exc
 
-    report = verify.conformance(k, cfg.space, tol=args.tol)
+    report = verify.conformance(k, cfg.space)
     loop = verify.closed_loop(cfg.plant, k)
     # h2_norm_sq proves the loop stable before it sums the Gramian; on the
     # loop of a synthesized realization that is the Youla verdict

@@ -33,7 +33,7 @@ class ClosedLoop:
     controller:
 
     * A controller whose realization has the synthesized structure (see
-      :func:`_youla_blocks`) gives the loop of its factors (K, L, V) in the
+      :func:`_youla_loop`) gives the loop of its factors (K, L, V) in the
       state order (x, shift-register slots oldest first, e = x - x^).  There
       ``model.a`` is block upper triangular, with exact zeros below its
       diagonal blocks A_K = A + B2 K, the nilpotent shift and A_L = A + L C2,
@@ -76,10 +76,8 @@ def closed_loop(plant: GeneralizedPlant, k: StateSpaceModel) -> ClosedLoop:
         raise DimensionMismatch("controller dimensions do not match the plant")
     if np.count_nonzero(k.d):
         raise IllPosed("controller must be strictly proper (zero feedthrough)")
-    blocks = _youla_blocks(plant, k)
-    if blocks is not None:
-        loop = ClosedLoop(_youla_model(plant, k, *blocks))
-        object.__setattr__(loop, "youla_blocks", blocks[:2])
+    loop = _youla_loop(plant, k)
+    if loop is not None:
         return loop
     a = np.block(
         [
@@ -93,10 +91,9 @@ def closed_loop(plant: GeneralizedPlant, k: StateSpaceModel) -> ClosedLoop:
     return ClosedLoop(StateSpaceModel(a, b, c, d))
 
 
-def _youla_blocks(plant: GeneralizedPlant, k: StateSpaceModel):
-    """(A_K, A_L, K, L, B2 K, B2 C_fir) of the factors read off ``k``'s
-    realization, if that realization is the one they give with the plant;
-    None otherwise.
+def _youla_loop(plant: GeneralizedPlant, k: StateSpaceModel) -> Optional[ClosedLoop]:
+    """The loop of the factors read off ``k``'s realization, if that
+    realization is the one they give with the plant; None otherwise.
 
     By the realization of :func:`delayh2.synthesis.realize_controller`,
     with n the plant order, a realization of order n + m, m a multiple of
@@ -104,6 +101,21 @@ def _youla_blocks(plant: GeneralizedPlant, k: StateSpaceModel):
     theirs when the rest of it follows: the register, its taps and its feed
     C2 bit for bit, and the two product blocks, whose rounding depends on
     the order of summation, within a bound on it.
+
+    The loop is realized in the state order (x, shift-register slots
+    oldest first, e = x - x^):
+
+        A = [[A_K, B2 C_fir, -B2 K], [0, S, F], [0, 0, A_L]],
+        B = [B1; 0 ... 0; -D21; B1 + L D21],
+        C = [C1 + D12 K, D12 C_fir, -D12 K],   D = 0,
+
+    where S is the strictly upper shift of the N slots, F is zero except
+    for the newest (last) slot's rows, -C2, and C_fir = [V_N ... V_1]
+    holds the coefficients in that reversed slot order.  It follows from
+    x^ = x - e: e+ = A_L e + (B1 + L D21) w, the newest slot takes
+    -(y - C2 x^) = -C2 e - D21 w, and
+    x+ = A_K x - B2 K e + B2 C_fir xi + B1 w.  At N = 0 there is no
+    register and the state is (x, e).
     """
     a, b2, c2 = plant.a, plant.b2, plant.c2
     n, n_u, n_y = plant.n, plant.n_ctrl, plant.n_meas
@@ -130,53 +142,31 @@ def _youla_blocks(plant: GeneralizedPlant, k: StateSpaceModel):
     a_k, a_l = a + b2_k, a + l_c2
     bound_11 = gamma * (np.abs(a) + np.abs(b2) @ np.abs(gain) + np.abs(filt) @ np.abs(c2))
     bound_12 = gamma * (np.abs(b2) @ np.abs(c_fir))
-    if (np.all(np.abs(k.a[:n, :n] - (a_k + l_c2)) <= bound_11)
+    if not (np.all(np.abs(k.a[:n, :n] - (a_k + l_c2)) <= bound_11)
             and np.all(np.abs(k.a[:n, n:] - b2_c_fir) <= bound_12)):
-        return a_k, a_l, gain, filt, b2_k, b2_c_fir
-    return None
+        return None
 
-
-def _youla_model(plant: GeneralizedPlant, k: StateSpaceModel, a_k: np.ndarray,
-                 a_l: np.ndarray, gain: np.ndarray, filt: np.ndarray,
-                 b2_k: np.ndarray, b2_c_fir: np.ndarray) -> StateSpaceModel:
-    """The loop of the controller ``k``, whose realization
-    :func:`_youla_blocks` matched to its factors K = ``gain``, L = ``filt``
-    and V, in the state order (x, shift-register slots oldest first,
-    e = x - x^):
-
-        A = [[A_K, B2 C_fir, -B2 K], [0, S, F], [0, 0, A_L]],
-        B = [B1; 0 ... 0; -D21; B1 + L D21],
-        C = [C1 + D12 K, D12 C_fir, -D12 K],   D = 0,
-
-    where S is the strictly upper shift of the N slots, F is zero except
-    for the newest (last) slot's rows, -C2, and C_fir = [V_N ... V_1]
-    holds the coefficients in that reversed slot order.  It follows from
-    x^ = x - e: e+ = A_L e + (B1 + L D21) w, the newest slot takes
-    -(y - C2 x^) = -C2 e - D21 w, and
-    x+ = A_K x - B2 K e + B2 C_fir xi + B1 w.  At N = 0 there is no
-    register and the state is (x, e).
-    """
-    n, n_y = plant.n, plant.n_meas
-    m = k.order - n
     e = n + m  # first state of e
     oldest_first = np.arange(m).reshape(-1, n_y)[::-1].ravel()
-    c_fir = k.c[:, n:][:, oldest_first]
-    a = np.zeros((e + n, e + n))
-    a[:n, :n] = a_k
-    a[:n, n:e] = b2_c_fir[:, oldest_first]
-    a[:n, e:] = -b2_k
-    a[e:, e:] = a_l
-    b = np.zeros((e + n, plant.n_dist))
-    b[:n] = plant.b1
-    b[e:] = plant.b1 + filt @ plant.d21
+    a_loop = np.zeros((e + n, e + n))
+    a_loop[:n, :n] = a_k
+    a_loop[:n, n:e] = b2_c_fir[:, oldest_first]
+    a_loop[:n, e:] = -b2_k
+    a_loop[e:, e:] = a_l
+    b_loop = np.zeros((e + n, plant.n_dist))
+    b_loop[:n] = plant.b1
+    b_loop[e:] = plant.b1 + filt @ plant.d21
     if m:
         slot = np.arange(n, e - n_y)
-        a[slot, slot + n_y] = 1.0
-        a[e - n_y:e, e:] = -plant.c2
-        b[e - n_y:e] = -plant.d21
+        a_loop[slot, slot + n_y] = 1.0
+        a_loop[e - n_y:e, e:] = -c2
+        b_loop[e - n_y:e] = -plant.d21
     d12_k = plant.d12 @ gain
-    c = np.hstack([plant.c1 + d12_k, plant.d12 @ c_fir, -d12_k])
-    return StateSpaceModel(a, b, c, np.zeros((plant.n_perf, plant.n_dist)))
+    c_loop = np.hstack([plant.c1 + d12_k, plant.d12 @ c_fir[:, oldest_first], -d12_k])
+    loop = ClosedLoop(StateSpaceModel(a_loop, b_loop, c_loop,
+                                      np.zeros((plant.n_perf, plant.n_dist))))
+    object.__setattr__(loop, "youla_blocks", (a_k, a_l))
+    return loop
 
 
 def _is_shift_register(a: np.ndarray, n: int, n_y: int) -> bool:
@@ -236,18 +226,18 @@ class ConformanceReport:
     violations: Tuple[Tuple[int, int, int, float], ...]
 
 
-def conformance(
-    k: StateSpaceModel, cs: ConstraintSpace, tol: float = CONFORMANCE_TOL
-) -> ConformanceReport:
+def conformance(k: StateSpaceModel, cs: ConstraintSpace) -> ConformanceReport:
     """Check that a controller's impulse response lives in the constraint set.
 
     The feedthrough must vanish and, for each lag 1..N, every forbidden
-    block of the corresponding Markov parameter must be zero up to ``tol``
-    relative to the overall response scale.  The Markov parameters come
-    from :func:`_markov_parameters`; at N = 0 only the feedthrough is read.
+    block of the corresponding Markov parameter must be zero up to
+    ``CONFORMANCE_TOL`` times the response scale, the largest norm of a
+    Markov parameter, so the verdict does not depend on the controller's
+    units.  The Markov parameters come from :func:`_markov_parameters`; at
+    N = 0 only the feedthrough is read.
     """
     resp = _markov_parameters(k, cs.n_horizon)
-    tol = tol * (1.0 + float(np.linalg.norm(resp, axis=(1, 2)).max()))
+    tol = CONFORMANCE_TOL * float(np.linalg.norm(resp, axis=(1, 2)).max())
     no_feedthrough = np.zeros((len(cs.block_rows), len(cs.block_cols)), dtype=bool)
     allowed = np.stack((no_feedthrough,) + cs.patterns)
     mags = block_norms(resp, cs.block_rows, cs.block_cols)

@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from delayh2 import (AssumptionViolated, QIViolation, cli, riccati_gains, statespace, synthesize,
-                     verify)
+from delayh2 import (AssumptionViolated, QIViolation, cli, riccati_gains, statespace, synthesis,
+                     synthesize, verify)
 from conftest import DENSE_A, dense_orders, householder
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -119,7 +119,7 @@ class TestCheckQi:
         assert "plant block delays p:\n  1  6  6\n  6  1  6\n  6  6  1\nQI: PASS" in out
 
 
-def no_work(*args):
+def no_work(*args, **kwargs):
     """Stand-in for the synthesis entry points in tests that must fail first."""
     raise AssertionError("the work ran")
 
@@ -158,8 +158,29 @@ class TestSynth:
         witness = capsys.readouterr().out.split("QI: FAIL  ")[1].strip()
         assert witness.startswith("witness (k=")
         args = cli._build_parser().parse_args(["synth", "--config", cfg])
-        with pytest.raises(QIViolation, match=re.escape(f"({witness}); re-run with --force")):
+        with pytest.raises(QIViolation, match=re.escape(f": {witness}; re-run with --force")):
             cli.cmd_synth(args)
+
+    @pytest.mark.parametrize("force", [False, True], ids=["guarded", "forced"])
+    def test_synth_reaches_the_qi_verdict_through_synthesize(self, capsys, monkeypatch, force):
+        # one QI gate: synth reaches the verdict only through
+        # synthesize(delays=), which computes the block delays once
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        real = synthesis.plant_block_delays
+        monkeypatch.setattr(synthesis, "plant_block_delays", spy)
+        argv = ["synth", "--config", CHAIN] + (["--force"] if force else [])
+        assert cli.main(argv) == 0
+        assert len(calls) == (0 if force else 1)
+
+    def test_unwritable_out_is_reported_before_the_qi_verdict(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "controller.json"
+        assert cli.main(["synth", "--config", non_qi_config(tmp_path), "--out", str(out)]) == 1
+        assert "cannot write" in capsys.readouterr().err
 
     def test_force_overrides_qi_guard(self, tmp_path, capsys):
         cfg = non_qi_config(tmp_path)
@@ -169,7 +190,7 @@ class TestSynth:
     @pytest.mark.parametrize("existing", [True, False], ids=["existing file", "new file"])
     def test_failed_synthesis_leaves_the_out_file_as_it_was(self, tmp_path, capsys, monkeypatch,
                                                            existing):
-        def fails(plant, cs):
+        def fails(plant, cs, delays=None):
             raise AssumptionViolated("synthetic synthesis failure")
 
         out = tmp_path / "controller.json"
@@ -267,7 +288,6 @@ class TestSweep:
         # first steps run on a factor of the cost-to-go, each factoring
         # (R^-1)_ff once (and, from step 2 on, I + W^T Y after it), so the
         # second Cholesky factorization is step 2's
-        from delayh2 import synthesis
         from delayh2.errors import AssumptionViolated
 
         real_cholesky = np.linalg.cholesky
@@ -562,20 +582,20 @@ class TestVerifySynthFile:
 
 
 class TestTolerance:
-    """verify's --tol must be a finite number > 0: NaN passes every
-    violation, inf blanks every violation, and a bound <= 0 flags exact
-    zeros.  check-qi and synth have no --tol: the block-delay zero test
-    derives its threshold from the plant."""
+    """No subcommand takes a --tol: the block-delay zero test derives its
+    threshold from the plant, and conformance's is relative to the
+    controller's own response scale."""
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "tiny"])
-    def test_is_usage_error(self, perturbed_controller, capsys, value):
-        argv = ["verify", perturbed_controller, "--config", CHAIN, f"--tol={value}"]
-        assert cli.main(argv) == 1
-        assert "argument --tol: must be a finite number > 0" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", ["check-qi", "synth"])
-    def test_zero_test_takes_no_flag(self, capsys, command):
-        assert cli.main([command, "--config", CHAIN, "--tol", "1e9"]) == 1
+    @pytest.mark.parametrize("command", ["check-qi", "synth", "sweep", "verify"])
+    def test_zero_test_takes_no_flag(self, perturbed_controller, tmp_path, capsys, command):
+        argv = {
+            "check-qi": ["check-qi", "--config", CHAIN],
+            "synth": ["synth", "--config", CHAIN],
+            "sweep": ["sweep", "--config", SWEEP, "--n-min", "1", "--n-max", "2",
+                      "--out", str(tmp_path / "norms.csv")],
+            "verify": ["verify", perturbed_controller, "--config", CHAIN],
+        }[command]
+        assert cli.main(argv + ["--tol", "1e9"]) == 1
         assert "unrecognized arguments: --tol 1e9" in capsys.readouterr().err
 
 

@@ -544,6 +544,25 @@ class TestConformance:
         npt.assert_allclose([v[3] for v in fast.violations], [v[3] for v in dense.violations],
                             rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+    def test_the_verdict_does_not_depend_on_the_units(self, scale):
+        # C times s scales every Markov parameter by s; the forbidden lag-1
+        # entry (0, 2), moved by 1% of the response scale, is reported at
+        # every s, with the violations of s = 1 times s
+        k, cs = conformance_case("chain-3")
+        n = k.order - cs.n_horizon * k.n_inputs
+        size = np.linalg.norm(impulse_response(k, cs.n_horizon), axis=(1, 2)).max()
+
+        def moved(s):
+            c = s * k.c
+            c[0, n + 2] += 0.01 * s * size  # V_1 entry (0, 2)
+            return conformance(dataclasses.replace(k, c=c), cs).violations
+
+        want, got = moved(1.0), moved(scale)
+        assert (1, 0, 2) in [v[:3] for v in want]
+        assert [v[:3] for v in got] == [v[:3] for v in want]
+        npt.assert_allclose([v[3] / scale for v in got], [v[3] for v in want], rtol=1e-12)
+
     def test_a_controller_that_does_not_fit_the_blocks_is_refused(self, chain_result,
                                                                    monkeypatch):
         # the controller's own n_y = 3 sets its split, so it takes the
