@@ -61,15 +61,6 @@ def _matrix(section: dict, key: str, where: str) -> np.ndarray:
     return arr
 
 
-def _whole(value) -> int:
-    """``value`` as an int; a fraction, NaN or infinity is an error rather
-    than being truncated."""
-    number = float(value)
-    if not number.is_integer():
-        raise ValueError(f"{value!r} is not a whole number")
-    return int(number)
-
-
 @dataclass(frozen=True)
 class ProblemConfig:
     """A problem file, resolved and validated once when it is loaded.
@@ -119,16 +110,13 @@ def parse_config(doc: dict, where: str = "config") -> ProblemConfig:
     if "plant" not in doc or not isinstance(doc["plant"], dict):
         raise ConfigError(f"{where}: missing 'plant' section")
     psec = doc["plant"]
-    mats = {key: _matrix(psec, key, f"{where}.plant") for key in _PLANT_KEYS}
+    fields = {key: _matrix(psec, key, f"{where}.plant") for key in _PLANT_KEYS}
     for key in ("block_rows", "block_cols"):
         if key not in psec:
             raise ConfigError(f"{where}.plant: missing field '{key}'")
+        fields[key] = psec[key]
     try:
-        plant = GeneralizedPlant(
-            **mats,
-            block_rows=tuple(_whole(r) for r in psec["block_rows"]),
-            block_cols=tuple(_whole(c) for c in psec["block_cols"]),
-        )
+        plant = GeneralizedPlant(**fields)
     except (DelayH2Error, ValueError, TypeError) as exc:
         raise ConfigError(f"{where}.plant: {exc}") from exc
 
@@ -162,13 +150,10 @@ def _constraint(
         raise ConfigError(f"{where}.graph: need 'comp_delays' and 'edges'")
     try:
         if style == "graph":
-            comp = [_whole(c) for c in section["comp_delays"]]
-            edges = [tuple(_whole(x) for x in e) for e in section.get("edges", [])]
-            if any(len(e) != 3 for e in edges):
-                raise ValueError("edges must be [from, to, delay] triples")
-            delays = build_delay_matrix(DelayGraph(len(comp), tuple(comp), tuple(edges)))
+            comp = section["comp_delays"]
+            delays = build_delay_matrix(DelayGraph(len(comp), comp, section.get("edges", ())))
         else:
-            delays = DelayMatrix(np.array([[_whole(x) for x in row] for row in section], dtype=int))
+            delays = DelayMatrix(section)
         if (delays.node_count,) * 2 != grid:
             raise ValueError(f"{delays.node_count} network nodes but plant declares "
                              f"{grid[0]}/{grid[1]} blocks")

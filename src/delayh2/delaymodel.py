@@ -20,6 +20,28 @@ from .errors import AssumptionViolated, DimensionMismatch, NotStronglyConnected
 from .statespace import StateSpaceModel, impulse_response
 
 
+def whole_numbers(values, what: str, error: type = AssumptionViolated) -> np.ndarray:
+    """``values`` as an int array.  A fraction, NaN, infinity, a magnitude of 2**53
+    or more (floats skip integers there) or a non-number raises ``error``
+    instead of being truncated: a delay rounded down loosens its constraint."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{what} must be whole numbers") from exc
+    ok = (np.abs(arr) < 2.0**53) & (arr == np.round(arr))
+    if not ok.all():
+        raise error(f"{what} must be whole numbers below 2**53, got {arr[~ok][0]:g}")
+    return arr.astype(int)
+
+
+def block_sizes(values) -> Tuple[int, ...]:
+    """A list of positive whole block sizes as a tuple of ints."""
+    sizes = whole_numbers(values, "block sizes", DimensionMismatch)
+    if sizes.ndim != 1 or (sizes < 1).any():
+        raise DimensionMismatch("block sizes must be a list of positive whole numbers")
+    return tuple(sizes.tolist())
+
+
 @dataclass(frozen=True)
 class DelayGraph:
     """Controller communication topology.
@@ -27,7 +49,7 @@ class DelayGraph:
     Nodes are indexed 0..node_count-1.  ``comp_delays[i]`` is the
     computational delay at node i (>= 1 so controllers stay strictly
     proper); ``edges`` holds directed links ``(from_node, to_node, delay)``
-    with integer delay >= 0.
+    with integer delay >= 0.  Every entry must be a whole number.
     """
 
     node_count: int
@@ -35,33 +57,38 @@ class DelayGraph:
     edges: Tuple[Tuple[int, int, int], ...]
 
     def __post_init__(self):
-        if self.node_count < 1:
+        n = int(whole_numbers(self.node_count, "node count", DimensionMismatch))
+        if n < 1:
             raise DimensionMismatch("graph needs at least one node")
-        comp = tuple(int(c) for c in self.comp_delays)
-        if len(comp) != self.node_count:
+        comp = whole_numbers(self.comp_delays, "computational delays")
+        if comp.shape != (n,):
             raise DimensionMismatch("one computational delay per node required")
-        if any(c < 1 for c in comp):
+        if (comp < 1).any():
             raise AssumptionViolated("computational delays must be >= 1")
         edges = []
-        for u, v, w in self.edges:
-            u, v, w = int(u), int(v), int(w)
-            if not (0 <= u < self.node_count and 0 <= v < self.node_count):
+        for edge in self.edges:
+            edge = whole_numbers(edge, "edge entries")
+            if edge.shape != (3,):
+                raise DimensionMismatch("edges must be (from, to, delay) triples")
+            u, v, w = edge.tolist()
+            if not (0 <= u < n and 0 <= v < n):
                 raise DimensionMismatch(f"edge ({u},{v}) out of range")
             if w < 0:
                 raise AssumptionViolated("edge delays must be >= 0")
             edges.append((u, v, w))
-        object.__setattr__(self, "comp_delays", comp)
+        object.__setattr__(self, "node_count", n)
+        object.__setattr__(self, "comp_delays", tuple(comp.tolist()))
         object.__setattr__(self, "edges", tuple(edges))
 
 
 @dataclass(frozen=True)
 class DelayMatrix:
-    """Integer matrix of information delays, d[i, j] >= 1."""
+    """Integer matrix of information delays, d[i, j] >= 1 (whole numbers)."""
 
     d: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.d, dtype=int)
+        d = whole_numbers(self.d, "delays")
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise DimensionMismatch("delay matrix must be square")
         if (d < 1).any():
@@ -83,7 +110,7 @@ class ConstraintSpace:
     ``patterns[k-1][i, j]`` is True when controller-output block i may depend
     on measurement block j at lag k.  Beyond lag ``n_horizon`` everything is
     allowed.  ``block_rows`` are the controller output block sizes and
-    ``block_cols`` the measurement block sizes.
+    ``block_cols`` the measurement block sizes, positive whole numbers.
     """
 
     n_horizon: int
@@ -92,10 +119,7 @@ class ConstraintSpace:
     patterns: Tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        rows = tuple(int(r) for r in self.block_rows)
-        cols = tuple(int(c) for c in self.block_cols)
-        if any(r < 1 for r in rows) or any(c < 1 for c in cols):
-            raise DimensionMismatch("block sizes must be positive")
+        rows, cols = block_sizes(self.block_rows), block_sizes(self.block_cols)
         pats = tuple(np.asarray(p, dtype=bool) for p in self.patterns)
         if len(pats) != self.n_horizon:
             raise DimensionMismatch("need one pattern per lag 1..n_horizon")
@@ -107,6 +131,7 @@ class ConstraintSpace:
         for earlier, later in zip(pats, pats[1:]):
             if (earlier & ~later).any():
                 raise AssumptionViolated("patterns must be monotone: allowed blocks stay allowed")
+        object.__setattr__(self, "n_horizon", len(pats))
         object.__setattr__(self, "block_rows", rows)
         object.__setattr__(self, "block_cols", cols)
         object.__setattr__(self, "patterns", pats)
@@ -188,7 +213,7 @@ def check_qi(d: DelayMatrix, p) -> QiCheck:
     ``(k, i, j, l)`` is returned as witness, with j and i recovered by
     ``argmin`` at the first violating (k, l).
     """
-    p = np.asarray(p, dtype=int)
+    p = whole_numbers(p, "plant block delays")
     n = d.node_count
     if p.shape != (n, n):
         raise DimensionMismatch(f"plant delay matrix {p.shape} != {(n, n)}")

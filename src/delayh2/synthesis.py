@@ -5,12 +5,16 @@ checked by their residuals (:func:`riccati_gains`); ||P11||^2 in closed
 form from the two solutions (:func:`_plant_prefix`); a finite quadratic
 program over the first N impulse-response coefficients of the free
 parameter V, held as one ``(N, n_ctrl, n_meas)`` array and solved exactly
-as a finite-horizon LQR on the Kronecker-lifted FIR recursion
+as a finite-horizon LQR on the Kronecker-lifted FIR recursion, which it
+applies through the n x n factors of :func:`_lift`
 (:func:`solve_constrained_qp`); and the controller in closed form
 (:func:`realize_controller`).  :func:`sweep_norms` runs the plant's part
 and one backward pass for every horizon of a repeated pattern.
+:func:`vectorized_system` forms the dense lift for the reference solvers
+(``verify.kkt_oracle`` and the test oracles), and
 :func:`coprime_factorization` and :func:`model_matching_matrices` are
-references off the pipeline, kept here because ``perfbench`` traces them.
+references off the pipeline; all three are kept here because
+``perfbench`` calls or traces them by name.
 """
 
 from __future__ import annotations
@@ -18,12 +22,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .delaymodel import ConstraintSpace, DelayMatrix, check_qi, expand_pattern, plant_block_delays
-from .delaymodel import qi_witness_text
+from .delaymodel import ConstraintSpace, DelayMatrix, block_sizes, check_qi, expand_pattern
+from .delaymodel import plant_block_delays, qi_witness_text
 from .errors import AssumptionViolated, DimensionMismatch, QIViolation, SolverFailure
 from .statespace import (
     StateSpaceModel,
@@ -72,7 +76,7 @@ class GeneralizedPlant:
     D21 [B1^T D21^T] = [0 I], validated at construction (not enforced by
     rescaling, since rescaling would silently change reported norms).
     ``block_rows`` partitions the control input u into per-subsystem blocks
-    and ``block_cols`` partitions the measurement y.
+    and ``block_cols`` partitions the measurement y (positive whole sizes).
     """
 
     a: np.ndarray
@@ -110,8 +114,7 @@ class GeneralizedPlant:
         for name, shape in expected.items():
             if mats[name].shape != shape:
                 raise DimensionMismatch(f"{name} is {mats[name].shape}, expected {shape}")
-        rows = tuple(int(r) for r in self.block_rows)
-        cols = tuple(int(c) for c in self.block_cols)
+        rows, cols = block_sizes(self.block_rows), block_sizes(self.block_cols)
         if sum(rows) != m2:
             raise DimensionMismatch("block_rows must sum to the control dimension")
         if sum(cols) != p2:
@@ -197,72 +200,15 @@ class RiccatiGains:
     a_l: np.ndarray
 
 
-@dataclass(frozen=True)
-class VectorizedSystem:
-    """Kronecker lift of the constrained-channel FIR recursion, kept as its
-    n x n factors.
+class VectorizedSystem(NamedTuple):
+    """The dense lift of :func:`_lift`: x_{i+1} = a_v x_i + b_v vec(V_i) and
+    vec(J_i) = c_v x_i + vec(V_i) from x1.  The pipeline never forms it;
+    :func:`vectorized_system` builds it for the reference solvers."""
 
-    The lifted state x_i = [vec(P_i); vec(Q_i)] stacks an n x n_meas block
-    P and an n_ctrl x n block Q, so its dimension ``order`` is
-    n * (n_meas + n_ctrl).  Driven by the free coefficient V_i,
-
-        P_{i+1} = A_K P_i + B2 V_i,   Q_{i+1} = K P_i C2 + Q_i A_L + V_i C2,
-
-    from P_1 = L and Q_1 = 0, and the i-th coefficient of the constrained
-    channel is J_i = K P_i + Q_i L + V_i.  Column-stacked this reads
-    x_{i+1} = A_v x_i + B_v vec(V_i) and vec(J_i) = C_v x_i + vec(V_i).  Taking
-    J_i as the input instead, V_i = J_i - K P_i - Q_i L, the gains drop out:
-
-        P_{i+1} = A P_i + B2 (J_i - Q_i L),   Q_{i+1} = Q_i A + J_i C2,
-
-    that is x_{i+1} = A_bar x_i + B_v vec(J_i) with the stage-independent
-    A_bar = A_v - B_v C_v = [[I kron A, -L^T kron B2], [0, A^T kron I]].
-    The dense A_v, B_v and C_v are properties formed on each access.
-    """
-
-    a: np.ndarray
-    b2: np.ndarray
-    c2: np.ndarray
-    k_gain: np.ndarray
-    l_gain: np.ndarray
-
-    @property
-    def order(self) -> int:
-        n, n_u = self.b2.shape
-        return n * (self.c2.shape[0] + n_u)
-
-    def _identities(self):
-        return np.eye(self.b2.shape[1]), np.eye(self.c2.shape[0])
-
-    @property
-    def a_v(self) -> np.ndarray:
-        """[[I kron A_K, 0], [C2^T kron K, A_L^T kron I]]"""
-        a, b2, c2, k, l = self.a, self.b2, self.c2, self.k_gain, self.l_gain
-        eye_u, eye_y = self._identities()
-        upper = np.kron(eye_y, a + b2 @ k)
-        return np.block(
-            [
-                [upper, np.zeros((len(upper), a.shape[0] * len(eye_u)))],
-                [np.kron(c2.T, k), np.kron((a + l @ c2).T, eye_u)],
-            ]
-        )
-
-    @property
-    def b_v(self) -> np.ndarray:
-        """[I kron B2; C2^T kron I]"""
-        eye_u, eye_y = self._identities()
-        return np.vstack([np.kron(eye_y, self.b2), np.kron(self.c2.T, eye_u)])
-
-    @property
-    def c_v(self) -> np.ndarray:
-        """[I kron K, L^T kron I]"""
-        eye_u, eye_y = self._identities()
-        return np.hstack([np.kron(eye_y, self.k_gain), np.kron(self.l_gain.T, eye_u)])
-
-    @property
-    def x1(self) -> np.ndarray:
-        """[vec(L); 0]"""
-        return np.concatenate([vec(self.l_gain), np.zeros(self.k_gain.size)])
+    a_v: np.ndarray
+    b_v: np.ndarray
+    c_v: np.ndarray
+    x1: np.ndarray
 
 
 def _fir_realization(v: np.ndarray):
@@ -385,37 +331,68 @@ def model_matching_matrices(plant: GeneralizedPlant, gains: RiccatiGains) -> Sta
     )
 
 
-def vectorized_system(
-    plant: GeneralizedPlant, gains: RiccatiGains
-) -> VectorizedSystem:
-    """Kronecker lift of the constrained-channel FIR recursion, held as the
-    plant's A, B2, C2 and the gains K, L (see :class:`VectorizedSystem`)."""
-    return VectorizedSystem(plant.a, plant.b2, plant.c2, gains.k_gain, gains.l_gain)
+def vectorized_system(plant: GeneralizedPlant, gains: RiccatiGains) -> VectorizedSystem:
+    """The lift of :func:`_lift` as dense matrices, formed once with ``np.kron``:
+
+        A_v = [[I kron A_K, 0], [C2^T kron K, A_L^T kron I]],
+        B_v = [I kron B2; C2^T kron I],   C_v = [I kron K, L^T kron I],
+        x_1 = [vec(L); 0].
+
+    O(order^2) memory, for the reference solvers (``verify.kkt_oracle`` and
+    the test oracles); the pipeline applies the lift through its factors."""
+    b2, c2, k, l = plant.b2, plant.c2, gains.k_gain, gains.l_gain
+    eye_u, eye_y = np.eye(plant.n_ctrl), np.eye(plant.n_meas)
+    a_v = np.block([
+        [np.kron(eye_y, gains.a_k), np.zeros((plant.n * plant.n_meas, plant.n * plant.n_ctrl))],
+        [np.kron(c2.T, k), np.kron(gains.a_l.T, eye_u)],
+    ])
+    b_v = np.vstack([np.kron(eye_y, b2), np.kron(c2.T, eye_u)])
+    c_v = np.hstack([np.kron(eye_y, k), np.kron(l.T, eye_u)])
+    return VectorizedSystem(a_v, b_v, c_v, np.concatenate([vec(l), np.zeros(k.size)]))
 
 
-def _lifted_products(vsys: VectorizedSystem):
-    """Left products ``A_bar^T y`` (optionally into ``out``) and ``B_v^T y``
-    for an (order, k) block y.
+def _lift(plant: GeneralizedPlant, gains: RiccatiGains):
+    """The Kronecker lift of the constrained-channel FIR recursion, applied
+    through its n x n factors: (order, x_1, A_bar^T., B_v^T., C_v., C_v^T.).
 
-    They act on the n x n factors through vec(M X N) = (N^T kron M) vec(X):
-    a column of y holds [vec(P); vec(Q)] with P n x n_meas and Q n_ctrl x n,
-    which C-order reshapes read back as P^T and Q^T, and
+    The lifted state x_i = [vec(P_i); vec(Q_i)] stacks an n x n_meas block
+    P and an n_ctrl x n block Q, so its dimension ``order`` is
+    n * (n_meas + n_ctrl).  Driven by the free coefficient V_i,
 
-        A_bar^T [vec(P); vec(Q)] = [vec(A^T P); vec(Q A^T - B2^T P L^T)],
-        B_v^T [vec(P); vec(Q)] = vec(B2^T P + Q C2^T),
+        P_{i+1} = A_K P_i + B2 V_i,   Q_{i+1} = K P_i C2 + Q_i A_L + V_i C2,
 
-    which costs O(k * order * n) instead of O(k * order^2).
+    from P_1 = L and Q_1 = 0, and the i-th coefficient of the constrained
+    channel is J_i = K P_i + Q_i L + V_i.  Column-stacked this reads
+    x_{i+1} = A_v x_i + B_v vec(V_i) and vec(J_i) = C_v x_i + vec(V_i)
+    (:func:`vectorized_system`).  Taking J_i as the input instead,
+    V_i = J_i - K P_i - Q_i L, the gains drop out:
+
+        P_{i+1} = A P_i + B2 (J_i - Q_i L),   Q_{i+1} = Q_i A + J_i C2,
+
+    that is x_{i+1} = A_bar x_i + B_v vec(J_i) with the stage-independent
+    A_bar = A_v - B_v C_v = [[I kron A, -L^T kron B2], [0, A^T kron I]].
+
+    The products act on the factors through vec(M X N) = (N^T kron M) vec(X).
+    For an (order, k) block y, whose columns hold [vec(P); vec(Q)] and
+    which C-order reshapes read back as P^T and Q^T, a lifted state x and an
+    (n_ctrl * n_meas, k) block u holding vec(U), U n_ctrl x n_meas,
+
+        A_bar^T y = [vec(A^T P); vec(Q A^T - B2^T P L^T)],
+        B_v^T y = vec(B2^T P + Q C2^T),
+        C_v x = vec(K P + Q L),   C_v^T u = [vec(K^T U); vec(U L^T)],
+
+    at O(k * order * n) instead of O(k * order^2).  A_bar^T writes into
+    ``out`` if given.
     """
-    a, b2, c2, l = vsys.a, vsys.b2, vsys.c2, vsys.l_gain
-    n, n_u = b2.shape
-    n_y = c2.shape[0]
-    split = n * n_y
+    a, b2, c2, k_gain, l = plant.a, plant.b2, plant.c2, gains.k_gain, gains.l_gain
+    n, n_u, n_y = plant.n, plant.n_ctrl, plant.n_meas
+    order, split = n * (n_y + n_u), n * n_y
 
     def a_bar_t_times(y, out=None):
         k = y.shape[1]
         p_t = y[:split].reshape(n_y, n, k)
         if out is None:
-            out = np.empty((vsys.order, k))
+            out = np.empty((order, k))
         np.matmul(a.T, p_t, out=out[:split].reshape(n_y, n, k))
         q_part = out[split:].reshape(n, n_u * k)
         np.matmul(a, y[split:].reshape(n, n_u * k), out=q_part)
@@ -429,33 +406,17 @@ def _lifted_products(vsys: VectorizedSystem):
         out += c2 @ y[split:].reshape(n, n_u * k)
         return out.reshape(n_y * n_u, k)
 
-    return a_bar_t_times, b_v_t_times
-
-
-def _c_v_products(vsys: VectorizedSystem):
-    """Products ``C_v x`` for a lifted state x and ``C_v^T u`` for an
-    (n_ctrl * n_meas, k) block u, on the n x n factors: with
-    x = [vec(P); vec(Q)] and u holding vec(U), U n_ctrl x n_meas,
-
-        C_v x = vec(K P + Q L),   C_v^T vec(U) = [vec(K^T U); vec(U L^T)].
-    """
-    k_gain, l = vsys.k_gain, vsys.l_gain
-    n_u, n = k_gain.shape
-    n_y = l.shape[1]
-    split = n * n_y
-
     def c_v_times(x):
         return (x[:split].reshape(n_y, n) @ k_gain.T + l.T @ x[split:].reshape(n, n_u)).ravel()
 
     def c_v_t_times(u):
         k = u.shape[1]
         u_t = u.reshape(n_y, n_u, k)
-        return np.vstack([
-            np.matmul(k_gain.T, u_t).reshape(n * n_y, k),
-            (l @ u_t.reshape(n_y, n_u * k)).reshape(n * n_u, k),
-        ])
+        return np.vstack([np.matmul(k_gain.T, u_t).reshape(split, k),
+                          (l @ u_t.reshape(n_y, n_u * k)).reshape(n * n_u, k)])
 
-    return c_v_times, c_v_t_times
+    x1 = np.concatenate([vec(l), np.zeros(k_gain.size)])
+    return order, x1, a_bar_t_times, b_v_t_times, c_v_times, c_v_t_times
 
 
 def _kron(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -474,7 +435,8 @@ def _stage_failure(where: str, n_allowed: int) -> SolverFailure:
     return SolverFailure(f"singular stage matrix h at {where} ({n_allowed} allowed coordinates)")
 
 
-def _backward_sweep(vsys: VectorizedSystem, omega, psi, stages: Iterable[tuple[str, np.ndarray]]):
+def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
+                    stages: Iterable[tuple[str, np.ndarray]]):
     """The backward Riccati sweep of :func:`solve_constrained_qp` from
     X = 0 over ``stages``, (label, allowed coordinates a of vec(J)) from the
     last lag back.  Yields, per stage, its feedback (a function from the
@@ -487,14 +449,16 @@ def _backward_sweep(vsys: VectorizedSystem, omega, psi, stages: Iterable[tuple[s
         X <- A_bar^T X A_bar + C_v^T R C_v - g^T h^-1 g,   J_a = -h^-1 g x.
 
     Its products with A_bar and B_v run on the Kronecker factors
-    (:func:`_lifted_products`), so only the downdate costs O(a order^2).
+    (:func:`_lift`), so only the downdate costs O(a order^2).
     X_k is the cost of the minimum-norm V meeting the constraints of lags
     k ... N, so its rank is at most their forbidden coordinates summed.  The
     sweep therefore starts on a factor X = Z Z^T of rank 0
     (:func:`_factored_stages`), and once the rank bound would pass
     ``FACTORED_RANK_SHARE`` of the order it forms X and the dense stage
     finishes.  Both stage forms are exact."""
-    order, x1 = vsys.order, vsys.x1
+    lift = _lift(plant, gains)
+    order, x1, a_bar_t_times, b_v_t_times = lift[:4]
+    omega, psi = gains.omega, gains.psi
     n_j = omega.shape[0] * psi.shape[0]
     r = _kron(psi, omega)
     stages = iter(stages)
@@ -507,15 +471,15 @@ def _backward_sweep(vsys: VectorizedSystem, omega, psi, stages: Iterable[tuple[s
             stages = itertools.chain([(where, idx)], stages)
             break
         if factored_stage is None:
-            factored_stage = _factored_stages(vsys, omega, psi, r, where, idx.size)
+            factored_stage = _factored_stages(lift, gains, r, where, idx.size)
         feedback, z = factored_stage(z, where, idx, forb)
         zx = x1 @ z
         yield feedback, float(zx @ zx)
     else:
         return
 
-    k, l = vsys.k_gain, vsys.l_gain
-    split = k.shape[1] * psi.shape[0]
+    k, l = gains.k_gain, gains.l_gain
+    split = plant.n * plant.n_meas
     # R C_v and C_v^T R C_v, block by block
     r_c = np.empty((n_j, order))
     _kron(psi, omega @ k, out=r_c[:, :split])
@@ -525,7 +489,6 @@ def _backward_sweep(vsys: VectorizedSystem, omega, psi, stages: Iterable[tuple[s
     _kron(psi @ l.T, k.T @ omega, out=c_r_c[:split, split:])
     _kron(l @ psi, omega @ k, out=c_r_c[split:, :split])
     _kron(l @ psi @ l.T, omega, out=c_r_c[split:, split:])
-    a_bar_t_times, b_v_t_times = _lifted_products(vsys)
 
     # X and two work buffers, reused at every stage: fresh order x order
     # temporaries would page-fault anew each time
@@ -547,10 +510,11 @@ def _backward_sweep(vsys: VectorizedSystem, omega, psi, stages: Iterable[tuple[s
         yield (lambda x, gain=gain: -(gain @ x)), float(x1 @ x_cost @ x1)
 
 
-def _factored_stages(vsys: VectorizedSystem, omega, psi, r, where: str, n_allowed: int):
+def _factored_stages(lift, gains: RiccatiGains, r, where: str, n_allowed: int):
     """The backward stage on a factor, X_{k+1} = Z Z^T -> X_k = Z' Z'^T, as a
     function of (Z, label, allowed and forbidden coordinates) returning the
-    stage's feedback and Z'.
+    stage's feedback and Z'.  ``lift`` is :func:`_lift`'s and ``r`` is
+    R = psi kron omega.
 
     With W = B_a^T Z, T = R_aa^-1 R_af and A^ = A_bar + B_a R_aa^-1 (R C_v)_a
     the optimal J_a is u_0 + delta: u_0 = (C_a + T C_f) x minimizes the
@@ -567,12 +531,11 @@ def _factored_stages(vsys: VectorizedSystem, omega, psi, r, where: str, n_allowe
     A singular psi or omega fails the first factored stage, labelled
     ``where``."""
     try:
-        r_inv = _kron(np.linalg.inv(psi), np.linalg.inv(omega))
+        r_inv = _kron(np.linalg.inv(gains.psi), np.linalg.inv(gains.omega))
     except np.linalg.LinAlgError as exc:
         raise _stage_failure(where, n_allowed) from exc
-    order, eye_j = vsys.order, np.eye(r.shape[0])
-    a_bar_t_times, b_v_t_times = _lifted_products(vsys)
-    c_v_times, c_v_t_times = _c_v_products(vsys)
+    order, _, a_bar_t_times, b_v_t_times, c_v_times, c_v_t_times = lift
+    eye_j = np.eye(r.shape[0])
 
     def stage(z, where, idx, forb):
         rank, n_f = z.shape[1], forb.size
@@ -608,46 +571,38 @@ def _factored_stages(vsys: VectorizedSystem, omega, psi, r, where: str, n_allowe
     return stage
 
 
-def solve_constrained_qp(
-    vsys: VectorizedSystem,
-    cs: ConstraintSpace,
-    omega: np.ndarray,
-    psi: np.ndarray,
-) -> tuple[np.ndarray, float]:
+def solve_constrained_qp(plant: GeneralizedPlant, gains: RiccatiGains,
+                         cs: ConstraintSpace) -> tuple[np.ndarray, float]:
     """Minimize sum_i vec(V_i)^T (psi kron omega) vec(V_i) subject to the
     forbidden coordinates of every constrained FIR coefficient J_i
     (``~cs.entry_mask(i)``, column stacked) vanishing.
 
-    In the coordinates J_i of :class:`VectorizedSystem` this is a
-    finite-horizon LQR whose inputs are the allowed coordinates of vec(J_i),
-    with the state matrix A_bar at every lag and the stage cost
+    In the coordinates J_i of :func:`_lift` this is a finite-horizon LQR
+    whose inputs are the allowed coordinates of vec(J_i), with the state
+    matrix A_bar at every lag and the stage cost
     (J_i - C_v x_i)^T (psi kron omega) (J_i - C_v x_i).  After the backward
     sweep (:func:`_backward_sweep`) a forward sweep of the n x n recursion
     recovers each optimal J_i from x_i and V_i = J_i - K P_i - Q_i L,
     returned as an ``(N, n_ctrl, n_meas)`` array with the optimal cost
-    x_1^T X_1 x_1.
+    x_1^T X_1 x_1.  The constraint's blocks must be the plant's.
     """
-    omega = np.atleast_2d(np.asarray(omega, dtype=float))
-    psi = np.atleast_2d(np.asarray(psi, dtype=float))
-    n_u, n_y = omega.shape[0], psi.shape[0]
-    n = cs.n_horizon
-    if sum(cs.block_rows) != n_u or sum(cs.block_cols) != n_y:
-        raise DimensionMismatch("constraint blocks do not match the weight sizes")
+    if (cs.block_rows, cs.block_cols) != (plant.block_rows, plant.block_cols):
+        raise DimensionMismatch("constraint blocks do not match the plant blocks")
+    n_u, n_y, n = plant.n_ctrl, plant.n_meas, cs.n_horizon
 
     allowed = [np.flatnonzero(cs.entry_mask(lag).ravel(order="F")) for lag in range(1, n + 1)]
     # Past the last lag with a forbidden coordinate V = 0 and X = 0, so both
     # sweeps stop there; C_v^T R C_v - g^T h^-1 g would leave rounding noise
     # where that X is exactly zero.
-    n_con = max(
-        (lag for lag, idx in enumerate(allowed, 1) if idx.size < n_u * n_y), default=0
-    )
+    n_con = max((lag for lag, idx in enumerate(allowed, 1) if idx.size < n_u * n_y),
+                default=0)
     stages = ((f"lag {lag}", allowed[lag - 1]) for lag in range(n_con, 0, -1))
     feedback, qp_cost = [], 0.0
-    for stage_feedback, qp_cost in _backward_sweep(vsys, omega, psi, stages):
+    for stage_feedback, qp_cost in _backward_sweep(plant, gains, stages):
         feedback.append(stage_feedback)
 
-    a, b2, c2, k, l = vsys.a, vsys.b2, vsys.c2, vsys.k_gain, vsys.l_gain
-    p, q = l, np.zeros((n_u, a.shape[0]))
+    a, b2, c2, k, l = plant.a, plant.b2, plant.c2, gains.k_gain, gains.l_gain
+    p, q = l, np.zeros((n_u, plant.n))
     v = np.zeros((n, n_u, n_y))
     for i, stage_feedback in enumerate(reversed(feedback)):
         j = np.zeros(n_u * n_y)
@@ -656,18 +611,6 @@ def solve_constrained_qp(
         v[i] = j - k @ p - q @ l
         p, q = a @ p + b2 @ (j - q @ l), q @ a + j @ c2
     return v, qp_cost
-
-
-def _horizon_qp_costs(vsys: VectorizedSystem, mask: np.ndarray, omega, psi, n_max: int):
-    """x_1^T X x_1 after each step of one pass with ``mask`` at every stage: the
-    costs of :func:`solve_constrained_qp` for N = 1 ... n_max, bit for bit."""
-    idx = np.flatnonzero(mask.ravel(order="F"))
-    if idx.size == mask.size:  # no forbidden coordinate: X = 0, as in the solver
-        yield from [0.0] * n_max
-        return
-    stages = ((f"backward step {m}", idx) for m in range(1, n_max + 1))
-    for _, qp_cost in _backward_sweep(vsys, omega, psi, stages):
-        yield qp_cost
 
 
 def realize_controller(
@@ -706,9 +649,9 @@ def realize_controller(
     return StateSpaceModel(a_ctrl, b_ctrl, c_ctrl, np.zeros((n_u, n_y)))
 
 
-def _plant_prefix(plant: GeneralizedPlant) -> tuple[RiccatiGains, float, VectorizedSystem]:
-    """The plant's part of synthesis: the gains (:func:`riccati_gains`),
-    ||P11||^2 and the lift.
+def _plant_prefix(plant: GeneralizedPlant) -> tuple[RiccatiGains, float]:
+    """The plant's part of synthesis: the gains (:func:`riccati_gains`) and
+    ||P11||^2.
 
     ||P11||^2 = tr(B1^T X B1) + tr(Omega K Y K^T) is the standard LQG cost
     identity (Zhou, Doyle & Glover, Robust and Optimal Control, 1996): the
@@ -721,14 +664,11 @@ def _plant_prefix(plant: GeneralizedPlant) -> tuple[RiccatiGains, float, Vectori
     b1, k = plant.b1, gains.k_gain
     p11_norm_sq = float(np.trace(b1.T @ gains.x_ctrl @ b1)
                         + np.trace(gains.omega @ k @ gains.y_filt @ k.T))
-    return gains, p11_norm_sq, vectorized_system(plant, gains)
+    return gains, p11_norm_sq
 
 
-def synthesize(
-    plant: GeneralizedPlant,
-    cs: ConstraintSpace,
-    delays: Optional[DelayMatrix] = None,
-) -> SynthesisResult:
+def synthesize(plant: GeneralizedPlant, cs: ConstraintSpace,
+               delays: Optional[DelayMatrix] = None) -> SynthesisResult:
     """Full synthesis pipeline for one plant and constraint space.
 
     When ``delays`` is supplied the quadratic-invariance condition is
@@ -736,10 +676,6 @@ def synthesize(
     raises :class:`QIViolation`; otherwise the caller is trusted to have
     checked it.
     """
-    if tuple(cs.block_rows) != tuple(plant.block_rows) or tuple(cs.block_cols) != tuple(
-        plant.block_cols
-    ):
-        raise DimensionMismatch("constraint blocks do not match the plant blocks")
     if delays is not None:
         horizon = delays.max_delay()
         p = plant_block_delays(plant.g22, plant.block_rows, plant.block_cols, horizon)
@@ -749,17 +685,25 @@ def synthesize(
                 f"not quadratically invariant: {qi_witness_text(delays, p, verdict)}"
             )
 
-    gains, p11_norm_sq, vsys = _plant_prefix(plant)
-    v_star, qp_cost = solve_constrained_qp(vsys, cs, gains.omega, gains.psi)
+    gains, p11_norm_sq = _plant_prefix(plant)
+    v_star, qp_cost = solve_constrained_qp(plant, gains, cs)
     controller = realize_controller(v_star, gains, plant)
     return SynthesisResult(controller, v_star, p11_norm_sq, qp_cost, p11_norm_sq + qp_cost)
 
 
 def sweep_norms(plant: GeneralizedPlant, template, n_max: int) -> Iterator[float]:
     """The ``h2_norm`` of :func:`synthesize` for N = 1 ... n_max lags of the
-    block pattern ``template``, from one backward pass and no controller.  An
-    error raised after k norms fails every N > k (at backward step k + 1)."""
-    gains, p11_norm_sq, vsys = _plant_prefix(plant)
+    block pattern ``template``, bit for bit, from one backward pass with
+    ``template`` at every stage and no controller: x_1^T X x_1 after step N
+    is the QP cost at horizon N.  An error raised after k norms fails every
+    N > k (at backward step k + 1)."""
+    gains, p11_norm_sq = _plant_prefix(plant)
     mask = expand_pattern(template, plant.block_rows, plant.block_cols)
-    for qp_cost in _horizon_qp_costs(vsys, mask, gains.omega, gains.psi, n_max):
+    idx = np.flatnonzero(mask.ravel(order="F"))
+    if idx.size == mask.size:  # no forbidden coordinate: X = 0, as in the solver
+        costs = [0.0] * n_max
+    else:
+        stages = ((f"backward step {m}", idx) for m in range(1, n_max + 1))
+        costs = (qp_cost for _, qp_cost in _backward_sweep(plant, gains, stages))
+    for qp_cost in costs:
         yield math.sqrt(p11_norm_sq + qp_cost)

@@ -275,21 +275,22 @@ def kkt_oracle(
     r_all = np.kron(np.eye(n), r)
     n_var = n * m
 
-    powers = [np.eye(vsys.a_v.shape[0])]
+    a_v, b_v, c_v, x1 = vsys
+    powers = [np.eye(a_v.shape[0])]
     for _ in range(n):
-        powers.append(vsys.a_v @ powers[-1])
+        powers.append(a_v @ powers[-1])
 
     rows = []
     rhs = []
     for i in range(1, n + 1):
         forb = ~cs.entry_mask(i).ravel(order="F")
-        c_forb = vsys.c_v[forb]
+        c_forb = c_v[forb]
         row = np.zeros((np.count_nonzero(forb), n_var))
         for j in range(1, i):
-            row[:, (j - 1) * m:j * m] = c_forb @ powers[i - 1 - j] @ vsys.b_v
+            row[:, (j - 1) * m:j * m] = c_forb @ powers[i - 1 - j] @ b_v
         row[:, (i - 1) * m:i * m] += np.eye(m)[forb]
         rows.append(row)
-        rhs.append(-c_forb @ powers[i - 1] @ vsys.x1)
+        rhs.append(-c_forb @ powers[i - 1] @ x1)
 
     con = np.vstack(rows)
     con_rhs = np.concatenate(rhs)

@@ -162,14 +162,14 @@ def lemma_identity_errors(plant, gains, tail_lags=20):
 def random_qp_instance(rng):
     """Small random plant + monotone random constraint, ready for the QP.
 
-    Returns (plant, vsys, cs, gains); dimensions stay small so the
+    Returns (plant, cs, gains); dimensions stay small so the
     brute-force KKT solver remains applicable.  The constraint pattern is
     arbitrary (no quadratic-invariance guarantee), which is fine for
     comparing the two QP solvers but not for conformance claims about the
     resulting controller.
     """
     import oracles
-    from delayh2 import riccati_gains, vectorized_system
+    from delayh2 import riccati_gains
 
     n = int(rng.integers(1, 5))
     n_blocks = int(rng.integers(1, 4))
@@ -182,9 +182,7 @@ def random_qp_instance(rng):
     n_lags = int(rng.integers(1, 4))
     pats = oracles.random_monotone_patterns(rng, n_lags, (n_blocks, n_blocks))
     cs = ConstraintSpace(n_lags, block_rows, block_cols, tuple(pats))
-    gains = riccati_gains(plant)
-    vsys = vectorized_system(plant, gains)
-    return plant, vsys, cs, gains
+    return plant, cs, riccati_gains(plant)
 
 
 def random_qi_instance(rng):

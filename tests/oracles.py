@@ -207,7 +207,7 @@ def v_coordinate_qp(vsys, cs, omega, psi):
     n = cs.n_horizon
     if n == 0:
         return np.zeros((0, n_u, n_y)), 0.0
-    a_v, b_v, c_v, x1 = vsys.a_v, vsys.b_v, vsys.c_v, vsys.x1
+    a_v, b_v, c_v, x1 = vsys
 
     r_half = np.kron(_psd_sqrt(psi), _psd_sqrt(omega))
     stages = []

@@ -24,6 +24,7 @@ from delayh2 import (
     riccati_gains,
     solve_constrained_qp,
     synthesize,
+    vectorized_system,
 )
 from delayh2.synthesis import coprime_factorization
 from delayh2.verify import kkt_oracle
@@ -170,9 +171,10 @@ def test_criterion_5_oracle_equivalence():
     with criterion(5, "QP solver vs KKT oracle on 100 random instances"):
         rng = np.random.default_rng(500)
         for _ in range(100):
-            _, vsys, cs, gains = random_qp_instance(rng)
-            v_fast, cost_fast = solve_constrained_qp(vsys, cs, gains.omega, gains.psi)
-            v_ref, cost_ref = kkt_oracle(vsys, cs, gains.omega, gains.psi)
+            plant, cs, gains = random_qp_instance(rng)
+            v_fast, cost_fast = solve_constrained_qp(plant, gains, cs)
+            v_ref, cost_ref = kkt_oracle(vectorized_system(plant, gains), cs, gains.omega,
+                                         gains.psi)
             assert v_fast.shape == v_ref.shape
             assert np.abs(v_fast - v_ref).max(initial=0.0) < 1e-7
             assert abs(cost_fast - cost_ref) <= 1e-9 * (1.0 + abs(cost_ref))

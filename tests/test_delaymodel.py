@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -91,6 +93,12 @@ class TestConstraintSpace:
         npt.assert_array_equal(cs.patterns[0], np.eye(3, dtype=bool))
         tridiag = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=bool)
         npt.assert_array_equal(cs.patterns[1], tridiag)
+
+    def test_whole_float_sizes_are_ints(self):
+        cs = ConstraintSpace(2.0, (1.0, 2.0), (3.0,), (np.ones((2, 1)),) * 2)
+        assert (cs.n_horizon, cs.block_rows, cs.block_cols) == (2, (1, 2), (3,))
+        assert all(type(v) is int for v in (cs.n_horizon, *cs.block_rows, *cs.block_cols))
+        assert cs.entry_mask(2).shape == (3, 3)
 
     def test_single_node_is_vacuous(self):
         cs = constraint_space(DelayMatrix([[1]]), (2,), (3,))
@@ -303,9 +311,38 @@ class TestPlantBlockDelays:
     (lambda: DelayMatrix([[1, 0], [2, 1]]), AssumptionViolated),
     (lambda: check_qi(DelayMatrix([[1]]), [[-1]]), AssumptionViolated),
     (lambda: ConstraintSpace(1, (1,), (1,), (np.ones((1, 1)),)).entry_mask(2), DimensionMismatch),
-], ids=["negative edge delay", "zero delay", "negative plant delay", "lag past the horizon"])
+    (lambda: DelayGraph(2, (1, 1), ((0, 1), (1, 0, 1))), DimensionMismatch),
+    (lambda: dataclasses.replace(make_chain_plant(3), block_rows=(2, -1, 2)), DimensionMismatch),
+], ids=["negative edge delay", "zero delay", "negative plant delay", "lag past the horizon",
+        "edge pair", "negative plant block"])
 def test_bad_inputs_raise_typed_errors(make, error):
     with pytest.raises(error):
+        make()
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: DelayMatrix([[1, 2.5], [2.5, 1]]), AssumptionViolated),
+    (lambda: DelayMatrix([[1, np.nan], [2, 1]]), AssumptionViolated),
+    (lambda: DelayMatrix([[1, np.inf], [2, 1]]), AssumptionViolated),
+    (lambda: DelayMatrix([[1, 1e20], [2, 1]]), AssumptionViolated),
+    (lambda: DelayGraph(2, (1.9, 1), ((0, 1, 0.5), (1, 0, 2.7))), AssumptionViolated),
+    (lambda: DelayGraph(2, (1, np.nan), ((0, 1, 1), (1, 0, 1))), AssumptionViolated),
+    (lambda: DelayGraph(2, (1, 1), ((0, 1, 1), (1, 0, 1.5))), AssumptionViolated),
+    (lambda: DelayGraph(2, (1, 1), ((0, 1, 1), (0.5, 0, 1))), AssumptionViolated),
+    (lambda: DelayGraph(2, (1, 1), ((0, 1, np.inf), (1, 0, 1))), AssumptionViolated),
+    (lambda: check_qi(DelayMatrix([[1, 2], [2, 1]]), [[0, 0.5], [0.5, 0]]), AssumptionViolated),
+    (lambda: ConstraintSpace(1, (1.5, 1), (1, 1), (np.ones((2, 2)),)), DimensionMismatch),
+    (lambda: ConstraintSpace(1, (1, 1), (1, np.nan), (np.ones((2, 2)),)), DimensionMismatch),
+    (lambda: dataclasses.replace(make_chain_plant(2), block_rows=(1.9, 1)), DimensionMismatch),
+    (lambda: dataclasses.replace(make_chain_plant(2), block_cols=(1, np.inf)), DimensionMismatch),
+], ids=["fractional delay", "NaN delay", "infinite delay", "huge delay", "fractional graph",
+        "NaN computational delay", "fractional edge delay", "fractional edge endpoint",
+        "infinite edge delay", "fractional plant delay", "fractional constraint block",
+        "NaN constraint block", "fractional plant block", "infinite plant block"])
+def test_non_whole_values_are_refused_not_truncated(make, error):
+    # a delay rounded down loosens the constraint, so the controller could
+    # act on a measurement before it arrives
+    with pytest.raises(error, match="must be whole numbers"):
         make()
 
 

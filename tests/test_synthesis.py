@@ -16,7 +16,6 @@ from delayh2 import (
     QIViolation,
     SolverFailure,
     closed_loop,
-    expand_pattern,
     h2_norm_sq,
     impulse_response,
     realize_controller,
@@ -30,11 +29,9 @@ from delayh2 import synthesis
 from delayh2.config import load_config
 from delayh2.synthesis import (
     RICCATI_RESIDUAL_TOL,
-    _c_v_products,
     _fir_realization,
-    _horizon_qp_costs,
     _kron,
-    _lifted_products,
+    _lift,
     _plant_prefix,
     coprime_factorization,
     model_matching_matrices,
@@ -274,7 +271,7 @@ def closed_form_cases():
 class TestP11ClosedForm:
     @pytest.mark.parametrize("plant", closed_form_cases())
     def test_matches_the_gramian_of_p11(self, plant):
-        gains, p11_norm_sq, _ = _plant_prefix(plant)
+        gains, p11_norm_sq = _plant_prefix(plant)
         want = h2_norm_sq(model_matching_matrices(plant, gains))
         assert abs(p11_norm_sq - want) <= 1e-13 * want
 
@@ -395,7 +392,7 @@ class TestModelMatchingMatrices:
         assert max(err_omega, err_psi, err_cross) < 1e-8
 
 
-class TestVectorizedSystem:
+class TestLift:
     def test_chain_dimensions(self, chain_plant, chain_gains):
         vsys = vectorized_system(chain_plant, chain_gains)
         assert vsys.a_v.shape == (18, 18)
@@ -418,11 +415,13 @@ class TestVectorizedSystem:
             plant = oracles.random_normalized_plant(
                 np.random.default_rng(seed), n, n_ctrl, n_meas
             )
-        vsys = vectorized_system(plant, riccati_gains(plant))
-        assert vsys.order == n * (n_ctrl + n_meas)
+        gains = riccati_gains(plant)
+        vsys = vectorized_system(plant, gains)
+        order, x1, a_bar_t_times, b_v_t_times, _, _ = _lift(plant, gains)
+        assert order == n * (n_ctrl + n_meas)
+        assert np.array_equal(x1, vsys.x1)
         a_bar = vsys.a_v - vsys.b_v @ vsys.c_v
-        y = np.random.default_rng(5).standard_normal((vsys.order, 7))
-        a_bar_t_times, b_v_t_times = _lifted_products(vsys)
+        y = np.random.default_rng(5).standard_normal((order, 7))
         # rounding bound: eps-sized relative to max |y| times the 1-norm
         tol = 1e-12 * np.abs(y).max() * max(np.abs(m).sum(axis=0).max() for m in (a_bar, vsys.b_v))
         npt.assert_allclose(a_bar_t_times(y), a_bar.T @ y, atol=tol)
@@ -434,11 +433,11 @@ class TestVectorizedSystem:
     @pytest.mark.parametrize("n, n_ctrl, n_meas, seed", [(3, 2, 1, 21), (2, 3, 2, 23), (4, 1, 3, 25)])
     def test_factored_c_v_products_match_dense_lift(self, n, n_ctrl, n_meas, seed):
         plant = oracles.random_normalized_plant(np.random.default_rng(seed), n, n_ctrl, n_meas)
-        vsys = vectorized_system(plant, riccati_gains(plant))
+        gains = riccati_gains(plant)
+        order, _, _, _, c_v_times, c_v_t_times = _lift(plant, gains)
         rng = np.random.default_rng(6)
-        u, x = rng.standard_normal((n_ctrl * n_meas, 5)), rng.standard_normal(vsys.order)
-        c_v = vsys.c_v
-        c_v_times, c_v_t_times = _c_v_products(vsys)
+        u, x = rng.standard_normal((n_ctrl * n_meas, 5)), rng.standard_normal(order)
+        c_v = vectorized_system(plant, gains).c_v
         tol = 1e-12 * np.abs(u).max() * np.abs(c_v).sum(axis=1).max()
         npt.assert_allclose(c_v_t_times(u), c_v.T @ u, atol=tol)
         tol = 1e-12 * np.abs(x).max() * np.abs(c_v).sum(axis=0).max()
@@ -465,7 +464,7 @@ class TestVectorizedSystem:
 
 @pytest.fixture(scope="module")
 def chain_qp():
-    """(vsys, cs, gains) of the n-node chain with its delay pattern, by n."""
+    """(plant, gains, cs) of the n-node chain with its delay pattern, by n."""
     cache = {}
 
     def build(n):
@@ -473,8 +472,7 @@ def chain_qp():
             plant = make_chain_plant(n)
             d = delay_matrix(make_chain_graph(n))
             cs = constraint_space(d, plant.block_rows, plant.block_cols)
-            gains = riccati_gains(plant)
-            cache[n] = (vectorized_system(plant, gains), cs, gains)
+            cache[n] = (plant, riccati_gains(plant), cs)
         return cache[n]
 
     return build
@@ -482,27 +480,23 @@ def chain_qp():
 
 class TestSolveConstrainedQp:
     def test_unconstrained_minimum_is_zero(self, chain_plant, chain_gains):
-        vsys = vectorized_system(chain_plant, chain_gains)
         cs = ConstraintSpace(
             2, (1, 1, 1), (1, 1, 1), (np.ones((3, 3), bool),) * 2
         )
-        v_star, cost = solve_constrained_qp(vsys, cs, chain_gains.omega, chain_gains.psi)
+        v_star, cost = solve_constrained_qp(chain_plant, chain_gains, cs)
         assert cost == pytest.approx(0.0, abs=1e-12)
         assert v_star.shape == (2, 3, 3)
         npt.assert_allclose(v_star, 0.0, atol=1e-9)
 
     def test_empty_horizon(self, chain_plant, chain_gains):
-        vsys = vectorized_system(chain_plant, chain_gains)
         cs = ConstraintSpace(0, (1, 1, 1), (1, 1, 1), ())
-        v_star, cost = solve_constrained_qp(vsys, cs, chain_gains.omega, chain_gains.psi)
+        v_star, cost = solve_constrained_qp(chain_plant, chain_gains, cs)
         assert v_star.shape == (0, 3, 3) and cost == 0.0
 
     def test_chain_cost_reproduces_published_norm(
         self, chain_plant, chain_gains, chain_space
     ):
-        vsys = vectorized_system(chain_plant, chain_gains)
-        _, cost = solve_constrained_qp(vsys, cs=chain_space, omega=chain_gains.omega,
-                                       psi=chain_gains.psi)
+        _, cost = solve_constrained_qp(chain_plant, chain_gains, cs=chain_space)
         total = h2_norm_sq(model_matching_matrices(chain_plant, chain_gains)) + cost
         assert np.sqrt(total) == pytest.approx(CHAIN_NORM, abs=1e-3)
 
@@ -510,24 +504,25 @@ class TestSolveConstrainedQp:
     def test_singular_stage_names_its_lag(self, chain_gains, chain_space, chain_plant):
         # omega = 0 zeroes R, so h vanishes at the first stage of the
         # backward sweep, lag N = 2, where 7 of the 9 coordinates are allowed
-        vsys = vectorized_system(chain_plant, chain_gains)
+        gains = dataclasses.replace(chain_gains, omega=np.zeros((3, 3)))
         with pytest.raises(SolverFailure, match=r"lag 2 \(7 allowed coordinates\)"):
-            solve_constrained_qp(vsys, chain_space, np.zeros((3, 3)), chain_gains.psi)
+            solve_constrained_qp(chain_plant, gains, chain_space)
 
     @pytest.mark.parametrize("n", [10, 12])
     def test_matches_v_coordinate_recursion(self, chain_qp, n):
-        vsys, cs, gains = chain_qp(n)
-        v_star, cost = solve_constrained_qp(vsys, cs, gains.omega, gains.psi)
-        v_ref, cost_ref = oracles.v_coordinate_qp(vsys, cs, gains.omega, gains.psi)
+        plant, gains, cs = chain_qp(n)
+        v_star, cost = solve_constrained_qp(plant, gains, cs)
+        v_ref, cost_ref = oracles.v_coordinate_qp(vectorized_system(plant, gains), cs,
+                                                  gains.omega, gains.psi)
         assert cost == pytest.approx(cost_ref, rel=1e-12)
         assert np.abs(v_star - v_ref).max() <= 1e-9 * (1.0 + np.abs(v_ref).max())
 
     def test_chain_solution_is_a_feasibility_certificate(self, chain_qp):
         # the returned V, pushed through the dense lift, must zero every
         # forbidden coordinate of J and cost exactly what the solver reports
-        vsys, cs, gains = chain_qp(12)
-        v_star, cost = solve_constrained_qp(vsys, cs, gains.omega, gains.psi)
-        a_v, b_v, c_v, state = vsys.a_v, vsys.b_v, vsys.c_v, vsys.x1
+        plant, gains, cs = chain_qp(12)
+        v_star, cost = solve_constrained_qp(plant, gains, cs)
+        a_v, b_v, c_v, state = vectorized_system(plant, gains)
         for lag in range(1, cs.n_horizon + 1):
             v_vec = v_star[lag - 1].reshape(-1, order="F")
             j_vec = c_v @ state + v_vec
@@ -587,16 +582,17 @@ def well_conditioned_plant(rng, n, n_u, n_y):
     )
 
 
-def assert_solves_qp(vsys, cs, gains):
+def assert_solves_qp(plant, gains, cs):
     """The solver agrees with the V-coordinate oracle, and its V is a
     feasibility certificate: pushed through the dense lift it zeroes every
     forbidden coordinate of J and costs what the solver reports."""
-    v_star, cost = solve_constrained_qp(vsys, cs, gains.omega, gains.psi)
+    vsys = vectorized_system(plant, gains)
+    v_star, cost = solve_constrained_qp(plant, gains, cs)
     v_ref, cost_ref = oracles.v_coordinate_qp(vsys, cs, gains.omega, gains.psi)
     assert np.abs(v_star - v_ref).max() <= 1e-9 * (1.0 + np.abs(v_ref).max())
     assert cost == pytest.approx(cost_ref, rel=1e-12)
     assert cost == pytest.approx(oracles.priced_cost(v_star, gains.omega, gains.psi), rel=1e-12)
-    a_v, b_v, c_v, state = vsys.a_v, vsys.b_v, vsys.c_v, vsys.x1
+    a_v, b_v, c_v, state = vsys
     for lag in range(1, cs.n_horizon + 1):
         v_vec = v_star[lag - 1].reshape(-1, order="F")
         j_vec = c_v @ state + v_vec
@@ -614,8 +610,7 @@ class TestFactoredStages:
         # n = 12, order 288: the forbidden counts from lag 11 down are
         # 2, 6, 12, 20, 30 and 42, so the rank bound 70 of lag 7 is the last
         # within 288 / 4
-        vsys, cs, gains = chain_qp(12)
-        solve_constrained_qp(vsys, cs, gains.omega, gains.psi)
+        solve_constrained_qp(*chain_qp(12))
         assert factored_stages == [f"lag {lag}" for lag in range(11, 6, -1)]
 
     def test_random_patterns_match_the_oracle(self, factored_stages):
@@ -627,11 +622,10 @@ class TestFactoredStages:
             n, n_u, n_y = (int(v) for v in rng.integers([3, 1, 1], [6, 4, 4]))
             plant = well_conditioned_plant(rng, n, n_u, n_y)
             gains = riccati_gains(plant)
-            vsys = vectorized_system(plant, gains)
             share = [float(rng.choice([0.0, 0.6, 0.85, 1.0])) for _ in range(int(rng.integers(1, 6)))]
             masks = [rng.random((n_u, n_y)) < p for p in share]
             factored_stages.clear()
-            assert_solves_qp(vsys, MaskSequence(masks), gains)
+            assert_solves_qp(plant, gains, MaskSequence(masks))
 
             lags = [int(label.split()[1]) for label in factored_stages]
             n_con = max((lag for lag, m in enumerate(masks, 1) if not m.all()), default=0)
@@ -642,37 +636,32 @@ class TestFactoredStages:
         assert min(hits.values()) >= 3 and len(hits) == 4, hits
 
 
-class TestHorizonQpCosts:
+class TestSweepNorms:
     @pytest.mark.parametrize(
         "template",
         [[[1, 0], [1, 1]], [[1, 0], [0, 1]], [[0, 0], [0, 1]], [[1, 1], [1, 1]]],
         ids=["lower-triangular", "diagonal", "low", "full"],
     )
-    def test_one_pass_equals_per_horizon_solves(self, sweep_plant, template):
+    def test_one_pass_equals_per_horizon_syntheses(self, sweep_plant, template):
         # the one pass shares every stage's arithmetic with the solver, so
-        # the costs agree bit for bit, the all-allowed template's exact
-        # zeros included
-        gains = riccati_gains(sweep_plant)
-        vsys = vectorized_system(sweep_plant, gains)
+        # the norms agree bit for bit, the all-allowed template's included
         blocks = sweep_plant.block_rows, sweep_plant.block_cols
         pattern = np.array(template, bool)
-        mask = expand_pattern(pattern, *blocks)
-        costs = list(_horizon_qp_costs(vsys, mask, gains.omega, gains.psi, 40))
+        norms = list(sweep_norms(sweep_plant, pattern, 40))
         separate = [
-            solve_constrained_qp(
-                vsys, ConstraintSpace(n, *blocks, (pattern,) * n), gains.omega, gains.psi
-            )[1]
+            synthesize(sweep_plant, ConstraintSpace(n, *blocks, (pattern,) * n)).h2_norm
             for n in range(1, 41)
         ]
-        assert costs == separate
+        assert norms == separate
 
-    def test_singular_stage_names_its_step(self, chain_plant, chain_gains):
+    def test_singular_stage_names_its_step(self, chain_plant, monkeypatch):
         # omega = 0 zeroes R, so h vanishes at the first step
-        vsys = vectorized_system(chain_plant, chain_gains)
-        costs = _horizon_qp_costs(vsys, np.eye(3, dtype=bool), np.zeros((3, 3)),
-                                  chain_gains.psi, 5)
+        real = synthesis.riccati_gains
+        monkeypatch.setattr(synthesis, "riccati_gains",
+                            lambda plant: dataclasses.replace(real(plant), omega=np.zeros((3, 3))))
+        norms = sweep_norms(chain_plant, np.eye(3, dtype=bool), 5)
         with pytest.raises(SolverFailure, match=r"backward step 1 \(3 allowed coordinates\)"):
-            next(costs)
+            next(norms)
 
 
 class TestRealizeController:
@@ -697,10 +686,7 @@ class TestRealizeController:
     def test_chain_controller_order_and_strict_properness(
         self, chain_plant, chain_gains, chain_space
     ):
-        vsys = vectorized_system(chain_plant, chain_gains)
-        v_star, _ = solve_constrained_qp(
-            vsys, chain_space, chain_gains.omega, chain_gains.psi
-        )
+        v_star, _ = solve_constrained_qp(chain_plant, chain_gains, chain_space)
         k = realize_controller(v_star, chain_gains, chain_plant)
         assert k.order == 3 + 3 * 2
         npt.assert_allclose(k.d, 0.0)
@@ -708,10 +694,7 @@ class TestRealizeController:
     def test_chain_controller_respects_delay_pattern(
         self, chain_plant, chain_gains, chain_space
     ):
-        vsys = vectorized_system(chain_plant, chain_gains)
-        v_star, _ = solve_constrained_qp(
-            vsys, chain_space, chain_gains.omega, chain_gains.psi
-        )
+        v_star, _ = solve_constrained_qp(chain_plant, chain_gains, chain_space)
         k = realize_controller(v_star, chain_gains, chain_plant)
         resp = impulse_response(k, 2)
         # the (1,3) channel is forbidden at lags 1 and 2; (1,2) at lag 1 only

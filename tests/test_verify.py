@@ -598,9 +598,10 @@ class TestKktOracle:
     def test_matches_recursive_solver_on_random_instances(self):
         rng = np.random.default_rng(314)
         for _ in range(15):
-            _, vsys, cs, gains = random_qp_instance(rng)
-            v_fast, cost_fast = solve_constrained_qp(vsys, cs, gains.omega, gains.psi)
-            v_ref, cost_ref = kkt_oracle(vsys, cs, gains.omega, gains.psi)
+            plant, cs, gains = random_qp_instance(rng)
+            v_fast, cost_fast = solve_constrained_qp(plant, gains, cs)
+            v_ref, cost_ref = kkt_oracle(vectorized_system(plant, gains), cs, gains.omega,
+                                         gains.psi)
             assert cost_fast == pytest.approx(cost_ref, rel=1e-9, abs=1e-12)
             assert v_fast.shape == v_ref.shape
             npt.assert_allclose(v_fast, v_ref, atol=1e-7)
@@ -614,9 +615,8 @@ class TestKktOracle:
             delay_matrix(make_chain_graph(n)), plant.block_rows, plant.block_cols
         )
         gains = riccati_gains(plant)
-        vsys = vectorized_system(plant, gains)
-        v_fast, cost_fast = solve_constrained_qp(vsys, cs, gains.omega, gains.psi)
-        v_ref, cost_ref = kkt_oracle(vsys, cs, gains.omega, gains.psi)
+        v_fast, cost_fast = solve_constrained_qp(plant, gains, cs)
+        v_ref, cost_ref = kkt_oracle(vectorized_system(plant, gains), cs, gains.omega, gains.psi)
         assert cost_fast == pytest.approx(cost_ref, rel=1e-9, abs=1e-12)
         assert v_fast.shape == v_ref.shape
         npt.assert_allclose(v_fast, v_ref, atol=1e-7)
@@ -625,7 +625,7 @@ class TestKktOracle:
         gains = riccati_gains(chain_plant)
         vsys = vectorized_system(chain_plant, gains)
         cs = ConstraintSpace(2, (1, 1, 1), (1, 1, 1), (np.zeros((3, 3), bool),) * 2)
-        v_fast, cost_fast = solve_constrained_qp(vsys, cs, gains.omega, gains.psi)
+        v_fast, cost_fast = solve_constrained_qp(chain_plant, gains, cs)
         v_ref, cost_ref = kkt_oracle(vsys, cs, gains.omega, gains.psi)
         assert cost_fast == pytest.approx(cost_ref, rel=1e-9)
         npt.assert_allclose(v_fast, v_ref, atol=1e-7)
