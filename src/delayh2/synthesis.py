@@ -6,10 +6,13 @@ form from the two solutions (:func:`_plant_prefix`); a finite quadratic
 program over the first N impulse-response coefficients of the free
 parameter V, held as one ``(N, n_ctrl, n_meas)`` array and solved exactly
 as a finite-horizon LQR on the Kronecker-lifted FIR recursion, which it
-applies through the n x n factors of :func:`_lift`
-(:func:`solve_constrained_qp`); and the controller in closed form
-(:func:`realize_controller`).  :func:`sweep_norms` runs the plant's part
-and one backward pass for every horizon of a repeated pattern.
+applies through the n x n factors of :func:`_lift`, or at small lifted
+order as the matrices formed from them (:func:`solve_constrained_qp`); and
+the controller in closed form (:func:`realize_controller`).
+:func:`sweep_norms` runs the plant's part and one backward pass for every
+horizon of a repeated pattern.  A squared norm ||P11||^2 + qp_cost below
+zero or NaN, which only the QP's lost accuracy produces, raises
+:class:`SolverFailure` naming its horizon.
 :func:`vectorized_system` forms the dense lift for the reference solvers
 (``verify.kkt_oracle`` and the test oracles), and
 :func:`coprime_factorization` and :func:`model_matching_matrices` are
@@ -22,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -62,6 +66,18 @@ RICCATI_RESIDUAL_TOL = math.sqrt(np.finfo(float).eps)
 # QP, against 0.74 s all dense.  A share of 0.5 was slower at n = 5 ... 7,
 # where the factored stage's fixed numpy overhead weighs most.
 FACTORED_RANK_SHARE = 0.25
+
+# Up to this lifted order the dense stage of the backward sweep forms A_bar^T
+# and B_v^T once per pass and applies each as one matmul; above it, through
+# the n x n factors of :func:`_lift`.  At small order a stage costs its
+# numpy calls, not its flops: about 20 with the formed matrices against
+# about 60 on the factors, whose O(order^2 n) flops win as the order grows.
+# Per step of a 60-step :func:`sweep_norms` pass with 1 x 1 blocks (one BLAS
+# thread, x86 VM) the matrices took 0.51/0.56/0.60/0.81/0.80/0.97/1.11/1.50
+# x the factors' time at orders 8/18/32/50/60/72/84/128.  The chains
+# n = 3 ... 6 (orders 18 to 72) run one to four dense stages, and their
+# whole QP read 0.92-1.14 x, within the host's noise.
+MATRIX_LIFT_ORDER = 64
 
 
 @dataclass(frozen=True)
@@ -230,7 +246,19 @@ class SynthesisResult:
 
     @property
     def h2_norm(self) -> float:
-        return math.sqrt(self.total_norm_sq)
+        return _h2_norm(self.total_norm_sq, self.v_star.shape[0])
+
+
+def _h2_norm(total_norm_sq: float, horizon: int) -> float:
+    """sqrt(||P11||^2 + qp_cost) at ``horizon`` lags.  Exact arithmetic
+    keeps both terms >= 0, so a negative or NaN total is the QP's lost
+    accuracy and raises :class:`SolverFailure`, not a math domain error."""
+    if not total_norm_sq >= 0.0:
+        raise SolverFailure(
+            f"squared H2 norm {total_norm_sq:.6g} at horizon N = {horizon} is negative "
+            "or not a number: the QP cost lost its accuracy"
+        )
+    return math.sqrt(total_norm_sq)
 
 
 def riccati_gains(plant: GeneralizedPlant) -> RiccatiGains:
@@ -448,14 +476,21 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
         h = R_aa + (B_v^T X B_v)_aa,   g = (B_v^T X A_bar)_a - (R C_v)_a,
         X <- A_bar^T X A_bar + C_v^T R C_v - g^T h^-1 g,   J_a = -h^-1 g x.
 
-    Its products with A_bar and B_v run on the Kronecker factors
-    (:func:`_lift`), so only the downdate costs O(a order^2).
+    Up to ``MATRIX_LIFT_ORDER`` its products with A_bar and B_v are
+    matmuls with the matrices A_bar^T and B_v^T, formed once per pass from
+    :func:`_lift`'s products; above it they run on the Kronecker factors, so
+    only the downdate costs O(a order^2).  At small order the blocks R_aa
+    and (R C_v)_a are kept while the same index array comes again, as at
+    every stage of :func:`sweep_norms`.
     X_k is the cost of the minimum-norm V meeting the constraints of lags
     k ... N, so its rank is at most their forbidden coordinates summed.  The
     sweep therefore starts on a factor X = Z Z^T of rank 0
     (:func:`_factored_stages`), and once the rank bound would pass
     ``FACTORED_RANK_SHARE`` of the order it forms X and the dense stage
-    finishes.  Both stage forms are exact."""
+    finishes.  Both stage forms, and both ways of applying the dense
+    stage's products, are exact; each horizon rounds the same way in
+    :func:`sweep_norms` as in :func:`solve_constrained_qp`, since both
+    choose from the lifted order only."""
     lift = _lift(plant, gains)
     order, x1, a_bar_t_times, b_v_t_times = lift[:4]
     omega, psi = gains.omega, gains.psi
@@ -490,14 +525,20 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
     _kron(l @ psi, omega @ k, out=c_r_c[split:, :split])
     _kron(l @ psi @ l.T, omega, out=c_r_c[split:, split:])
 
+    r_aa, r_ca = (lambda idx: r[np.ix_(idx, idx)]), r_c.__getitem__
+    if order <= MATRIX_LIFT_ORDER:
+        a_bar_t, b_v_t = a_bar_t_times(np.eye(order)), b_v_t_times(np.eye(order))
+        a_bar_t_times, b_v_t_times = partial(np.matmul, a_bar_t), partial(np.matmul, b_v_t)
+        r_aa, r_ca = _reuse_last(r_aa), _reuse_last(r_ca)
+
     # X and two work buffers, reused at every stage: fresh order x order
     # temporaries would page-fault anew each time
     x_cost = z @ z.T
     x_next, work = np.empty_like(x_cost), np.empty_like(x_cost)
     for where, idx in stages:
         xb = b_v_t_times(x_cost)[idx].T                  # X B_v, allowed columns
-        h = r[np.ix_(idx, idx)] + b_v_t_times(xb)[idx]
-        g = a_bar_t_times(xb).T - r_c[idx]
+        h = r_aa(idx) + b_v_t_times(xb)[idx]
+        g = a_bar_t_times(xb).T - r_ca(idx)
         try:
             gain = np.linalg.inv(h) @ g
         except np.linalg.LinAlgError as exc:
@@ -508,6 +549,19 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
         np.add(x_next, x_next.T, out=x_cost)
         x_cost *= 0.5
         yield (lambda x, gain=gain: -(gain @ x)), float(x1 @ x_cost @ x1)
+
+
+def _reuse_last(block):
+    """``block``, keeping its value for the last index array while the same
+    array object comes again, as at every stage of :func:`sweep_norms`."""
+    last = [None, None]
+
+    def reused(idx):
+        if idx is not last[0]:
+            last[:] = idx, block(idx)
+        return last[1]
+
+    return reused
 
 
 def _factored_stages(lift, gains: RiccatiGains, r, where: str, n_allowed: int):
@@ -696,7 +750,8 @@ def sweep_norms(plant: GeneralizedPlant, template, n_max: int) -> Iterator[float
     block pattern ``template``, bit for bit, from one backward pass with
     ``template`` at every stage and no controller: x_1^T X x_1 after step N
     is the QP cost at horizon N.  An error raised after k norms fails every
-    N > k (at backward step k + 1)."""
+    N > k: a singular stage at backward step k + 1, or a negative squared
+    norm at horizon k + 1."""
     gains, p11_norm_sq = _plant_prefix(plant)
     mask = expand_pattern(template, plant.block_rows, plant.block_cols)
     idx = np.flatnonzero(mask.ravel(order="F"))
@@ -705,5 +760,5 @@ def sweep_norms(plant: GeneralizedPlant, template, n_max: int) -> Iterator[float
     else:
         stages = ((f"backward step {m}", idx) for m in range(1, n_max + 1))
         costs = (qp_cost for _, qp_cost in _backward_sweep(plant, gains, stages))
-    for qp_cost in costs:
-        yield math.sqrt(p11_norm_sq + qp_cost)
+    for horizon, qp_cost in enumerate(costs, 1):
+        yield _h2_norm(p11_norm_sq + qp_cost, horizon)

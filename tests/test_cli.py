@@ -327,6 +327,34 @@ class TestSweep:
         assert capsys.readouterr().err.count("failed: synthetic prefix failure") == 3
         assert out_csv.read_text().strip().splitlines()[1:] == ["2,", "3,", "4,"]
 
+    def test_negative_norm_squared_fails_its_rows(self, tmp_path, capsys):
+        # the diagonal template's dense downdate drifts (ROADMAP item 1) until
+        # ||P11||^2 + qp_cost falls below 0 somewhere past N = 120; that
+        # horizon and every later one fail with a warning, and the earlier
+        # rows are those of a shorter sweep
+        doc = json.loads(Path(SWEEP).read_text())
+        doc["sweep"]["template"] = "diagonal"
+        cfg = write_json(tmp_path / "diag.json", doc)
+
+        def sweep(n_max):
+            out_csv = tmp_path / f"diag{n_max}.csv"
+            assert cli.main(["sweep", "--config", cfg, "--n-min", "1", "--n-max", str(n_max),
+                             "--out", str(out_csv)]) == 0
+            return out_csv.read_text().splitlines()[1:]
+
+        rows = sweep(250)
+        first = next(n for n, row in enumerate(rows, 1) if row == f"{n},")
+        warnings = capsys.readouterr().err.splitlines()
+        assert len(warnings) == 250 - first + 1
+        assert all(
+            w.startswith(f"warning: N={n} failed: squared H2 norm -")
+            and w.endswith(f"at horizon N = {first} is negative or not a number: "
+                           "the QP cost lost its accuracy")
+            for n, w in zip(range(first, 251), warnings)
+        )
+        assert rows[first - 1:] == [f"{n}," for n in range(first, 251)]
+        assert rows[:first - 1] == sweep(first - 1)
+
     @pytest.mark.xfail(
         strict=True,
         reason="past N = 80 the diagonal template's QP cost drifts from the cost "

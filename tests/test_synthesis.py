@@ -38,7 +38,7 @@ from delayh2.synthesis import (
     riccati_residuals,
     sweep_norms,
 )
-from conftest import lemma_identity_errors, make_chain_graph, make_chain_plant
+from conftest import lemma_identity_errors, make_chain_graph, make_chain_plant, random_qp_instance
 from delayh2 import constraint_space, delay_matrix
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -636,13 +636,64 @@ class TestFactoredStages:
         assert min(hits.values()) >= 3 and len(hits) == 4, hits
 
 
+@pytest.fixture(params=[0, 10**9], ids=["factors", "matrices"])
+def lift_path(request, monkeypatch):
+    """The dense stage on the lift's factors (limit 0) or on the formed
+    matrices (a limit above every lifted order)."""
+    monkeypatch.setattr(synthesis, "MATRIX_LIFT_ORDER", request.param)
+
+
+class TestMatrixLiftOrder:
+    """Up to ``MATRIX_LIFT_ORDER`` the dense stage applies A_bar^T and B_v^T
+    as formed matrices, above it through the factors of the lift.  The two
+    round differently and solve the same QP."""
+
+    @staticmethod
+    def assert_paths_agree(monkeypatch, plant, gains, cs):
+        monkeypatch.setattr(synthesis, "MATRIX_LIFT_ORDER", 0)
+        v_f, cost_f = solve_constrained_qp(plant, gains, cs)
+        monkeypatch.setattr(synthesis, "MATRIX_LIFT_ORDER", 10**9)
+        v_m, cost_m = solve_constrained_qp(plant, gains, cs)
+        # absolute below a cost of 1: on some random draws the shared dense
+        # downdate is off the priced cost of its own V by up to 9e-12
+        # relative on either path (ROADMAP item 1), which is not the switch's
+        assert cost_m == pytest.approx(cost_f, rel=1e-12, abs=1e-12)
+        assert np.abs(v_m - v_f).max(initial=0.0) <= 1e-12 * np.abs(v_f).max(initial=0.0)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_chains_agree(self, chain_qp, monkeypatch, n):
+        # the rank bound passes a quarter of the order at lag 1 or above,
+        # so each chain ends on the dense stage
+        self.assert_paths_agree(monkeypatch, *chain_qp(n))
+
+    def test_random_instances_agree(self, monkeypatch, factored_stages):
+        # many of these small instances finish on the factored stage, where
+        # the paths are the same code; count those that reach the dense one
+        rng = np.random.default_rng(2718)
+        dense = 0
+        for _ in range(60):
+            plant, cs, gains = random_qp_instance(rng)
+            factored_stages.clear()
+            self.assert_paths_agree(monkeypatch, plant, gains, cs)
+            n_con = max((lag for lag in range(1, cs.n_horizon + 1)
+                         if not cs.entry_mask(lag).all()), default=0)
+            dense += len(factored_stages) < 2 * n_con
+        assert dense >= 10
+
+    def test_sweep_plant_agrees(self, sweep_plant, monkeypatch):
+        # the benchmark's sweep pattern at its longest horizon
+        pattern = np.array([[1, 0], [1, 1]], bool)
+        cs = ConstraintSpace(120, sweep_plant.block_rows, sweep_plant.block_cols, (pattern,) * 120)
+        self.assert_paths_agree(monkeypatch, sweep_plant, riccati_gains(sweep_plant), cs)
+
+
 class TestSweepNorms:
     @pytest.mark.parametrize(
         "template",
         [[[1, 0], [1, 1]], [[1, 0], [0, 1]], [[0, 0], [0, 1]], [[1, 1], [1, 1]]],
         ids=["lower-triangular", "diagonal", "low", "full"],
     )
-    def test_one_pass_equals_per_horizon_syntheses(self, sweep_plant, template):
+    def test_one_pass_equals_per_horizon_syntheses(self, sweep_plant, template, lift_path):
         # the one pass shares every stage's arithmetic with the solver, so
         # the norms agree bit for bit, the all-allowed template's included
         blocks = sweep_plant.block_rows, sweep_plant.block_cols
@@ -763,6 +814,13 @@ class TestSynthesize:
             assert all(a <= b + 1e-8 for a, b in zip(series, series[1:]))
         for a, b, c in zip(norms["tri"], norms["di"], norms["low"]):
             assert a <= b + 1e-8 <= c + 2e-8
+
+    @pytest.mark.parametrize("total", [-1e-3, float("nan")])
+    def test_negative_norm_squared_is_a_solver_failure(self, chain_plant, total):
+        result = synthesis.SynthesisResult(chain_plant.g22, np.zeros((7, 3, 3)), 1.0,
+                                           total - 1.0, total)
+        with pytest.raises(SolverFailure, match=r"at horizon N = 7 is negative or not a number"):
+            result.h2_norm
 
     def test_qi_violation_raises(self):
         plant = GeneralizedPlant(
