@@ -41,13 +41,11 @@ from .synthesis import (
     GeneralizedPlant,
     RiccatiGains,
     SynthesisResult,
-    VectorizedSystem,
     realize_controller,
     riccati_gains,
     solve_constrained_qp,
     sweep_norms,
     synthesize,
-    vectorized_system,
 )
 from .verify import ClosedLoop, ConformanceReport, closed_loop, conformance
 
@@ -73,7 +71,6 @@ __all__ = [
     "StateSpaceModel",
     "SynthesisResult",
     "UnstableSystem",
-    "VectorizedSystem",
     "check_qi",
     "closed_loop",
     "conformance",
@@ -90,5 +87,4 @@ __all__ = [
     "spectral_radius",
     "sweep_norms",
     "synthesize",
-    "vectorized_system",
 ]

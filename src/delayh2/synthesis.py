@@ -5,14 +5,15 @@ checked by their residuals (:func:`riccati_gains`); ||P11||^2 in closed
 form from the two solutions (:func:`_plant_prefix`); a finite quadratic
 program over the first N impulse-response coefficients of the free
 parameter V, held as one ``(N, n_ctrl, n_meas)`` array and solved exactly
-as a finite-horizon LQR on the Kronecker-lifted FIR recursion, which it
-applies through the n x n factors of :func:`_lift`, or at small lifted
-order as the matrices formed from them (:func:`solve_constrained_qp`); and
-the controller in closed form (:func:`realize_controller`).
+as a finite-horizon LQR on the Kronecker-lifted FIR recursion of
+:func:`_lift` (:func:`solve_constrained_qp`), whose backward sweep is one
+loop over the stages, on a factor of the cost-to-go while its rank is
+small and on the dense cost-to-go after (:func:`_backward_sweep`); and the
+controller in closed form (:func:`realize_controller`).
 :func:`sweep_norms` runs the plant's part and one backward pass for every
 horizon of a repeated pattern.  A squared norm ||P11||^2 + qp_cost below
-zero or NaN, which only the QP's lost accuracy produces, raises
-:class:`SolverFailure` naming its horizon.
+the centralized floor ||P11||^2, or NaN, which only the QP's lost accuracy
+produces, raises :class:`SolverFailure` naming its horizon and the floor.
 :func:`vectorized_system` forms the dense lift for the reference solvers
 (``verify.kkt_oracle`` and the test oracles), and
 :func:`coprime_factorization` and :func:`model_matching_matrices` are
@@ -22,7 +23,6 @@ references off the pipeline; all three are kept here because
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -246,17 +246,19 @@ class SynthesisResult:
 
     @property
     def h2_norm(self) -> float:
-        return _h2_norm(self.total_norm_sq, self.v_star.shape[0])
+        return _h2_norm(self.total_norm_sq, self.p11_norm_sq, self.v_star.shape[0])
 
 
-def _h2_norm(total_norm_sq: float, horizon: int) -> float:
-    """sqrt(||P11||^2 + qp_cost) at ``horizon`` lags.  Exact arithmetic
-    keeps both terms >= 0, so a negative or NaN total is the QP's lost
-    accuracy and raises :class:`SolverFailure`, not a math domain error."""
-    if not total_norm_sq >= 0.0:
+def _h2_norm(total_norm_sq: float, p11_norm_sq: float, horizon: int) -> float:
+    """sqrt(||P11||^2 + qp_cost) at ``horizon`` lags.  A constrained optimum
+    never falls below the unconstrained one, so a total below the floor
+    max(||P11||^2, 0), or NaN, is the QP's lost accuracy and raises
+    :class:`SolverFailure`.  A qp_cost too small to move the rounded total
+    passes."""
+    if not total_norm_sq >= max(p11_norm_sq, 0.0):
         raise SolverFailure(
-            f"squared H2 norm {total_norm_sq:.6g} at horizon N = {horizon} is negative "
-            "or not a number: the QP cost lost its accuracy"
+            f"squared H2 norm {total_norm_sq:.6g} at horizon N = {horizon} is NaN or below"
+            f" the centralized floor ||P11||^2 = {p11_norm_sq:.6g}: the QP cost lost its accuracy"
         )
     return math.sqrt(total_norm_sq)
 
@@ -470,25 +472,26 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
     last lag back.  Yields, per stage, its feedback (a function from the
     lifted state x to the optimal J_a) and the cost x_1^T X x_1 after it.
 
-    The dense stage picks the allowed rows and columns of B_v^T X B_v,
-    B_v^T X A_bar, R and R C_v, with R = psi kron omega:
+    X_k is the cost of the minimum-norm V meeting the constraints of lags
+    k ... N, so its rank is at most their forbidden coordinates summed.  One
+    loop runs every stage.  It holds X as a factor Z Z^T, from rank 0, and
+    runs :func:`_factored_stage` while the rank bound stays within
+    ``FACTORED_RANK_SHARE`` of the order.  At the first stage past it, X is
+    formed once with R C_v and C_v^T R C_v, R = psi kron omega, and the
+    dense stage finishes the sweep.  It picks the allowed rows and columns
+    of B_v^T X B_v, B_v^T X A_bar, R and R C_v:
 
         h = R_aa + (B_v^T X B_v)_aa,   g = (B_v^T X A_bar)_a - (R C_v)_a,
         X <- A_bar^T X A_bar + C_v^T R C_v - g^T h^-1 g,   J_a = -h^-1 g x.
 
     Up to ``MATRIX_LIFT_ORDER`` its products with A_bar and B_v are
-    matmuls with the matrices A_bar^T and B_v^T, formed once per pass from
+    matmuls with the matrices A_bar^T and B_v^T, formed at the handover from
     :func:`_lift`'s products; above it they run on the Kronecker factors, so
-    only the downdate costs O(a order^2).  At small order the blocks R_aa
-    and (R C_v)_a are kept while the same index array comes again, as at
-    every stage of :func:`sweep_norms`.
-    X_k is the cost of the minimum-norm V meeting the constraints of lags
-    k ... N, so its rank is at most their forbidden coordinates summed.  The
-    sweep therefore starts on a factor X = Z Z^T of rank 0
-    (:func:`_factored_stages`), and once the rank bound would pass
-    ``FACTORED_RANK_SHARE`` of the order it forms X and the dense stage
-    finishes.  Both stage forms, and both ways of applying the dense
-    stage's products, are exact; each horizon rounds the same way in
+    only the downdate costs O(a order^2).  In both stage forms the forbidden
+    set and the blocks R_aa and (R C_v)_a are formed again only for a new
+    index array object; :func:`sweep_norms` passes the same one at every
+    stage.  Both stage forms, and both ways of applying the dense stage's
+    products, are exact; each horizon rounds the same way in
     :func:`sweep_norms` as in :func:`solve_constrained_qp`, since both
     choose from the lifted order only."""
     lift = _lift(plant, gains)
@@ -496,49 +499,45 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
     omega, psi = gains.omega, gains.psi
     n_j = omega.shape[0] * psi.shape[0]
     r = _kron(psi, omega)
-    stages = iter(stages)
-    z, factored_stage = np.zeros((order, 0)), None
+    z, r_inv, x_cost, last = np.zeros((order, 0)), None, None, None
     for where, idx in stages:
-        forbidden = np.ones(n_j, bool)
-        forbidden[idx] = False
-        forb = np.flatnonzero(forbidden)
-        if z.shape[1] + forb.size > FACTORED_RANK_SHARE * order:
-            stages = itertools.chain([(where, idx)], stages)
-            break
-        if factored_stage is None:
-            factored_stage = _factored_stages(lift, gains, r, where, idx.size)
-        feedback, z = factored_stage(z, where, idx, forb)
-        zx = x1 @ z
-        yield feedback, float(zx @ zx)
-    else:
-        return
-
-    k, l = gains.k_gain, gains.l_gain
-    split = plant.n * plant.n_meas
-    # R C_v and C_v^T R C_v, block by block
-    r_c = np.empty((n_j, order))
-    _kron(psi, omega @ k, out=r_c[:, :split])
-    _kron(psi @ l.T, omega, out=r_c[:, split:])
-    c_r_c = np.empty((order, order))
-    _kron(psi, k.T @ omega @ k, out=c_r_c[:split, :split])
-    _kron(psi @ l.T, k.T @ omega, out=c_r_c[:split, split:])
-    _kron(l @ psi, omega @ k, out=c_r_c[split:, :split])
-    _kron(l @ psi @ l.T, omega, out=c_r_c[split:, split:])
-
-    r_aa, r_ca = (lambda idx: r[np.ix_(idx, idx)]), r_c.__getitem__
-    if order <= MATRIX_LIFT_ORDER:
-        a_bar_t, b_v_t = a_bar_t_times(np.eye(order)), b_v_t_times(np.eye(order))
-        a_bar_t_times, b_v_t_times = partial(np.matmul, a_bar_t), partial(np.matmul, b_v_t)
-        r_aa, r_ca = _reuse_last(r_aa), _reuse_last(r_ca)
-
-    # X and two work buffers, reused at every stage: fresh order x order
-    # temporaries would page-fault anew each time
-    x_cost = z @ z.T
-    x_next, work = np.empty_like(x_cost), np.empty_like(x_cost)
-    for where, idx in stages:
+        if idx is not last:
+            forbidden = np.ones(n_j, bool)
+            forbidden[idx] = False
+            last, forb, r_aa = idx, np.flatnonzero(forbidden), r[np.ix_(idx, idx)]
+            r_ca = None if x_cost is None else r_c[idx]
+        if x_cost is None:
+            if z.shape[1] + forb.size <= FACTORED_RANK_SHARE * order:
+                if r_inv is None:  # a singular psi or omega fails the first stage
+                    try:
+                        r_inv = _kron(np.linalg.inv(psi), np.linalg.inv(omega))
+                    except np.linalg.LinAlgError as exc:
+                        raise _stage_failure(where, idx.size) from exc
+                feedback, z = _factored_stage(lift, r, r_inv, r_aa, z, where, idx, forb)
+                zx = x1 @ z
+                yield feedback, float(zx @ zx)
+                continue
+            # the handover, once: R C_v and C_v^T R C_v, block by block
+            k, l = gains.k_gain, gains.l_gain
+            split = plant.n * plant.n_meas
+            r_c = np.empty((n_j, order))
+            _kron(psi, omega @ k, out=r_c[:, :split])
+            _kron(psi @ l.T, omega, out=r_c[:, split:])
+            c_r_c = np.empty((order, order))
+            _kron(psi, k.T @ omega @ k, out=c_r_c[:split, :split])
+            _kron(psi @ l.T, k.T @ omega, out=c_r_c[:split, split:])
+            _kron(l @ psi, omega @ k, out=c_r_c[split:, :split])
+            _kron(l @ psi @ l.T, omega, out=c_r_c[split:, split:])
+            if order <= MATRIX_LIFT_ORDER:
+                a_bar_t, b_v_t = a_bar_t_times(np.eye(order)), b_v_t_times(np.eye(order))
+                a_bar_t_times, b_v_t_times = partial(np.matmul, a_bar_t), partial(np.matmul, b_v_t)
+            # X = Z Z^T and two work buffers, reused at every stage: fresh
+            # order x order temporaries would page-fault anew each time
+            r_ca, x_cost = r_c[idx], z @ z.T
+            x_next, work = np.empty_like(x_cost), np.empty_like(x_cost)
         xb = b_v_t_times(x_cost)[idx].T                  # X B_v, allowed columns
-        h = r_aa(idx) + b_v_t_times(xb)[idx]
-        g = a_bar_t_times(xb).T - r_ca(idx)
+        h = r_aa + b_v_t_times(xb)[idx]
+        g = a_bar_t_times(xb).T - r_ca
         try:
             gain = np.linalg.inv(h) @ g
         except np.linalg.LinAlgError as exc:
@@ -551,24 +550,12 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
         yield (lambda x, gain=gain: -(gain @ x)), float(x1 @ x_cost @ x1)
 
 
-def _reuse_last(block):
-    """``block``, keeping its value for the last index array while the same
-    array object comes again, as at every stage of :func:`sweep_norms`."""
-    last = [None, None]
-
-    def reused(idx):
-        if idx is not last[0]:
-            last[:] = idx, block(idx)
-        return last[1]
-
-    return reused
-
-
-def _factored_stages(lift, gains: RiccatiGains, r, where: str, n_allowed: int):
-    """The backward stage on a factor, X_{k+1} = Z Z^T -> X_k = Z' Z'^T, as a
-    function of (Z, label, allowed and forbidden coordinates) returning the
-    stage's feedback and Z'.  ``lift`` is :func:`_lift`'s and ``r`` is
-    R = psi kron omega.
+def _factored_stage(lift, r, r_inv, r_aa, z, where: str, idx, forb):
+    """One backward stage on a factor, X_{k+1} = Z Z^T -> X_k = Z' Z'^T,
+    returning the stage's feedback and Z'.  ``lift`` is :func:`_lift`'s,
+    ``r`` is R = psi kron omega, ``r_inv`` its inverse and ``r_aa`` its
+    block on the allowed coordinates ``idx``; ``forb`` are the forbidden
+    ones, and ``where`` labels a singular stage.
 
     With W = B_a^T Z, T = R_aa^-1 R_af and A^ = A_bar + B_a R_aa^-1 (R C_v)_a
     the optimal J_a is u_0 + delta: u_0 = (C_a + T C_f) x minimizes the
@@ -581,48 +568,38 @@ def _factored_stages(lift, gains: RiccatiGains, r, where: str, n_allowed: int):
         A^T Z = A_bar^T Z + C_v^T (E_a^T W + E_f^T R_fa Y),
 
     two positive semidefinite square roots joined, nothing subtracted, at
-    O(a^3 + a^2 r + (a + order) r^2) for a allowed coordinates and rank r.
-    A singular psi or omega fails the first factored stage, labelled
-    ``where``."""
-    try:
-        r_inv = _kron(np.linalg.inv(gains.psi), np.linalg.inv(gains.omega))
-    except np.linalg.LinAlgError as exc:
-        raise _stage_failure(where, n_allowed) from exc
+    O(a^3 + a^2 r + (a + order) r^2) for a allowed coordinates and rank r."""
     order, _, a_bar_t_times, b_v_t_times, c_v_times, c_v_t_times = lift
-    eye_j = np.eye(r.shape[0])
+    rank, n_f = z.shape[1], forb.size
+    w = b_v_t_times(z)[idx]                              # B_a^T Z
+    try:
+        t_y = np.linalg.solve(r_aa, np.hstack([r[np.ix_(idx, forb)], w]))
+        k_f = np.linalg.cholesky(r_inv[np.ix_(forb, forb)])
+        l_m = np.linalg.cholesky(np.eye(rank) + w.T @ t_y[:, n_f:]) if rank else None
+    except np.linalg.LinAlgError as exc:
+        raise _stage_failure(where, idx.size) from exc
+    t, y = t_y[:, :n_f], t_y[:, n_f:]
+    z_new = np.empty((order, n_f + rank))
+    # C_f^T K_f^-T
+    z_new[:, :n_f] = np.linalg.solve(k_f, c_v_t_times(np.eye(r.shape[0])[:, forb]).T).T
+    if rank:
+        u = np.empty((r.shape[0], rank))
+        u[idx], u[forb] = w, r[np.ix_(forb, idx)] @ y
+        a_hat_z = a_bar_t_times(z) + c_v_t_times(u)       # A^T Z
+        # L_M^-1 [(A^T Z)^T, Y^T]: the new factor's second block and, with
+        # it, Y M^-1 (A^T Z)^T
+        s = np.linalg.solve(l_m, np.hstack([a_hat_z.T, y.T]))
+        z_new[:, n_f:] = s[:, :order].T
+        s_z, s_y = s[:, :order], s[:, order:].T
 
-    def stage(z, where, idx, forb):
-        rank, n_f = z.shape[1], forb.size
-        w = b_v_t_times(z)[idx]                          # B_a^T Z
-        try:
-            t_y = np.linalg.solve(r[np.ix_(idx, idx)], np.hstack([r[np.ix_(idx, forb)], w]))
-            k_f = np.linalg.cholesky(r_inv[np.ix_(forb, forb)])
-            l_m = np.linalg.cholesky(np.eye(rank) + w.T @ t_y[:, n_f:]) if rank else None
-        except np.linalg.LinAlgError as exc:
-            raise _stage_failure(where, idx.size) from exc
-        t, y = t_y[:, :n_f], t_y[:, n_f:]
-        z_new = np.empty((order, n_f + rank))
-        z_new[:, :n_f] = np.linalg.solve(k_f, c_v_t_times(eye_j[:, forb]).T).T   # C_f^T K_f^-T
+    def feedback(x):
+        e = c_v_times(x)
+        j_a = e[idx] + t @ e[forb]                       # u_0
         if rank:
-            u = np.empty((r.shape[0], rank))
-            u[idx], u[forb] = w, r[np.ix_(forb, idx)] @ y
-            a_hat_z = a_bar_t_times(z) + c_v_t_times(u)   # A^T Z
-            # L_M^-1 [(A^T Z)^T, Y^T]: the new factor's second block and,
-            # with it, Y M^-1 (A^T Z)^T
-            s = np.linalg.solve(l_m, np.hstack([a_hat_z.T, y.T]))
-            z_new[:, n_f:] = s[:, :order].T
-            s_z, s_y = s[:, :order], s[:, order:].T
+            j_a -= s_y @ (s_z @ x)                       # delta
+        return j_a
 
-        def feedback(x):
-            e = c_v_times(x)
-            j_a = e[idx] + t @ e[forb]                   # u_0
-            if rank:
-                j_a -= s_y @ (s_z @ x)                   # delta
-            return j_a
-
-        return feedback, z_new
-
-    return stage
+    return feedback, z_new
 
 
 def solve_constrained_qp(plant: GeneralizedPlant, gains: RiccatiGains,
@@ -750,8 +727,8 @@ def sweep_norms(plant: GeneralizedPlant, template, n_max: int) -> Iterator[float
     block pattern ``template``, bit for bit, from one backward pass with
     ``template`` at every stage and no controller: x_1^T X x_1 after step N
     is the QP cost at horizon N.  An error raised after k norms fails every
-    N > k: a singular stage at backward step k + 1, or a negative squared
-    norm at horizon k + 1."""
+    N > k: a singular stage at backward step k + 1, or a squared norm below
+    ||P11||^2 at horizon k + 1."""
     gains, p11_norm_sq = _plant_prefix(plant)
     mask = expand_pattern(template, plant.block_rows, plant.block_cols)
     idx = np.flatnonzero(mask.ravel(order="F"))
@@ -761,4 +738,4 @@ def sweep_norms(plant: GeneralizedPlant, template, n_max: int) -> Iterator[float
         stages = ((f"backward step {m}", idx) for m in range(1, n_max + 1))
         costs = (qp_cost for _, qp_cost in _backward_sweep(plant, gains, stages))
     for horizon, qp_cost in enumerate(costs, 1):
-        yield _h2_norm(p11_norm_sq + qp_cost, horizon)
+        yield _h2_norm(p11_norm_sq + qp_cost, p11_norm_sq, horizon)

@@ -24,9 +24,8 @@ from delayh2 import (
     riccati_gains,
     solve_constrained_qp,
     synthesize,
-    vectorized_system,
 )
-from delayh2.synthesis import coprime_factorization
+from delayh2.synthesis import coprime_factorization, vectorized_system
 from delayh2.verify import kkt_oracle
 from conftest import (
     lemma_identity_errors,

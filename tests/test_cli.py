@@ -329,9 +329,9 @@ class TestSweep:
 
     def test_negative_norm_squared_fails_its_rows(self, tmp_path, capsys):
         # the diagonal template's dense downdate drifts (ROADMAP item 1) until
-        # ||P11||^2 + qp_cost falls below 0 somewhere past N = 120; that
-        # horizon and every later one fail with a warning, and the earlier
-        # rows are those of a shorter sweep
+        # ||P11||^2 + qp_cost falls below ||P11||^2 somewhere past N = 120;
+        # that horizon and every later one fail with a warning, and the
+        # earlier rows are those of a shorter sweep
         doc = json.loads(Path(SWEEP).read_text())
         doc["sweep"]["template"] = "diagonal"
         cfg = write_json(tmp_path / "diag.json", doc)
@@ -347,9 +347,9 @@ class TestSweep:
         warnings = capsys.readouterr().err.splitlines()
         assert len(warnings) == 250 - first + 1
         assert all(
-            w.startswith(f"warning: N={n} failed: squared H2 norm -")
-            and w.endswith(f"at horizon N = {first} is negative or not a number: "
-                           "the QP cost lost its accuracy")
+            w.startswith(f"warning: N={n} failed: squared H2 norm ")
+            and f"at horizon N = {first} is NaN or below the centralized floor ||P11||^2 = " in w
+            and w.endswith(": the QP cost lost its accuracy")
             for n, w in zip(range(first, 251), warnings)
         )
         assert rows[first - 1:] == [f"{n}," for n in range(first, 251)]

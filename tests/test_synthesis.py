@@ -23,7 +23,6 @@ from delayh2 import (
     solve_constrained_qp,
     spectral_radius,
     synthesize,
-    vectorized_system,
 )
 from delayh2 import synthesis
 from delayh2.config import load_config
@@ -37,8 +36,10 @@ from delayh2.synthesis import (
     model_matching_matrices,
     riccati_residuals,
     sweep_norms,
+    vectorized_system,
 )
-from conftest import lemma_identity_errors, make_chain_graph, make_chain_plant, random_qp_instance
+from conftest import (
+    lemma_identity_errors, make_chain_graph, make_chain_plant, make_sweep_plant, random_qp_instance)
 from delayh2 import constraint_space, delay_matrix
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -550,18 +551,13 @@ class MaskSequence:
 def factored_stages(monkeypatch):
     """Labels of the backward stages run on a factor of the cost-to-go."""
     seen = []
-    real = synthesis._factored_stages
+    real = synthesis._factored_stage
 
-    def spy(*args):
-        stage = real(*args)
+    def spy(lift, r, r_inv, r_aa, z, where, idx, forb):
+        seen.append(where)
+        return real(lift, r, r_inv, r_aa, z, where, idx, forb)
 
-        def recorded(z, where, idx, forb):
-            seen.append(where)
-            return stage(z, where, idx, forb)
-
-        return recorded
-
-    monkeypatch.setattr(synthesis, "_factored_stages", spy)
+    monkeypatch.setattr(synthesis, "_factored_stage", spy)
     return seen
 
 
@@ -689,19 +685,25 @@ class TestMatrixLiftOrder:
 
 class TestSweepNorms:
     @pytest.mark.parametrize(
-        "template",
-        [[[1, 0], [1, 1]], [[1, 0], [0, 1]], [[0, 0], [0, 1]], [[1, 1], [1, 1]]],
-        ids=["lower-triangular", "diagonal", "low", "full"],
+        "plant, template, n_max",
+        [(make_sweep_plant(), [[1, 0], [1, 1]], 40),
+         (make_sweep_plant(), [[1, 0], [0, 1]], 40),
+         (make_sweep_plant(), [[0, 0], [0, 1]], 40),
+         (make_sweep_plant(), [[1, 1], [1, 1]], 40),
+         # order 72 and one forbidden coordinate a lag: the first 18 steps
+         # run factored on the same index array
+         (make_chain_plant(6), ~np.eye(6, k=5, dtype=bool), 30)],
+        ids=["lower-triangular", "diagonal", "low", "full", "chain-6-one-forbidden"],
     )
-    def test_one_pass_equals_per_horizon_syntheses(self, sweep_plant, template, lift_path):
+    def test_one_pass_equals_per_horizon_syntheses(self, plant, template, n_max, lift_path):
         # the one pass shares every stage's arithmetic with the solver, so
         # the norms agree bit for bit, the all-allowed template's included
-        blocks = sweep_plant.block_rows, sweep_plant.block_cols
+        blocks = plant.block_rows, plant.block_cols
         pattern = np.array(template, bool)
-        norms = list(sweep_norms(sweep_plant, pattern, 40))
+        norms = list(sweep_norms(plant, pattern, n_max))
         separate = [
-            synthesize(sweep_plant, ConstraintSpace(n, *blocks, (pattern,) * n)).h2_norm
-            for n in range(1, 41)
+            synthesize(plant, ConstraintSpace(n, *blocks, (pattern,) * n)).h2_norm
+            for n in range(1, n_max + 1)
         ]
         assert norms == separate
 
@@ -815,11 +817,14 @@ class TestSynthesize:
         for a, b, c in zip(norms["tri"], norms["di"], norms["low"]):
             assert a <= b + 1e-8 <= c + 2e-8
 
-    @pytest.mark.parametrize("total", [-1e-3, float("nan")])
+    @pytest.mark.parametrize("total", [-1e-3, 0.5, float("nan")])
     def test_negative_norm_squared_is_a_solver_failure(self, chain_plant, total):
+        # ||P11||^2 = 1 is the floor: a negative total, a positive one below
+        # it and NaN all fail
         result = synthesis.SynthesisResult(chain_plant.g22, np.zeros((7, 3, 3)), 1.0,
                                            total - 1.0, total)
-        with pytest.raises(SolverFailure, match=r"at horizon N = 7 is negative or not a number"):
+        with pytest.raises(SolverFailure, match=r"at horizon N = 7 is NaN or below the "
+                           r"centralized floor \|\|P11\|\|\^2 = 1: the QP cost"):
             result.h2_norm
 
     def test_qi_violation_raises(self):

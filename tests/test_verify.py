@@ -26,12 +26,11 @@ from delayh2 import (
     solve_constrained_qp,
     spectral_radius,
     synthesize,
-    vectorized_system,
 )
 from delayh2 import statespace, verify
 from delayh2.config import load_config
 from delayh2.statespace import _diagonal_blocks, _stability
-from delayh2.synthesis import model_matching_matrices
+from delayh2.synthesis import model_matching_matrices, vectorized_system
 from delayh2.verify import kkt_oracle
 from conftest import (
     dense_orders, g11, make_chain_graph, make_chain_plant, random_qp_instance, static_model)
