@@ -13,7 +13,8 @@ controller in closed form (:func:`realize_controller`).
 :func:`sweep_norms` runs the plant's part and one backward pass for every
 horizon of a repeated pattern.  A squared norm ||P11||^2 + qp_cost below
 the centralized floor ||P11||^2, or NaN, which only the QP's lost accuracy
-produces, raises :class:`SolverFailure` naming its horizon and the floor.
+produces, raises :class:`SolverFailure` naming its horizon and the floor;
+so does a qp_cost off the priced cost of its own V (:func:`synthesize`).
 :func:`vectorized_system` forms the dense lift for the reference solvers
 (``verify.kkt_oracle`` and the test oracles), and
 :func:`coprime_factorization` and :func:`model_matching_matrices` are
@@ -61,11 +62,22 @@ RICCATI_RESIDUAL_TOL = math.sqrt(np.finfo(float).eps)
 # The QP's backward sweep runs on a factor of its cost-to-go while the
 # factor's rank bound stays within this share of the lifted order, then
 # hands X to the dense stage, which is cheaper once the rank nears the
-# order.  On the n = 20 chain (order 800, one BLAS thread, x86 VM) handing
-# over at 0.25/0.5/0.75/1/1.5 x order took 0.44/0.41/0.47/0.53/0.79 s per
-# QP, against 0.74 s all dense.  A share of 0.5 was slower at n = 5 ... 7,
-# where the factored stage's fixed numpy overhead weighs most.
-FACTORED_RANK_SHARE = 0.25
+# order.  The chains n = 12, 16 and 20 (orders 288 to 800; one BLAS thread,
+# x86 VM, median of 14 alternating rounds) took 0.58/0.53/0.51/0.52/0.58/
+# 0.63 s for the three syntheses at shares 0.25/0.4/0.5/0.6/0.75/1.  At 0.5
+# the 20-chain runs lags 19 ... 11 factored and 10 ... 1 dense.  Per
+# synthesis, 0.5 against 0.25 read +3% to +7% at n = 5 ... 7, where the
+# factored stage's fixed numpy overhead weighs most, and -5% at n = 8, 10.
+FACTORED_RANK_SHARE = 0.5
+
+# Bound on the gap between the QP's cost and the priced cost of its own V,
+# relative to ||P11||^2 + priced, the squared norm it feeds (:func:`synthesize`).
+# The price, a direct sum over the lags, does not inherit the backward
+# sweep's rounding.  1e-9 is the relative match that the closed loop's
+# norm is held to.  The gap reads 4e-12 on the 20-chain; over 397 random
+# QI instances, many of them badly scaled (ROADMAP item 7's recipe), it
+# spreads up to 1e-2, 20 of them above 1e-9.
+PRICED_COST_TOL = 1e-9
 
 # Up to this lifted order the dense stage of the backward sweep forms A_bar^T
 # and B_v^T once per pass and applies each as one matmul; above it, through
@@ -477,9 +489,9 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
     loop runs every stage.  It holds X as a factor Z Z^T, from rank 0, and
     runs :func:`_factored_stage` while the rank bound stays within
     ``FACTORED_RANK_SHARE`` of the order.  At the first stage past it, X is
-    formed once with R C_v and C_v^T R C_v, R = psi kron omega, and the
-    dense stage finishes the sweep.  It picks the allowed rows and columns
-    of B_v^T X B_v, B_v^T X A_bar, R and R C_v:
+    formed once with R C_v and C_v^T R C_v, R = psi kron omega, the factor
+    is released, and the dense stage finishes the sweep.  It picks the
+    allowed rows and columns of B_v^T X B_v, B_v^T X A_bar, R and R C_v:
 
         h = R_aa + (B_v^T X B_v)_aa,   g = (B_v^T X A_bar)_a - (R C_v)_a,
         X <- A_bar^T X A_bar + C_v^T R C_v - g^T h^-1 g,   J_a = -h^-1 g x.
@@ -487,9 +499,9 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
     Up to ``MATRIX_LIFT_ORDER`` its products with A_bar and B_v are
     matmuls with the matrices A_bar^T and B_v^T, formed at the handover from
     :func:`_lift`'s products; above it they run on the Kronecker factors, so
-    only the downdate costs O(a order^2).  In both stage forms the forbidden
-    set and the blocks R_aa and (R C_v)_a are formed again only for a new
-    index array object; :func:`sweep_norms` passes the same one at every
+    only the downdate costs O(a order^2).  The forbidden set, and in the
+    dense stage the blocks R_aa and (R C_v)_a, are formed again only for a
+    new index array object; :func:`sweep_norms` passes the same one at every
     stage.  Both stage forms, and both ways of applying the dense stage's
     products, are exact; each horizon rounds the same way in
     :func:`sweep_norms` as in :func:`solve_constrained_qp`, since both
@@ -498,28 +510,27 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
     order, x1, a_bar_t_times, b_v_t_times = lift[:4]
     omega, psi = gains.omega, gains.psi
     n_j = omega.shape[0] * psi.shape[0]
-    r = _kron(psi, omega)
-    z, r_inv, x_cost, last = np.zeros((order, 0)), None, None, None
+    z, inverses, x_cost, last = np.zeros((order, 0)), None, None, None
     for where, idx in stages:
         if idx is not last:
             forbidden = np.ones(n_j, bool)
             forbidden[idx] = False
-            last, forb, r_aa = idx, np.flatnonzero(forbidden), r[np.ix_(idx, idx)]
-            r_ca = None if x_cost is None else r_c[idx]
+            last, forb, r_aa = idx, np.flatnonzero(forbidden), None
         if x_cost is None:
             if z.shape[1] + forb.size <= FACTORED_RANK_SHARE * order:
-                if r_inv is None:  # a singular psi or omega fails the first stage
+                if inverses is None:  # a singular psi or omega fails the first stage
                     try:
-                        r_inv = _kron(np.linalg.inv(psi), np.linalg.inv(omega))
+                        inverses = np.linalg.inv(psi), np.linalg.inv(omega)
                     except np.linalg.LinAlgError as exc:
                         raise _stage_failure(where, idx.size) from exc
-                feedback, z = _factored_stage(lift, r, r_inv, r_aa, z, where, idx, forb)
+                feedback, z = _factored_stage(lift, *inverses, z, where, idx, forb)
                 zx = x1 @ z
                 yield feedback, float(zx @ zx)
                 continue
-            # the handover, once: R C_v and C_v^T R C_v, block by block
+            # the handover, once: R, R C_v and C_v^T R C_v, block by block
             k, l = gains.k_gain, gains.l_gain
             split = plant.n * plant.n_meas
+            r = _kron(psi, omega)
             r_c = np.empty((n_j, order))
             _kron(psi, omega @ k, out=r_c[:, :split])
             _kron(psi @ l.T, omega, out=r_c[:, split:])
@@ -533,8 +544,10 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
                 a_bar_t_times, b_v_t_times = partial(np.matmul, a_bar_t), partial(np.matmul, b_v_t)
             # X = Z Z^T and two work buffers, reused at every stage: fresh
             # order x order temporaries would page-fault anew each time
-            r_ca, x_cost = r_c[idx], z @ z.T
+            x_cost, z = z @ z.T, None
             x_next, work = np.empty_like(x_cost), np.empty_like(x_cost)
+        if r_aa is None:
+            r_aa, r_ca = r[np.ix_(idx, idx)], r_c[idx]
         xb = b_v_t_times(x_cost)[idx].T                  # X B_v, allowed columns
         h = r_aa + b_v_t_times(xb)[idx]
         g = a_bar_t_times(xb).T - r_ca
@@ -550,41 +563,43 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
         yield (lambda x, gain=gain: -(gain @ x)), float(x1 @ x_cost @ x1)
 
 
-def _factored_stage(lift, r, r_inv, r_aa, z, where: str, idx, forb):
+def _factored_stage(lift, psi_inv, omega_inv, z, where: str, idx, forb):
     """One backward stage on a factor, X_{k+1} = Z Z^T -> X_k = Z' Z'^T,
     returning the stage's feedback and Z'.  ``lift`` is :func:`_lift`'s,
-    ``r`` is R = psi kron omega, ``r_inv`` its inverse and ``r_aa`` its
-    block on the allowed coordinates ``idx``; ``forb`` are the forbidden
-    ones, and ``where`` labels a singular stage.
+    ``psi_inv`` and ``omega_inv`` are the inverses of the weight's factors,
+    ``idx`` the allowed coordinates and ``forb`` the forbidden ones, and
+    ``where`` labels a singular stage.
 
-    With W = B_a^T Z, T = R_aa^-1 R_af and A^ = A_bar + B_a R_aa^-1 (R C_v)_a
-    the optimal J_a is u_0 + delta: u_0 = (C_a + T C_f) x minimizes the
-    stage cost alone, at x^T C_f^T [(R^-1)_ff]^-1 C_f x, and
-    delta = -Y M^-1 (A^T Z)^T x, with Y = R_aa^-1 W and M = I + W^T Y >= I,
-    minimizes delta^T R_aa delta + ||Z^T (A^ x + B_a delta)||^2.  So, with
+    With R = psi kron omega, W = B_a^T Z, T = R_aa^-1 R_af and
+    A^ = A_bar + B_a R_aa^-1 (R C_v)_a the optimal J_a is u_0 + delta:
+    u_0 = (C_a + T C_f) x minimizes the stage cost alone, at
+    x^T C_f^T [(R^-1)_ff]^-1 C_f x, and delta = -Y M^-1 (A^T Z)^T x, with
+    Y = R_aa^-1 W and M = I + W^T Y >= I, minimizes
+    delta^T R_aa delta + ||Z^T (A^ x + B_a delta)||^2.  So, with
     (R^-1)_ff = K_f K_f^T and M = L_M L_M^T,
 
         Z' = [C_f^T K_f^-T, A^T Z L_M^-T],
-        A^T Z = A_bar^T Z + C_v^T (E_a^T W + E_f^T R_fa Y),
+        A^T Z = A_bar^T Z + C_v^T (E_a^T W + E_f^T T^T W),
 
-    two positive semidefinite square roots joined, nothing subtracted, at
-    O(a^3 + a^2 r + (a + order) r^2) for a allowed coordinates and rank r."""
+    two positive semidefinite square roots joined, nothing subtracted.  T
+    and Y come from R^-1 in closed form (:func:`_allowed_solves`), so the
+    stage costs O(n_f^3 + a n_f (n_f + r) + n_j (n_u + n_y) r
+    + (a + order) r^2) for a allowed and n_f forbidden coordinates and
+    rank r, with no O(a^3) factorization of R_aa."""
     order, _, a_bar_t_times, b_v_t_times, c_v_times, c_v_t_times = lift
-    rank, n_f = z.shape[1], forb.size
+    rank, n_f, n_j = z.shape[1], forb.size, psi_inv.shape[0] * omega_inv.shape[0]
     w = b_v_t_times(z)[idx]                              # B_a^T Z
     try:
-        t_y = np.linalg.solve(r_aa, np.hstack([r[np.ix_(idx, forb)], w]))
-        k_f = np.linalg.cholesky(r_inv[np.ix_(forb, forb)])
-        l_m = np.linalg.cholesky(np.eye(rank) + w.T @ t_y[:, n_f:]) if rank else None
+        t, y, k_f = _allowed_solves(psi_inv, omega_inv, idx, forb, w)
+        l_m = np.linalg.cholesky(np.eye(rank) + w.T @ y) if rank else None
     except np.linalg.LinAlgError as exc:
         raise _stage_failure(where, idx.size) from exc
-    t, y = t_y[:, :n_f], t_y[:, n_f:]
     z_new = np.empty((order, n_f + rank))
     # C_f^T K_f^-T
-    z_new[:, :n_f] = np.linalg.solve(k_f, c_v_t_times(np.eye(r.shape[0])[:, forb]).T).T
+    z_new[:, :n_f] = np.linalg.solve(k_f, c_v_t_times(np.eye(n_j)[:, forb]).T).T
     if rank:
-        u = np.empty((r.shape[0], rank))
-        u[idx], u[forb] = w, r[np.ix_(forb, idx)] @ y
+        u = np.empty((n_j, rank))
+        u[idx], u[forb] = w, t.T @ w                     # R_fa Y = T^T W
         a_hat_z = a_bar_t_times(z) + c_v_t_times(u)       # A^T Z
         # L_M^-1 [(A^T Z)^T, Y^T]: the new factor's second block and, with
         # it, Y M^-1 (A^T Z)^T
@@ -600,6 +615,34 @@ def _factored_stage(lift, r, r_inv, r_aa, z, where: str, idx, forb):
         return j_a
 
     return feedback, z_new
+
+
+def _allowed_solves(psi_inv, omega_inv, idx, forb, w):
+    """T = R_aa^-1 R_af and Y = R_aa^-1 W for R = psi kron omega, allowed
+    coordinates ``idx`` and forbidden ``forb``, without factoring R_aa;
+    returns (T, Y, K_f) with K_f K_f^T = N_ff.
+
+    N = R^-1 = psi^-1 kron omega^-1 is known in closed form (Van Loan, "The
+    ubiquitous Kronecker product", J. Comput. Appl. Math. 2000), and the
+    block inverse of R reads N_af = -R_aa^-1 R_af N_ff and
+    R_aa^-1 = N_aa - N_af N_ff^-1 N_fa.  So
+
+        T = -N_af N_ff^-1,   Y = (N W^)_a + T (N W^)_f,
+
+    with W^ the n_j-row block holding W on the allowed rows and 0 elsewhere.
+    N is applied to [E_f, W^] as vec(omega^-1 U psi^-1) on the n_u x n_y
+    blocks U, at O(n_j (n_u + n_y)) a column, and N_ff^-1 through its
+    Cholesky factor K_f."""
+    n_y, n_u = psi_inv.shape[0], omega_inv.shape[0]
+    n_f, k = forb.size, forb.size + w.shape[1]
+    u = np.zeros((n_y * n_u, k))
+    u[forb, np.arange(n_f)] = 1.0
+    u[idx, n_f:] = w
+    n_ew = np.matmul(omega_inv, (psi_inv @ u.reshape(n_y, n_u * k)).reshape(n_y, n_u, k))
+    n_ew = n_ew.reshape(n_y * n_u, k)                    # N [E_f, W^]
+    k_f = np.linalg.cholesky(n_ew[forb, :n_f])
+    t = -np.linalg.solve(k_f.T, np.linalg.solve(k_f, n_ew[idx, :n_f].T)).T
+    return t, n_ew[idx, n_f:] + t @ n_ew[forb, n_f:], k_f
 
 
 def solve_constrained_qp(plant: GeneralizedPlant, gains: RiccatiGains,
@@ -705,7 +748,9 @@ def synthesize(plant: GeneralizedPlant, cs: ConstraintSpace,
     When ``delays`` is supplied the quadratic-invariance condition is
     verified against the plant's block transport delays first and a failure
     raises :class:`QIViolation`; otherwise the caller is trusted to have
-    checked it.
+    checked it.  The QP's V is priced directly, at O(N n_j (n_u + n_y)), and
+    a qp_cost off that price by more than ``PRICED_COST_TOL`` of
+    ||P11||^2 + priced raises :class:`SolverFailure`.
     """
     if delays is not None:
         horizon = delays.max_delay()
@@ -718,6 +763,15 @@ def synthesize(plant: GeneralizedPlant, cs: ConstraintSpace,
 
     gains, p11_norm_sq = _plant_prefix(plant)
     v_star, qp_cost = solve_constrained_qp(plant, gains, cs)
+    # sum_i vec(V_i)^T (psi kron omega) vec(V_i) = sum_i <V_i, omega V_i psi^T>
+    priced = float(np.sum(gains.omega @ v_star @ gains.psi.T * v_star))
+    gap = abs(qp_cost - priced)
+    if not gap <= PRICED_COST_TOL * (p11_norm_sq + priced):
+        raise SolverFailure(
+            f"QP cost {qp_cost:.6g} at horizon N = {cs.n_horizon} is off the priced cost"
+            f" {priced:.6g} of its own V by {gap:.3g}, more than {PRICED_COST_TOL:g} of"
+            f" ||P11||^2 + priced: the QP cost lost its accuracy"
+        )
     controller = realize_controller(v_star, gains, plant)
     return SynthesisResult(controller, v_star, p11_norm_sq, qp_cost, p11_norm_sq + qp_cost)
 

@@ -39,7 +39,8 @@ from delayh2.synthesis import (
     vectorized_system,
 )
 from conftest import (
-    lemma_identity_errors, make_chain_graph, make_chain_plant, make_sweep_plant, random_qp_instance)
+    lemma_identity_errors, make_chain_graph, make_chain_plant, make_sweep_plant, random_qi_instance,
+    random_qp_instance)
 from delayh2 import constraint_space, delay_matrix
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -553,9 +554,9 @@ def factored_stages(monkeypatch):
     seen = []
     real = synthesis._factored_stage
 
-    def spy(lift, r, r_inv, r_aa, z, where, idx, forb):
+    def spy(lift, psi_inv, omega_inv, z, where, idx, forb):
         seen.append(where)
-        return real(lift, r, r_inv, r_aa, z, where, idx, forb)
+        return real(lift, psi_inv, omega_inv, z, where, idx, forb)
 
     monkeypatch.setattr(synthesis, "_factored_stage", spy)
     return seen
@@ -604,10 +605,10 @@ class TestFactoredStages:
 
     def test_chain_hands_over_where_the_rank_bound_passes_the_share(self, chain_qp, factored_stages):
         # n = 12, order 288: the forbidden counts from lag 11 down are
-        # 2, 6, 12, 20, 30 and 42, so the rank bound 70 of lag 7 is the last
-        # within 288 / 4
+        # 2, 6, 12, 20, 30, 42 and 56, so the rank bound 112 of lag 6 is the
+        # last within 288 / 2
         solve_constrained_qp(*chain_qp(12))
-        assert factored_stages == [f"lag {lag}" for lag in range(11, 6, -1)]
+        assert factored_stages == [f"lag {lag}" for lag in range(11, 5, -1)]
 
     def test_random_patterns_match_the_oracle(self, factored_stages):
         # non-monotone masks mixing lags with no allowed coordinate, fully
@@ -630,6 +631,54 @@ class TestFactoredStages:
             hits["no allowed coordinate"] += any(not masks[lag - 1].any() for lag in lags)
             hits["fully allowed below n_con"] += any(masks[lag - 1].all() for lag in lags)
         assert min(hits.values()) >= 3 and len(hits) == 4, hits
+
+
+def weight_factor(rng, n, cond):
+    """Random n x n weight I + G G^T, the form of psi and omega (each
+    identity plus a positive semidefinite term), of condition number
+    ``cond``."""
+    g = rng.standard_normal((n, n))
+    m = g @ g.T
+    return np.eye(n) + (cond - 1.0) / np.linalg.eigvalsh(m)[-1] * m
+
+
+class TestAllowedSolves:
+    """T = R_aa^-1 R_af and Y = R_aa^-1 W for R = psi kron omega, taken in
+    closed form from R^-1 = psi^-1 kron omega^-1 instead of a solve with
+    R_aa."""
+
+    @pytest.mark.parametrize("cond", [1.0, 1e2, 1e4, 1e6, 1e8])
+    def test_matches_a_solve_with_the_allowed_block(self, cond):
+        # np.linalg.solve's own forward error grows like eps cond(R), so
+        # above cond 4.5e3 the match is held to that instead of 1e-12
+        tol = max(1e-12, np.finfo(float).eps * cond)
+        rng = np.random.default_rng(int(np.log10(cond)))
+        for _ in range(40):
+            n_u, n_y = (int(v) for v in rng.integers(1, 7, size=2))
+            split = rng.uniform()
+            psi, omega = weight_factor(rng, n_y, cond**split), weight_factor(rng, n_u, cond ** (1 - split))
+            r = np.kron(psi, omega)
+            allowed = rng.random(n_u * n_y) < rng.choice([0.0, rng.uniform(), 1.0])
+            idx, forb = np.flatnonzero(allowed), np.flatnonzero(~allowed)
+            w = rng.standard_normal((idx.size, 3))
+            psi_inv, omega_inv = np.linalg.inv(psi), np.linalg.inv(omega)
+            t, y, k_f = synthesis._allowed_solves(psi_inv, omega_inv, idx, forb, w)
+            ref = np.linalg.solve(r[np.ix_(idx, idx)], np.hstack([r[np.ix_(idx, forb)], w]))
+            for got, want in ((t, ref[:, :forb.size]), (y, ref[:, forb.size:])):
+                assert got.shape == want.shape
+                assert np.abs(got - want).max(initial=0.0) <= tol * np.abs(want).max(initial=0.0)
+            n_ff = np.kron(psi_inv, omega_inv)[np.ix_(forb, forb)]
+            assert np.abs(k_f @ k_f.T - n_ff).max(initial=0.0) <= 1e-12 * np.abs(n_ff).max(initial=0.0)
+
+    def test_factored_only_solve_of_a_scaled_instance(self, monkeypatch, factored_stages):
+        # B2 and C2 x 10 give cond(psi kron omega) = 4e4; with the share
+        # above every rank bound each stage runs factored
+        plant, _, cs = random_qi_instance(np.random.default_rng(1))
+        plant = dataclasses.replace(plant, b2=10.0 * plant.b2, c2=10.0 * plant.c2)
+        gains = riccati_gains(plant)
+        monkeypatch.setattr(synthesis, "FACTORED_RANK_SHARE", 10**9)
+        assert_solves_qp(plant, gains, cs)
+        assert factored_stages == [f"lag {lag}" for lag in range(cs.n_horizon, 0, -1)]
 
 
 @pytest.fixture(params=[0, 10**9], ids=["factors", "matrices"])
@@ -656,11 +705,12 @@ class TestMatrixLiftOrder:
         assert cost_m == pytest.approx(cost_f, rel=1e-12, abs=1e-12)
         assert np.abs(v_m - v_f).max(initial=0.0) <= 1e-12 * np.abs(v_f).max(initial=0.0)
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 6])
-    def test_chains_agree(self, chain_qp, monkeypatch, n):
-        # the rank bound passes a quarter of the order at lag 1 or above,
-        # so each chain ends on the dense stage
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_chains_agree(self, chain_qp, monkeypatch, factored_stages, n):
+        # the rank bound passes half the order at lag 1 or above, so each
+        # chain ends on the dense stage
         self.assert_paths_agree(monkeypatch, *chain_qp(n))
+        assert factored_stages and "lag 1" not in factored_stages
 
     def test_random_instances_agree(self, monkeypatch, factored_stages):
         # many of these small instances finish on the factored stage, where
@@ -826,6 +876,27 @@ class TestSynthesize:
         with pytest.raises(SolverFailure, match=r"at horizon N = 7 is NaN or below the "
                            r"centralized floor \|\|P11\|\|\^2 = 1: the QP cost"):
             result.h2_norm
+
+    @pytest.mark.parametrize("seed, factor", [(570417371, 9.47e4), (394056959, 995.0)])
+    def test_qp_cost_off_its_priced_v_is_a_solver_failure(self, seed, factor):
+        # two of ROADMAP item 1's instances, B2 and C2 scaled: the sweep's
+        # cost is off the priced cost of its own V by 4.5e-3 and 1.3e-5 of
+        # ||P11||^2 + priced
+        plant, _, cs = random_qi_instance(np.random.default_rng(seed))
+        plant = dataclasses.replace(plant, b2=factor * plant.b2, c2=factor * plant.c2)
+        with pytest.raises(SolverFailure, match=r"^QP cost \S+ at horizon N = 3 is off the priced "
+                           r"cost \S+ of its own V by \S+, more than 1e-09 of \|\|P11\|\|\^2 "
+                           r"\+ priced: the QP cost lost its accuracy$"):
+            synthesize(plant, cs)
+
+    def test_priced_instance_has_its_loop_norm(self):
+        # item 1's third instance, A x 223: its QP cost, 2e17, is within
+        # 2.1e-11 of its exactly priced V, and the loop's norm agrees
+        plant, _, cs = random_qi_instance(np.random.default_rng(133332660))
+        plant = dataclasses.replace(plant, a=223.0 * plant.a)
+        result = synthesize(plant, cs)
+        loop = closed_loop(plant, result.controller)
+        assert h2_norm_sq(loop.model) == pytest.approx(result.total_norm_sq, rel=1e-9)
 
     def test_qi_violation_raises(self):
         plant = GeneralizedPlant(
