@@ -44,11 +44,13 @@ for lag, pattern in enumerate(cs.patterns, start=1):
     print(f"allowed blocks at lag {lag}:\n{pattern.astype(int)}")
 
 # Quadratic invariance: the plant's own couplings propagate exactly as fast
-# as the network, so the constrained problem is convex.
-p = dh.plant_block_delays(plant.g22, plant.block_rows, plant.block_cols, d.max_delay())
+# as the network, so the constrained problem is convex.  qi_verdict reads
+# the plant's block delays p off its Markov parameters and tests d against
+# them; synthesize(..., delays=d) below runs the same test.
+p, verdict = dh.qi_verdict(plant, d)
 print("\nplant block delays p:")
 print(p)
-print("QI:", dh.check_qi(d, p).ok)
+print("QI:", verdict.ok)
 
 result = dh.synthesize(plant, cs, delays=d)
 print(f"\ndelay-constrained H2 norm : {result.h2_norm:.4f}")

@@ -36,11 +36,11 @@ coupled = dh.GeneralizedPlant(
     block_rows=(1, 1),
     block_cols=(1, 1),
 )
-p = dh.plant_block_delays(coupled.g22, (1, 1), (1, 1), d.max_delay())
+# qi_verdict reads the plant's block delays off its Markov parameters and
+# tests the delay matrix against them, as synthesize(..., delays=d) does.
+p, verdict = dh.qi_verdict(coupled, d)
 print("\nplant block delays:")
 print(p)
-
-verdict = dh.check_qi(d, p)
 print("QI with the 4-step network:", verdict.ok)
 if not verdict.ok:
     print(f"  {qi_witness_text(d, p, verdict)}")
@@ -55,6 +55,6 @@ if not verdict.ok:
 fast = dh.delay_matrix(dh.DelayGraph(2, (1, 1), ((0, 1, 0), (1, 0, 0))))
 print("\nwith instantaneous links, d =")
 print(fast.d)
-print("QI:", dh.check_qi(fast, p).ok)
+print("QI:", dh.qi_verdict(coupled, fast)[1].ok)
 result = dh.synthesize(coupled, dh.constraint_space(fast, (1, 1), (1, 1)), delays=fast)
 print(f"synthesis now succeeds: H2 norm {result.h2_norm:.4f}")

@@ -41,6 +41,7 @@ from .synthesis import (
     GeneralizedPlant,
     RiccatiGains,
     SynthesisResult,
+    qi_verdict,
     realize_controller,
     riccati_gains,
     solve_constrained_qp,
@@ -81,6 +82,7 @@ __all__ = [
     "h2_norm_sq",
     "impulse_response",
     "plant_block_delays",
+    "qi_verdict",
     "realize_controller",
     "riccati_gains",
     "solve_constrained_qp",

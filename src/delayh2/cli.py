@@ -7,9 +7,10 @@ Subcommands::
     delayh2 sweep    --config problem.json --n-min 1 --n-max 8 --out norms.csv
     delayh2 verify   controller.json --config problem.json
 
-``synth`` checks that ``--out`` can be written, then refuses a delay pattern
-that is not quadratically invariant through ``synthesize(..., delays=d)``,
-the check ``check-qi`` prints; ``--force`` skips it.
+``check-qi`` prints the verdict of ``synthesis.qi_verdict``.  ``synth``
+checks that ``--out`` can be written, then refuses a delay pattern that is
+not quadratically invariant through ``synthesize(..., delays=d)``, which
+reaches the same function; ``--force`` skips it.
 
 Exit codes: 0 success, 1 usage or parse error, 2 domain-check failure
 (QI violation, conformance or stability failure).
@@ -26,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import delaymodel, verify
+from . import delaymodel, synthesis, verify
 from .config import load_config
 from .errors import ConfigError, DelayH2Error, DimensionMismatch, QIViolation, UnstableSystem
 from .statespace import StateSpaceModel, h2_norm_sq
@@ -103,15 +104,13 @@ def _format_matrix(m: np.ndarray) -> str:
 
 def cmd_check_qi(args) -> int:
     cfg = load_config(args.config)
-    d, plant = cfg.delays, cfg.plant
+    d = cfg.delays
     if d is None:
         raise ConfigError(
             f"{args.config}.patterns: check-qi needs a 'graph' or 'delay_matrix' constraint; "
             "explicit patterns carry no delay information"
         )
-    p = delaymodel.plant_block_delays(plant.g22, plant.block_rows, plant.block_cols,
-                                      d.max_delay())
-    verdict = delaymodel.check_qi(d, p)
+    p, verdict = synthesis.qi_verdict(cfg.plant, d)
     print("delay matrix d:")
     print(_format_matrix(d.d))
     print("plant block delays p:")

@@ -8,7 +8,10 @@ Riccati equation, the last two by doubling, O(n^3) per step, each step
 covering twice the horizon of the last.  The series product
 (:func:`multiply`) serves only the Bezout reference off the pipeline and the
 demos.  One predicate, :func:`_stability`, decides stability everywhere
-(``is_stable``, the norm's precondition, the Riccati closed loop).
+(``is_stable``, the norm's precondition, the Riccati closed loop).  A
+zero-order system takes the general path: numpy's products, traces and
+eigenvalue solves of empty arrays give its spectral radius 0 and its
+squared H2 norm ||D||_F^2.
 
 ``vec`` stacks columns (Fortran order) throughout, which is the convention
 under which vec(A X B) = (B^T kron A) vec(X).
@@ -50,10 +53,7 @@ def vec(m: np.ndarray) -> np.ndarray:
 
 def spectral_radius(a: np.ndarray) -> float:
     """Largest eigenvalue modulus of a square matrix (0 for the 0x0 matrix)."""
-    a = _as_matrix(a)
-    if a.shape[0] == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(a))))
+    return float(np.max(np.abs(np.linalg.eigvals(_as_matrix(a))), initial=0.0))
 
 
 def _stability(a: np.ndarray) -> tuple[bool, str]:
@@ -225,11 +225,8 @@ def h2_norm_sq(g: StateSpaceModel) -> float:
     stable, why = _stability(g.a)
     if not stable:
         raise UnstableSystem(f"h2_norm_sq: {why}")
-    static_part = float(np.trace(g.d.T @ g.d))
-    if g.order == 0:
-        return static_part
     w_obs = _gramian(g.a, g.c)
-    return static_part + float(np.trace(g.b.T @ w_obs @ g.b))
+    return float(np.trace(g.d.T @ g.d)) + float(np.trace(g.b.T @ w_obs @ g.b))
 
 
 def _gramian(a: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -31,8 +31,8 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .delaymodel import ConstraintSpace, DelayMatrix, block_sizes, check_qi, expand_pattern
-from .delaymodel import plant_block_delays, qi_witness_text
+from .delaymodel import ConstraintSpace, DelayMatrix, QiCheck, block_sizes, check_qi
+from .delaymodel import expand_pattern, plant_block_delays, qi_witness_text
 from .errors import AssumptionViolated, DimensionMismatch, QIViolation, SolverFailure
 from .statespace import (
     StateSpaceModel,
@@ -44,7 +44,9 @@ from .statespace import (
     vec,
 )
 
-# Tolerance of the plant's normalization test.
+# Tolerance of the plant's normalization test D^T [C D] = [0 I]: on D^T D - I
+# as it stands, and on the cross term D^T C relative to max|C|, whose
+# products it sums, so the verdict does not depend on C's units.
 NORMALIZATION_TOL = 1e-9
 
 # Bound on the norm-wise relative residual of each Riccati equation
@@ -148,18 +150,14 @@ class GeneralizedPlant:
         if sum(cols) != p2:
             raise DimensionMismatch("block_cols must sum to the measurement dimension")
 
-        d12, c1 = mats["d12"], mats["c1"]
-        d21, b1 = mats["d21"], mats["b1"]
-        if (
-            np.abs(d12.T @ c1).max(initial=0.0) > NORMALIZATION_TOL
-            or np.abs(d12.T @ d12 - np.eye(m2)).max() > NORMALIZATION_TOL
-        ):
-            raise AssumptionViolated("normalization D12^T [C1 D12] = [0 I] fails")
-        if (
-            np.abs(d21 @ b1.T).max(initial=0.0) > NORMALIZATION_TOL
-            or np.abs(d21 @ d21.T - np.eye(p2)).max() > NORMALIZATION_TOL
-        ):
-            raise AssumptionViolated("normalization D21 [B1^T D21^T] = [0 I] fails")
+        # D^T [C D] = [0 I] for (D12, C1) and its dual (D21^T, B1^T)
+        for d, c, label in ((mats["d12"], mats["c1"], "D12^T [C1 D12]"),
+                            (mats["d21"].T, mats["b1"].T, "D21 [B1^T D21^T]")):
+            if (
+                np.abs(d.T @ c).max(initial=0.0) > NORMALIZATION_TOL * np.abs(c).max(initial=0.0)
+                or np.abs(d.T @ d - np.eye(d.shape[1])).max() > NORMALIZATION_TOL
+            ):
+                raise AssumptionViolated(f"normalization {label} = [0 I] fails")
 
         a = mats["a"]
         outside = [lam for lam in np.linalg.eigvals(a) if abs(lam) >= 1.0 - TOL_STAB]
@@ -585,34 +583,31 @@ def _factored_stage(lift, psi_inv, omega_inv, z, where: str, idx, forb):
     and Y come from R^-1 in closed form (:func:`_allowed_solves`), so the
     stage costs O(n_f^3 + a n_f (n_f + r) + n_j (n_u + n_y) r
     + (a + order) r^2) for a allowed and n_f forbidden coordinates and
-    rank r, with no O(a^3) factorization of R_aa."""
+    rank r, with no O(a^3) factorization of R_aa.  At rank 0, the first
+    stage, numpy's empty products make A^T Z L_M^-T empty and delta 0."""
     order, _, a_bar_t_times, b_v_t_times, c_v_times, c_v_t_times = lift
     rank, n_f, n_j = z.shape[1], forb.size, psi_inv.shape[0] * omega_inv.shape[0]
     w = b_v_t_times(z)[idx]                              # B_a^T Z
     try:
         t, y, k_f = _allowed_solves(psi_inv, omega_inv, idx, forb, w)
-        l_m = np.linalg.cholesky(np.eye(rank) + w.T @ y) if rank else None
+        l_m = np.linalg.cholesky(np.eye(rank) + w.T @ y)
     except np.linalg.LinAlgError as exc:
         raise _stage_failure(where, idx.size) from exc
     z_new = np.empty((order, n_f + rank))
     # C_f^T K_f^-T
     z_new[:, :n_f] = np.linalg.solve(k_f, c_v_t_times(np.eye(n_j)[:, forb]).T).T
-    if rank:
-        u = np.empty((n_j, rank))
-        u[idx], u[forb] = w, t.T @ w                     # R_fa Y = T^T W
-        a_hat_z = a_bar_t_times(z) + c_v_t_times(u)       # A^T Z
-        # L_M^-1 [(A^T Z)^T, Y^T]: the new factor's second block and, with
-        # it, Y M^-1 (A^T Z)^T
-        s = np.linalg.solve(l_m, np.hstack([a_hat_z.T, y.T]))
-        z_new[:, n_f:] = s[:, :order].T
-        s_z, s_y = s[:, :order], s[:, order:].T
+    u = np.empty((n_j, rank))
+    u[idx], u[forb] = w, t.T @ w                         # R_fa Y = T^T W
+    a_hat_z = a_bar_t_times(z) + c_v_t_times(u)           # A^T Z
+    # L_M^-1 [(A^T Z)^T, Y^T]: the new factor's second block and, with it,
+    # Y M^-1 (A^T Z)^T
+    s = np.linalg.solve(l_m, np.hstack([a_hat_z.T, y.T]))
+    z_new[:, n_f:] = s[:, :order].T
+    s_z, s_y = s[:, :order], s[:, order:].T
 
     def feedback(x):
         e = c_v_times(x)
-        j_a = e[idx] + t @ e[forb]                       # u_0
-        if rank:
-            j_a -= s_y @ (s_z @ x)                       # delta
-        return j_a
+        return e[idx] + t @ e[forb] - s_y @ (s_z @ x)    # u_0 + delta
 
     return feedback, z_new
 
@@ -741,21 +736,27 @@ def _plant_prefix(plant: GeneralizedPlant) -> tuple[RiccatiGains, float]:
     return gains, p11_norm_sq
 
 
+def qi_verdict(plant: GeneralizedPlant, delays: DelayMatrix) -> tuple[np.ndarray, QiCheck]:
+    """The plant's block transport delays p up to ``delays.max_delay()``
+    (:func:`plant_block_delays`) and the :func:`check_qi` verdict of
+    ``delays`` against them: the one quadratic-invariance test of a plant."""
+    p = plant_block_delays(plant.g22, plant.block_rows, plant.block_cols, delays.max_delay())
+    return p, check_qi(delays, p)
+
+
 def synthesize(plant: GeneralizedPlant, cs: ConstraintSpace,
                delays: Optional[DelayMatrix] = None) -> SynthesisResult:
     """Full synthesis pipeline for one plant and constraint space.
 
     When ``delays`` is supplied the quadratic-invariance condition is
-    verified against the plant's block transport delays first and a failure
-    raises :class:`QIViolation`; otherwise the caller is trusted to have
-    checked it.  The QP's V is priced directly, at O(N n_j (n_u + n_y)), and
+    verified first (:func:`qi_verdict`) and a failure raises
+    :class:`QIViolation`; otherwise the caller is trusted to have checked
+    it.  The QP's V is priced directly, at O(N n_j (n_u + n_y)), and
     a qp_cost off that price by more than ``PRICED_COST_TOL`` of
     ||P11||^2 + priced raises :class:`SolverFailure`.
     """
     if delays is not None:
-        horizon = delays.max_delay()
-        p = plant_block_delays(plant.g22, plant.block_rows, plant.block_cols, horizon)
-        verdict = check_qi(delays, p)
+        p, verdict = qi_verdict(plant, delays)
         if not verdict.ok:
             raise QIViolation(
                 f"not quadratically invariant: {qi_witness_text(delays, p, verdict)}"

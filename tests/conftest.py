@@ -195,7 +195,7 @@ def random_qi_instance(rng):
     is double-checked here.  Returns (plant, delays, cs).
     """
     import oracles
-    from delayh2 import DelayMatrix, check_qi, plant_block_delays
+    from delayh2 import DelayMatrix, qi_verdict
 
     n_nodes = int(rng.integers(2, 4))
     comp = rng.integers(1, 3, size=n_nodes)
@@ -209,7 +209,6 @@ def random_qi_instance(rng):
         rng, n, sum(block_rows), sum(block_cols),
         block_rows=block_rows, block_cols=block_cols,
     )
-    p = plant_block_delays(plant.g22, block_rows, block_cols, delays.max_delay())
-    assert check_qi(delays, p).ok
+    assert qi_verdict(plant, delays)[1].ok
     cs = constraint_space(delays, block_rows, block_cols)
     return plant, delays, cs

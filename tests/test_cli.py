@@ -177,6 +177,20 @@ class TestSynth:
         assert cli.main(argv) == 0
         assert len(calls) == (0 if force else 1)
 
+    @pytest.mark.parametrize("command", ["check-qi", "synth"])
+    @pytest.mark.parametrize("qi", [True, False], ids=["QI", "not QI"])
+    def test_check_qi_and_synth_reach_one_qi_verdict(self, tmp_path, capsys, monkeypatch,
+                                                     command, qi):
+        # both subcommands decide QI by the same function, once, so their
+        # verdicts cannot drift apart
+        calls = []
+        real = synthesis.qi_verdict
+        monkeypatch.setattr(synthesis, "qi_verdict",
+                            lambda *args: calls.append(args) or real(*args))
+        cfg = CHAIN if qi else non_qi_config(tmp_path)
+        assert cli.main([command, "--config", cfg]) == (0 if qi else 2)
+        assert len(calls) == 1
+
     def test_unwritable_out_is_reported_before_the_qi_verdict(self, tmp_path, capsys):
         out = tmp_path / "missing" / "controller.json"
         assert cli.main(["synth", "--config", non_qi_config(tmp_path), "--out", str(out)]) == 1
@@ -286,8 +300,8 @@ class TestSweep:
         # fails each horizon from m on, and a failure in the plant's part
         # fails them all; the sweep still writes every row and exits 0.  The
         # first steps run on a factor of the cost-to-go, each factoring
-        # (R^-1)_ff once (and, from step 2 on, I + W^T Y after it), so the
-        # second Cholesky factorization is step 2's
+        # (R^-1)_ff and then I + W^T Y (0 x 0 at step 1, whose factor has
+        # rank 0), so the third Cholesky factorization is step 2's first
         from delayh2.errors import AssumptionViolated
 
         real_cholesky = np.linalg.cholesky
@@ -295,7 +309,7 @@ class TestSweep:
 
         def singular_second_stage(h):
             calls.append(None)
-            if len(calls) == 2:
+            if len(calls) == 3:
                 raise np.linalg.LinAlgError("synthetic singular matrix")
             return real_cholesky(h)
 

@@ -1,5 +1,6 @@
 import dataclasses
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,43 @@ class TestPlantValidation:
                 d12=[[0.0], [1.0]], d21=[[0.0, 1.0]],
                 block_rows=(1,), block_cols=(1,),
             )
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-12])
+    @pytest.mark.parametrize("dual", [False, True], ids=["D12^T C1", "D21 B1^T"])
+    def test_cross_term_rejected_in_any_units(self, scale, dual):
+        # the cross term is half the scale of C1 (or B1) at every scale, so
+        # the verdict must not change with the scale
+        c1, b1 = [[1.0], [0.0]], [[1.0, 0.0]]
+        if dual:
+            b1 = [[scale, 0.5 * scale]]
+        else:
+            c1 = [[scale], [0.5 * scale]]
+        with pytest.raises(AssumptionViolated, match=r"^normalization .* fails$"):
+            GeneralizedPlant(
+                a=[[0.5]], b1=b1, b2=[[1.0]], c1=c1, c2=[[1.0]],
+                d12=[[0.0], [1.0]], d21=[[0.0, 1.0]],
+                block_rows=(1,), block_cols=(1,),
+            )
+
+    @pytest.mark.parametrize("dual", [False, True], ids=["(D12, C1)", "(D21, B1)"])
+    def test_rotated_and_scaled_normalized_plant_accepted(self, dual):
+        # an orthogonal Q keeps D^T [C D] = [0 I] exactly, but rounds the
+        # cross term of C1 scaled by 1e9 to |D12^T C1| = 3.1e-7: a rounding
+        # of C1's units, not a coupling
+        q = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))[0]
+        c1, d12 = np.vstack([np.eye(2), np.zeros((1, 2))]), np.array([[0.0], [0.0], [1.0]])
+        b1, d21 = c1.T, d12.T
+        if dual:
+            b1, d21 = 1e9 * (b1 @ q.T), d21 @ q.T
+            assert np.abs(d21 @ b1.T).max() > 1e-7
+        else:
+            c1, d12 = 1e9 * (q @ c1), q @ d12
+            assert np.abs(d12.T @ c1).max() > 1e-7
+        plant = GeneralizedPlant(
+            a=np.diag([2.0, 0.5]), b1=b1, b2=[[1.0], [1.0]], c1=c1, c2=[[1.0, 1.0]],
+            d12=d12, d21=d21, block_rows=(1,), block_cols=(1,),
+        )
+        assert plant.n_perf == plant.n_dist == 3
 
     def test_unstabilizable_plant_rejected(self):
         with pytest.raises(AssumptionViolated):
@@ -532,6 +570,18 @@ class TestSolveConstrainedQp:
             assert np.abs(j_vec[forbidden]).max() < 1e-9
             state = a_v @ state + b_v @ v_vec
         assert oracles.priced_cost(v_star, gains.omega, gains.psi) == pytest.approx(cost, rel=1e-12)
+
+
+def test_priced_cost_matches_the_exact_price():
+    # a badly scaled QI instance (cond(omega), cond(psi) about 2e5), priced
+    # against the exact rational price of the V that synthesis returns
+    plant, delays, cs = random_qi_instance(np.random.default_rng(133332660))
+    plant = dataclasses.replace(plant, a=223 * plant.a)
+    result = synthesize(plant, cs, delays=delays)
+    gains = riccati_gains(plant)
+    exact = oracles.exact_price(result.v_star, gains.omega, gains.psi)
+    priced = oracles.priced_cost(result.v_star, gains.omega, gains.psi)
+    assert abs(Fraction(priced) - exact) <= Fraction(1e-11) * exact
 
 
 class MaskSequence:
