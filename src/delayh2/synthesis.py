@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -65,11 +65,12 @@ RICCATI_RESIDUAL_TOL = math.sqrt(np.finfo(float).eps)
 # factor's rank bound stays within this share of the lifted order, then
 # hands X to the dense stage, which is cheaper once the rank nears the
 # order.  The chains n = 12, 16 and 20 (orders 288 to 800; one BLAS thread,
-# x86 VM, median of 14 alternating rounds) took 0.58/0.53/0.51/0.52/0.58/
-# 0.63 s for the three syntheses at shares 0.25/0.4/0.5/0.6/0.75/1.  At 0.5
-# the 20-chain runs lags 19 ... 11 factored and 10 ... 1 dense.  Per
-# synthesis, 0.5 against 0.25 read +3% to +7% at n = 5 ... 7, where the
-# factored stage's fixed numpy overhead weighs most, and -5% at n = 8, 10.
+# x86 VM, median of 14 alternating rounds) took 0.42/0.39/0.38/0.37/0.38/
+# 0.45 s for the three syntheses at shares 0.25/0.4/0.5/0.6/0.75/1, flat
+# within the host's noise from 0.4 to 0.75.  At 0.5 the 20-chain runs lags
+# 19 ... 11 factored and 10 ... 1 dense.  Per synthesis, 0.5 against 0.25
+# read +6%/+1%/-3% at n = 5/6/7, where the factored stage's fixed numpy
+# overhead weighs most, and -3%/-5% at n = 8/10.
 FACTORED_RANK_SHARE = 0.5
 
 # Bound on the gap between the QP's cost and the priced cost of its own V,
@@ -81,16 +82,17 @@ FACTORED_RANK_SHARE = 0.5
 # spreads up to 1e-2, 20 of them above 1e-9.
 PRICED_COST_TOL = 1e-9
 
-# Up to this lifted order the dense stage of the backward sweep forms A_bar^T
-# and B_v^T once per pass and applies each as one matmul; above it, through
-# the n x n factors of :func:`_lift`.  At small order a stage costs its
-# numpy calls, not its flops: about 20 with the formed matrices against
+# Up to this lifted order the dense stage of the backward sweep forms A_bar^T,
+# A_bar/2 and B_v^T once per pass and applies each as one matmul; above it,
+# through the n x n factors of :func:`_lift`.  At small order a stage costs
+# its numpy calls, not its flops: about 20 with the formed matrices against
 # about 60 on the factors, whose O(order^2 n) flops win as the order grows.
-# Per step of a 60-step :func:`sweep_norms` pass with 1 x 1 blocks (one BLAS
-# thread, x86 VM) the matrices took 0.51/0.56/0.60/0.81/0.80/0.97/1.11/1.50
-# x the factors' time at orders 8/18/32/50/60/72/84/128.  The chains
-# n = 3 ... 6 (orders 18 to 72) run one to four dense stages, and their
-# whole QP read 0.92-1.14 x, within the host's noise.
+# Per step of a 60-step :func:`sweep_norms` pass with n_ctrl = n_meas = n
+# and 1 x 1 blocks (one BLAS thread, x86 VM, median of 40 alternating
+# rounds) the matrices took 0.59/0.59/0.62/0.76/0.93/1.08/1.50 x the
+# factors' time at orders 8/18/32/50/72/98/128.  The chains n = 4 ... 6
+# (orders 32 to 72) run one or two dense stages, over which forming the
+# three matrices does not pay: their whole QP read 1.02-1.08 x.
 MATRIX_LIFT_ORDER = 64
 
 
@@ -391,9 +393,22 @@ def vectorized_system(plant: GeneralizedPlant, gains: RiccatiGains) -> Vectorize
     return VectorizedSystem(a_v, b_v, c_v, np.concatenate([vec(l), np.zeros(k.size)]))
 
 
-def _lift(plant: GeneralizedPlant, gains: RiccatiGains):
+class _Lift(NamedTuple):
+    """The lifted order, x_1 and the products of :func:`_lift`, each a
+    function of a block."""
+
+    order: int
+    x1: np.ndarray
+    a_bar_t_times: Callable
+    b_v_t_times: Callable
+    c_v_times: Callable
+    c_v_t_times: Callable
+    times_half_a_bar: Callable
+
+
+def _lift(plant: GeneralizedPlant, gains: RiccatiGains) -> _Lift:
     """The Kronecker lift of the constrained-channel FIR recursion, applied
-    through its n x n factors: (order, x_1, A_bar^T., B_v^T., C_v., C_v^T.).
+    through its n x n factors.
 
     The lifted state x_i = [vec(P_i); vec(Q_i)] stacks an n x n_meas block
     P and an n_ctrl x n block Q, so its dimension ``order`` is
@@ -421,12 +436,19 @@ def _lift(plant: GeneralizedPlant, gains: RiccatiGains):
         B_v^T y = vec(B2^T P + Q C2^T),
         C_v x = vec(K P + Q L),   C_v^T u = [vec(K^T U); vec(U L^T)],
 
-    at O(k * order * n) instead of O(k * order^2).  A_bar^T writes into
+    at O(k * order * n) instead of O(k * order^2).  The row-side product
+    m A_bar/2 = (A_bar^T m^T)^T / 2 of a (k, order) block m is the same map
+    on the rows, which C-order reshapes read as P^T and Q^T: each P^T
+    becomes P^T (A/2) and each Q^T becomes (A/2) Q^T - (L/2) (P^T B2).  On a
+    C-contiguous m this moves no data, where A_bar^T of m^T would copy it.
+    A/2 and L/2 are exact, so twice the product is, bit for bit, the same
+    arithmetic with A and L.  A_bar^T and the row-side product write into
     ``out`` if given.
     """
     a, b2, c2, k_gain, l = plant.a, plant.b2, plant.c2, gains.k_gain, gains.l_gain
     n, n_u, n_y = plant.n, plant.n_ctrl, plant.n_meas
     order, split = n * (n_y + n_u), n * n_y
+    a_half, l_half = 0.5 * a, 0.5 * l
 
     def a_bar_t_times(y, out=None):
         k = y.shape[1]
@@ -455,8 +477,20 @@ def _lift(plant: GeneralizedPlant, gains: RiccatiGains):
         return np.vstack([np.matmul(k_gain.T, u_t).reshape(split, k),
                           (l @ u_t.reshape(n_y, n_u * k)).reshape(n * n_u, k)])
 
+    def times_half_a_bar(m, out=None):
+        k = m.shape[0]
+        if out is None:
+            out = np.empty((k, order))
+        p_t = m[:, :split].reshape(k, n_y, n)
+        np.matmul(p_t, a_half, out=out[:, :split].reshape((k, n_y, n), copy=False))
+        q_t = out[:, split:].reshape((k, n, n_u), copy=False)
+        np.matmul(a_half, m[:, split:].reshape(k, n, n_u), out=q_t)
+        q_t -= np.matmul(l_half, p_t @ b2)
+        return out
+
     x1 = np.concatenate([vec(l), np.zeros(k_gain.size)])
-    return order, x1, a_bar_t_times, b_v_t_times, c_v_times, c_v_t_times
+    return _Lift(order, x1, a_bar_t_times, b_v_t_times, c_v_times, c_v_t_times,
+                 times_half_a_bar)
 
 
 def _kron(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -471,8 +505,19 @@ def _kron(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.
     return out
 
 
-def _stage_failure(where: str, n_allowed: int) -> SolverFailure:
-    return SolverFailure(f"singular stage matrix h at {where} ({n_allowed} allowed coordinates)")
+def _stage_failure(name: str, m: np.ndarray, where: str, n_allowed: int) -> SolverFailure:
+    """The failure of the stage ``where`` to factor or invert its matrix
+    ``name``, ``m``: its order and, computed on this path only, its
+    smallest eigenvalue relative to its largest in magnitude."""
+    if not np.isfinite(m).all():
+        detail = "it has a non-finite entry"
+    else:
+        ev = np.linalg.eigvalsh(m)
+        top = np.abs(ev).max(initial=0.0)
+        detail = (f"its smallest eigenvalue is {ev[0] / top:.3g} times its largest" if top
+                  else "it is zero")
+    return SolverFailure(f"singular stage matrix {name} of order {m.shape[0]} at {where}"
+                         f" ({n_allowed} allowed coordinates): {detail}")
 
 
 def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
@@ -486,26 +531,40 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
     k ... N, so its rank is at most their forbidden coordinates summed.  One
     loop runs every stage.  It holds X as a factor Z Z^T, from rank 0, and
     runs :func:`_factored_stage` while the rank bound stays within
-    ``FACTORED_RANK_SHARE`` of the order.  At the first stage past it, X is
-    formed once with R C_v and C_v^T R C_v, R = psi kron omega, the factor
-    is released, and the dense stage finishes the sweep.  It picks the
-    allowed rows and columns of B_v^T X B_v, B_v^T X A_bar, R and R C_v:
+    ``FACTORED_RANK_SHARE`` of the order.  The dense stage finishes the
+    sweep.  It picks the allowed rows and columns of B_v^T X B_v,
+    B_v^T X A_bar, R = psi kron omega and R C_v:
 
         h = R_aa + (B_v^T X B_v)_aa,   g = (B_v^T X A_bar)_a - (R C_v)_a,
         X <- A_bar^T X A_bar + C_v^T R C_v - g^T h^-1 g,   J_a = -h^-1 g x.
 
-    Up to ``MATRIX_LIFT_ORDER`` its products with A_bar and B_v are
-    matmuls with the matrices A_bar^T and B_v^T, formed at the handover from
-    :func:`_lift`'s products; above it they run on the Kronecker factors, so
-    only the downdate costs O(a order^2).  The forbidden set, and in the
-    dense stage the blocks R_aa and (R C_v)_a, are formed again only for a
-    new index array object; :func:`sweep_norms` passes the same one at every
-    stage.  Both stage forms, and both ways of applying the dense stage's
-    products, are exact; each horizon rounds the same way in
-    :func:`sweep_norms` as in :func:`solve_constrained_qp`, since both
-    choose from the lifted order only."""
+    The first dense stage is the handover.  It forms R C_v and
+    C_v^T R C_v once and reads X = Z Z^T through the factor, with
+    W = B_a^T Z and G = A_bar^T Z:
+
+        h = R_aa + W W^T,   g = W G^T - (R C_v)_a,   A_bar^T X A_bar = G G^T,
+
+    the last one matmul of G with its own transpose, which numpy runs as a
+    symmetric rank-k update.  X is formed after it, and the factor is
+    released.  Each later stage forms A_bar^T X and then
+    (A_bar^T X) A_bar/2 from the rows (:func:`_lift`), both on C-contiguous
+    blocks.  With C_v^T R C_v halved once and the downdate taken as
+    (g/2)^T h^-1 g, every term of Y/2 = (A_bar^T X A_bar + C_v^T R C_v
+    - g^T h^-1 g)/2 is halved exactly, so X <- Y/2 + (Y/2)^T, one add, is
+    (Y + Y^T)/2 bit for bit.
+
+    Up to ``MATRIX_LIFT_ORDER`` the products with A_bar and B_v are
+    matmuls with the matrices A_bar^T, A_bar/2 and B_v^T, formed at the
+    handover from :func:`_lift`'s products; above it they run on the
+    Kronecker factors, so only the downdate costs O(a order^2).  The
+    forbidden set, and in the dense stage the blocks R_aa and (R C_v)_a,
+    are formed again only for a new index array object; :func:`sweep_norms`
+    passes the same one at every stage.  Both stage forms, and both ways of
+    applying the dense stage's products, are exact; each horizon rounds the
+    same way in :func:`sweep_norms` as in :func:`solve_constrained_qp`,
+    since both choose from the lifted order only."""
     lift = _lift(plant, gains)
-    order, x1, a_bar_t_times, b_v_t_times = lift[:4]
+    order, x1 = lift.order, lift.x1
     omega, psi = gains.omega, gains.psi
     n_j = omega.shape[0] * psi.shape[0]
     z, inverses, x_cost, last = np.zeros((order, 0)), None, None, None
@@ -514,18 +573,19 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
             forbidden = np.ones(n_j, bool)
             forbidden[idx] = False
             last, forb, r_aa = idx, np.flatnonzero(forbidden), None
-        if x_cost is None:
-            if z.shape[1] + forb.size <= FACTORED_RANK_SHARE * order:
-                if inverses is None:  # a singular psi or omega fails the first stage
-                    try:
-                        inverses = np.linalg.inv(psi), np.linalg.inv(omega)
-                    except np.linalg.LinAlgError as exc:
-                        raise _stage_failure(where, idx.size) from exc
-                feedback, z = _factored_stage(lift, *inverses, z, where, idx, forb)
-                zx = x1 @ z
-                yield feedback, float(zx @ zx)
-                continue
-            # the handover, once: R, R C_v and C_v^T R C_v, block by block
+        if z is not None and z.shape[1] + forb.size <= FACTORED_RANK_SHARE * order:
+            if inverses is None:  # a singular psi or omega fails the first stage
+                try:
+                    inverses = np.linalg.inv(psi), np.linalg.inv(omega)
+                except np.linalg.LinAlgError as exc:
+                    raise _stage_failure("R = psi kron omega", np.kron(psi, omega),
+                                         where, idx.size) from exc
+            feedback, z = _factored_stage(lift, *inverses, z, where, idx, forb)
+            zx = x1 @ z
+            yield feedback, float(zx @ zx)
+            continue
+        if z is not None:
+            # the handover, once: R, R C_v and C_v^T R C_v / 2, block by block
             k, l = gains.k_gain, gains.l_gain
             split = plant.n * plant.n_meas
             r = _kron(psi, omega)
@@ -537,36 +597,50 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
             _kron(psi @ l.T, k.T @ omega, out=c_r_c[:split, split:])
             _kron(l @ psi, omega @ k, out=c_r_c[split:, :split])
             _kron(l @ psi @ l.T, omega, out=c_r_c[split:, split:])
+            c_r_c *= 0.5
+            a_bar_t_times, b_v_t_times = lift.a_bar_t_times, lift.b_v_t_times
+            times_half_a_bar = lift.times_half_a_bar
             if order <= MATRIX_LIFT_ORDER:
-                a_bar_t, b_v_t = a_bar_t_times(np.eye(order)), b_v_t_times(np.eye(order))
+                eye = np.eye(order)
+                a_bar_t, b_v_t = a_bar_t_times(eye), b_v_t_times(eye)
+                half_a_bar = times_half_a_bar(eye)
                 a_bar_t_times, b_v_t_times = partial(np.matmul, a_bar_t), partial(np.matmul, b_v_t)
-            # X = Z Z^T and two work buffers, reused at every stage: fresh
-            # order x order temporaries would page-fault anew each time
-            x_cost, z = z @ z.T, None
-            x_next, work = np.empty_like(x_cost), np.empty_like(x_cost)
+                times_half_a_bar = lambda m, out: np.matmul(m, half_a_bar, out=out)
         if r_aa is None:
             r_aa, r_ca = r[np.ix_(idx, idx)], r_c[idx]
-        xb = b_v_t_times(x_cost)[idx].T                  # X B_v, allowed columns
-        h = r_aa + b_v_t_times(xb)[idx]
-        g = a_bar_t_times(xb).T - r_ca
+        if z is not None:
+            # X = Z Z^T read through Z, with W = B_a^T Z and G = A_bar^T Z
+            w, g_z = b_v_t_times(z)[idx], a_bar_t_times(z)
+            h = r_aa + w @ w.T
+            g = w @ g_z.T - r_ca
+            x_next = np.matmul(g_z, g_z.T)                 # G G^T = A_bar^T X A_bar
+            x_next *= 0.5
+            z = w = g_z = None
+            # X and a work buffer, reused at every stage: fresh order x order
+            # temporaries would page-fault anew each time
+            x_cost, work = np.empty_like(x_next), np.empty_like(x_next)
+        else:
+            xb = b_v_t_times(x_cost)[idx].T                  # X B_v, allowed columns
+            h = r_aa + b_v_t_times(xb)[idx]
+            g = a_bar_t_times(xb).T - r_ca
+            times_half_a_bar(a_bar_t_times(x_cost, out=work), out=x_next)
         try:
             gain = np.linalg.inv(h) @ g
         except np.linalg.LinAlgError as exc:
-            raise _stage_failure(where, idx.size) from exc
-        a_bar_t_times(a_bar_t_times(x_cost, out=work).T, out=x_next)
+            raise _stage_failure("h", h, where, idx.size) from exc
         x_next += c_r_c
+        g *= 0.5
         x_next -= np.matmul(g.T, gain, out=work)
         np.add(x_next, x_next.T, out=x_cost)
-        x_cost *= 0.5
         yield (lambda x, gain=gain: -(gain @ x)), float(x1 @ x_cost @ x1)
 
 
-def _factored_stage(lift, psi_inv, omega_inv, z, where: str, idx, forb):
+def _factored_stage(lift: _Lift, psi_inv, omega_inv, z, where: str, idx, forb):
     """One backward stage on a factor, X_{k+1} = Z Z^T -> X_k = Z' Z'^T,
     returning the stage's feedback and Z'.  ``lift`` is :func:`_lift`'s,
     ``psi_inv`` and ``omega_inv`` are the inverses of the weight's factors,
     ``idx`` the allowed coordinates and ``forb`` the forbidden ones, and
-    ``where`` labels a singular stage.
+    ``where`` labels a failed stage.
 
     With R = psi kron omega, W = B_a^T Z, T = R_aa^-1 R_af and
     A^ = A_bar + B_a R_aa^-1 (R C_v)_a the optimal J_a is u_0 + delta:
@@ -580,42 +654,42 @@ def _factored_stage(lift, psi_inv, omega_inv, z, where: str, idx, forb):
         A^T Z = A_bar^T Z + C_v^T (E_a^T W + E_f^T T^T W),
 
     two positive semidefinite square roots joined, nothing subtracted.  T
-    and Y come from R^-1 in closed form (:func:`_allowed_solves`), so the
-    stage costs O(n_f^3 + a n_f (n_f + r) + n_j (n_u + n_y) r
-    + (a + order) r^2) for a allowed and n_f forbidden coordinates and
-    rank r, with no O(a^3) factorization of R_aa.  At rank 0, the first
-    stage, numpy's empty products make A^T Z L_M^-T empty and delta 0."""
-    order, _, a_bar_t_times, b_v_t_times, c_v_times, c_v_t_times = lift
+    and Y come from R^-1 in closed form (:func:`_allowed_solves`).  The
+    triangular factors K_f and L_M, of orders n_f and r, are inverted with
+    ``np.linalg.inv`` and applied to their order-wide blocks as matmuls,
+    which numpy's solve would LU-factor again and copy.  So the stage costs
+    O(n_f^3 + a n_f (n_f + r) + n_j (n_u + n_y) r + (a + order) (n_f^2 + r^2))
+    for a allowed and n_f forbidden coordinates and rank r, with no O(a^3)
+    factorization of R_aa.  At rank 0, the first stage, numpy's empty
+    products make A^T Z L_M^-T empty and delta 0."""
     rank, n_f, n_j = z.shape[1], forb.size, psi_inv.shape[0] * omega_inv.shape[0]
-    w = b_v_t_times(z)[idx]                              # B_a^T Z
+    w = lift.b_v_t_times(z)[idx]                          # B_a^T Z
+    t, y, k_f = _allowed_solves(psi_inv, omega_inv, idx, forb, w, where)
+    m = np.eye(rank) + w.T @ y
     try:
-        t, y, k_f = _allowed_solves(psi_inv, omega_inv, idx, forb, w)
-        l_m = np.linalg.cholesky(np.eye(rank) + w.T @ y)
+        l_m_inv = np.linalg.inv(np.linalg.cholesky(m))
     except np.linalg.LinAlgError as exc:
-        raise _stage_failure(where, idx.size) from exc
-    z_new = np.empty((order, n_f + rank))
-    # C_f^T K_f^-T
-    z_new[:, :n_f] = np.linalg.solve(k_f, c_v_t_times(np.eye(n_j)[:, forb]).T).T
+        raise _stage_failure("M = I + W^T Y", m, where, idx.size) from exc
     u = np.empty((n_j, rank))
     u[idx], u[forb] = w, t.T @ w                         # R_fa Y = T^T W
-    a_hat_z = a_bar_t_times(z) + c_v_t_times(u)           # A^T Z
-    # L_M^-1 [(A^T Z)^T, Y^T]: the new factor's second block and, with it,
-    # Y M^-1 (A^T Z)^T
-    s = np.linalg.solve(l_m, np.hstack([a_hat_z.T, y.T]))
-    z_new[:, n_f:] = s[:, :order].T
-    s_z, s_y = s[:, :order], s[:, order:].T
+    a_hat_z = lift.a_bar_t_times(z) + lift.c_v_t_times(u)  # A^T Z
+    # A^T Z L_M^-T, the new factor's second block, and Y L_M^-T, which with
+    # it gives Y M^-1 (A^T Z)^T
+    s_z, s_y = a_hat_z @ l_m_inv.T, y @ l_m_inv.T
+    z_new = np.hstack([lift.c_v_t_times(np.eye(n_j)[:, forb]) @ np.linalg.inv(k_f).T, s_z])
 
     def feedback(x):
-        e = c_v_times(x)
-        return e[idx] + t @ e[forb] - s_y @ (s_z @ x)    # u_0 + delta
+        e = lift.c_v_times(x)
+        return e[idx] + t @ e[forb] - s_y @ (x @ s_z)    # u_0 + delta
 
     return feedback, z_new
 
 
-def _allowed_solves(psi_inv, omega_inv, idx, forb, w):
+def _allowed_solves(psi_inv, omega_inv, idx, forb, w, where: str):
     """T = R_aa^-1 R_af and Y = R_aa^-1 W for R = psi kron omega, allowed
     coordinates ``idx`` and forbidden ``forb``, without factoring R_aa;
-    returns (T, Y, K_f) with K_f K_f^T = N_ff.
+    returns (T, Y, K_f) with K_f K_f^T = N_ff.  A failed factorization of
+    N_ff raises the :class:`SolverFailure` of the stage ``where``.
 
     N = R^-1 = psi^-1 kron omega^-1 is known in closed form (Van Loan, "The
     ubiquitous Kronecker product", J. Comput. Appl. Math. 2000), and the
@@ -635,7 +709,11 @@ def _allowed_solves(psi_inv, omega_inv, idx, forb, w):
     u[idx, n_f:] = w
     n_ew = np.matmul(omega_inv, (psi_inv @ u.reshape(n_y, n_u * k)).reshape(n_y, n_u, k))
     n_ew = n_ew.reshape(n_y * n_u, k)                    # N [E_f, W^]
-    k_f = np.linalg.cholesky(n_ew[forb, :n_f])
+    n_ff = n_ew[forb, :n_f]
+    try:
+        k_f = np.linalg.cholesky(n_ff)
+    except np.linalg.LinAlgError as exc:
+        raise _stage_failure("(R^-1)_ff", n_ff, where, idx.size) from exc
     t = -np.linalg.solve(k_f.T, np.linalg.solve(k_f, n_ew[idx, :n_f].T)).T
     return t, n_ew[idx, n_f:] + t @ n_ew[forb, n_f:], k_f
 

@@ -301,7 +301,8 @@ class TestSweep:
         # fails them all; the sweep still writes every row and exits 0.  The
         # first steps run on a factor of the cost-to-go, each factoring
         # (R^-1)_ff and then I + W^T Y (0 x 0 at step 1, whose factor has
-        # rank 0), so the third Cholesky factorization is step 2's first
+        # rank 0), so the third Cholesky factorization is step 2's first:
+        # (R^-1)_ff of the one forbidden coordinate, 1 x 1
         from delayh2.errors import AssumptionViolated
 
         real_cholesky = np.linalg.cholesky
@@ -321,8 +322,8 @@ class TestSweep:
         ]) == 0
         warnings = capsys.readouterr().err.splitlines()
         assert warnings == [
-            f"warning: N={n} failed: singular stage matrix h at backward step 2 "
-            "(3 allowed coordinates)"
+            f"warning: N={n} failed: singular stage matrix (R^-1)_ff of order 1 at backward"
+            " step 2 (3 allowed coordinates): its smallest eigenvalue is 1 times its largest"
             for n in (2, 3, 4)
         ]
         lines = out_csv.read_text().strip().splitlines()

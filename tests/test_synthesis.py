@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +12,7 @@ import oracles
 from delayh2 import (
     AssumptionViolated,
     ConstraintSpace,
+    DelayH2Error,
     DelayMatrix,
     DimensionMismatch,
     GeneralizedPlant,
@@ -448,7 +450,8 @@ class TestLift:
     )
     def test_factored_products_match_dense_lift(self, n, n_ctrl, n_meas, seed):
         # with J_i as input the state matrix is A_bar = A_v - B_v C_v; the
-        # QP applies A_bar^T and B_v^T through the n x n factors only
+        # QP applies A_bar^T, B_v^T and A_bar/2 through the n x n factors,
+        # and at small order as the matrices formed from them
         if seed is None:
             plant = make_chain_plant(n)
         else:
@@ -457,31 +460,49 @@ class TestLift:
             )
         gains = riccati_gains(plant)
         vsys = vectorized_system(plant, gains)
-        order, x1, a_bar_t_times, b_v_t_times, _, _ = _lift(plant, gains)
+        lift = _lift(plant, gains)
+        order = lift.order
         assert order == n * (n_ctrl + n_meas)
-        assert np.array_equal(x1, vsys.x1)
+        assert np.array_equal(lift.x1, vsys.x1)
         a_bar = vsys.a_v - vsys.b_v @ vsys.c_v
         y = np.random.default_rng(5).standard_normal((order, 7))
         # rounding bound: eps-sized relative to max |y| times the 1-norm
         tol = 1e-12 * np.abs(y).max() * max(np.abs(m).sum(axis=0).max() for m in (a_bar, vsys.b_v))
-        npt.assert_allclose(a_bar_t_times(y), a_bar.T @ y, atol=tol)
+        npt.assert_allclose(lift.a_bar_t_times(y), a_bar.T @ y, atol=tol)
         out = np.full_like(y, np.nan)
-        assert a_bar_t_times(y, out=out) is out
+        assert lift.a_bar_t_times(y, out=out) is out
         npt.assert_allclose(out, a_bar.T @ y, atol=tol)
-        npt.assert_allclose(b_v_t_times(y), vsys.b_v.T @ y, atol=tol)
+        npt.assert_allclose(lift.b_v_t_times(y), vsys.b_v.T @ y, atol=tol)
+
+        # the row-side product m A_bar/2, on the factors and as the matrix
+        # the sweep forms from them below MATRIX_LIFT_ORDER
+        m = np.ascontiguousarray(y.T)
+        want = 0.5 * m @ a_bar
+        half_a_bar = lift.times_half_a_bar(np.eye(order))
+        npt.assert_allclose(half_a_bar, 0.5 * a_bar, atol=1e-12 * np.abs(a_bar).max())
+        out = np.full_like(m, np.nan)
+        assert lift.times_half_a_bar(m, out=out) is out
+        for got in (lift.times_half_a_bar(m), out, m @ half_a_bar):
+            npt.assert_allclose(got, want, atol=tol)
+        # A/2 and L/2 are exact: twice the product is the unhalved factor
+        # product, the same arithmetic on A and L, bit for bit
+        doubled = _lift(dataclasses.replace(plant, a=2.0 * plant.a),
+                        dataclasses.replace(gains, l_gain=2.0 * gains.l_gain))
+        assert np.array_equal(2.0 * out, doubled.times_half_a_bar(m))
+        assert np.array_equal(2.0 * half_a_bar, doubled.times_half_a_bar(np.eye(order)))
 
     @pytest.mark.parametrize("n, n_ctrl, n_meas, seed", [(3, 2, 1, 21), (2, 3, 2, 23), (4, 1, 3, 25)])
     def test_factored_c_v_products_match_dense_lift(self, n, n_ctrl, n_meas, seed):
         plant = oracles.random_normalized_plant(np.random.default_rng(seed), n, n_ctrl, n_meas)
         gains = riccati_gains(plant)
-        order, _, _, _, c_v_times, c_v_t_times = _lift(plant, gains)
+        lift = _lift(plant, gains)
         rng = np.random.default_rng(6)
-        u, x = rng.standard_normal((n_ctrl * n_meas, 5)), rng.standard_normal(order)
+        u, x = rng.standard_normal((n_ctrl * n_meas, 5)), rng.standard_normal(lift.order)
         c_v = vectorized_system(plant, gains).c_v
         tol = 1e-12 * np.abs(u).max() * np.abs(c_v).sum(axis=1).max()
-        npt.assert_allclose(c_v_t_times(u), c_v.T @ u, atol=tol)
+        npt.assert_allclose(lift.c_v_t_times(u), c_v.T @ u, atol=tol)
         tol = 1e-12 * np.abs(x).max() * np.abs(c_v).sum(axis=0).max()
-        npt.assert_allclose(c_v_times(x), c_v @ x, atol=tol)
+        npt.assert_allclose(lift.c_v_times(x), c_v @ x, atol=tol)
 
     @pytest.mark.parametrize("seed", [7, 8])
     def test_recursion_matches_transfer_arithmetic(self, chain_plant, chain_gains, seed):
@@ -541,12 +562,49 @@ class TestSolveConstrainedQp:
         assert np.sqrt(total) == pytest.approx(CHAIN_NORM, abs=1e-3)
 
 
-    def test_singular_stage_names_its_lag(self, chain_gains, chain_space, chain_plant):
-        # omega = 0 zeroes R, so h vanishes at the first stage of the
-        # backward sweep, lag N = 2, where 7 of the 9 coordinates are allowed
+    @pytest.mark.parametrize("share, matrix", [(0.5, "R = psi kron omega of order 9"),
+                                               (0.0, "h of order 7")], ids=["factored", "dense"])
+    def test_singular_stage_names_its_lag(self, chain_gains, chain_space, chain_plant,
+                                          monkeypatch, share, matrix):
+        # omega = 0 zeroes R at the first stage of the backward sweep, lag
+        # N = 2, where 7 of the 9 coordinates are allowed: the factored stage
+        # cannot invert the weight, and the dense one's h = R_aa vanishes
+        monkeypatch.setattr(synthesis, "FACTORED_RANK_SHARE", share)
         gains = dataclasses.replace(chain_gains, omega=np.zeros((3, 3)))
-        with pytest.raises(SolverFailure, match=r"lag 2 \(7 allowed coordinates\)"):
+        with pytest.raises(SolverFailure, match=rf"^singular stage matrix {re.escape(matrix)} at "
+                           r"lag 2 \(7 allowed coordinates\): it is zero$"):
             solve_constrained_qp(chain_plant, gains, chain_space)
+
+    @pytest.mark.parametrize("seed, scale, share, where", [
+        # ROADMAP item 7's fuzz instance t = 163: cond(psi) 7.3e9, cond(omega)
+        # 5.7e11, and (R^-1)_ff of lag 3's four forbidden coordinates is
+        # indefinite in floating point
+        (187232773, None, None, r"of order 4 at lag 3 \(16 allowed coordinates\)"),
+        # B2 and C2 x 1000 and every stage factored: lag 1 forbids all 25
+        # coordinates, and N_ff is the whole of R^-1
+        (4, 1000.0, 10**9, r"of order 25 at lag 1 \(0 allowed coordinates\)"),
+    ], ids=["fuzz-163", "seed-4-factored"])
+    def test_failed_weight_block_is_named_with_its_eigenvalues(self, monkeypatch, seed, scale,
+                                                               share, where):
+        rng = np.random.default_rng(seed)
+        plant, _, cs = random_qi_instance(rng)
+        scale = scale or 10 ** rng.uniform(-5, 5)
+        plant = dataclasses.replace(plant, b2=scale * plant.b2, c2=scale * plant.c2)
+        if share:
+            monkeypatch.setattr(synthesis, "FACTORED_RANK_SHARE", share)
+        with pytest.raises(SolverFailure) as info:
+            synthesize(plant, cs)
+        found = re.fullmatch(r"singular stage matrix \(R\^-1\)_ff " + where + r": its smallest"
+                             r" eigenvalue is (\S+) times its largest", str(info.value))
+        assert found, str(info.value)
+        assert -1e-6 < float(found.group(1)) < 0.0
+
+    def test_non_finite_stage_matrix_reports_no_eigenvalue(self):
+        # eigvalsh returns numbers for a matrix holding NaN or inf, which
+        # would misreport the failed matrix
+        failure = synthesis._stage_failure("h", np.array([[np.inf, 0.0], [0.0, 0.0]]), "lag 1", 2)
+        assert str(failure) == ("singular stage matrix h of order 2 at lag 1 (2 allowed"
+                                " coordinates): it has a non-finite entry")
 
     @pytest.mark.parametrize("n", [10, 12])
     def test_matches_v_coordinate_recursion(self, chain_qp, n):
@@ -582,6 +640,43 @@ def test_priced_cost_matches_the_exact_price():
     exact = oracles.exact_price(result.v_star, gains.omega, gains.psi)
     priced = oracles.priced_cost(result.v_star, gains.omega, gains.psi)
     assert abs(Fraction(priced) - exact) <= Fraction(1e-11) * exact
+
+
+def test_seeded_families_synthesize_or_raise_a_typed_error():
+    # a seeded property gate over random QI instances: t = 0 ... 599 draw
+    # their seeds from default_rng(12345), and family t % 6 is 0, the
+    # instance as drawn; 1, B2 and C2 x s, s = 10^U(-5, 5); 2, A x
+    # 10^U(0, 2.5); 5, B1's first n columns x 10^U(-12, 0).  Family 3 moves
+    # A's eigenvalues to the unit circle, and family 4 scales C1's state
+    # rows, where the Riccati solution of six instances leaves the loop norm
+    # off by more than 1e-9; both are left out.  Each synthesis raises a
+    # typed error or rebuilds its loop norm
+    rng0 = np.random.default_rng(12345)
+    outcomes = Counter()
+    for t in range(600):
+        seed, family = int(rng0.integers(1 << 30)), t % 6
+        if family not in (0, 1, 2, 5):
+            continue
+        rng = np.random.default_rng(seed)
+        plant, _, cs = random_qi_instance(rng)
+        s = 10 ** rng.uniform(-5, 5)
+        try:
+            if family == 1:
+                plant = dataclasses.replace(plant, b2=s * plant.b2, c2=s * plant.c2)
+            elif family == 2:
+                plant = dataclasses.replace(plant, a=10 ** rng.uniform(0, 2.5) * plant.a)
+            elif family == 5:
+                b1 = plant.b1.copy()
+                b1[:, :plant.n] *= 10 ** rng.uniform(-12, 0)
+                plant = dataclasses.replace(plant, b1=b1)
+            result = synthesize(plant, cs)
+        except DelayH2Error:
+            outcomes["typed error"] += 1
+            continue
+        loop = closed_loop(plant, result.controller)
+        assert h2_norm_sq(loop.model) == pytest.approx(result.total_norm_sq, rel=1e-9), t
+        outcomes["synthesized"] += 1
+    assert outcomes.total() == 400 and outcomes["synthesized"] >= 300, outcomes
 
 
 class MaskSequence:
@@ -712,7 +807,7 @@ class TestAllowedSolves:
             idx, forb = np.flatnonzero(allowed), np.flatnonzero(~allowed)
             w = rng.standard_normal((idx.size, 3))
             psi_inv, omega_inv = np.linalg.inv(psi), np.linalg.inv(omega)
-            t, y, k_f = synthesis._allowed_solves(psi_inv, omega_inv, idx, forb, w)
+            t, y, k_f = synthesis._allowed_solves(psi_inv, omega_inv, idx, forb, w, "a test")
             ref = np.linalg.solve(r[np.ix_(idx, idx)], np.hstack([r[np.ix_(idx, forb)], w]))
             for got, want in ((t, ref[:, :forb.size]), (y, ref[:, forb.size:])):
                 assert got.shape == want.shape
@@ -783,6 +878,31 @@ class TestMatrixLiftOrder:
         self.assert_paths_agree(monkeypatch, sweep_plant, riccati_gains(sweep_plant), cs)
 
 
+class TestHandoverStage:
+    """The first dense stage reads X = Z Z^T through the factor Z, with
+    W = B_a^T Z and G = A_bar^T Z, and X is formed after it."""
+
+    @pytest.mark.parametrize("n", range(6, 13))
+    def test_chains_match_the_oracle(self, chain_qp, factored_stages, lift_path, n):
+        # each chain runs factored from lag n - 1 and hands over at a rank > 0
+        assert_solves_qp(*chain_qp(n))
+        assert factored_stages and "lag 1" not in factored_stages
+
+    def test_rank_zero_handover_matches_the_oracle(self, factored_stages, lift_path):
+        # the last constrained lag forbids more than half the lifted order,
+        # so the sweep hands over at its first stage, on an empty factor
+        rng = np.random.default_rng(1)
+        hits = 0
+        for _ in range(60):
+            plant, cs, gains = random_qp_instance(rng)
+            factored_stages.clear()
+            assert_solves_qp(plant, gains, cs)
+            n_con = max((lag for lag in range(1, cs.n_horizon + 1)
+                         if not cs.entry_mask(lag).all()), default=0)
+            hits += n_con > 0 and not factored_stages
+        assert hits >= 10
+
+
 class TestSweepNorms:
     @pytest.mark.parametrize(
         "plant, template, n_max",
@@ -813,7 +933,8 @@ class TestSweepNorms:
         monkeypatch.setattr(synthesis, "riccati_gains",
                             lambda plant: dataclasses.replace(real(plant), omega=np.zeros((3, 3))))
         norms = sweep_norms(chain_plant, np.eye(3, dtype=bool), 5)
-        with pytest.raises(SolverFailure, match=r"backward step 1 \(3 allowed coordinates\)"):
+        with pytest.raises(SolverFailure, match=r"^singular stage matrix R = psi kron omega of "
+                           r"order 9 at backward step 1 \(3 allowed coordinates\): it is zero$"):
             next(norms)
 
 
