@@ -4,14 +4,13 @@ Systems evolve as ``x[t+1] = A x[t] + B u[t]``, ``y[t] = C x[t] + D u[t]``
 and are represented by immutable :class:`StateSpaceModel` values.  The
 package needs only a few operations on them: impulse responses (one
 ``(T+1, outputs, inputs)`` array indexed by lag), squared H2 norms and the
-Riccati equation, the last two by doubling, O(n^3) per step, each step
-covering twice the horizon of the last.  The series product
-(:func:`multiply`) serves only the Bezout reference off the pipeline and the
-demos.  One predicate, :func:`_stability`, decides stability everywhere
-(``is_stable``, the norm's precondition, the Riccati closed loop).  A
-zero-order system takes the general path: numpy's products, traces and
-eigenvalue solves of empty arrays give its spectral radius 0 and its
-squared H2 norm ||D||_F^2.
+Riccati equation, the last two by one doubling (:func:`_doubling`), O(n^3)
+per step, each covering twice the horizon of the last.  The series product
+(:func:`multiply`) serves only the Bezout reference and the demos.  One
+predicate, :func:`_stability`, decides stability everywhere (``is_stable``,
+the norm's precondition, the Riccati closed loop).  A zero-order system
+takes the general path: numpy's products, traces and eigenvalue solves of
+empty arrays give its spectral radius 0 and its squared H2 norm ||D||_F^2.
 
 ``vec`` stacks columns (Fortran order) throughout, which is the convention
 under which vec(A X B) = (B^T kron A) vec(X).
@@ -34,11 +33,8 @@ from .errors import (
 # Slack on the unit circle when declaring a matrix stable.
 TOL_STAB = 1e-9
 
-# Relative change of the Riccati iterate at which doubling stops.
-DARE_TOL = 1e-12
-
-# Step cap of the Gramian and Riccati doublings: step k covers 2^k terms, so
-# a spectral radius of 1 - TOL_STAB decays below eps within about 35 steps.
+# Step cap of :func:`_doubling`: step k covers 2^k terms, so a spectral radius
+# of 1 - TOL_STAB (A's or the Riccati loop's) decays below eps within about 35 steps.
 DOUBLING_MAX_STEPS = 64
 
 
@@ -219,8 +215,7 @@ def h2_norm_sq(g: StateSpaceModel) -> float:
         If A is not stable (:func:`_stability`); the message names the block
         that decided and its modulus or spectral radius.
     SolverFailure
-        If the Gramian's doubling overflows or does not converge
-        (:func:`_gramian`).
+        If the Gramian's doubling overflows or does not converge (:func:`_doubling`).
     """
     stable, why = _stability(g.a)
     if not stable:
@@ -231,77 +226,79 @@ def h2_norm_sq(g: StateSpaceModel) -> float:
 
 def _gramian(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Observability Gramian sum_t (A^t)^T C^T C A^t of a stable A, the
-    solution of the Stein equation W = A^T W A + C^T C.
+    solution of W = A^T W A + C^T C: :func:`_doubling` with G = 0."""
+    return _doubling(a, None, c.T @ c, "Smith")
 
-    Smith doubling (Smith 1968): from W = C^T C and P = A, each step takes
-    W <- W + P^T W P and P <- P P, three products that keep W exactly
-    symmetric and double the number of terms W sums.  It stops once the
-    tail factor ||P||_F^2 = ||A^(2^k)||_F^2 is below eps, leaving a tail
-    below eps ||W||.  Raises :class:`SolverFailure` if the tail has not
-    vanished within ``DOUBLING_MAX_STEPS`` steps, or as soon as the powers
-    overflow, which transient growth of a stable A can cause.
+
+def _doubling(a: np.ndarray, g, h: np.ndarray, name: str) -> np.ndarray:
+    """X = A^T X (I + G X)^{-1} A + H by structure-preserving doubling (Chu,
+    Fan, Lin & Wang 2004); ``g`` None is G = 0, with no solve.
+
+    From (A_0, G_0, H_0) = (A, G, H) each step forms W = I + G_k H_k,
+    A_{k+1} = A_k W^{-1} A_k, G_{k+1} = G_k + A_k W^{-1} G_k A_k^T and
+    H_{k+1} = H_k + A_k^T H_k W^{-1} A_k, adding the symmetric part of the
+    symmetric increment (H_k W^{-1} = (I + H_k G_k)^{-1} H_k).  G = 0 is
+    Smith's step (Smith 1968): A_k = A^(2^k), and H_k sums 2^k terms
+    (A^t)^T H A^t.  The increment is at most ||A_k||^2 ||H_k|| ||W^{-1}||,
+    so the loop stops once the tail factor ||A_k||_F^2 is below eps.  The
+    test is unit-free: G, H -> G / s, s H leaves W, every A_k and so the
+    step count unchanged and scales H_k by s, exactly for a power of two;
+    a stop on ||H_{k+1} - H_k||_F / (1 + ||H_{k+1}||_F) is absolute for
+    ||X|| << 1 and stops early there.  H = 0 returns at once, as X = 0
+    solves both equations.  Raises :class:`SolverFailure` naming ``name``
+    on a singular I + G_k H_k (with its condition number, computed on this
+    path only), as soon as the tail factor overflows, or if it is not below
+    eps within ``DOUBLING_MAX_STEPS`` steps.
     """
-    w, p = c.T @ c, a
+    if not h.any():
+        return h
+    n = a.shape[0]
+    eye = np.eye(n)
     last = math.nan
-    # powers that overflow show as a non-finite tail, which fails the solve
+    # iterates that overflow show as a non-finite tail, which fails the solve
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(DOUBLING_MAX_STEPS):
-            tail = np.linalg.norm(p) ** 2
+            tail = np.linalg.norm(a) ** 2
             if not math.isfinite(tail):
-                raise SolverFailure(
-                    f"Smith doubling overflowed at step {step} (last finite tail factor "
-                    f"||A^(2^k)||_F^2 = {last:.3g})"
-                )
+                raise SolverFailure(f"{name} doubling overflowed at step {step} (last finite"
+                                    f" tail factor ||A_k||_F^2 = {last:.3g})")
             if tail < np.finfo(float).eps:
-                return w
+                return h
             last = tail
-            v = p.T @ (w @ p)
-            w = w + 0.5 * (v + v.T)
-            p = p @ p
-    raise SolverFailure(f"Smith doubling did not converge in {DOUBLING_MAX_STEPS} "
-                        f"steps (tail factor ||A^(2^k)||_F^2 = {tail:.3g})")
+            w_inv_a = a
+            if g is not None:
+                w = eye + g @ h
+                try:
+                    w_inv = np.linalg.solve(w, np.hstack([a, g]))
+                except np.linalg.LinAlgError as exc:
+                    cond = np.linalg.cond(w) if np.isfinite(w).all() else math.nan
+                    raise SolverFailure(f"{name} doubling: singular I + G H at step {step}"
+                                        f" (cond(I + G H) = {cond:.3g})") from exc
+                w_inv_a = w_inv[:, :n]
+                g = g + a @ w_inv[:, n:] @ a.T
+                g = 0.5 * (g + g.T)
+            v = a.T @ (h @ w_inv_a)
+            h = h + 0.5 * (v + v.T)
+            a = a @ w_inv_a
+    raise SolverFailure(f"{name} doubling did not converge in {DOUBLING_MAX_STEPS} "
+                        f"steps (tail factor ||A_k||_F^2 = {tail:.3g})")
 
 
 def dare_solve(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Stabilizing solution of  X = Q + A^T X A - A^T X B (I + B^T X B)^{-1} B^T X A.
 
-    Solved in the form X = A^T X (I + G X)^{-1} A + Q, G = B B^T, by the
-    structure-preserving doubling algorithm (Chu, Fan, Lin & Wang 2004): from
-    A_0 = A, G_0 = G, H_0 = Q, each step forms W = I + G_k H_k and
-    A_{k+1} = A_k W^{-1} A_k, G_{k+1} = G_k + A_k W^{-1} G_k A_k^T,
-    H_{k+1} = H_k + A_k^T H_k W^{-1} A_k.  H_k converges to X quadratically
-    for stabilizable (A, B) and detectable (A, Q^{1/2}).  The unit input
-    weight is baked into the equation; scale B and Q beforehand if a
-    different weighting is wanted.  Raises :class:`SolverFailure` if the
-    iterates stop being finite or miss ``DARE_TOL`` within
-    ``DOUBLING_MAX_STEPS`` steps, and :class:`AssumptionViolated` if the
-    resulting closed loop A + B K is not stable (:func:`_stability`).
+    Solved as X = A^T X (I + G X)^{-1} A + Q, G = B B^T, by :func:`_doubling`,
+    which converges quadratically for stabilizable (A, B) and detectable
+    (A, Q^{1/2}); B -> B / sqrt(s), Q -> s Q scales X by s (the unit input
+    weight is baked in).  Raises :class:`SolverFailure` if the doubling
+    fails, and :class:`AssumptionViolated` if the closed loop A + B K is not
+    stable (:func:`_stability`), as with X = 0 from Q = 0 and an unstable A.
     """
     a, b, q = map(_as_matrix, (a, b, q))
     n, m = a.shape[0], b.shape[1]
     if q.shape != (n, n) or b.shape[0] != n:
         raise DimensionMismatch("dare_solve: incompatible shapes")
-    a_k, g_k, x = a, b @ b.T, 0.5 * (q + q.T)
-    eye = np.eye(n)
-    for _ in range(DOUBLING_MAX_STEPS):
-        try:
-            w_inv = np.linalg.solve(eye + g_k @ x, np.hstack([a_k, g_k]))
-        except np.linalg.LinAlgError as exc:
-            raise SolverFailure("singular I + G H in Riccati doubling") from exc
-        w_inv_a, w_inv_g = w_inv[:, :n], w_inv[:, n:]
-        x_next = x + a_k.T @ x @ w_inv_a
-        x_next = 0.5 * (x_next + x_next.T)
-        if not np.isfinite(x_next).all():
-            raise SolverFailure("Riccati doubling diverged; (A, B) is likely not stabilizable")
-        g_k = g_k + a_k @ w_inv_g @ a_k.T
-        g_k, a_k = 0.5 * (g_k + g_k.T), a_k @ w_inv_a
-        residual = np.linalg.norm(x_next - x, "fro") / (1.0 + np.linalg.norm(x_next, "fro"))
-        x = x_next
-        if residual < DARE_TOL:
-            break
-    else:
-        raise SolverFailure(f"Riccati doubling did not converge in {DOUBLING_MAX_STEPS} "
-                            f"steps (residual {residual:.3g})")
+    x = _doubling(a, b @ b.T, 0.5 * (q + q.T), "Riccati")
     k = -np.linalg.solve(np.eye(m) + b.T @ x @ b, b.T @ x @ a)
     stable, why = _stability(a + b @ k)
     if not stable:

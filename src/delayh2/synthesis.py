@@ -831,7 +831,8 @@ def synthesize(plant: GeneralizedPlant, cs: ConstraintSpace,
     :class:`QIViolation`; otherwise the caller is trusted to have checked
     it.  The QP's V is priced directly, at O(N n_j (n_u + n_y)), and
     a qp_cost off that price by more than ``PRICED_COST_TOL`` of
-    ||P11||^2 + priced raises :class:`SolverFailure`.
+    ||P11||^2 + priced raises :class:`SolverFailure`, as does a total below
+    the floor (:func:`_h2_norm`), before any result is returned.
     """
     if delays is not None:
         p, verdict = qi_verdict(plant, delays)
@@ -851,6 +852,7 @@ def synthesize(plant: GeneralizedPlant, cs: ConstraintSpace,
             f" {priced:.6g} of its own V by {gap:.3g}, more than {PRICED_COST_TOL:g} of"
             f" ||P11||^2 + priced: the QP cost lost its accuracy"
         )
+    _h2_norm(p11_norm_sq + qp_cost, p11_norm_sq, cs.n_horizon)
     controller = realize_controller(v_star, gains, plant)
     return SynthesisResult(controller, v_star, p11_norm_sq, qp_cost, p11_norm_sq + qp_cost)
 

@@ -1,3 +1,6 @@
+import dataclasses
+from functools import cache
+
 import numpy as np
 import pytest
 
@@ -212,3 +215,40 @@ def random_qi_instance(rng):
     assert qi_verdict(plant, delays)[1].ok
     cs = constraint_space(delays, block_rows, block_cols)
     return plant, delays, cs
+
+
+@cache
+def _family_seeds() -> tuple:
+    rng0 = np.random.default_rng(12345)
+    return tuple(int(rng0.integers(1 << 30)) for _ in range(600))
+
+
+def seeded_family_instance(t: int):
+    """Instance t = 0 ... 599 of the seeded families of random QI instances.
+
+    Its seed is the t-th draw of ``default_rng(12345).integers(1 << 30)``;
+    from that seed :func:`random_qi_instance` draws the plant, then
+    s = 10^U(-5, 5) is drawn, and family t % 6 perturbs the plant: 0, as
+    drawn; 1, B2 and C2 x s; 2, A x 10^U(0, 2.5); 4, the first n (state)
+    rows of C1 x 10^U(-12, 0); 5, the first n columns of B1 x 10^U(-12, 0).
+    Family 3, A's eigenvalues moved to the unit circle, is not written down
+    and raises ``ValueError``.  Returns (plant, cs)."""
+    family = t % 6
+    if family == 3:
+        raise ValueError("family 3 is not defined")
+    rng = np.random.default_rng(_family_seeds()[t])
+    plant, _, cs = random_qi_instance(rng)
+    s = 10 ** rng.uniform(-5, 5)
+    if family == 1:
+        plant = dataclasses.replace(plant, b2=s * plant.b2, c2=s * plant.c2)
+    elif family == 2:
+        plant = dataclasses.replace(plant, a=10 ** rng.uniform(0, 2.5) * plant.a)
+    elif family == 4:
+        c1 = plant.c1.copy()
+        c1[:plant.n] *= 10 ** rng.uniform(-12, 0)
+        plant = dataclasses.replace(plant, c1=c1)
+    elif family == 5:
+        b1 = plant.b1.copy()
+        b1[:, :plant.n] *= 10 ** rng.uniform(-12, 0)
+        plant = dataclasses.replace(plant, b1=b1)
+    return plant, cs

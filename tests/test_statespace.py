@@ -440,9 +440,45 @@ class TestDareSolve:
             got = dare_solve(a, b, q)
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
+    def test_the_solution_does_not_depend_on_the_units(self):
+        # B -> 2^(-e/2) B, Q -> 2^e Q leaves I + G H, every A_k and so the
+        # step count unchanged and scales every H_k by 2^e, exactly: the
+        # stop must not depend on the scale of X.  The 3-player chain's
+        # control equation and a random stable instance
+        plant = make_chain_plant()
+        rng = np.random.default_rng(33)
+        m = rng.standard_normal((4, 4))
+        c = rng.standard_normal((2, 4))
+        for a, b, q in ((plant.a, plant.b2, plant.c1.T @ plant.c1),
+                        (0.9 * m / spectral_radius(m), rng.standard_normal((4, 2)), c.T @ c)):
+            x = dare_solve(a, b, q)
+            for e in (-64, -32, 32, 64):
+                assert np.array_equal(dare_solve(a, 2.0 ** (-e / 2) * b, 2.0 ** e * q),
+                                      2.0 ** e * x), e
+
+    def test_singular_step_names_the_equation_step_and_condition(self, monkeypatch):
+        # a synthetic singular I + G H at step 2, the third solve of the
+        # chain's control equation; the condition number is the real
+        # matrix's, computed on the failure path
+        real_solve = np.linalg.solve
+        seen = []
+
+        def singular_third_solve(w, rhs):
+            seen.append(w)
+            if len(seen) == 3:
+                raise np.linalg.LinAlgError("synthetic singular matrix")
+            return real_solve(w, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_third_solve)
+        plant = make_chain_plant()
+        with pytest.raises(SolverFailure) as failure:
+            dare_solve(plant.a, plant.b2, plant.c1.T @ plant.c1)
+        assert str(failure.value) == ("Riccati doubling: singular I + G H at step 2"
+                                      f" (cond(I + G H) = {np.linalg.cond(seen[2]):.3g})")
+
     @pytest.mark.xfail(
         strict=True, raises=AssumptionViolated,
-        reason="doubling from H_0 = Q = 0 stays at the non-stabilizing solution X = 0 "
+        reason="doubling from H_0 = Q = 0 returns the non-stabilizing solution X = 0 "
         "(ROADMAP item 4)",
     )
     def test_zero_state_weight_finds_the_stabilizing_solution(self):

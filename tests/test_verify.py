@@ -180,7 +180,7 @@ class TestDenseLoopStability:
             with pytest.raises(
                 SolverFailure,
                 match=r"^Smith doubling overflowed at step \d+ \(last finite tail factor "
-                r"\|\|A\^\(2\^k\)\|\|_F\^2 = [\d.]+e\+\d+\)$",
+                r"\|\|A_k\|\|_F\^2 = [\d.]+e\+\d+\)$",
             ):
                 h2_norm_sq(loop.model)
 
