@@ -5,21 +5,19 @@ checked by their residuals (:func:`riccati_gains`); ||P11||^2 in closed
 form from the two solutions (:func:`_plant_prefix`); a finite quadratic
 program over the first N impulse-response coefficients of the free
 parameter V, held as one ``(N, n_ctrl, n_meas)`` array and solved exactly
-as a finite-horizon LQR on the Kronecker-lifted FIR recursion of
-:func:`_lift` (:func:`solve_constrained_qp`), whose backward sweep is one
-loop over the stages, on a factor of the cost-to-go while its rank is
-small and on the dense cost-to-go after (:func:`_backward_sweep`); and the
-controller in closed form (:func:`realize_controller`).
-:func:`sweep_norms` runs the plant's part and one backward pass for every
-horizon of a repeated pattern.  A squared norm ||P11||^2 + qp_cost below
-the centralized floor ||P11||^2, or NaN, which only the QP's lost accuracy
-produces, raises :class:`SolverFailure` naming its horizon and the floor;
-so does a qp_cost off the priced cost of its own V (:func:`synthesize`).
-:func:`vectorized_system` forms the dense lift for the reference solvers
-(``verify.kkt_oracle`` and the test oracles), and
-:func:`coprime_factorization` and :func:`model_matching_matrices` are
-references off the pipeline; all three are kept here because
-``perfbench`` calls or traces them by name.
+as a finite-horizon LQR (:func:`solve_constrained_qp`) on the
+Kronecker-lifted FIR recursion, applied as formed matrices at small lifted
+order and through its factors above (:func:`_lift`), by one backward sweep
+over the stages, on a factor of the cost-to-go while its rank is small and
+on the dense cost-to-go after (:func:`_backward_sweep`); and the
+controller in closed form (:func:`realize_controller`).  :func:`sweep_norms`
+runs the plant's part and one backward pass for every horizon of a
+repeated pattern.  A squared norm below the centralized floor ||P11||^2,
+or NaN, or a qp_cost off the priced cost of its own V is the QP's lost
+accuracy and raises :class:`SolverFailure` (:func:`synthesize`).
+:func:`vectorized_system`, :func:`coprime_factorization` and
+:func:`model_matching_matrices` are references off the pipeline, kept here
+because ``perfbench`` calls or traces them by name.
 """
 
 from __future__ import annotations
@@ -68,9 +66,9 @@ RICCATI_RESIDUAL_TOL = math.sqrt(np.finfo(float).eps)
 # x86 VM, median of 14 alternating rounds) took 0.42/0.39/0.38/0.37/0.38/
 # 0.45 s for the three syntheses at shares 0.25/0.4/0.5/0.6/0.75/1, flat
 # within the host's noise from 0.4 to 0.75.  At 0.5 the 20-chain runs lags
-# 19 ... 11 factored and 10 ... 1 dense.  Per synthesis, 0.5 against 0.25
-# read +6%/+1%/-3% at n = 5/6/7, where the factored stage's fixed numpy
-# overhead weighs most, and -3%/-5% at n = 8/10.
+# 19 ... 11 factored and 10 ... 1 dense.  Per synthesis (median of 300
+# alternating rounds), 0.5 against 0.25 read +2.4%/+1.0%/+1.2%/-2.4% at
+# n = 5/6/7/8, where the factored stage's fixed numpy overhead weighs most.
 FACTORED_RANK_SHARE = 0.5
 
 # Bound on the gap between the QP's cost and the priced cost of its own V,
@@ -82,17 +80,14 @@ FACTORED_RANK_SHARE = 0.5
 # spreads up to 1e-2, 20 of them above 1e-9.
 PRICED_COST_TOL = 1e-9
 
-# Up to this lifted order the dense stage of the backward sweep forms A_bar^T,
-# A_bar/2 and B_v^T once per pass and applies each as one matmul; above it,
-# through the n x n factors of :func:`_lift`.  At small order a stage costs
-# its numpy calls, not its flops: about 20 with the formed matrices against
-# about 60 on the factors, whose O(order^2 n) flops win as the order grows.
-# Per step of a 60-step :func:`sweep_norms` pass with n_ctrl = n_meas = n
-# and 1 x 1 blocks (one BLAS thread, x86 VM, median of 40 alternating
-# rounds) the matrices took 0.59/0.59/0.62/0.76/0.93/1.08/1.50 x the
-# factors' time at orders 8/18/32/50/72/98/128.  The chains n = 4 ... 6
-# (orders 32 to 72) run one or two dense stages, over which forming the
-# three matrices does not pay: their whole QP read 1.02-1.08 x.
+# Up to this lifted order :func:`_lift` applies the lift as matrices formed
+# once per QP, above it through its n x n factors.  Per step of a 60-step
+# :func:`sweep_norms` pass with n_ctrl = n_meas = n and 1 x 1 blocks (one
+# BLAS thread, x86 VM, median of 40 alternating rounds) the dense stage on
+# the matrices took 0.59/0.59/0.62/0.76/0.93/1.08/1.50 x the factors' time
+# at orders 8/18/32/50/72/98/128, and the whole QP of the chains n = 3 ... 8
+# (orders 18 to 128, 200 rounds) 0.995/0.986/0.976/0.969/1.13/1.19 x: the
+# crossover lies between orders 72 and 98, above this limit.
 MATRIX_LIFT_ORDER = 64
 
 
@@ -229,9 +224,8 @@ class RiccatiGains:
 
 
 class VectorizedSystem(NamedTuple):
-    """The dense lift of :func:`_lift`: x_{i+1} = a_v x_i + b_v vec(V_i) and
-    vec(J_i) = c_v x_i + vec(V_i) from x1.  The pipeline never forms it;
-    :func:`vectorized_system` builds it for the reference solvers."""
+    """The dense lift of :func:`_lift`, x_{i+1} = a_v x_i + b_v vec(V_i) and
+    vec(J_i) = c_v x_i + vec(V_i) from x1, as :func:`vectorized_system` forms it."""
 
     a_v: np.ndarray
     b_v: np.ndarray
@@ -283,12 +277,18 @@ def riccati_gains(plant: GeneralizedPlant) -> RiccatiGains:
     the dual with (A^T, C2^T, B1 B1^T).  :func:`dare_solve` proves both
     loops stable; the filter's loop (A + L C2)^T has the eigenvalues of
     A + L C2.  Both equations must then hold under these K and L
-    (:func:`riccati_residuals`).
+    (:func:`riccati_residuals`).  A failed solve is raised again as its own
+    class, prefixed with the equation's name as there.
     """
     a, b2, c1 = plant.a, plant.b2, plant.c1
     c2, b1 = plant.c2, plant.b1
-    x = dare_solve(a, b2, c1.T @ c1)
-    y = dare_solve(a.T, c2.T, b1 @ b1.T)
+    equation = "control"
+    try:
+        x = dare_solve(a, b2, c1.T @ c1)
+        equation = "filter"
+        y = dare_solve(a.T, c2.T, b1 @ b1.T)
+    except (SolverFailure, AssumptionViolated) as exc:
+        raise type(exc)(f"{equation} Riccati equation: {exc}") from exc
     omega = np.eye(plant.n_ctrl) + b2.T @ x @ b2
     psi = np.eye(plant.n_meas) + c2 @ y @ c2.T
     k = -np.linalg.solve(omega, b2.T @ x @ a)
@@ -381,7 +381,7 @@ def vectorized_system(plant: GeneralizedPlant, gains: RiccatiGains) -> Vectorize
         x_1 = [vec(L); 0].
 
     O(order^2) memory, for the reference solvers (``verify.kkt_oracle`` and
-    the test oracles); the pipeline applies the lift through its factors."""
+    the test oracles); the pipeline never forms it."""
     b2, c2, k, l = plant.b2, plant.c2, gains.k_gain, gains.l_gain
     eye_u, eye_y = np.eye(plant.n_ctrl), np.eye(plant.n_meas)
     a_v = np.block([
@@ -394,8 +394,8 @@ def vectorized_system(plant: GeneralizedPlant, gains: RiccatiGains) -> Vectorize
 
 
 class _Lift(NamedTuple):
-    """The lifted order, x_1 and the products of :func:`_lift`, each a
-    function of a block."""
+    """The lifted order, x_1 and the five products of :func:`_lift`, each a
+    function of a block, as matmuls or as factor products for the whole QP."""
 
     order: int
     x1: np.ndarray
@@ -408,7 +408,7 @@ class _Lift(NamedTuple):
 
 def _lift(plant: GeneralizedPlant, gains: RiccatiGains) -> _Lift:
     """The Kronecker lift of the constrained-channel FIR recursion, applied
-    through its n x n factors.
+    through its n x n factors or as the matrices formed from them.
 
     The lifted state x_i = [vec(P_i); vec(Q_i)] stacks an n x n_meas block
     P and an n_ctrl x n block Q, so its dimension ``order`` is
@@ -444,6 +444,13 @@ def _lift(plant: GeneralizedPlant, gains: RiccatiGains) -> _Lift:
     A/2 and L/2 are exact, so twice the product is, bit for bit, the same
     arithmetic with A and L.  A_bar^T and the row-side product write into
     ``out`` if given.
+
+    At small order a product costs its two to four numpy calls, not its
+    flops.  So up to ``MATRIX_LIFT_ORDER`` the five matrices are formed
+    once from the factor products on identities, entry for entry their
+    Kronecker forms (each entry one product), and each product is one
+    matmul with its matrix; above it, its factor product.  Every stage of
+    a QP and its forward sweep apply the lift one way.
     """
     a, b2, c2, k_gain, l = plant.a, plant.b2, plant.c2, gains.k_gain, gains.l_gain
     n, n_u, n_y = plant.n, plant.n_ctrl, plant.n_meas
@@ -488,9 +495,15 @@ def _lift(plant: GeneralizedPlant, gains: RiccatiGains) -> _Lift:
         q_t -= np.matmul(l_half, p_t @ b2)
         return out
 
-    x1 = np.concatenate([vec(l), np.zeros(k_gain.size)])
-    return _Lift(order, x1, a_bar_t_times, b_v_t_times, c_v_times, c_v_t_times,
-                 times_half_a_bar)
+    products = a_bar_t_times, b_v_t_times, c_v_times, c_v_t_times, times_half_a_bar
+    if order <= MATRIX_LIFT_ORDER:
+        eye = np.eye(order)
+        a_bar_t, b_v_t, half_a_bar = a_bar_t_times(eye), b_v_t_times(eye), times_half_a_bar(eye)
+        c_v_t = c_v_t_times(np.eye(n_u * n_y))
+        products = (partial(np.matmul, a_bar_t), partial(np.matmul, b_v_t),
+                    partial(np.matmul, np.ascontiguousarray(c_v_t.T)), partial(np.matmul, c_v_t),
+                    lambda m, out=None: np.matmul(m, half_a_bar, out=out))
+    return _Lift(order, np.concatenate([vec(l), np.zeros(k_gain.size)]), *products)
 
 
 def _kron(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -538,8 +551,8 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
         h = R_aa + (B_v^T X B_v)_aa,   g = (B_v^T X A_bar)_a - (R C_v)_a,
         X <- A_bar^T X A_bar + C_v^T R C_v - g^T h^-1 g,   J_a = -h^-1 g x.
 
-    The first dense stage is the handover.  It forms R C_v and
-    C_v^T R C_v once and reads X = Z Z^T through the factor, with
+    The first dense stage is the handover.  It forms R, R C_v and
+    C_v^T R C_v / 2 once and reads X = Z Z^T through the factor, with
     W = B_a^T Z and G = A_bar^T Z:
 
         h = R_aa + W W^T,   g = W G^T - (R C_v)_a,   A_bar^T X A_bar = G G^T,
@@ -553,16 +566,13 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
     - g^T h^-1 g)/2 is halved exactly, so X <- Y/2 + (Y/2)^T, one add, is
     (Y + Y^T)/2 bit for bit.
 
-    Up to ``MATRIX_LIFT_ORDER`` the products with A_bar and B_v are
-    matmuls with the matrices A_bar^T, A_bar/2 and B_v^T, formed at the
-    handover from :func:`_lift`'s products; above it they run on the
-    Kronecker factors, so only the downdate costs O(a order^2).  The
-    forbidden set, and in the dense stage the blocks R_aa and (R C_v)_a,
-    are formed again only for a new index array object; :func:`sweep_norms`
-    passes the same one at every stage.  Both stage forms, and both ways of
-    applying the dense stage's products, are exact; each horizon rounds the
-    same way in :func:`sweep_norms` as in :func:`solve_constrained_qp`,
-    since both choose from the lifted order only."""
+    The products with A_bar, B_v and C_v are :func:`_lift`'s, so above
+    ``MATRIX_LIFT_ORDER`` only the downdate costs O(a order^2).  The
+    forbidden set, and in the dense stage R_aa and (R C_v)_a, are formed
+    again only for a new index array object, which :func:`sweep_norms`
+    keeps for every stage.  Both stage forms are exact, and each horizon
+    rounds the same way there as in :func:`solve_constrained_qp`, since
+    both choose from the lifted order only."""
     lift = _lift(plant, gains)
     order, x1 = lift.order, lift.x1
     omega, psi = gains.omega, gains.psi
@@ -585,7 +595,8 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
             yield feedback, float(zx @ zx)
             continue
         if z is not None:
-            # the handover, once: R, R C_v and C_v^T R C_v / 2, block by block
+            # the handover, once: R, R C_v and C_v^T R C_v / 2, block by block,
+            # then X = Z Z^T read through Z, with W = B_a^T Z and G = A_bar^T Z
             k, l = gains.k_gain, gains.l_gain
             split = plant.n * plant.n_meas
             r = _kron(psi, omega)
@@ -598,19 +609,8 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
             _kron(l @ psi, omega @ k, out=c_r_c[split:, :split])
             _kron(l @ psi @ l.T, omega, out=c_r_c[split:, split:])
             c_r_c *= 0.5
-            a_bar_t_times, b_v_t_times = lift.a_bar_t_times, lift.b_v_t_times
-            times_half_a_bar = lift.times_half_a_bar
-            if order <= MATRIX_LIFT_ORDER:
-                eye = np.eye(order)
-                a_bar_t, b_v_t = a_bar_t_times(eye), b_v_t_times(eye)
-                half_a_bar = times_half_a_bar(eye)
-                a_bar_t_times, b_v_t_times = partial(np.matmul, a_bar_t), partial(np.matmul, b_v_t)
-                times_half_a_bar = lambda m, out: np.matmul(m, half_a_bar, out=out)
-        if r_aa is None:
             r_aa, r_ca = r[np.ix_(idx, idx)], r_c[idx]
-        if z is not None:
-            # X = Z Z^T read through Z, with W = B_a^T Z and G = A_bar^T Z
-            w, g_z = b_v_t_times(z)[idx], a_bar_t_times(z)
+            w, g_z = lift.b_v_t_times(z)[idx], lift.a_bar_t_times(z)
             h = r_aa + w @ w.T
             g = w @ g_z.T - r_ca
             x_next = np.matmul(g_z, g_z.T)                 # G G^T = A_bar^T X A_bar
@@ -620,10 +620,12 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
             # temporaries would page-fault anew each time
             x_cost, work = np.empty_like(x_next), np.empty_like(x_next)
         else:
-            xb = b_v_t_times(x_cost)[idx].T                  # X B_v, allowed columns
-            h = r_aa + b_v_t_times(xb)[idx]
-            g = a_bar_t_times(xb).T - r_ca
-            times_half_a_bar(a_bar_t_times(x_cost, out=work), out=x_next)
+            if r_aa is None:
+                r_aa, r_ca = r[np.ix_(idx, idx)], r_c[idx]
+            xb = lift.b_v_t_times(x_cost)[idx].T             # X B_v, allowed columns
+            h = r_aa + lift.b_v_t_times(xb)[idx]
+            g = lift.a_bar_t_times(xb).T - r_ca
+            lift.times_half_a_bar(lift.a_bar_t_times(x_cost, out=work), out=x_next)
         try:
             gain = np.linalg.inv(h) @ g
         except np.linalg.LinAlgError as exc:
@@ -861,16 +863,13 @@ def sweep_norms(plant: GeneralizedPlant, template, n_max: int) -> Iterator[float
     """The ``h2_norm`` of :func:`synthesize` for N = 1 ... n_max lags of the
     block pattern ``template``, bit for bit, from one backward pass with
     ``template`` at every stage and no controller: x_1^T X x_1 after step N
-    is the QP cost at horizon N.  An error raised after k norms fails every
-    N > k: a singular stage at backward step k + 1, or a squared norm below
-    ||P11||^2 at horizon k + 1."""
+    is the QP cost at horizon N (an all-allowed template runs n_max
+    factored stages on an empty factor, at cost 0.0).  An error raised after
+    k norms fails every N > k: a singular stage at backward step k + 1, or a
+    squared norm below ||P11||^2 at horizon k + 1."""
     gains, p11_norm_sq = _plant_prefix(plant)
     mask = expand_pattern(template, plant.block_rows, plant.block_cols)
     idx = np.flatnonzero(mask.ravel(order="F"))
-    if idx.size == mask.size:  # no forbidden coordinate: X = 0, as in the solver
-        costs = [0.0] * n_max
-    else:
-        stages = ((f"backward step {m}", idx) for m in range(1, n_max + 1))
-        costs = (qp_cost for _, qp_cost in _backward_sweep(plant, gains, stages))
-    for horizon, qp_cost in enumerate(costs, 1):
+    stages = ((f"backward step {m}", idx) for m in range(1, n_max + 1))
+    for horizon, (_, qp_cost) in enumerate(_backward_sweep(plant, gains, stages), 1):
         yield _h2_norm(p11_norm_sq + qp_cost, p11_norm_sq, horizon)

@@ -234,6 +234,31 @@ class TestRiccatiGains:
         npt.assert_allclose(g.omega, np.eye(3) + p.b2.T @ x @ p.b2, rtol=1e-12)
         npt.assert_allclose(g.psi, np.eye(3) + p.c2 @ y @ p.c2.T, rtol=1e-12)
 
+    @pytest.mark.parametrize("t, equation", [(41, "filter"), (274, "control")])
+    def test_singular_doubling_names_its_equation(self, t, equation):
+        # ROADMAP item 4's singular fuzz cases: family 5 (t = 41) fails in the
+        # filter equation, family 4 (t = 274) in the control one
+        plant, _ = seeded_family_instance(t)
+        args = {"control": (plant.a, plant.b2, plant.c1.T @ plant.c1),
+                "filter": (plant.a.T, plant.c2.T, plant.b1 @ plant.b1.T)}[equation]
+        with pytest.raises(SolverFailure, match=r"^Riccati doubling: singular I \+ G H") as alone:
+            synthesis.dare_solve(*args)
+        with pytest.raises(SolverFailure) as failure:
+            riccati_gains(plant)
+        assert type(failure.value) is SolverFailure and failure.value.__cause__ is not None
+        assert str(failure.value) == f"{equation} Riccati equation: {alone.value}"
+
+    def test_zero_state_weight_names_the_control_equation(self):
+        # the 3-player chain with C1's state rows zeroed, so Q = 0: the
+        # doubling returns X = 0, whose closed loop A + B2 K = A is unstable
+        plant = load_config(CONFIGS[0]).plant
+        c1 = plant.c1.copy()
+        c1[:plant.n] = 0.0
+        with pytest.raises(AssumptionViolated, match=r"^control Riccati equation: Riccati closed "
+                                                     r"loop is not stable \(") as failure:
+            riccati_gains(dataclasses.replace(plant, c1=c1))
+        assert isinstance(failure.value.__cause__, AssumptionViolated)
+
 
 def perturbed_gains(plant, gains, which, seed):
     """``gains`` with K or L moved by 0.05 N(0, 1) and its loop rebuilt, so
@@ -448,7 +473,7 @@ class TestLift:
         [(3, 3, 3, None), (3, 2, 1, 21), (3, 1, 3, 22), (2, 3, 2, 23), (5, 2, 3, 24)],
         ids=["chain", "n3-u2-y1", "n3-u1-y3", "n2-u3-y2", "n5-u2-y3"],
     )
-    def test_factored_products_match_dense_lift(self, n, n_ctrl, n_meas, seed):
+    def test_factored_products_match_dense_lift(self, n, n_ctrl, n_meas, seed, lift_path):
         # with J_i as input the state matrix is A_bar = A_v - B_v C_v; the
         # QP applies A_bar^T, B_v^T and A_bar/2 through the n x n factors,
         # and at small order as the matrices formed from them
@@ -492,7 +517,7 @@ class TestLift:
         assert np.array_equal(2.0 * half_a_bar, doubled.times_half_a_bar(np.eye(order)))
 
     @pytest.mark.parametrize("n, n_ctrl, n_meas, seed", [(3, 2, 1, 21), (2, 3, 2, 23), (4, 1, 3, 25)])
-    def test_factored_c_v_products_match_dense_lift(self, n, n_ctrl, n_meas, seed):
+    def test_factored_c_v_products_match_dense_lift(self, n, n_ctrl, n_meas, seed, lift_path):
         plant = oracles.random_normalized_plant(np.random.default_rng(seed), n, n_ctrl, n_meas)
         gains = riccati_gains(plant)
         lift = _lift(plant, gains)
@@ -503,6 +528,36 @@ class TestLift:
         npt.assert_allclose(lift.c_v_t_times(u), c_v.T @ u, atol=tol)
         tol = 1e-12 * np.abs(x).max() * np.abs(c_v).sum(axis=0).max()
         npt.assert_allclose(lift.c_v_times(x), c_v @ x, atol=tol)
+
+    @pytest.mark.parametrize("n, n_ctrl, n_meas, seed",
+                             [(3, 3, 3, None), (4, 4, 4, None), (5, 5, 5, None), (5, 2, 3, 24)],
+                             ids=["chain3", "chain4", "chain5", "n5-u2-y3"])
+    def test_small_orders_apply_the_formed_matrices(self, n, n_ctrl, n_meas, seed):
+        # up to MATRIX_LIFT_ORDER each product is one matmul with its matrix,
+        # which holds the dense lift's Kronecker blocks entry for entry, so
+        # every stage and the forward sweep apply the lift one way
+        if seed is None:
+            plant = make_chain_plant(n)
+        else:
+            plant = oracles.random_normalized_plant(np.random.default_rng(seed), n, n_ctrl, n_meas)
+        gains = riccati_gains(plant)
+        lift = _lift(plant, gains)
+        assert lift.order <= synthesis.MATRIX_LIFT_ORDER
+        vsys = vectorized_system(plant, gains)
+        a_bar = np.block([
+            [np.kron(np.eye(n_meas), plant.a), -np.kron(gains.l_gain.T, plant.b2)],
+            [np.zeros((n * n_ctrl, n * n_meas)), np.kron(plant.a.T, np.eye(n_ctrl))],
+        ])
+        rng = np.random.default_rng(9)
+        y, m = rng.standard_normal((lift.order, 6)), rng.standard_normal((6, lift.order))
+        u, x = rng.standard_normal((n_ctrl * n_meas, 6)), rng.standard_normal(lift.order)
+        formed = np.ascontiguousarray
+        for got, want in ((lift.a_bar_t_times(y), formed(a_bar.T) @ y),
+                          (lift.b_v_t_times(y), formed(vsys.b_v.T) @ y),
+                          (lift.c_v_times(x), vsys.c_v @ x),
+                          (lift.c_v_t_times(u), formed(vsys.c_v.T) @ u),
+                          (lift.times_half_a_bar(m), m @ (0.5 * a_bar))):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("seed", [7, 8])
     def test_recursion_matches_transfer_arithmetic(self, chain_plant, chain_gains, seed):
