@@ -551,20 +551,27 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
         h = R_aa + (B_v^T X B_v)_aa,   g = (B_v^T X A_bar)_a - (R C_v)_a,
         X <- A_bar^T X A_bar + C_v^T R C_v - g^T h^-1 g,   J_a = -h^-1 g x.
 
-    The first dense stage is the handover.  It forms R, R C_v and
-    C_v^T R C_v / 2 once and reads X = Z Z^T through the factor, with
-    W = B_a^T Z and G = A_bar^T Z:
+    R_aa and (R C_v)_a come from the factors of R (:func:`_allowed_weights`),
+    so neither R nor R C_v is formed, and besides C_v^T R C_v / 2 the dense
+    stage holds two order x order buffers: X and one work buffer.
+
+    The first dense stage is the handover.  It forms C_v^T R C_v / 2 once
+    and reads X = Z Z^T through the factor, with W = B_a^T Z and
+    G = A_bar^T Z:
 
         h = R_aa + W W^T,   g = W G^T - (R C_v)_a,   A_bar^T X A_bar = G G^T,
 
     the last one matmul of G with its own transpose, which numpy runs as a
-    symmetric rank-k update.  X is formed after it, and the factor is
-    released.  Each later stage forms A_bar^T X and then
-    (A_bar^T X) A_bar/2 from the rows (:func:`_lift`), both on C-contiguous
-    blocks.  With C_v^T R C_v halved once and the downdate taken as
-    (g/2)^T h^-1 g, every term of Y/2 = (A_bar^T X A_bar + C_v^T R C_v
-    - g^T h^-1 g)/2 is halved exactly, so X <- Y/2 + (Y/2)^T, one add, is
-    (Y + Y^T)/2 bit for bit.
+    symmetric rank-k update; it becomes X's buffer, and the factor is
+    released.  Each later stage reads X for h and g, forms A_bar^T X in the
+    work buffer and then (A_bar^T X) A_bar/2 from the rows (:func:`_lift`)
+    into X's own, both on C-contiguous blocks, and takes the downdate
+    through the work buffer.  With C_v^T R C_v halved once and the downdate
+    taken as (g/2)^T h^-1 g, every term of Y/2 = (A_bar^T X A_bar +
+    C_v^T R C_v - g^T h^-1 g)/2 is halved exactly, so X <- Y/2 + (Y/2)^T is
+    (Y + Y^T)/2 bit for bit.  The transpose is copied into the work buffer
+    and then added, each entry the same sum as in ``np.add(y, y.T)``, whose
+    strided read of y^T took about 1.4 times as long at order 800.
 
     The products with A_bar, B_v and C_v are :func:`_lift`'s, so above
     ``MATRIX_LIFT_ORDER`` only the downdate costs O(a order^2).  The
@@ -575,8 +582,9 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
     both choose from the lifted order only."""
     lift = _lift(plant, gains)
     order, x1 = lift.order, lift.x1
-    omega, psi = gains.omega, gains.psi
+    omega, psi, k, l = gains.omega, gains.psi, gains.k_gain, gains.l_gain
     n_j = omega.shape[0] * psi.shape[0]
+    omega_k, psi_l_t = omega @ k, psi @ l.T
     z, inverses, x_cost, last = np.zeros((order, 0)), None, None, None
     for where, idx in stages:
         if idx is not last:
@@ -594,47 +602,56 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
             zx = x1 @ z
             yield feedback, float(zx @ zx)
             continue
+        if r_aa is None:
+            r_aa, r_ca = _allowed_weights(psi, omega, omega_k, psi_l_t, idx)
         if z is not None:
-            # the handover, once: R, R C_v and C_v^T R C_v / 2, block by block,
-            # then X = Z Z^T read through Z, with W = B_a^T Z and G = A_bar^T Z
-            k, l = gains.k_gain, gains.l_gain
+            # the handover, once: C_v^T R C_v / 2, block by block, then X = Z Z^T
+            # read through Z, with W = B_a^T Z and G = A_bar^T Z
             split = plant.n * plant.n_meas
-            r = _kron(psi, omega)
-            r_c = np.empty((n_j, order))
-            _kron(psi, omega @ k, out=r_c[:, :split])
-            _kron(psi @ l.T, omega, out=r_c[:, split:])
             c_r_c = np.empty((order, order))
             _kron(psi, k.T @ omega @ k, out=c_r_c[:split, :split])
-            _kron(psi @ l.T, k.T @ omega, out=c_r_c[:split, split:])
-            _kron(l @ psi, omega @ k, out=c_r_c[split:, :split])
+            _kron(psi_l_t, k.T @ omega, out=c_r_c[:split, split:])
+            _kron(l @ psi, omega_k, out=c_r_c[split:, :split])
             _kron(l @ psi @ l.T, omega, out=c_r_c[split:, split:])
             c_r_c *= 0.5
-            r_aa, r_ca = r[np.ix_(idx, idx)], r_c[idx]
             w, g_z = lift.b_v_t_times(z)[idx], lift.a_bar_t_times(z)
             h = r_aa + w @ w.T
             g = w @ g_z.T - r_ca
-            x_next = np.matmul(g_z, g_z.T)                 # G G^T = A_bar^T X A_bar
-            x_next *= 0.5
+            x_cost = np.matmul(g_z, g_z.T)                 # G G^T = A_bar^T X A_bar
+            x_cost *= 0.5
             z = w = g_z = None
-            # X and a work buffer, reused at every stage: fresh order x order
+            # X and one work buffer, reused at every stage: fresh order x order
             # temporaries would page-fault anew each time
-            x_cost, work = np.empty_like(x_next), np.empty_like(x_next)
+            work = np.empty_like(x_cost)
         else:
-            if r_aa is None:
-                r_aa, r_ca = r[np.ix_(idx, idx)], r_c[idx]
             xb = lift.b_v_t_times(x_cost)[idx].T             # X B_v, allowed columns
             h = r_aa + lift.b_v_t_times(xb)[idx]
             g = lift.a_bar_t_times(xb).T - r_ca
-            lift.times_half_a_bar(lift.a_bar_t_times(x_cost, out=work), out=x_next)
+            # X has been read in full, so (A_bar^T X) A_bar/2 goes into its buffer
+            lift.times_half_a_bar(lift.a_bar_t_times(x_cost, out=work), out=x_cost)
         try:
             gain = np.linalg.inv(h) @ g
         except np.linalg.LinAlgError as exc:
             raise _stage_failure("h", h, where, idx.size) from exc
-        x_next += c_r_c
+        x_cost += c_r_c
         g *= 0.5
-        x_next -= np.matmul(g.T, gain, out=work)
-        np.add(x_next, x_next.T, out=x_cost)
+        x_cost -= np.matmul(g.T, gain, out=work)
+        np.copyto(work, x_cost.T)                          # X <- Y/2 + (Y/2)^T
+        x_cost += work
         yield (lambda x, gain=gain: -(gain @ x)), float(x1 @ x_cost @ x1)
+
+
+def _allowed_weights(psi, omega, omega_k, psi_l_t, idx):
+    """R_aa and (R C_v)_a for the allowed coordinates ``idx`` of vec(J), with
+    R = psi kron omega and R C_v = [psi kron omega K, psi L^T kron omega],
+    from ``omega_k`` = omega K and ``psi_l_t`` = psi L^T.  The index
+    y n_u + u of vec(J) is split by divmod, and each entry is the one
+    product of a factor entry by a factor entry that :func:`_kron` forms."""
+    a, (n_y, n), n_u = idx.size, psi_l_t.shape, omega.shape[0]
+    y, u = np.divmod(idx, n_u)
+    r_ca = np.hstack([(psi[y, :, None] * omega_k[u, None, :]).reshape(a, n_y * n),
+                      (psi_l_t[y, :, None] * omega[u, None, :]).reshape(a, n * n_u)])
+    return psi[np.ix_(y, y)] * omega[np.ix_(u, u)], r_ca
 
 
 def _factored_stage(lift: _Lift, psi_inv, omega_inv, z, where: str, idx, forb):

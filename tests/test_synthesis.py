@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -944,6 +945,53 @@ class TestHandoverStage:
                          if not cs.entry_mask(lag).all()), default=0)
             hits += n_con > 0 and not factored_stages
         assert hits >= 10
+
+
+class TestDenseStageWeights:
+    """The dense stage takes R_aa and (R C_v)_a from the factors of R, with
+    vec(J)'s index y n_u + u split by divmod, and forms neither R nor R C_v."""
+
+    def test_allowed_rows_match_the_formed_matrices(self):
+        # n_u = 3 and n_y = 5 in uneven blocks, so a swapped split of the
+        # index or a transposed factor reads other entries
+        rng = np.random.default_rng(28)
+        rows, cols = (1, 2), (2, 3)
+        plant = oracles.random_normalized_plant(rng, 4, sum(rows), sum(cols),
+                                                block_rows=rows, block_cols=cols)
+        gains = riccati_gains(plant)
+        psi, omega, k, l = gains.psi, gains.omega, gains.k_gain, gains.l_gain
+        r = np.kron(psi, omega)
+        r_c = np.hstack([np.kron(psi, omega @ k), np.kron(psi @ l.T, omega)])
+        npt.assert_allclose(r_c, r @ vectorized_system(plant, gains).c_v, rtol=1e-13, atol=1e-13)
+        pats = oracles.random_monotone_patterns(rng, 12, (2, 2), p_start=0.2)
+        cs = ConstraintSpace(12, rows, cols, tuple(pats))
+        sets = [np.flatnonzero(cs.entry_mask(lag).ravel(order="F")) for lag in range(1, 13)]
+        sets += [np.flatnonzero(rng.random(15) < 0.5) for _ in range(8)]
+        sets += [np.arange(0), np.arange(15)]
+        for idx in sets:
+            r_aa, r_ca = synthesis._allowed_weights(psi, omega, omega @ k, psi @ l.T, idx)
+            assert np.array_equal(r_aa, r[np.ix_(idx, idx)])
+            assert np.array_equal(r_ca, r_c[idx])
+        assert len({idx.size for idx in sets}) >= 8
+
+
+class TestWorkingSet:
+    def test_qp_holds_few_order_squared_arrays(self, chain_qp):
+        # the 12-chain (lifted order 288) hands over to the dense stage at
+        # lag 5; X, one work buffer and C_v^T R C_v / 2 are three order^2
+        # arrays, and the stored gains and the products' temporaries about
+        # three more.  A third X buffer, or a formed R or R C_v, passes the
+        # bound.
+        plant, gains, cs = chain_qp(12)
+        order = plant.n * (plant.n_ctrl + plant.n_meas)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            solve_constrained_qp(plant, gains, cs)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.5 * 8 * order**2
 
 
 class TestSweepNorms:
