@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import delaymodel, synthesis, verify
-from .config import load_config
+from .config import load_config, read_json
 from .errors import ConfigError, DelayH2Error, DimensionMismatch, QIViolation, UnstableSystem
 from .statespace import StateSpaceModel, h2_norm_sq
 from .synthesis import SynthesisResult, sweep_norms, synthesize
@@ -198,9 +198,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
+    doc = read_json(args.controller)
     try:
-        with open(args.controller, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
         mats = {name: np.array(doc["controller"][name], dtype=float) for name in "abcd"}
         for name, m in mats.items():
             if not np.isfinite(m).all():
@@ -219,8 +218,7 @@ def cmd_verify(args) -> int:
             stored = float(stored)
             if not math.isfinite(stored):
                 raise ValueError(f"h2_norm must be finite, got {stored}")
-    except (DimensionMismatch, OSError, OverflowError, json.JSONDecodeError, KeyError,
-            TypeError, ValueError) as exc:
+    except (DimensionMismatch, OverflowError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot read controller file: {exc}") from exc
 
     report = verify.conformance(k, cfg.space)

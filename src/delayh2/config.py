@@ -87,15 +87,22 @@ class ProblemConfig:
         )
 
 
-def load_config(path: str) -> ProblemConfig:
-    """Parse and validate a problem configuration file."""
+def read_json(path: str):
+    """The JSON document in the file ``path``.  A file that cannot be read,
+    is not UTF-8 text, is not JSON or nests deeper than Python's recursion
+    limit raises a :class:`ConfigError` that names it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+
+def load_config(path: str) -> ProblemConfig:
+    """Parse and validate a problem configuration file."""
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
     return parse_config(doc, where=path)

@@ -63,12 +63,12 @@ RICCATI_RESIDUAL_TOL = math.sqrt(np.finfo(float).eps)
 # factor's rank bound stays within this share of the lifted order, then
 # hands X to the dense stage, which is cheaper once the rank nears the
 # order.  The chains n = 12, 16 and 20 (orders 288 to 800; one BLAS thread,
-# x86 VM, median of 14 alternating rounds) took 0.42/0.39/0.38/0.37/0.38/
-# 0.45 s for the three syntheses at shares 0.25/0.4/0.5/0.6/0.75/1, flat
-# within the host's noise from 0.4 to 0.75.  At 0.5 the 20-chain runs lags
-# 19 ... 11 factored and 10 ... 1 dense.  Per synthesis (median of 300
-# alternating rounds), 0.5 against 0.25 read +2.4%/+1.0%/+1.2%/-2.4% at
-# n = 5/6/7/8, where the factored stage's fixed numpy overhead weighs most.
+# x86 VM, in process, median of 8 alternating rounds) took 0.42/0.36/0.34/
+# 0.36/0.39/0.45 s for the three syntheses at shares 0.25/0.4/0.5/0.6/0.75/1,
+# lowest at 0.5.  At 0.5 the 20-chain runs lags 19 ... 11 factored and
+# 10 ... 1 dense.  Per synthesis (median of 300 alternating rounds), 0.5
+# against 0.25 read +0.9%/-1.3%/-1.2%/-5.6% at n = 5/6/7/8, where the
+# factored stage's fixed numpy overhead weighs most.
 FACTORED_RANK_SHARE = 0.5
 
 # Bound on the gap between the QP's cost and the priced cost of its own V,
@@ -81,13 +81,14 @@ FACTORED_RANK_SHARE = 0.5
 PRICED_COST_TOL = 1e-9
 
 # Up to this lifted order :func:`_lift` applies the lift as matrices formed
-# once per QP, above it through its n x n factors.  Per step of a 60-step
-# :func:`sweep_norms` pass with n_ctrl = n_meas = n and 1 x 1 blocks (one
-# BLAS thread, x86 VM, median of 40 alternating rounds) the dense stage on
-# the matrices took 0.59/0.59/0.62/0.76/0.93/1.08/1.50 x the factors' time
-# at orders 8/18/32/50/72/98/128, and the whole QP of the chains n = 3 ... 8
-# (orders 18 to 128, 200 rounds) 0.995/0.986/0.976/0.969/1.13/1.19 x: the
-# crossover lies between orders 72 and 98, above this limit.
+# once per QP, above it through its n x n factors.  Per step of 60 dense
+# stages of the diagonal pattern on A = 0.5 I + 0.25 (its two off-diagonals),
+# B2 = C2 = I, so n_ctrl = n_meas = n and 1 x 1 blocks (one BLAS thread, x86
+# VM, in process, median of 40 alternating rounds), the dense stage on the
+# matrices took 0.45/0.46/0.45/0.50/0.66/0.88/1.48 x the factors' time at
+# orders 8/18/32/50/72/98/128, and the whole QP of the chains n = 3 ... 8
+# (orders 18 to 128, 200 rounds) 1.007/0.993/0.983/0.969/1.033/1.229 x: the
+# QP's crossover lies between orders 72 and 98, above this limit.
 MATRIX_LIFT_ORDER = 64
 
 
@@ -394,14 +395,13 @@ def vectorized_system(plant: GeneralizedPlant, gains: RiccatiGains) -> Vectorize
 
 
 class _Lift(NamedTuple):
-    """The lifted order, x_1 and the five products of :func:`_lift`, each a
+    """The lifted order, x_1 and the four products of :func:`_lift`, each a
     function of a block, as matmuls or as factor products for the whole QP."""
 
     order: int
     x1: np.ndarray
     a_bar_t_times: Callable
     b_v_t_times: Callable
-    c_v_times: Callable
     c_v_t_times: Callable
     times_half_a_bar: Callable
 
@@ -429,12 +429,11 @@ def _lift(plant: GeneralizedPlant, gains: RiccatiGains) -> _Lift:
 
     The products act on the factors through vec(M X N) = (N^T kron M) vec(X).
     For an (order, k) block y, whose columns hold [vec(P); vec(Q)] and
-    which C-order reshapes read back as P^T and Q^T, a lifted state x and an
+    which C-order reshapes read back as P^T and Q^T, and an
     (n_ctrl * n_meas, k) block u holding vec(U), U n_ctrl x n_meas,
 
         A_bar^T y = [vec(A^T P); vec(Q A^T - B2^T P L^T)],
-        B_v^T y = vec(B2^T P + Q C2^T),
-        C_v x = vec(K P + Q L),   C_v^T u = [vec(K^T U); vec(U L^T)],
+        B_v^T y = vec(B2^T P + Q C2^T),   C_v^T u = [vec(K^T U); vec(U L^T)],
 
     at O(k * order * n) instead of O(k * order^2).  The row-side product
     m A_bar/2 = (A_bar^T m^T)^T / 2 of a (k, order) block m is the same map
@@ -446,11 +445,12 @@ def _lift(plant: GeneralizedPlant, gains: RiccatiGains) -> _Lift:
     ``out`` if given.
 
     At small order a product costs its two to four numpy calls, not its
-    flops.  So up to ``MATRIX_LIFT_ORDER`` the five matrices are formed
+    flops.  So up to ``MATRIX_LIFT_ORDER`` the four matrices are formed
     once from the factor products on identities, entry for entry their
     Kronecker forms (each entry one product), and each product is one
     matmul with its matrix; above it, its factor product.  Every stage of
-    a QP and its forward sweep apply the lift one way.
+    a QP applies the lift one way.  C_v x = vec(K P + Q L) has no product
+    here: the forward sweep of :func:`solve_constrained_qp` forms it.
     """
     a, b2, c2, k_gain, l = plant.a, plant.b2, plant.c2, gains.k_gain, gains.l_gain
     n, n_u, n_y = plant.n, plant.n_ctrl, plant.n_meas
@@ -475,9 +475,6 @@ def _lift(plant: GeneralizedPlant, gains: RiccatiGains) -> _Lift:
         out += c2 @ y[split:].reshape(n, n_u * k)
         return out.reshape(n_y * n_u, k)
 
-    def c_v_times(x):
-        return (x[:split].reshape(n_y, n) @ k_gain.T + l.T @ x[split:].reshape(n, n_u)).ravel()
-
     def c_v_t_times(u):
         k = u.shape[1]
         u_t = u.reshape(n_y, n_u, k)
@@ -495,14 +492,13 @@ def _lift(plant: GeneralizedPlant, gains: RiccatiGains) -> _Lift:
         q_t -= np.matmul(l_half, p_t @ b2)
         return out
 
-    products = a_bar_t_times, b_v_t_times, c_v_times, c_v_t_times, times_half_a_bar
+    products = a_bar_t_times, b_v_t_times, c_v_t_times, times_half_a_bar
     if order <= MATRIX_LIFT_ORDER:
         eye = np.eye(order)
         a_bar_t, b_v_t, half_a_bar = a_bar_t_times(eye), b_v_t_times(eye), times_half_a_bar(eye)
         c_v_t = c_v_t_times(np.eye(n_u * n_y))
         products = (partial(np.matmul, a_bar_t), partial(np.matmul, b_v_t),
-                    partial(np.matmul, np.ascontiguousarray(c_v_t.T)), partial(np.matmul, c_v_t),
-                    lambda m, out=None: np.matmul(m, half_a_bar, out=out))
+                    partial(np.matmul, c_v_t), lambda m, out=None: np.matmul(m, half_a_bar, out=out))
     return _Lift(order, np.concatenate([vec(l), np.zeros(k_gain.size)]), *products)
 
 
@@ -538,7 +534,8 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
     """The backward Riccati sweep of :func:`solve_constrained_qp` from
     X = 0 over ``stages``, (label, allowed coordinates a of vec(J)) from the
     last lag back.  Yields, per stage, its feedback (a function from the
-    lifted state x to the optimal J_a) and the cost x_1^T X x_1 after it.
+    lifted state x and e = C_v x to the optimal J_a) and the cost
+    x_1^T X x_1 after it.
 
     X_k is the cost of the minimum-norm V meeting the constraints of lags
     k ... N, so its rank is at most their forbidden coordinates summed.  One
@@ -638,7 +635,7 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
         x_cost -= np.matmul(g.T, gain, out=work)
         np.copyto(work, x_cost.T)                          # X <- Y/2 + (Y/2)^T
         x_cost += work
-        yield (lambda x, gain=gain: -(gain @ x)), float(x1 @ x_cost @ x1)
+        yield (lambda x, e, gain=gain: -(gain @ x)), float(x1 @ x_cost @ x1)
 
 
 def _allowed_weights(psi, omega, omega_k, psi_l_t, idx):
@@ -672,18 +669,20 @@ def _factored_stage(lift: _Lift, psi_inv, omega_inv, z, where: str, idx, forb):
         Z' = [C_f^T K_f^-T, A^T Z L_M^-T],
         A^T Z = A_bar^T Z + C_v^T (E_a^T W + E_f^T T^T W),
 
-    two positive semidefinite square roots joined, nothing subtracted.  T
-    and Y come from R^-1 in closed form (:func:`_allowed_solves`).  The
-    triangular factors K_f and L_M, of orders n_f and r, are inverted with
-    ``np.linalg.inv`` and applied to their order-wide blocks as matmuls,
-    which numpy's solve would LU-factor again and copy.  So the stage costs
+    two positive semidefinite square roots joined, nothing subtracted.  T,
+    Y and K_f^-1 come from R^-1 in closed form (:func:`_allowed_solves`).
+    The triangular factors K_f and L_M, of orders n_f and r, are each
+    inverted once with ``np.linalg.inv`` and applied to their order-wide
+    blocks as matmuls, which numpy's solve would LU-factor again and
+    copy.  So the stage costs
     O(n_f^3 + a n_f (n_f + r) + n_j (n_u + n_y) r + (a + order) (n_f^2 + r^2))
     for a allowed and n_f forbidden coordinates and rank r, with no O(a^3)
     factorization of R_aa.  At rank 0, the first stage, numpy's empty
-    products make A^T Z L_M^-T empty and delta 0."""
+    products make A^T Z L_M^-T empty and delta 0.  The feedback takes
+    u_0 from e = C_v x, which the forward sweep forms."""
     rank, n_f, n_j = z.shape[1], forb.size, psi_inv.shape[0] * omega_inv.shape[0]
     w = lift.b_v_t_times(z)[idx]                          # B_a^T Z
-    t, y, k_f = _allowed_solves(psi_inv, omega_inv, idx, forb, w, where)
+    t, y, k_f_inv = _allowed_solves(psi_inv, omega_inv, idx, forb, w, where)
     m = np.eye(rank) + w.T @ y
     try:
         l_m_inv = np.linalg.inv(np.linalg.cholesky(m))
@@ -695,10 +694,9 @@ def _factored_stage(lift: _Lift, psi_inv, omega_inv, z, where: str, idx, forb):
     # A^T Z L_M^-T, the new factor's second block, and Y L_M^-T, which with
     # it gives Y M^-1 (A^T Z)^T
     s_z, s_y = a_hat_z @ l_m_inv.T, y @ l_m_inv.T
-    z_new = np.hstack([lift.c_v_t_times(np.eye(n_j)[:, forb]) @ np.linalg.inv(k_f).T, s_z])
+    z_new = np.hstack([lift.c_v_t_times(np.eye(n_j)[:, forb]) @ k_f_inv.T, s_z])
 
-    def feedback(x):
-        e = lift.c_v_times(x)
+    def feedback(x, e):
         return e[idx] + t @ e[forb] - s_y @ (x @ s_z)    # u_0 + delta
 
     return feedback, z_new
@@ -707,7 +705,7 @@ def _factored_stage(lift: _Lift, psi_inv, omega_inv, z, where: str, idx, forb):
 def _allowed_solves(psi_inv, omega_inv, idx, forb, w, where: str):
     """T = R_aa^-1 R_af and Y = R_aa^-1 W for R = psi kron omega, allowed
     coordinates ``idx`` and forbidden ``forb``, without factoring R_aa;
-    returns (T, Y, K_f) with K_f K_f^T = N_ff.  A failed factorization of
+    returns (T, Y, K_f^-1) with K_f K_f^T = N_ff.  A failed factorization of
     N_ff raises the :class:`SolverFailure` of the stage ``where``.
 
     N = R^-1 = psi^-1 kron omega^-1 is known in closed form (Van Loan, "The
@@ -719,8 +717,9 @@ def _allowed_solves(psi_inv, omega_inv, idx, forb, w, where: str):
 
     with W^ the n_j-row block holding W on the allowed rows and 0 elsewhere.
     N is applied to [E_f, W^] as vec(omega^-1 U psi^-1) on the n_u x n_y
-    blocks U, at O(n_j (n_u + n_y)) a column, and N_ff^-1 through its
-    Cholesky factor K_f."""
+    blocks U, at O(n_j (n_u + n_y)) a column, and N_ff^-1 = K_f^-T K_f^-1
+    through its Cholesky factor K_f, inverted once:
+    T = -(N_af K_f^-T) K_f^-1."""
     n_y, n_u = psi_inv.shape[0], omega_inv.shape[0]
     n_f, k = forb.size, forb.size + w.shape[1]
     u = np.zeros((n_y * n_u, k))
@@ -733,8 +732,9 @@ def _allowed_solves(psi_inv, omega_inv, idx, forb, w, where: str):
         k_f = np.linalg.cholesky(n_ff)
     except np.linalg.LinAlgError as exc:
         raise _stage_failure("(R^-1)_ff", n_ff, where, idx.size) from exc
-    t = -np.linalg.solve(k_f.T, np.linalg.solve(k_f, n_ew[idx, :n_f].T)).T
-    return t, n_ew[idx, n_f:] + t @ n_ew[forb, n_f:], k_f
+    k_f_inv = np.linalg.inv(k_f)
+    t = -(n_ew[idx, :n_f] @ k_f_inv.T) @ k_f_inv
+    return t, n_ew[idx, n_f:] + t @ n_ew[forb, n_f:], k_f_inv
 
 
 def solve_constrained_qp(plant: GeneralizedPlant, gains: RiccatiGains,
@@ -748,9 +748,10 @@ def solve_constrained_qp(plant: GeneralizedPlant, gains: RiccatiGains,
     matrix A_bar at every lag and the stage cost
     (J_i - C_v x_i)^T (psi kron omega) (J_i - C_v x_i).  After the backward
     sweep (:func:`_backward_sweep`) a forward sweep of the n x n recursion
-    recovers each optimal J_i from x_i and V_i = J_i - K P_i - Q_i L,
-    returned as an ``(N, n_ctrl, n_meas)`` array with the optimal cost
-    x_1^T X_1 x_1.  The constraint's blocks must be the plant's.
+    forms E_i = K P_i + Q_i L, the matrix of C_v x_i, once per lag, recovers
+    each optimal J_i from x_i and vec(E_i), and returns V_i = J_i - E_i as an
+    ``(N, n_ctrl, n_meas)`` array with the optimal cost x_1^T X_1 x_1.  The
+    constraint's blocks must be the plant's.
     """
     if (cs.block_rows, cs.block_cols) != (plant.block_rows, plant.block_cols):
         raise DimensionMismatch("constraint blocks do not match the plant blocks")
@@ -771,10 +772,11 @@ def solve_constrained_qp(plant: GeneralizedPlant, gains: RiccatiGains,
     p, q = l, np.zeros((n_u, plant.n))
     v = np.zeros((n, n_u, n_y))
     for i, stage_feedback in enumerate(reversed(feedback)):
+        e = k @ p + q @ l                                # C_v x
         j = np.zeros(n_u * n_y)
-        j[allowed[i]] = stage_feedback(np.concatenate([vec(p), vec(q)]))
+        j[allowed[i]] = stage_feedback(np.concatenate([vec(p), vec(q)]), vec(e))
         j = j.reshape(n_u, n_y, order="F")
-        v[i] = j - k @ p - q @ l
+        v[i] = j - e
         p, q = a @ p + b2 @ (j - q @ l), q @ a + j @ c2
     return v, qp_cost
 

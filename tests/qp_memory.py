@@ -1,4 +1,4 @@
-"""Working set of the constrained QP on the n-node chain, n = 8, 12, 16, 20.
+"""Working set of the constrained QP on the n-node chain, n = 4, 6, 8, 12, 16, 20.
 
 Run as ``PYTHONPATH=src python3 tests/qp_memory.py``.  For each chain (self
 coupling 1.5, neighbour coupling 1.0, unit delays) it prints the lifted
@@ -6,6 +6,8 @@ order, the peak of ``solve_constrained_qp`` as traced by ``tracemalloc``, in
 MB of 2^20 bytes (the unit of the benchmark's ``peak_rss_mb``) and in
 order x order arrays of doubles, and the best wall time of three
 untraced calls.  The Riccati gains are computed before the measurement.
+The lifted orders of n = 4 and 6, 32 and 72, lie on either side of
+``MATRIX_LIFT_ORDER`` = 64, where a QP costs about one numpy call per line.
 pytest does not collect this file; it asserts nothing.
 """
 
@@ -16,7 +18,7 @@ import tracemalloc
 from conftest import make_chain_graph, make_chain_plant
 from delayh2 import constraint_space, delay_matrix, riccati_gains, solve_constrained_qp
 
-SIZES = (8, 12, 16, 20)
+SIZES = (4, 6, 8, 12, 16, 20)
 
 
 def traced_peak(plant, gains, cs) -> int:

@@ -725,6 +725,32 @@ class TestConfigResolvedOnLoad:
         assert "Traceback" not in err
 
 
+class TestUnreadableFiles:
+    """A file that is not UTF-8 text, or JSON nested past Python's recursion
+    limit, is a config error naming the file in every subcommand, as the
+    problem file and as the controller file of ``verify``; an exception
+    escaping ``main`` would fail the test."""
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 200_000],
+                             ids=["not-utf-8", "nested-too-deep"])
+    @pytest.mark.parametrize("command, role", [*[(command, "config") for command in COMMANDS],
+                                               ("verify", "controller")])
+    def test_config_error_names_the_file(self, tmp_path, capsys, content, command, role):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        cfg, controller = (str(bad), CHAIN) if role == "config" else (CHAIN, str(bad))
+        argv = {
+            "check-qi": ["check-qi"],
+            "synth": ["synth"],
+            "sweep": ["sweep", "--n-min", "1", "--n-max", "2", "--out", str(tmp_path / "n.csv")],
+            "verify": ["verify", controller],
+        }[command]
+        assert cli.main(argv + ["--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"delayh2: config error: cannot read {bad}: ")
+        assert "Traceback" not in err
+
+
 class TestMalformedFields:
     """Fields of the wrong type are config errors naming their section,
     never a traceback."""
