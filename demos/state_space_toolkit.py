@@ -8,7 +8,6 @@ primitives; this script pokes at each one.
 import numpy as np
 
 import delayh2 as dh
-from delayh2.statespace import multiply
 
 np.set_printoptions(precision=4, suppress=True)
 
@@ -41,9 +40,3 @@ print(f"\nStein equation residual through the Gramian: "
 x = dh.dare_solve([[1.0]], [[1.0]], [[1.0]])
 print(f"\nscalar Riccati solution: {x[0, 0]:.10f} (golden ratio "
       f"{(1 + np.sqrt(5)) / 2:.10f})")
-
-# --- everything composes ----------------------------------------------------
-h = dh.StateSpaceModel([[0.2]], [[1.0]], [[2.0]], [[1.0]])
-gh = multiply(g, h)
-print("\nseries interconnection order:", gh.order)
-print("H2 norm of the cascade:", np.sqrt(dh.h2_norm_sq(gh)))

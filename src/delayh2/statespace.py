@@ -5,12 +5,11 @@ and are represented by immutable :class:`StateSpaceModel` values.  The
 package needs only a few operations on them: impulse responses (one
 ``(T+1, outputs, inputs)`` array indexed by lag), squared H2 norms and the
 Riccati equation, the last two by one doubling (:func:`_doubling`), O(n^3)
-per step, each covering twice the horizon of the last.  The series product
-(:func:`multiply`) serves only the Bezout reference and the demos.  One
-predicate, :func:`_stability`, decides stability everywhere (``is_stable``,
-the norm's precondition, the Riccati closed loop).  A zero-order system
-takes the general path: numpy's products, traces and eigenvalue solves of
-empty arrays give its spectral radius 0 and its squared H2 norm ||D||_F^2.
+per step, each covering twice the horizon of the last.  One predicate,
+:func:`_stability`, decides stability everywhere (``is_stable``, the
+norm's precondition, the Riccati closed loop).  A zero-order system takes
+the general path: numpy's products, traces and eigenvalue solves of empty
+arrays give its spectral radius 0 and its squared H2 norm ||D||_F^2.
 
 ``vec`` stacks columns (Fortran order) throughout, which is the convention
 under which vec(A X B) = (B^T kron A) vec(X).
@@ -188,21 +187,6 @@ def impulse_response(g: StateSpaceModel, horizon: int) -> np.ndarray:
         if lag < horizon:
             w = g.a @ w
     return np.stack(terms)
-
-
-def multiply(g: StateSpaceModel, h: StateSpaceModel) -> StateSpaceModel:
-    """Realization of the transfer-matrix product G(z) H(z)."""
-    if g.n_inputs != h.n_outputs:
-        raise DimensionMismatch(
-            f"product undefined: G has {g.n_inputs} inputs, H has {h.n_outputs} outputs"
-        )
-    ng, nh = g.order, h.order
-    a = np.block(
-        [[g.a, g.b @ h.c], [np.zeros((nh, ng)), h.a]]
-    )
-    b = np.vstack([g.b @ h.d, h.b])
-    c = np.hstack([g.c, g.d @ h.c])
-    return StateSpaceModel(a, b, c, g.d @ h.d)
 
 
 def h2_norm_sq(g: StateSpaceModel) -> float:

@@ -14,7 +14,8 @@ controller in closed form (:func:`realize_controller`).  :func:`sweep_norms`
 runs the plant's part and one backward pass for every horizon of a
 repeated pattern.  A squared norm below the centralized floor ||P11||^2,
 or NaN, or a qp_cost off the priced cost of its own V is the QP's lost
-accuracy and raises :class:`SolverFailure` (:func:`synthesize`).
+accuracy and raises :class:`SolverFailure` (:func:`synthesize`), and so
+is a sweep's squared norm that falls as N grows.
 :func:`vectorized_system`, :func:`coprime_factorization` and
 :func:`model_matching_matrices` are references off the pipeline, kept here
 because ``perfbench`` calls or traces them by name.
@@ -38,7 +39,6 @@ from .statespace import (
     dare_solve,
     h2_norm_sq,  # off the pipeline; kept while the benchmark traces it as synthesis.p11_norm
     impulse_response,
-    multiply,
     vec,
 )
 
@@ -344,16 +344,18 @@ def coprime_factorization(plant: GeneralizedPlant, gains: RiccatiGains) -> float
         [ X~  -Y~ ]     [ M^  Y^ ]
         [ -N~  M~ ] and [ N^  X^ ],
 
-    whose product must be the identity.  Its Markov parameters up to lag
-    2n + 2 are compared with I at lag 0 and 0 after, and the largest
-    deviation is returned.
+    whose product must be the identity.  Both are (A_L, B, -C_r, I) and
+    (A_K, B, C_r, I) with B = [B2, -L] and C_r = [K; C2], so the product
+    is realized in place as ([[A_L, B C_r], [0, A_K]], [B; B], [-C_r, C_r],
+    I).  Its Markov parameters up to lag 2n + 2 are compared with I at lag
+    0 and 0 after, and the largest deviation is returned.
     """
-    b2, c2 = plant.b2, plant.c2
-    k, l = gains.k_gain, gains.l_gain
-    inputs, eye = np.hstack([b2, -l]), np.eye(plant.n_ctrl + plant.n_meas)
-    left = StateSpaceModel(gains.a_l, inputs, np.vstack([-k, -c2]), eye)
-    right = StateSpaceModel(gains.a_k, inputs, np.vstack([k, c2]), eye)
-    resp = impulse_response(multiply(left, right), 2 * plant.n + 2)
+    n, eye = plant.n, np.eye(plant.n_ctrl + plant.n_meas)
+    b = np.hstack([plant.b2, -gains.l_gain])
+    c_r = np.vstack([gains.k_gain, plant.c2])
+    a = np.block([[gains.a_l, b @ c_r], [np.zeros((n, n)), gains.a_k]])
+    product = StateSpaceModel(a, np.vstack([b, b]), np.hstack([-c_r, c_r]), eye)
+    resp = impulse_response(product, 2 * n + 2)
     resp[0] -= eye
     return float(np.abs(resp).max())
 
@@ -884,11 +886,22 @@ def sweep_norms(plant: GeneralizedPlant, template, n_max: int) -> Iterator[float
     ``template`` at every stage and no controller: x_1^T X x_1 after step N
     is the QP cost at horizon N (an all-allowed template runs n_max
     factored stages on an empty factor, at cost 0.0).  An error raised after
-    k norms fails every N > k: a singular stage at backward step k + 1, or a
-    squared norm below ||P11||^2 at horizon k + 1."""
+    k norms fails every N > k: a singular stage at backward step k + 1, a
+    squared norm below ||P11||^2 at horizon k + 1, or one below horizon k's
+    by more than ``PRICED_COST_TOL`` of it.  Each horizon adds constraints,
+    so the optimum cannot fall as N grows, and a fall is the sweep's lost
+    accuracy."""
     gains, p11_norm_sq = _plant_prefix(plant)
     mask = expand_pattern(template, plant.block_rows, plant.block_cols)
     idx = np.flatnonzero(mask.ravel(order="F"))
     stages = ((f"backward step {m}", idx) for m in range(1, n_max + 1))
+    last = 0.0  # every total passes the floor max(||P11||^2, 0), so N = 1 cannot fall
     for horizon, (_, qp_cost) in enumerate(_backward_sweep(plant, gains, stages), 1):
-        yield _h2_norm(p11_norm_sq + qp_cost, p11_norm_sq, horizon)
+        total = p11_norm_sq + qp_cost
+        norm = _h2_norm(total, p11_norm_sq, horizon)
+        if last - total > PRICED_COST_TOL * last:
+            raise SolverFailure(f"squared H2 norm {total:.10g} at horizon N = {horizon} is below"
+                                f" {last:.10g} at N = {horizon - 1} by {last - total:.3g}, more"
+                                f" than {PRICED_COST_TOL:g} of it: the QP cost lost its accuracy")
+        last = total
+        yield norm

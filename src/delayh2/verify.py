@@ -259,7 +259,10 @@ def kkt_oracle(
     Stacks all FIR coefficients into one decision vector, unrolls the lifted
     recursion into explicit linear equality constraints on the forbidden
     coordinates, and solves the resulting KKT system with a single dense
-    solve (minimum-norm least squares when the constraints are redundant).
+    solve.  The system is nonsingular by construction: each lag's forbidden
+    rows carry an identity block on V_i with the earlier lags' blocks to its
+    left, so the constraints have full row rank, and R = Psi kron Omega is
+    positive definite; a singular one raises :class:`SolverFailure`.
     Returns the ``(N, n_ctrl, n_meas)`` coefficients and the cost.  Intended
     for small instances only.
     """
@@ -300,10 +303,8 @@ def kkt_oracle(
     full_rhs = np.concatenate([np.zeros(n_var), con_rhs])
     try:
         sol = np.linalg.solve(kkt, full_rhs)
-    except np.linalg.LinAlgError:
-        sol, _, rank, _ = np.linalg.lstsq(kkt, full_rhs, rcond=None)
-        if not np.allclose(kkt @ sol, full_rhs, atol=1e-8):
-            raise SolverFailure("KKT system is inconsistent")
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailure(f"singular KKT matrix of order {kkt.shape[0]}: {exc}") from exc
     v = sol[:n_var]
     cost = float(v @ r_all @ v)
     return v.reshape(n, n_y, n_u).swapaxes(1, 2), cost

@@ -80,14 +80,16 @@ def dense_orders(monkeypatch) -> list:
     return seen
 
 
-def make_sweep_plant() -> GeneralizedPlant:
-    """Two decoupled modes (one stable, one not), scalar blocks per node."""
+def make_sweep_plant(scale: float = 1.0) -> GeneralizedPlant:
+    """Two decoupled modes (one stable, one not), scalar blocks per node:
+    ``configs/two_subsystem_sweep.json``'s plant with A, B2 and C2 times
+    ``scale``, as the benchmark's delay-sweep scales them."""
     return GeneralizedPlant(
-        a=np.diag([0.9, 1.1]),
+        a=scale * np.diag([0.9, 1.1]),
         b1=np.hstack([np.ones((2, 1)), np.zeros((2, 2))]),
-        b2=0.1 * np.eye(2),
+        b2=scale * 0.1 * np.eye(2),
         c1=np.vstack([np.ones((1, 2)), np.zeros((2, 2))]),
-        c2=0.1 * np.eye(2),
+        c2=scale * 0.1 * np.eye(2),
         d12=np.vstack([np.zeros((1, 2)), np.eye(2)]),
         d21=np.hstack([np.zeros((2, 1)), np.eye(2)]),
         block_rows=(1, 1),

@@ -29,7 +29,6 @@ from delayh2.statespace import (
     _diagonal_blocks,
     _gramian,
     _stability,
-    multiply,
     vec,
 )
 from delayh2.synthesis import coprime_factorization
@@ -267,20 +266,6 @@ class TestImpulseResponse:
         if caller == "conformance fallback":
             assert not got.ok
         assert np.array_equal(got, want) if isinstance(got, np.ndarray) else got == want
-
-
-class TestAlgebraHelpers:
-    def test_multiply_matches_convolution(self):
-        rng = np.random.default_rng(3)
-        g = oracles.random_stable_model(rng, 3, 2, 2)
-        h = oracles.random_stable_model(rng, 2, 4, 2)
-        prod = multiply(g, h)
-        gl = oracles.Laurent.from_model(g, 30)
-        hl = oracles.Laurent.from_model(h, 30)
-        want = gl.multiply(hl, 0, 15)
-        got = impulse_response(prod, 15)
-        for k in range(16):
-            npt.assert_allclose(got[k], want.at(k), atol=1e-10)
 
 
 class TestH2Norm:

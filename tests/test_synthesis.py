@@ -999,10 +999,15 @@ class TestSweepNorms:
          (make_sweep_plant(), [[1, 0], [0, 1]], 40),
          (make_sweep_plant(), [[0, 0], [0, 1]], 40),
          (make_sweep_plant(), [[1, 1], [1, 1]], 40),
+         # the benchmark's largest scale, where the diagonal template is
+         # refused from N = 52 on; these two templates are refused nowhere
+         (make_sweep_plant(1.1), [[1, 0], [1, 1]], 120),
+         (make_sweep_plant(1.1), [[1, 1], [1, 1]], 120),
          # order 72 and one forbidden coordinate a lag: the first 18 steps
          # run factored on the same index array
          (make_chain_plant(6), ~np.eye(6, k=5, dtype=bool), 30)],
-        ids=["lower-triangular", "diagonal", "low", "full", "chain-6-one-forbidden"],
+        ids=["lower-triangular", "diagonal", "low", "full", "lower-triangular-1.1-to-120",
+             "full-1.1-to-120", "chain-6-one-forbidden"],
     )
     def test_one_pass_equals_per_horizon_syntheses(self, plant, template, n_max, lift_path):
         # the one pass shares every stage's arithmetic with the solver, so
@@ -1015,6 +1020,22 @@ class TestSweepNorms:
             for n in range(1, n_max + 1)
         ]
         assert norms == separate
+
+    @pytest.mark.parametrize("n, first_fall", [(2, 18), (3, 15)])
+    def test_a_falling_norm_is_refused(self, n, first_fall):
+        # each horizon adds constraints, so the optimum cannot fall as N
+        # grows; on these chains the diagonal template's sweep drifts
+        # (ROADMAP item 11) and falls several horizons before its squared
+        # norm would pass below ||P11||^2
+        plant, template = make_chain_plant(n), np.eye(n, dtype=bool)
+        norms = sweep_norms(plant, template, first_fall + 5)
+        delivered = [next(norms) for _ in range(first_fall - 1)]
+        assert delivered == list(sweep_norms(plant, template, first_fall - 1))
+        with pytest.raises(SolverFailure, match=(
+                rf"^squared H2 norm \S+ at horizon N = {first_fall} is below \S+ at"
+                rf" N = {first_fall - 1} by \S+, more than 1e-09 of it: the QP cost lost"
+                r" its accuracy$")):
+            next(norms)
 
     def test_singular_stage_names_its_step(self, chain_plant, monkeypatch):
         # omega = 0 zeroes R, so h vanishes at the first step
