@@ -8,8 +8,9 @@ parameter V, held as one ``(N, n_ctrl, n_meas)`` array and solved exactly
 as a finite-horizon LQR (:func:`solve_constrained_qp`) on the
 Kronecker-lifted FIR recursion, applied as formed matrices at small lifted
 order and through its factors above (:func:`_lift`), by one backward sweep
-over the stages, on a factor of the cost-to-go while its rank is small and
-on the dense cost-to-go after (:func:`_backward_sweep`); and the
+over every lag, on a factor of the cost-to-go while its rank is small and
+on the dense cost-to-go after (:func:`_backward_sweep`), which hands each
+stage's data as arrays to one forward sweep that applies them; and the
 controller in closed form (:func:`realize_controller`).  :func:`sweep_norms`
 runs the plant's part and one backward pass for every horizon of a
 repeated pattern.  A squared norm below the centralized floor ||P11||^2,
@@ -535,8 +536,9 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
                     stages: Iterable[tuple[str, np.ndarray]]):
     """The backward Riccati sweep of :func:`solve_constrained_qp` from
     X = 0 over ``stages``, (label, allowed coordinates a of vec(J)) from the
-    last lag back.  Yields, per stage, its feedback (a function from the
-    lifted state x and e = C_v x to the optimal J_a) and the cost
+    last lag back.  Yields, per stage, its data as arrays, (a, forbidden
+    coordinates, gain h^-1 g) for a dense stage and (a, forbidden, T, S_y,
+    S_z) for a factored one (:func:`_factored_stage`), and the cost
     x_1^T X x_1 after it.
 
     X_k is the cost of the minimum-norm V meeting the constraints of lags
@@ -587,9 +589,7 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
     z, inverses, x_cost, last = np.zeros((order, 0)), None, None, None
     for where, idx in stages:
         if idx is not last:
-            forbidden = np.ones(n_j, bool)
-            forbidden[idx] = False
-            last, forb, r_aa = idx, np.flatnonzero(forbidden), None
+            last, forb, r_aa = idx, np.delete(np.arange(n_j), idx), None
         if z is not None and z.shape[1] + forb.size <= FACTORED_RANK_SHARE * order:
             if inverses is None:  # a singular psi or omega fails the first stage
                 try:
@@ -597,9 +597,9 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
                 except np.linalg.LinAlgError as exc:
                     raise _stage_failure("R = psi kron omega", np.kron(psi, omega),
                                          where, idx.size) from exc
-            feedback, z = _factored_stage(lift, *inverses, z, where, idx, forb)
+            (t, s_y, s_z), z = _factored_stage(lift, *inverses, z, where, idx, forb)
             zx = x1 @ z
-            yield feedback, float(zx @ zx)
+            yield (idx, forb, t, s_y, s_z), float(zx @ zx)
             continue
         if r_aa is None:
             r_aa, r_ca = _allowed_weights(psi, omega, omega_k, psi_l_t, idx)
@@ -637,7 +637,7 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
         x_cost -= np.matmul(g.T, gain, out=work)
         np.copyto(work, x_cost.T)                          # X <- Y/2 + (Y/2)^T
         x_cost += work
-        yield (lambda x, e, gain=gain: -(gain @ x)), float(x1 @ x_cost @ x1)
+        yield (idx, forb, gain), float(x1 @ x_cost @ x1)
 
 
 def _allowed_weights(psi, omega, omega_k, psi_l_t, idx):
@@ -655,7 +655,7 @@ def _allowed_weights(psi, omega, omega_k, psi_l_t, idx):
 
 def _factored_stage(lift: _Lift, psi_inv, omega_inv, z, where: str, idx, forb):
     """One backward stage on a factor, X_{k+1} = Z Z^T -> X_k = Z' Z'^T,
-    returning the stage's feedback and Z'.  ``lift`` is :func:`_lift`'s,
+    returning the stage's (T, S_y, S_z) and Z'.  ``lift`` is :func:`_lift`'s,
     ``psi_inv`` and ``omega_inv`` are the inverses of the weight's factors,
     ``idx`` the allowed coordinates and ``forb`` the forbidden ones, and
     ``where`` labels a failed stage.
@@ -680,8 +680,9 @@ def _factored_stage(lift: _Lift, psi_inv, omega_inv, z, where: str, idx, forb):
     O(n_f^3 + a n_f (n_f + r) + n_j (n_u + n_y) r + (a + order) (n_f^2 + r^2))
     for a allowed and n_f forbidden coordinates and rank r, with no O(a^3)
     factorization of R_aa.  At rank 0, the first stage, numpy's empty
-    products make A^T Z L_M^-T empty and delta 0.  The feedback takes
-    u_0 from e = C_v x, which the forward sweep forms."""
+    products make A^T Z L_M^-T empty and delta 0.  The optimal J_a is
+    e_a + T e_f - S_y S_z^T x, with S_z = A^T Z L_M^-T, S_y = Y L_M^-T and
+    e = C_v x, which the forward sweep forms."""
     rank, n_f, n_j = z.shape[1], forb.size, psi_inv.shape[0] * omega_inv.shape[0]
     w = lift.b_v_t_times(z)[idx]                          # B_a^T Z
     t, y, k_f_inv = _allowed_solves(psi_inv, omega_inv, idx, forb, w, where)
@@ -697,11 +698,7 @@ def _factored_stage(lift: _Lift, psi_inv, omega_inv, z, where: str, idx, forb):
     # it gives Y M^-1 (A^T Z)^T
     s_z, s_y = a_hat_z @ l_m_inv.T, y @ l_m_inv.T
     z_new = np.hstack([lift.c_v_t_times(np.eye(n_j)[:, forb]) @ k_f_inv.T, s_z])
-
-    def feedback(x, e):
-        return e[idx] + t @ e[forb] - s_y @ (x @ s_z)    # u_0 + delta
-
-    return feedback, z_new
+    return (t, s_y, s_z), z_new
 
 
 def _allowed_solves(psi_inv, omega_inv, idx, forb, w, where: str):
@@ -748,35 +745,35 @@ def solve_constrained_qp(plant: GeneralizedPlant, gains: RiccatiGains,
     In the coordinates J_i of :func:`_lift` this is a finite-horizon LQR
     whose inputs are the allowed coordinates of vec(J_i), with the state
     matrix A_bar at every lag and the stage cost
-    (J_i - C_v x_i)^T (psi kron omega) (J_i - C_v x_i).  After the backward
-    sweep (:func:`_backward_sweep`) a forward sweep of the n x n recursion
-    forms E_i = K P_i + Q_i L, the matrix of C_v x_i, once per lag, recovers
-    each optimal J_i from x_i and vec(E_i), and returns V_i = J_i - E_i as an
-    ``(N, n_ctrl, n_meas)`` array with the optimal cost x_1^T X_1 x_1.  The
-    constraint's blocks must be the plant's.
+    (J_i - C_v x_i)^T (psi kron omega) (J_i - C_v x_i).  The backward sweep
+    (:func:`_backward_sweep`) runs every lag; a fully allowed lag past the
+    last constrained one stays on the empty factor, at V = 0 and cost 0.0.
+    One forward sweep of the n x n recursion forms E_i = K P_i + Q_i L, the
+    matrix of C_v x_i, once per lag, applies each stage's data, dense or
+    factored, to x_i and vec(E_i) for the optimal J_i, and returns
+    V_i = J_i - E_i as an ``(N, n_ctrl, n_meas)`` array with the optimal
+    cost x_1^T X_1 x_1.  The constraint's blocks must be the plant's.
     """
     if (cs.block_rows, cs.block_cols) != (plant.block_rows, plant.block_cols):
         raise DimensionMismatch("constraint blocks do not match the plant blocks")
     n_u, n_y, n = plant.n_ctrl, plant.n_meas, cs.n_horizon
 
-    allowed = [np.flatnonzero(cs.entry_mask(lag).ravel(order="F")) for lag in range(1, n + 1)]
-    # Past the last lag with a forbidden coordinate V = 0 and X = 0, so both
-    # sweeps stop there; C_v^T R C_v - g^T h^-1 g would leave rounding noise
-    # where that X is exactly zero.
-    n_con = max((lag for lag, idx in enumerate(allowed, 1) if idx.size < n_u * n_y),
-                default=0)
-    stages = ((f"lag {lag}", allowed[lag - 1]) for lag in range(n_con, 0, -1))
-    feedback, qp_cost = [], 0.0
-    for stage_feedback, qp_cost in _backward_sweep(plant, gains, stages):
-        feedback.append(stage_feedback)
+    stages = ((f"lag {lag}", np.flatnonzero(cs.entry_mask(lag).ravel(order="F")))
+              for lag in range(n, 0, -1))
+    swept = list(_backward_sweep(plant, gains, stages))
+    qp_cost = swept[-1][1] if swept else 0.0
 
     a, b2, c2, k, l = plant.a, plant.b2, plant.c2, gains.k_gain, gains.l_gain
     p, q = l, np.zeros((n_u, plant.n))
     v = np.zeros((n, n_u, n_y))
-    for i, stage_feedback in enumerate(reversed(feedback)):
+    for i, ((idx, forb, *data), _) in enumerate(reversed(swept)):
         e = k @ p + q @ l                                # C_v x
-        j = np.zeros(n_u * n_y)
-        j[allowed[i]] = stage_feedback(np.concatenate([vec(p), vec(q)]), vec(e))
+        x, e_vec, j = np.concatenate([vec(p), vec(q)]), vec(e), np.zeros(n_u * n_y)
+        if len(data) == 1:                               # dense: J_a = -h^-1 g x
+            j[idx] = -(data[0] @ x)
+        else:                                            # factored: u_0 + delta
+            t, s_y, s_z = data
+            j[idx] = e_vec[idx] + t @ e_vec[forb] - s_y @ (x @ s_z)
         j = j.reshape(n_u, n_y, order="F")
         v[i] = j - e
         p, q = a @ p + b2 @ (j - q @ l), q @ a + j @ c2

@@ -231,13 +231,11 @@ def seeded_family_instance(t: int):
     Its seed is the t-th draw of ``default_rng(12345).integers(1 << 30)``;
     from that seed :func:`random_qi_instance` draws the plant, then
     s = 10^U(-5, 5) is drawn, and family t % 6 perturbs the plant: 0, as
-    drawn; 1, B2 and C2 x s; 2, A x 10^U(0, 2.5); 4, the first n (state)
-    rows of C1 x 10^U(-12, 0); 5, the first n columns of B1 x 10^U(-12, 0).
-    Family 3, A's eigenvalues moved to the unit circle, is not written down
-    and raises ``ValueError``.  Returns (plant, cs)."""
+    drawn; 1, B2 and C2 x s; 2, A x 10^U(0, 2.5); 3, A scaled to the
+    spectral radius 1 + sigma 10^U(-9, -3), the sign sigma = +-1 drawn
+    first; 4, the first n (state) rows of C1 x 10^U(-12, 0); 5, the first n
+    columns of B1 x 10^U(-12, 0).  Returns (plant, cs)."""
     family = t % 6
-    if family == 3:
-        raise ValueError("family 3 is not defined")
     rng = np.random.default_rng(_family_seeds()[t])
     plant, _, cs = random_qi_instance(rng)
     s = 10 ** rng.uniform(-5, 5)
@@ -245,6 +243,10 @@ def seeded_family_instance(t: int):
         plant = dataclasses.replace(plant, b2=s * plant.b2, c2=s * plant.c2)
     elif family == 2:
         plant = dataclasses.replace(plant, a=10 ** rng.uniform(0, 2.5) * plant.a)
+    elif family == 3:
+        sigma = rng.choice((-1.0, 1.0))
+        rho = 1.0 + sigma * 10 ** rng.uniform(-9, -3)
+        plant = dataclasses.replace(plant, a=rho / spectral_radius(plant.a) * plant.a)
     elif family == 4:
         c1 = plant.c1.copy()
         c1[:plant.n] *= 10 ** rng.uniform(-12, 0)

@@ -1,6 +1,5 @@
-"""Seeded fuzz table over families 0, 1, 2, 4 and 5 of the random QI
-instances of ``conftest.seeded_family_instance`` (t = 0 ... 599, 500
-instances).
+"""Seeded fuzz table over the six families of the random QI instances of
+``conftest.seeded_family_instance`` (t = 0 ... 599, 600 instances).
 
 Per family it prints how many instances synthesize with their rebuilt loop
 norm within ``GAP_TOL`` of ``total_norm_sq``, the typed errors grouped by
@@ -41,7 +40,7 @@ def outcome(t: int):
 
 def main() -> None:
     totals = defaultdict(int)
-    for family in (0, 1, 2, 4, 5):
+    for family in range(6):
         groups = defaultdict(list)
         for t in range(family, 600, 6):
             kind, gap = outcome(t)

@@ -10,7 +10,8 @@ written out here from their closed-form realizations, and
 :func:`v_coordinate_qp` solves the constrained QP as a dense LQR in V
 coordinates, a second formulation to check the solver against, and prices
 its V directly (:func:`priced_cost`, checked against the exact rational
-price of :func:`exact_price`).
+price of :func:`exact_price`).  :func:`kkt_reference` solves the QP's KKT
+system to 60 digits in ``mpmath``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
+from mpmath import mp
 
 
 def horizon_for(rho: float, tail: float = 1e-13, lo: int = 30, hi: int = 4000) -> int:
@@ -271,6 +273,56 @@ def v_coordinate_qp(vsys, cs, omega, psi):
         v[i] = v_vec.reshape((n_u, n_y), order="F")
         state = (a_i + b_i @ feedback[i]) @ state
     return v, priced_cost(v, omega, psi)
+
+
+def kkt_reference(vsys, cs, omega, psi):
+    """The constrained QP solved to 60 digits, the reference for the float
+    solvers.  The unknowns are v = (vec V_1, ..., vec V_N); the constraints
+    E v = -c are the forbidden rows of
+    J_i = C_v (A_v^(i-1) x_1 + sum_{t<i} A_v^(i-1-t) B_v v_t) + v_i; and the
+    KKT system [[2 blkdiag(R), E^T], [E, 0]] [v; mu] = [0; -c], with
+    R = psi kron omega, is solved by ``mp.lu_solve`` at ``mp.dps = 60``.
+    The binary values of the dense lift ``vsys``
+    (:func:`delayh2.synthesis.vectorized_system`), omega and psi are taken
+    as exact.  Returns V rounded to an ``(N, n_ctrl, n_meas)`` float array
+    and the cost sum_i v_i^T R v_i as an ``mpf``.  The arithmetic is pure
+    Python, about a second at a hundred unknowns; N >= 1."""
+    omega, psi = np.atleast_2d(omega), np.atleast_2d(psi)
+    n_u, n_y, n = omega.shape[0], psi.shape[0], cs.n_horizon
+    m = n_u * n_y
+    # mp.matrix is indexed with Python ints, so every index set is a list
+    forb = [np.flatnonzero(~cs.entry_mask(lag).ravel(order="F")).tolist()
+            for lag in range(1, n + 1)]
+    size = n * m + sum(map(len, forb))
+    with mp.workdps(60):
+        a_v, b_v, c_v, x1 = (mp.matrix(np.asarray(x, dtype=float).tolist()) for x in vsys)
+        # R[a, b] at the vec(V) indices a = y n_u + u and b = y' n_u + u'
+        r = [[mp.mpf(psi[a // n_u, b // n_u]) * mp.mpf(omega[a % n_u, b % n_u])
+              for b in range(m)] for a in range(m)]
+        free, drive, c_free, markov = x1, b_v, [], []
+        for _ in range(n):                     # C_v A_v^k x_1 and C_v A_v^k B_v
+            c_free.append(c_v * free)
+            markov.append(c_v * drive)
+            free, drive = a_v * free, a_v * drive
+        kkt, rhs = mp.zeros(size, size), mp.zeros(size, 1)
+        for i in range(n):
+            for a in range(m):
+                for b in range(m):
+                    kkt[i * m + a, i * m + b] = 2 * r[a][b]
+        row = n * m
+        for i in range(n):
+            for f in forb[i]:
+                for t in range(i):
+                    for b in range(m):
+                        kkt[row, t * m + b] = kkt[t * m + b, row] = markov[i - 1 - t][f, b]
+                kkt[row, i * m + f] = kkt[i * m + f, row] = 1
+                rhs[row] = -c_free[i][f]
+                row += 1
+        sol = mp.lu_solve(kkt, rhs)
+        v = [[sol[i * m + a] for a in range(m)] for i in range(n)]
+        cost = mp.fsum(v_i[a] * r[a][b] * v_i[b] for v_i in v for a in range(m) for b in range(m))
+    v_float = np.array([[float(x) for x in v_i] for v_i in v]).reshape(n, n_y, n_u)
+    return v_float.swapaxes(1, 2), cost
 
 
 def random_stable_model(rng, n: int, m: int, p: int, rho: float = 0.85):
