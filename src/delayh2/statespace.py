@@ -133,6 +133,9 @@ class StateSpaceModel:
 
     def __post_init__(self):
         a, b, c, d = map(_as_matrix, (self.a, self.b, self.c, self.d))
+        for name, m in zip("ABCD", (a, b, c, d)):
+            if m.ndim > 2:
+                raise DimensionMismatch(f"{name} must be a matrix, got shape {m.shape}")
         n = a.shape[0]
         if a.shape != (n, n):
             raise DimensionMismatch(f"A must be square, got {a.shape}")

@@ -13,10 +13,11 @@ on the dense cost-to-go after (:func:`_backward_sweep`), which hands each
 stage's data as arrays to one forward sweep that applies them; and the
 controller in closed form (:func:`realize_controller`).  :func:`sweep_norms`
 runs the plant's part and one backward pass for every horizon of a
-repeated pattern.  A squared norm below the centralized floor ||P11||^2,
-or NaN, or a qp_cost off the priced cost of its own V is the QP's lost
-accuracy and raises :class:`SolverFailure` (:func:`synthesize`), and so
-is a sweep's squared norm that falls as N grows.
+repeated pattern.  :func:`synthesize` reports the priced cost f(V) of the
+V it returns, and a sweep cost off that price, or NaN, is the QP's lost
+accuracy and raises :class:`SolverFailure`; so is a sweep's squared norm
+below the centralized floor ||P11||^2, NaN, or one that falls as N grows
+(:func:`sweep_norms`).
 :func:`vectorized_system`, :func:`coprime_factorization` and
 :func:`model_matching_matrices` are references off the pipeline, kept here
 because ``perfbench`` calls or traces them by name.
@@ -72,13 +73,13 @@ RICCATI_RESIDUAL_TOL = math.sqrt(np.finfo(float).eps)
 # factored stage's fixed numpy overhead weighs most.
 FACTORED_RANK_SHARE = 0.5
 
-# Bound on the gap between the QP's cost and the priced cost of its own V,
-# relative to ||P11||^2 + priced, the squared norm it feeds (:func:`synthesize`).
-# The price, a direct sum over the lags, does not inherit the backward
-# sweep's rounding.  1e-9 is the relative match that the closed loop's
-# norm is held to.  The gap reads 4e-12 on the 20-chain; over 397 random
-# QI instances, many of them badly scaled (ROADMAP item 7's recipe), it
-# spreads up to 1e-2, 20 of them above 1e-9.
+# Bound on the gap between the backward sweep's cost and the priced cost of
+# its own V, relative to ||P11||^2 + priced, the squared norm that
+# :func:`synthesize` reports.  The price, a direct sum over the lags, does
+# not inherit the backward sweep's rounding.  1e-9 is the relative match
+# that the closed loop's norm is held to.  The gap reads 4e-12 on the
+# 20-chain; over 397 random QI instances, many of them badly scaled
+# (ROADMAP item 7's recipe), it spreads up to 1e-2, 20 of them above 1e-9.
 PRICED_COST_TOL = 1e-9
 
 # Up to this lifted order :func:`_lift` applies the lift as matrices formed
@@ -246,6 +247,13 @@ def _fir_realization(v: np.ndarray):
 
 @dataclass(frozen=True)
 class SynthesisResult:
+    """The controller of one synthesis and what it achieves.
+
+    ``v_star`` is its free parameter V, an ``(N, n_ctrl, n_meas)`` array;
+    ``qp_cost`` is V's priced cost f(V) = sum_i <V_i, Omega V_i Psi^T>; and
+    ``total_norm_sq`` = ``p11_norm_sq`` + ``qp_cost`` is the controller's
+    squared closed-loop H2 norm."""
+
     controller: StateSpaceModel
     v_star: np.ndarray
     p11_norm_sq: float
@@ -254,21 +262,7 @@ class SynthesisResult:
 
     @property
     def h2_norm(self) -> float:
-        return _h2_norm(self.total_norm_sq, self.p11_norm_sq, self.v_star.shape[0])
-
-
-def _h2_norm(total_norm_sq: float, p11_norm_sq: float, horizon: int) -> float:
-    """sqrt(||P11||^2 + qp_cost) at ``horizon`` lags.  A constrained optimum
-    never falls below the unconstrained one, so a total below the floor
-    max(||P11||^2, 0), or NaN, is the QP's lost accuracy and raises
-    :class:`SolverFailure`.  A qp_cost too small to move the rounded total
-    passes."""
-    if not total_norm_sq >= max(p11_norm_sq, 0.0):
-        raise SolverFailure(
-            f"squared H2 norm {total_norm_sq:.6g} at horizon N = {horizon} is NaN or below"
-            f" the centralized floor ||P11||^2 = {p11_norm_sq:.6g}: the QP cost lost its accuracy"
-        )
-    return math.sqrt(total_norm_sq)
+        return math.sqrt(self.total_norm_sq)
 
 
 def riccati_gains(plant: GeneralizedPlant) -> RiccatiGains:
@@ -761,7 +755,7 @@ def solve_constrained_qp(plant: GeneralizedPlant, gains: RiccatiGains,
     stages = ((f"lag {lag}", np.flatnonzero(cs.entry_mask(lag).ravel(order="F")))
               for lag in range(n, 0, -1))
     swept = list(_backward_sweep(plant, gains, stages))
-    qp_cost = swept[-1][1] if swept else 0.0
+    cost = swept[-1][1] if swept else 0.0
 
     a, b2, c2, k, l = plant.a, plant.b2, plant.c2, gains.k_gain, gains.l_gain
     p, q = l, np.zeros((n_u, plant.n))
@@ -777,7 +771,7 @@ def solve_constrained_qp(plant: GeneralizedPlant, gains: RiccatiGains,
         j = j.reshape(n_u, n_y, order="F")
         v[i] = j - e
         p, q = a @ p + b2 @ (j - q @ l), q @ a + j @ c2
-    return v, qp_cost
+    return v, cost
 
 
 def realize_controller(
@@ -849,10 +843,12 @@ def synthesize(plant: GeneralizedPlant, cs: ConstraintSpace,
     When ``delays`` is supplied the quadratic-invariance condition is
     verified first (:func:`qi_verdict`) and a failure raises
     :class:`QIViolation`; otherwise the caller is trusted to have checked
-    it.  The QP's V is priced directly, at O(N n_j (n_u + n_y)), and
-    a qp_cost off that price by more than ``PRICED_COST_TOL`` of
-    ||P11||^2 + priced raises :class:`SolverFailure`, as does a total below
-    the floor (:func:`_h2_norm`), before any result is returned.
+    it.  The QP's V is priced directly, at O(N n_j (n_u + n_y)), and that
+    price f(V) is the result's ``qp_cost``.  Omega and Psi are at least I,
+    so f(V) >= 0 and the total never falls below ||P11||^2.  A sweep cost
+    x_1^T X_1 x_1 (:func:`solve_constrained_qp`) off f(V) by more than
+    ``PRICED_COST_TOL`` of ||P11||^2 + f(V), or NaN anywhere, raises
+    :class:`SolverFailure` before any result is returned.
     """
     if delays is not None:
         p, verdict = qi_verdict(plant, delays)
@@ -862,43 +858,47 @@ def synthesize(plant: GeneralizedPlant, cs: ConstraintSpace,
             )
 
     gains, p11_norm_sq = _plant_prefix(plant)
-    v_star, qp_cost = solve_constrained_qp(plant, gains, cs)
+    v_star, swept_cost = solve_constrained_qp(plant, gains, cs)
     # sum_i vec(V_i)^T (psi kron omega) vec(V_i) = sum_i <V_i, omega V_i psi^T>
-    priced = float(np.sum(gains.omega @ v_star @ gains.psi.T * v_star))
-    gap = abs(qp_cost - priced)
-    if not gap <= PRICED_COST_TOL * (p11_norm_sq + priced):
+    qp_cost = float(np.sum(gains.omega @ v_star @ gains.psi.T * v_star))
+    gap = abs(swept_cost - qp_cost)
+    if not gap <= PRICED_COST_TOL * (p11_norm_sq + qp_cost):
         raise SolverFailure(
-            f"QP cost {qp_cost:.6g} at horizon N = {cs.n_horizon} is off the priced cost"
-            f" {priced:.6g} of its own V by {gap:.3g}, more than {PRICED_COST_TOL:g} of"
+            f"QP cost {swept_cost:.6g} at horizon N = {cs.n_horizon} is off the priced cost"
+            f" {qp_cost:.6g} of its own V by {gap:.3g}, more than {PRICED_COST_TOL:g} of"
             f" ||P11||^2 + priced: the QP cost lost its accuracy"
         )
-    _h2_norm(p11_norm_sq + qp_cost, p11_norm_sq, cs.n_horizon)
     controller = realize_controller(v_star, gains, plant)
     return SynthesisResult(controller, v_star, p11_norm_sq, qp_cost, p11_norm_sq + qp_cost)
 
 
 def sweep_norms(plant: GeneralizedPlant, template, n_max: int) -> Iterator[float]:
     """The ``h2_norm`` of :func:`synthesize` for N = 1 ... n_max lags of the
-    block pattern ``template``, bit for bit, from one backward pass with
-    ``template`` at every stage and no controller: x_1^T X x_1 after step N
-    is the QP cost at horizon N (an all-allowed template runs n_max
-    factored stages on an empty factor, at cost 0.0).  An error raised after
-    k norms fails every N > k: a singular stage at backward step k + 1, a
-    squared norm below ||P11||^2 at horizon k + 1, or one below horizon k's
-    by more than ``PRICED_COST_TOL`` of it.  Each horizon adds constraints,
-    so the optimum cannot fall as N grows, and a fall is the sweep's lost
-    accuracy."""
+    block pattern ``template``, within ``PRICED_COST_TOL``, from one backward
+    pass with ``template`` at every stage and no controller: x_1^T X x_1
+    after step N is the QP cost at horizon N (an all-allowed template runs
+    n_max factored stages on an empty factor, at cost 0.0).  An error raised
+    after k norms fails every N > k: a singular stage at backward step
+    k + 1, a squared norm at horizon k + 1 that is NaN or below the floor
+    max(||P11||^2, 0), or one below horizon k's by more than
+    ``PRICED_COST_TOL`` of it.  A constrained optimum never falls below the
+    unconstrained one, and each horizon adds constraints, so the optimum
+    cannot fall as N grows either: a total below the floor or a fall is the
+    sweep's lost accuracy."""
     gains, p11_norm_sq = _plant_prefix(plant)
     mask = expand_pattern(template, plant.block_rows, plant.block_cols)
     idx = np.flatnonzero(mask.ravel(order="F"))
     stages = ((f"backward step {m}", idx) for m in range(1, n_max + 1))
     last = 0.0  # every total passes the floor max(||P11||^2, 0), so N = 1 cannot fall
-    for horizon, (_, qp_cost) in enumerate(_backward_sweep(plant, gains, stages), 1):
-        total = p11_norm_sq + qp_cost
-        norm = _h2_norm(total, p11_norm_sq, horizon)
+    for horizon, (_, swept_cost) in enumerate(_backward_sweep(plant, gains, stages), 1):
+        total = p11_norm_sq + swept_cost
+        if not total >= max(p11_norm_sq, 0.0):
+            raise SolverFailure(
+                f"squared H2 norm {total:.6g} at horizon N = {horizon} is NaN or below the"
+                f" centralized floor ||P11||^2 = {p11_norm_sq:.6g}: the QP cost lost its accuracy")
         if last - total > PRICED_COST_TOL * last:
             raise SolverFailure(f"squared H2 norm {total:.10g} at horizon N = {horizon} is below"
                                 f" {last:.10g} at N = {horizon - 1} by {last - total:.3g}, more"
                                 f" than {PRICED_COST_TOL:g} of it: the QP cost lost its accuracy")
         last = total
-        yield norm
+        yield math.sqrt(total)

@@ -5,10 +5,11 @@ For ``configs/two_subsystem_sweep.json`` with A, B2 and C2 scaled by 0.9,
 the lower-triangular, diagonal, [[0, 0], [0, 1]] and full templates, it
 prints per pair the number of horizons delivered out of ``N_MAX``, the
 first refused N, the check that refused it (fall: the squared norm fell
-below the previous horizon's; floor: below ||P11||^2 or NaN; stage: a
-singular stage matrix) and the largest relative fall of the squared norm
-between consecutive delivered horizons.  It asserts nothing; ROADMAP items
-1(c) and 11 should push the refusals out.  Run from the repository root:
+below the previous horizon's; floor: below ||P11||^2 or NaN, a check that
+only the sweep makes, since ``synthesize`` reports the priced cost of its
+V; stage: a singular stage matrix) and the largest relative fall of the
+squared norm between consecutive delivered horizons.  It asserts nothing;
+ROADMAP items 1(c) and 11 should push the refusals out.  Run from the repository root:
 
     PYTHONPATH=src python3 tests/sweep_table.py
 """
@@ -27,7 +28,7 @@ N_MAX = 120
 
 
 def refusal(exc: DelayH2Error) -> str:
-    """The check named by a refusal's message."""
+    """The check of ``sweep_norms`` named by a refusal's message."""
     message = str(exc)
     if "centralized floor" in message:
         return "floor"

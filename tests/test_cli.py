@@ -474,7 +474,11 @@ class TestVerify:
         (lambda ksec: ksec.update(a=[[1.0]]), "B has 9 rows, expected 1"),
         (lambda ksec: [row.pop() for row in ksec["b"] + ksec["d"]],
          "controller has 2 inputs and 3 outputs, the plant 3 measurements and 3 controls"),
-    ], ids=["state matrix", "plant dimensions"])
+        (lambda ksec: ksec.update(b=[[[v] for v in row] for row in ksec["b"]]),
+         "B must be a matrix, got shape (9, 3, 1)"),
+        (lambda ksec: ksec.update(c=[[[v] for v in row] for row in ksec["c"]]),
+         "C must be a matrix, got shape (3, 9, 1)"),
+    ], ids=["state matrix", "plant dimensions", "nested b", "nested c"])
     def test_mismatched_matrices_are_config_error(self, perturbed_controller, tmp_path,
                                                   capsys, change, mismatch):
         doc = json.loads(Path(perturbed_controller).read_text())

@@ -48,6 +48,16 @@ class TestModel:
         with pytest.raises(DimensionMismatch):
             StateSpaceModel(np.zeros((2, 2)), np.zeros((3, 1)), np.zeros((1, 2)), 0.0)
 
+    @pytest.mark.parametrize("name", "abcd")
+    def test_an_operand_of_more_than_two_dimensions_is_refused(self, name):
+        # B nested one level deeper, (2, 1, 1), matches A's rows and D's
+        # columns by its first two dimensions; only its rank tells it apart
+        mats = dict(a=np.zeros((2, 2)), b=np.zeros((2, 1)), c=np.zeros((1, 2)), d=np.zeros((1, 1)))
+        mats[name] = mats[name][..., None]
+        with pytest.raises(DimensionMismatch, match=rf"^{name.upper()} must be a matrix, got "
+                           rf"shape \({mats[name].shape[0]}, {mats[name].shape[1]}, 1\)$"):
+            StateSpaceModel(**mats)
+
     def test_static_gain_has_zero_order(self):
         g = static_model([[1.0, 2.0], [3.0, 4.0]])
         assert g.order == 0

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 import tracemalloc
 from collections import Counter
@@ -32,6 +33,7 @@ from delayh2 import synthesis
 from delayh2.config import load_config
 from delayh2.verify import kkt_oracle
 from delayh2.synthesis import (
+    PRICED_COST_TOL,
     RICCATI_RESIDUAL_TOL,
     _fir_realization,
     _kron,
@@ -732,6 +734,21 @@ class TestKktReference:
         assert abs(excess) <= 1e-12 * (p11_norm_sq + float(cost_ref))
 
 
+def test_fuzz_instance_below_the_sweep_floor_reports_its_priced_cost():
+    # fuzz t = 493: the sweep's cost reads -2.42e-10, below the floor, while
+    # its V prices at 2.52e-10.  The result reports the price, which the
+    # rebuilt loop confirms (3.1e-16 measured); V's excess over the 60-digit
+    # optimum is 8.3e-12, 2.9e-12 of the total
+    plant, cs = seeded_family_instance(493)
+    result = synthesize(plant, cs)
+    loop = closed_loop(plant, result.controller)
+    assert abs(h2_norm_sq(loop.model) - result.total_norm_sq) <= 1e-12 * result.total_norm_sq
+    gains = riccati_gains(plant)
+    _, cost_ref = oracles.kkt_reference(vectorized_system(plant, gains), cs,
+                                        gains.omega, gains.psi)
+    assert abs(result.qp_cost - float(cost_ref)) <= 1e-11 * result.total_norm_sq
+
+
 def test_priced_cost_matches_the_exact_price():
     # a badly scaled QI instance (cond(omega), cond(psi) about 2e5), priced
     # against the exact rational price of the V that synthesis returns
@@ -1090,17 +1107,28 @@ class TestSweepNorms:
         ids=["lower-triangular", "diagonal", "low", "full", "lower-triangular-1.1-to-120",
              "full-1.1-to-120", "chain-6-one-forbidden"],
     )
-    def test_one_pass_equals_per_horizon_syntheses(self, plant, template, n_max, lift_path):
+    def test_one_pass_equals_per_horizon_syntheses(self, plant, template, n_max, lift_path,
+                                                   monkeypatch):
         # the one pass shares every stage's arithmetic with the solver, so
-        # the norms agree bit for bit, the all-allowed template's included
+        # the norms agree bit for bit with the solver's sweep cost, the
+        # all-allowed template's included; synthesize reports the price of
+        # each V, which the priced-cost check holds to that cost
         blocks = plant.block_rows, plant.block_cols
         pattern = np.array(template, bool)
         norms = list(sweep_norms(plant, pattern, n_max))
-        separate = [
-            synthesize(plant, ConstraintSpace(n, *blocks, (pattern,) * n)).h2_norm
-            for n in range(1, n_max + 1)
-        ]
-        assert norms == separate
+        p11_norm_sq, swept, solve = _plant_prefix(plant)[1], [], synthesis.solve_constrained_qp
+
+        def recorded(*args):
+            v, cost = solve(*args)
+            swept.append(math.sqrt(p11_norm_sq + cost))
+            return v, cost
+
+        monkeypatch.setattr(synthesis, "solve_constrained_qp", recorded)
+        priced = [synthesize(plant, ConstraintSpace(n, *blocks, (pattern,) * n)).h2_norm
+                  for n in range(1, n_max + 1)]
+        assert norms == swept
+        for norm, h2_norm in zip(norms, priced):
+            assert abs(norm**2 - h2_norm**2) <= PRICED_COST_TOL * h2_norm**2
 
     @pytest.mark.parametrize("n, first_fall", [(2, 18), (3, 15)])
     def test_a_falling_norm_is_refused(self, n, first_fall):
@@ -1174,9 +1202,10 @@ class TestSynthesize:
         d = delay_matrix(make_chain_graph())
         result = synthesize(chain_plant, chain_space, delays=d)
         assert result.h2_norm == pytest.approx(CHAIN_NORM, abs=1e-3)
-        assert result.total_norm_sq == pytest.approx(
-            result.p11_norm_sq + result.qp_cost, rel=1e-12
-        )
+        # qp_cost is the price of the V returned, and the total adds it
+        gains, v = riccati_gains(chain_plant), result.v_star
+        assert result.qp_cost == float(np.sum(gains.omega @ v @ gains.psi.T * v))
+        assert result.total_norm_sq == result.p11_norm_sq + result.qp_cost
 
     def test_centralized_reference(self, chain_plant):
         cs = ConstraintSpace(0, (1, 1, 1), (1, 1, 1), ())
@@ -1230,14 +1259,20 @@ class TestSynthesize:
             assert a <= b + 1e-8 <= c + 2e-8
 
     @pytest.mark.parametrize("total", [-1e-3, 0.5, float("nan")])
-    def test_negative_norm_squared_is_a_solver_failure(self, chain_plant, total):
-        # ||P11||^2 = 1 is the floor: a negative total, a positive one below
-        # it and NaN all fail
-        result = synthesis.SynthesisResult(chain_plant.g22, np.zeros((7, 3, 3)), 1.0,
-                                           total - 1.0, total)
-        with pytest.raises(SolverFailure, match=r"at horizon N = 7 is NaN or below the "
-                           r"centralized floor \|\|P11\|\|\^2 = 1: the QP cost"):
-            result.h2_norm
+    def test_negative_norm_squared_is_a_solver_failure(self, chain_plant, monkeypatch, total):
+        # ||P11||^2 is the sweep's floor: a step-1 cost that makes the total
+        # (in units of ||P11||^2) negative, positive but below the floor, or
+        # NaN fails horizon 1
+        p11_norm_sq = _plant_prefix(chain_plant)[1]
+        cost = (total - 1.0) * p11_norm_sq
+        monkeypatch.setattr(synthesis, "_backward_sweep",
+                            lambda plant, gains, stages: iter([((), cost)]))
+        norms = sweep_norms(chain_plant, np.eye(3, dtype=bool), 5)
+        with pytest.raises(SolverFailure, match=(
+                r"^squared H2 norm \S+ at horizon N = 1 is NaN or below the centralized floor "
+                rf"\|\|P11\|\|\^2 = {re.escape(f'{p11_norm_sq:.6g}')}: the QP cost lost its"
+                r" accuracy$")):
+            next(norms)
 
     @pytest.mark.parametrize("seed, factor", [(570417371, 9.47e4), (394056959, 995.0)])
     def test_qp_cost_off_its_priced_v_is_a_solver_failure(self, seed, factor):
@@ -1251,11 +1286,11 @@ class TestSynthesize:
                            r"\+ priced: the QP cost lost its accuracy$"):
             synthesize(plant, cs)
 
-    def test_total_below_the_floor_is_a_solver_failure(self, chain_plant, chain_space,
-                                                       monkeypatch):
-        # a QP that returns V = 0 and qp_cost = -1e-10 ||P11||^2 passes the
-        # priced-cost check; synthesize itself must refuse the total below
-        # the floor, not only a later read of h2_norm
+    def test_sweep_cost_below_the_floor_reports_the_price_of_v(self, chain_plant, chain_space,
+                                                               monkeypatch):
+        # a QP that returns V = 0 and a sweep cost of -1e-10 ||P11||^2
+        # passes the priced-cost check; the result reports the price of
+        # V = 0, so its total is the floor itself
         p11_norm_sq = _plant_prefix(chain_plant)[1]
 
         def below_the_floor(plant, gains, cs):
@@ -1263,8 +1298,22 @@ class TestSynthesize:
             return v, -1e-10 * p11_norm_sq
 
         monkeypatch.setattr(synthesis, "solve_constrained_qp", below_the_floor)
-        with pytest.raises(SolverFailure, match=rf"^squared H2 norm \S+ at horizon "
-                           rf"N = {chain_space.n_horizon} is NaN or below the centralized floor"):
+        result = synthesize(chain_plant, chain_space)
+        assert result.qp_cost == 0.0
+        assert result.total_norm_sq == result.p11_norm_sq == p11_norm_sq
+
+    def test_nan_in_v_is_a_solver_failure(self, chain_plant, chain_space, monkeypatch):
+        # a V with a NaN prices at NaN, which no gap passes
+        def nan_v(plant, gains, cs):
+            v = np.zeros((cs.n_horizon, plant.n_ctrl, plant.n_meas))
+            v[0, 0, 0] = np.nan
+            return v, 0.0
+
+        monkeypatch.setattr(synthesis, "solve_constrained_qp", nan_v)
+        with pytest.raises(SolverFailure, match=rf"^QP cost 0 at horizon N = "
+                           rf"{chain_space.n_horizon} is off the priced cost nan of its own V "
+                           r"by nan, more than 1e-09 of \|\|P11\|\|\^2 \+ priced: the QP cost "
+                           r"lost its accuracy$"):
             synthesize(chain_plant, chain_space)
 
     def test_priced_instance_has_its_loop_norm(self):
