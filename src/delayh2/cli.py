@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import delaymodel, synthesis, verify
-from .config import load_config, read_json
+from .config import json_numbers, load_config, read_json
 from .errors import ConfigError, DelayH2Error, DimensionMismatch, QIViolation, UnstableSystem
 from .statespace import StateSpaceModel, h2_norm_sq
 from .synthesis import SynthesisResult, sweep_norms, synthesize
@@ -200,17 +200,12 @@ def cmd_verify(args) -> int:
     cfg = load_config(args.config)
     doc = read_json(args.controller)
     try:
-        mats = {name: np.array(doc["controller"][name], dtype=float) for name in "abcd"}
+        mats = {name: np.array(json_numbers(doc["controller"][name], f"controller.{name}"),
+                               dtype=float) for name in "abcd"}
         for name, m in mats.items():
             if not np.isfinite(m).all():
                 raise ValueError(f"controller.{name} has a non-finite entry")
         k = StateSpaceModel(**mats)
-        plant = cfg.plant
-        if (k.n_inputs, k.n_outputs) != (plant.n_meas, plant.n_ctrl):
-            raise DimensionMismatch(
-                f"controller has {k.n_inputs} inputs and {k.n_outputs} outputs, "
-                f"the plant {plant.n_meas} measurements and {plant.n_ctrl} controls"
-            )
         stored = doc.get("h2_norm")
         if stored is not None:
             if isinstance(stored, bool) or not isinstance(stored, (int, float)):
@@ -218,11 +213,11 @@ def cmd_verify(args) -> int:
             stored = float(stored)
             if not math.isfinite(stored):
                 raise ValueError(f"h2_norm must be finite, got {stored}")
-    except (DimensionMismatch, OverflowError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"cannot read controller file: {exc}") from exc
+        loop = verify.closed_loop(cfg.plant, k)
+    except (ConfigError, DimensionMismatch, OverflowError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot read controller file {args.controller}: {exc}") from exc
 
     report = verify.conformance(k, cfg.space)
-    loop = verify.closed_loop(cfg.plant, k)
     # h2_norm_sq proves the loop stable before it sums the Gramian; on the
     # loop of a synthesized realization that is the Youla verdict
     try:

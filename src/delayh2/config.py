@@ -48,10 +48,24 @@ _CONSTRAINT_KEYS = ("graph", "delay_matrix", "patterns")
 _TOP_KEYS = ("plant",) + _CONSTRAINT_KEYS + ("sweep",)
 
 
+def json_numbers(value, where: str):
+    """``value``, a number or nested lists of numbers as JSON reads them.
+    A string, boolean, null or object in it raises a :class:`ConfigError`
+    that starts with ``where``; ``np.array(value, dtype=float)`` would read
+    ``"1.5"`` as 1.5 and ``true`` as 1."""
+    items = [value]
+    for item in items:  # breadth first: the list grows as it is walked
+        if isinstance(item, list):
+            items.extend(item)
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise ConfigError(f"{where}: {json.dumps(item)} is not a number")
+    return value
+
+
 def _matrix(section: dict, key: str, where: str) -> np.ndarray:
     if key not in section:
         raise ConfigError(f"{where}: missing field '{key}'")
-    value = section[key]
+    value = json_numbers(section[key], f"{where}.{key}")
     try:
         arr = np.array(value, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -121,7 +135,7 @@ def parse_config(doc: dict, where: str = "config") -> ProblemConfig:
     for key in ("block_rows", "block_cols"):
         if key not in psec:
             raise ConfigError(f"{where}.plant: missing field '{key}'")
-        fields[key] = psec[key]
+        fields[key] = json_numbers(psec[key], f"{where}.plant.{key}")
     try:
         plant = GeneralizedPlant(**fields)
     except (DelayH2Error, ValueError, TypeError) as exc:
@@ -157,14 +171,17 @@ def _constraint(
         raise ConfigError(f"{where}.graph: need 'comp_delays' and 'edges'")
     try:
         if style == "graph":
-            comp = section["comp_delays"]
-            delays = build_delay_matrix(DelayGraph(len(comp), comp, section.get("edges", ())))
+            comp = json_numbers(section["comp_delays"], f"{where}.graph.comp_delays")
+            edges = json_numbers(section.get("edges", []), f"{where}.graph.edges")
+            delays = build_delay_matrix(DelayGraph(len(comp), comp, edges))
         else:
-            delays = DelayMatrix(section)
+            delays = DelayMatrix(json_numbers(section, f"{where}.delay_matrix"))
         if (delays.node_count,) * 2 != grid:
             raise ValueError(f"{delays.node_count} network nodes but plant declares "
                              f"{grid[0]}/{grid[1]} blocks")
         space = build_constraint_space(delays, plant.block_rows, plant.block_cols)
+    except ConfigError:
+        raise
     except (DelayH2Error, ValueError, TypeError) as exc:
         raise ConfigError(f"{where}.{style}: {exc}") from exc
     return delays, space
@@ -192,7 +209,7 @@ def _parse_template(section, plant: GeneralizedPlant, where: str) -> np.ndarray:
 def _block_pattern(raw, shape, where: str) -> np.ndarray:
     """A 0/1 block matrix of the given block-grid shape."""
     try:
-        arr = np.array(raw, dtype=float)
+        arr = np.array(json_numbers(raw, where), dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: not a rectangular 0/1 matrix ({exc})") from exc
     if arr.shape != shape:

@@ -499,18 +499,6 @@ def _lift(plant: GeneralizedPlant, gains: RiccatiGains) -> _Lift:
     return _Lift(order, np.concatenate([vec(l), np.zeros(k_gain.size)]), *products)
 
 
-def _kron(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """``np.kron(a, b)`` of two matrices, bit for bit (each entry is the same
-    one product a_ij b_kl), as one broadcast product without ``np.kron``'s
-    shape handling for any dimension; written into ``out``, which may be a
-    block of a larger matrix, if given."""
-    shape = (a.shape[0], b.shape[0], a.shape[1], b.shape[1])
-    if out is None:
-        out = np.empty((shape[0] * shape[1], shape[2] * shape[3]))
-    np.multiply(a[:, None, :, None], b[None, :, None, :], out=out.reshape(shape, copy=False))
-    return out
-
-
 def _stage_failure(name: str, m: np.ndarray, where: str, n_allowed: int) -> SolverFailure:
     """The failure of the stage ``where`` to factor or invert its matrix
     ``name``, ``m``: its order and, computed on this path only, its
@@ -550,7 +538,12 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
     so neither R nor R C_v is formed, and besides C_v^T R C_v / 2 the dense
     stage holds two order x order buffers: X and one work buffer.
 
-    The first dense stage is the handover.  It forms C_v^T R C_v / 2 once
+    The first dense stage is the handover.  It forms C_v^T R C_v / 2 once,
+    as a block matrix of four Kronecker products of the weight's factors,
+
+        C_v^T R C_v = [psi kron K^T omega K,       psi L^T kron K^T omega]
+                      [L psi kron omega K,    L psi L^T kron omega      ],
+
     and reads X = Z Z^T through the factor, with W = B_a^T Z and
     G = A_bar^T Z:
 
@@ -598,14 +591,10 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
         if r_aa is None:
             r_aa, r_ca = _allowed_weights(psi, omega, omega_k, psi_l_t, idx)
         if z is not None:
-            # the handover, once: C_v^T R C_v / 2, block by block, then X = Z Z^T
-            # read through Z, with W = B_a^T Z and G = A_bar^T Z
-            split = plant.n * plant.n_meas
-            c_r_c = np.empty((order, order))
-            _kron(psi, k.T @ omega @ k, out=c_r_c[:split, :split])
-            _kron(psi_l_t, k.T @ omega, out=c_r_c[:split, split:])
-            _kron(l @ psi, omega_k, out=c_r_c[split:, :split])
-            _kron(l @ psi @ l.T, omega, out=c_r_c[split:, split:])
+            # the handover, once: C_v^T R C_v / 2, then X = Z Z^T read through Z,
+            # with W = B_a^T Z and G = A_bar^T Z
+            c_r_c = np.block([[np.kron(psi, k.T @ omega @ k), np.kron(psi_l_t, k.T @ omega)],
+                              [np.kron(l @ psi, omega_k), np.kron(l @ psi @ l.T, omega)]])
             c_r_c *= 0.5
             w, g_z = lift.b_v_t_times(z)[idx], lift.a_bar_t_times(z)
             h = r_aa + w @ w.T
@@ -639,7 +628,7 @@ def _allowed_weights(psi, omega, omega_k, psi_l_t, idx):
     R = psi kron omega and R C_v = [psi kron omega K, psi L^T kron omega],
     from ``omega_k`` = omega K and ``psi_l_t`` = psi L^T.  The index
     y n_u + u of vec(J) is split by divmod, and each entry is the one
-    product of a factor entry by a factor entry that :func:`_kron` forms."""
+    product of a factor entry by a factor entry that ``np.kron`` forms."""
     a, (n_y, n), n_u = idx.size, psi_l_t.shape, omega.shape[0]
     y, u = np.divmod(idx, n_u)
     r_ca = np.hstack([(psi[y, :, None] * omega_k[u, None, :]).reshape(a, n_y * n),

@@ -68,12 +68,17 @@ def closed_loop(plant: GeneralizedPlant, k: StateSpaceModel) -> ClosedLoop:
 
     Raises
     ------
+    DimensionMismatch
+        If the controller's inputs and outputs are not the plant's
+        measurements and controls.
     IllPosed
         If the controller has a nonzero feedthrough (the loop would need an
         algebraic inversion, which the strictly proper setting rules out).
     """
     if (k.n_inputs, k.n_outputs) != (plant.n_meas, plant.n_ctrl):
-        raise DimensionMismatch("controller dimensions do not match the plant")
+        raise DimensionMismatch(
+            f"controller has {k.n_inputs} inputs and {k.n_outputs} outputs, "
+            f"the plant {plant.n_meas} measurements and {plant.n_ctrl} controls")
     if np.count_nonzero(k.d):
         raise IllPosed("controller must be strictly proper (zero feedthrough)")
     loop = _youla_loop(plant, k)

@@ -468,7 +468,7 @@ class TestVerify:
         path = write_json(tmp_path / "bad_norm.json", doc)
         assert cli.main(["verify", path, "--config", CHAIN]) == 1
         assert capsys.readouterr().err.startswith(
-            "delayh2: config error: cannot read controller file: ")
+            f"delayh2: config error: cannot read controller file {path}: ")
 
     @pytest.mark.parametrize("change, mismatch", [
         (lambda ksec: ksec.update(a=[[1.0]]), "B has 9 rows, expected 1"),
@@ -486,7 +486,7 @@ class TestVerify:
         path = write_json(tmp_path / "mismatched.json", doc)
         assert cli.main(["verify", path, "--config", CHAIN]) == 1
         assert capsys.readouterr().err == (
-            f"delayh2: config error: cannot read controller file: {mismatch}\n")
+            f"delayh2: config error: cannot read controller file {path}: {mismatch}\n")
 
     @pytest.mark.parametrize("key, row, col, value", [
         ("a", 0, 0, math.nan), ("c", 0, -1, math.inf),
@@ -500,7 +500,7 @@ class TestVerify:
         path = write_json(tmp_path / "non_finite.json", doc)
         assert cli.main(["verify", path, "--config", CHAIN]) == 1
         assert capsys.readouterr().err == (
-            f"delayh2: config error: cannot read controller file: "
+            f"delayh2: config error: cannot read controller file {path}: "
             f"controller.{key} has a non-finite entry\n")
 
     def test_perturbed_forbidden_block_is_reported(self, perturbed_controller, capsys,
@@ -830,3 +830,66 @@ class TestMalformedFields:
         doc = json.loads(Path(CENTRALIZED).read_text())
         doc["sweep"] = {"template": [[1, 0, 0], [2, 1, 0], [1, -1, 1]]}
         self.run_bad(tmp_path, capsys, doc, "sweep")
+
+
+def chain_document(style: str) -> dict:
+    """The three-player chain file with its constraint as ``style``: its
+    graph, its delay matrix or its patterns; with a diagonal sweep template."""
+    doc = json.loads(Path(CHAIN).read_text())
+    cfg = cli.load_config(CHAIN)
+    if style == "delay_matrix":
+        doc["delay_matrix"] = cfg.delays.d.tolist()
+    elif style == "patterns":
+        doc["patterns"] = [p.astype(int).tolist() for p in cfg.space.patterns]
+    if style != "graph":
+        del doc["graph"]
+    doc["sweep"] = {"template": np.eye(3, dtype=int).tolist()}
+    return doc
+
+
+# (constraint style, entry, section named): one number of each field
+PROBLEM_NUMBERS = [
+    *[("graph", ("plant", name, 0, 0), f"plant.{name}")
+      for name in ("a", "b1", "b2", "c1", "c2", "d12", "d21")],
+    *[("graph", ("plant", name, 0), f"plant.{name}") for name in ("block_rows", "block_cols")],
+    ("graph", ("graph", "comp_delays", 0), "graph.comp_delays"),
+    ("graph", ("graph", "edges", 0, 2), "graph.edges"),
+    ("delay_matrix", ("delay_matrix", 0, 0), "delay_matrix"),
+    ("patterns", ("patterns", 0, 0, 0), "patterns[1]"),
+    ("graph", ("sweep", "template", 0, 0), "sweep"),
+]
+
+
+class TestNumbersAreJsonNumbers:
+    """A string, boolean, null or object where a number belongs is a config
+    error naming its section, although numpy would read ``"1"`` and ``true``
+    as 1."""
+
+    @pytest.mark.parametrize("value", ["1", True], ids=["string", "bool"])
+    @pytest.mark.parametrize("style, entry, section", PROBLEM_NUMBERS,
+                             ids=[section for *_, section in PROBLEM_NUMBERS])
+    def test_problem_file(self, tmp_path, capsys, style, entry, section, value):
+        doc = chain_document(style)
+        *keys, last = entry
+        node = doc
+        for key in keys:
+            node = node[key]
+        node[last] = value
+        cfg = write_json(tmp_path / "bad.json", doc)
+        assert cli.main(["synth", "--config", cfg]) == 1
+        assert capsys.readouterr().err == (
+            f"delayh2: config error: {cfg}.{section}: {json.dumps(value)} is not a number\n")
+
+    @pytest.mark.parametrize("value", ["1", True], ids=["string", "bool"])
+    @pytest.mark.parametrize("name", ["a", "b", "c", "d"])
+    def test_controller_file(self, tmp_path, capsys, name, value):
+        out_file = tmp_path / "controller.json"
+        assert cli.main(["synth", "--config", CHAIN, "--out", str(out_file)]) == 0
+        capsys.readouterr()
+        doc = json.loads(out_file.read_text())
+        doc["controller"][name][0][0] = value
+        path = write_json(tmp_path / "bad.json", doc)
+        assert cli.main(["verify", path, "--config", CHAIN]) == 1
+        assert capsys.readouterr().err == (
+            f"delayh2: config error: cannot read controller file {path}: "
+            f"controller.{name}: {json.dumps(value)} is not a number\n")

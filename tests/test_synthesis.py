@@ -36,7 +36,6 @@ from delayh2.synthesis import (
     PRICED_COST_TOL,
     RICCATI_RESIDUAL_TOL,
     _fir_realization,
-    _kron,
     _lift,
     _plant_prefix,
     coprime_factorization,
@@ -373,22 +372,6 @@ class TestP11ClosedForm:
             monkeypatch.setattr(synthesis, name, reference)
         assert synthesize(chain_plant, chain_space).h2_norm == pytest.approx(CHAIN_NORM, abs=1e-3)
         assert len(list(sweep_norms(sweep_plant, np.eye(2, dtype=bool), 5))) == 5
-
-
-class TestKron:
-    @pytest.mark.parametrize("a_shape, b_shape", [((3, 3), (3, 3)), ((2, 5), (4, 1)),
-                                                  ((1, 4), (3, 2)), ((3, 2), (2, 3))])
-    def test_equals_np_kron_bit_for_bit(self, a_shape, b_shape):
-        rng = np.random.default_rng(41)
-        a, b = rng.standard_normal(a_shape), rng.standard_normal(b_shape)
-        want = np.kron(a, b)
-        assert np.array_equal(_kron(a, b), want)
-        # into a block of a larger matrix, leaving the rest alone
-        big = np.full((want.shape[0] + 3, want.shape[1] + 2), np.nan)
-        block = big[1:-2, 2:]
-        assert _kron(a, b, out=block) is block
-        assert np.array_equal(block, want)
-        assert np.isnan(big[0]).all() and np.isnan(big[-2:]).all() and np.isnan(big[:, :2]).all()
 
 
 class TestCoprimeFactorization:

@@ -77,6 +77,12 @@ class TestClosedLoop:
         with pytest.raises(IllPosed):
             closed_loop(chain_plant, k)
 
+    def test_mismatched_dimensions_name_both_sides(self, chain_plant):
+        k = StateSpaceModel(np.eye(1), np.ones((1, 2)), np.ones((3, 1)), np.zeros((3, 2)))
+        with pytest.raises(DimensionMismatch, match=r"^controller has 2 inputs and 3 outputs, "
+                           r"the plant 3 measurements and 3 controls$"):
+            closed_loop(chain_plant, k)
+
     def test_unstable_controller_flagged(self, chain_plant):
         k = StateSpaceModel(2.0 * np.eye(3), np.eye(3), np.eye(3), np.zeros((3, 3)))
         loop = closed_loop(chain_plant, k)
