@@ -32,6 +32,7 @@ fault (``{path}.{section}``), so every subcommand refuses the same files.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -52,13 +53,19 @@ def json_numbers(value, where: str):
     """``value``, a number or nested lists of numbers as JSON reads them.
     A string, boolean, null or object in it raises a :class:`ConfigError`
     that starts with ``where``; ``np.array(value, dtype=float)`` would read
-    ``"1.5"`` as 1.5 and ``true`` as 1."""
+    ``"1.5"`` as 1.5 and ``true`` as 1.  So does an integer above the
+    largest float in magnitude, which JSON reads exactly and ``float``
+    refuses with an ``OverflowError`` or rounds; the message gives its
+    number of digits, not the digits."""
     items = [value]
     for item in items:  # breadth first: the list grows as it is walked
         if isinstance(item, list):
             items.extend(item)
         elif isinstance(item, bool) or not isinstance(item, (int, float)):
             raise ConfigError(f"{where}: {json.dumps(item)} is not a number")
+        elif isinstance(item, int) and abs(item) > sys.float_info.max:
+            raise ConfigError(f"{where}: an integer of {len(str(abs(item)))} digits is"
+                              f" beyond the range of a float")
     return value
 
 

@@ -93,6 +93,17 @@ PRICED_COST_TOL = 1e-9
 # QP's crossover lies between orders 72 and 98, above this limit.
 MATRIX_LIFT_ORDER = 64
 
+# The dense stage of :func:`_backward_sweep` splits X into order^2 // this
+# many row panels, so one panel covers X up to order 362, and above it
+# works on X in place a panel at a time, holding X and one panel-sized
+# buffer.  Per QP of the chains n = 12, 14, 16 and 20 (orders 288 to 800;
+# one BLAS thread, x86 VM, in process, median of 30 alternating rounds),
+# 2^15/2^16/2^17 doubles took 0.99/1.00/1.00, 0.95/0.96/1.00,
+# 0.94/0.96/1.05 and 0.97/0.97/1.03 x the time of one panel.  At 2^16 (512
+# KB) the 12-chain keeps one panel and its numbers, and the 16-chain's
+# buffer is a quarter of X.
+PANEL_ENTRIES = 2**16
+
 
 @dataclass(frozen=True)
 class GeneralizedPlant:
@@ -535,31 +546,56 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
         X <- A_bar^T X A_bar + C_v^T R C_v - g^T h^-1 g,   J_a = -h^-1 g x.
 
     R_aa and (R C_v)_a come from the factors of R (:func:`_allowed_weights`),
-    so neither R nor R C_v is formed, and besides C_v^T R C_v / 2 the dense
-    stage holds two order x order buffers: X and one work buffer.
-
-    The first dense stage is the handover.  It forms C_v^T R C_v / 2 once,
-    as a block matrix of four Kronecker products of the weight's factors,
+    so neither R nor R C_v is formed.  C_v^T R C_v is four Kronecker
+    products of the weight's factors, one per quadrant of X:
 
         C_v^T R C_v = [psi kron K^T omega K,       psi L^T kron K^T omega]
-                      [L psi kron omega K,    L psi L^T kron omega      ],
+                      [L psi kron omega K,    L psi L^T kron omega      ].
 
-    and reads X = Z Z^T through the factor, with W = B_a^T Z and
-    G = A_bar^T Z:
+    The first dense stage is the handover.  It reads X = Z Z^T through the
+    factor, with W = B_a^T Z and G = A_bar^T Z:
 
         h = R_aa + W W^T,   g = W G^T - (R C_v)_a,   A_bar^T X A_bar = G G^T,
 
     the last one matmul of G with its own transpose, which numpy runs as a
     symmetric rank-k update; it becomes X's buffer, and the factor is
-    released.  Each later stage reads X for h and g, forms A_bar^T X in the
-    work buffer and then (A_bar^T X) A_bar/2 from the rows (:func:`_lift`)
-    into X's own, both on C-contiguous blocks, and takes the downdate
-    through the work buffer.  With C_v^T R C_v halved once and the downdate
-    taken as (g/2)^T h^-1 g, every term of Y/2 = (A_bar^T X A_bar +
-    C_v^T R C_v - g^T h^-1 g)/2 is halved exactly, so X <- Y/2 + (Y/2)^T is
-    (Y + Y^T)/2 bit for bit.  The transpose is copied into the work buffer
-    and then added, each entry the same sum as in ``np.add(y, y.T)``, whose
-    strided read of y^T took about 1.4 times as long at order 800.
+    released.  Each later stage reads X for h and g, then forms A_bar^T X
+    and (A_bar^T X) A_bar/2 from the rows (:func:`_lift`), both on
+    C-contiguous blocks.  Every stage then adds C_v^T R C_v / 2 and takes
+    the downdate.  With C_v^T R C_v halved and the downdate taken as
+    (g/2)^T h^-1 g, every term of Y/2 = (A_bar^T X A_bar + C_v^T R C_v -
+    g^T h^-1 g)/2 is halved exactly, so X <- Y/2 + (Y/2)^T is (Y + Y^T)/2
+    bit for bit.
+
+    The order x order work runs on row panels of X (``PANEL_ENTRIES``).
+    Where one panel covers X, the stage holds three order x order arrays:
+    X, a work array and C_v^T R C_v / 2, formed once at the handover as
+    one ``np.block`` of the four ``np.kron``.  A_bar^T X goes into the work
+    array and (A_bar^T X) A_bar/2 into X's own, and the downdate goes
+    through the work array.  For Y/2 + (Y/2)^T the transpose is copied into
+    the work array and then added, each entry the same sum as in
+    ``np.add(y, y.T)``, whose strided read of y^T took about 1.4 times as
+    long at order 800.
+
+    Above that, X is the one order x order array, next to a buffer of one
+    panel, and each order x order step runs a panel at a time, in place
+    through the buffer: (B_v^T X)_a and A_bar^T X on column panels, the
+    second written back into them; (A_bar^T X) A_bar/2 and the downdate on
+    row panels; and Y/2 + (Y/2)^T on the part of a row panel from its
+    diagonal block on, whose sum is also written to the column panel
+    below.  C_v^T R C_v / 2 is not formed.  Block row i of a
+    quadrant a kron b is b's rows, tiled once per column of a, times a's
+    row i with each entry repeated once per column of b.  So each block
+    row of X's upper or lower half adds its two quadrants' tiled right
+    factors times the halved left factors' repeated row, a few block rows
+    at a time through the buffer.  Each entry is the one product that
+    ``np.kron`` forms, halved exactly, as in the one-panel stage.  A
+    panel's product is the same sum as the whole product's, but BLAS
+    blocks a narrower product differently, so a panelled stage may round
+    otherwise than one product: V moved by up to 3e-10 relative on the
+    20-chain.  The traced QP peak on the chains n = 16, 20 and 24 is 4.8,
+    5.2 and 6.1 order^2, of which the stored stage data is 2.7, 3.4 and 4.5
+    (``tests/qp_memory.py``).
 
     The products with A_bar, B_v and C_v are :func:`_lift`'s, so above
     ``MATRIX_LIFT_ORDER`` only the downdate costs O(a order^2).  The
@@ -567,12 +603,25 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
     again only for a new index array object, which :func:`sweep_norms`
     keeps for every stage.  Both stage forms are exact, and each horizon
     rounds the same way there as in :func:`solve_constrained_qp`, since
-    both choose from the lifted order only."""
+    both choose the lift's form and the panels from the plant's dimensions
+    only."""
     lift = _lift(plant, gains)
     order, x1 = lift.order, lift.x1
     omega, psi, k, l = gains.omega, gains.psi, gains.k_gain, gains.l_gain
-    n_j = omega.shape[0] * psi.shape[0]
+    n_j, split = omega.shape[0] * psi.shape[0], psi.shape[0] * plant.n
     omega_k, psi_l_t = omega @ k, psi @ l.T
+    # order^2 // PANEL_ENTRIES row panels of X (at least one), of one height
+    # but the last, and at least one block row of a quadrant high; the
+    # buffer holds one panel
+    count = max(1, order * order // PANEL_ENTRIES)
+    rows = max(-(-order // count), plant.n, omega.shape[0])
+    panels = [(s, min(s + rows, order)) for s in range(0, order, rows)]
+    whole = len(panels) == 1
+
+    def buffer(*shape):
+        """The work buffer's first entries as a C-contiguous block of ``shape``."""
+        return work.reshape(-1)[:math.prod(shape)].reshape(shape)
+
     z, inverses, x_cost, last = np.zeros((order, 0)), None, None, None
     for where, idx in stages:
         if idx is not last:
@@ -591,35 +640,71 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
         if r_aa is None:
             r_aa, r_ca = _allowed_weights(psi, omega, omega_k, psi_l_t, idx)
         if z is not None:
-            # the handover, once: C_v^T R C_v / 2, then X = Z Z^T read through Z,
-            # with W = B_a^T Z and G = A_bar^T Z
-            c_r_c = np.block([[np.kron(psi, k.T @ omega @ k), np.kron(psi_l_t, k.T @ omega)],
-                              [np.kron(l @ psi, omega_k), np.kron(l @ psi @ l.T, omega)]])
-            c_r_c *= 0.5
+            # the handover, once: C_v^T R C_v / 2, formed or as the factors of
+            # its block rows, then X = Z Z^T read through Z, with W = B_a^T Z
+            # and G = A_bar^T Z
+            pp, pq = (psi, k.T @ omega @ k), (psi_l_t, k.T @ omega)
+            qp, qq = (l @ psi, omega_k), (l @ psi @ l.T, omega)
+            if whole:
+                c_r_c = np.block([[np.kron(*pp), np.kron(*pq)], [np.kron(*qp), np.kron(*qq)]])
+                c_r_c *= 0.5
+            else:
+                halves = [(np.hstack([np.tile(b, (1, a.shape[1])) for a, b in row]),
+                           np.hstack([np.repeat(0.5 * a, b.shape[1], axis=1) for a, b in row]))
+                          for row in ((pp, pq), (qp, qq))]
             w, g_z = lift.b_v_t_times(z)[idx], lift.a_bar_t_times(z)
             h = r_aa + w @ w.T
             g = w @ g_z.T - r_ca
             x_cost = np.matmul(g_z, g_z.T)                 # G G^T = A_bar^T X A_bar
             x_cost *= 0.5
             z = w = g_z = None
-            # X and one work buffer, reused at every stage: fresh order x order
-            # temporaries would page-fault anew each time
-            work = np.empty_like(x_cost)
+            # X and a work buffer of one panel, X's size where one panel covers
+            # X, reused at every stage: fresh order x order temporaries would
+            # page-fault anew each time
+            work = np.empty((rows, order))
         else:
-            xb = lift.b_v_t_times(x_cost)[idx].T             # X B_v, allowed columns
+            if whole:
+                xb = lift.b_v_t_times(x_cost)[idx].T         # X B_v, allowed columns
+            else:
+                xb = np.empty((order, idx.size))
+                for s, e in panels:
+                    xb[s:e] = lift.b_v_t_times(x_cost[:, s:e])[idx].T
             h = r_aa + lift.b_v_t_times(xb)[idx]
             g = lift.a_bar_t_times(xb).T - r_ca
-            # X has been read in full, so (A_bar^T X) A_bar/2 goes into its buffer
-            lift.times_half_a_bar(lift.a_bar_t_times(x_cost, out=work), out=x_cost)
+            xb = None
+            # X has been read in full, so A_bar^T X, then (A_bar^T X) A_bar/2,
+            # go into X's own buffer
+            if whole:
+                lift.times_half_a_bar(lift.a_bar_t_times(x_cost, out=work), out=x_cost)
+            else:
+                for s, e in panels:
+                    x_cost[:, s:e] = lift.a_bar_t_times(x_cost[:, s:e], out=buffer(order, e - s))
+                for s, e in panels:
+                    x_cost[s:e] = lift.times_half_a_bar(x_cost[s:e], out=buffer(e - s, order))
         try:
             gain = np.linalg.inv(h) @ g
         except np.linalg.LinAlgError as exc:
             raise _stage_failure("h", h, where, idx.size) from exc
-        x_cost += c_r_c
         g *= 0.5
-        x_cost -= np.matmul(g.T, gain, out=work)
-        np.copyto(work, x_cost.T)                          # X <- Y/2 + (Y/2)^T
-        x_cost += work
+        if whole:
+            x_cost += c_r_c
+            x_cost -= np.matmul(g.T, gain, out=work)
+            np.copyto(work, x_cost.T)                      # X <- Y/2 + (Y/2)^T
+            x_cost += work
+        else:
+            # block row i of X's upper or lower half adds tiled * repeated[i]
+            for half, (tiled, repeated) in zip((x_cost[:split], x_cost[split:]), halves):
+                blocks, step = half.reshape(len(repeated), len(tiled), order), rows // len(tiled)
+                for i in range(0, len(repeated), step):
+                    chunk = blocks[i:i + step]
+                    chunk += np.multiply(tiled, repeated[i:i + step, None],
+                                         out=buffer(*chunk.shape))
+            for s, e in panels:
+                x_cost[s:e] -= np.matmul(g.T[s:e], gain, out=buffer(e - s, order))
+            for s, e in panels:                            # X <- Y/2 + (Y/2)^T
+                upper = np.add(x_cost[s:e, s:], x_cost[s:, s:e].T, out=buffer(e - s, order - s))
+                x_cost[s:e, s:] = upper
+                x_cost[s:, s:e] = upper.T
         yield (idx, forb, gain), float(x1 @ x_cost @ x1)
 
 

@@ -863,12 +863,17 @@ PROBLEM_NUMBERS = [
 class TestNumbersAreJsonNumbers:
     """A string, boolean, null or object where a number belongs is a config
     error naming its section, although numpy would read ``"1"`` and ``true``
-    as 1."""
+    as 1.  So is an integer beyond the range of a float, on which ``float``
+    raises an ``OverflowError``."""
 
-    @pytest.mark.parametrize("value", ["1", True], ids=["string", "bool"])
+    @pytest.mark.parametrize("value, message", [
+        ("1", '"1" is not a number'),
+        (True, "true is not a number"),
+        (10**400, "an integer of 401 digits is beyond the range of a float"),
+    ], ids=["string", "bool", "huge-int"])
     @pytest.mark.parametrize("style, entry, section", PROBLEM_NUMBERS,
                              ids=[section for *_, section in PROBLEM_NUMBERS])
-    def test_problem_file(self, tmp_path, capsys, style, entry, section, value):
+    def test_problem_file(self, tmp_path, capsys, style, entry, section, value, message):
         doc = chain_document(style)
         *keys, last = entry
         node = doc
@@ -877,8 +882,7 @@ class TestNumbersAreJsonNumbers:
         node[last] = value
         cfg = write_json(tmp_path / "bad.json", doc)
         assert cli.main(["synth", "--config", cfg]) == 1
-        assert capsys.readouterr().err == (
-            f"delayh2: config error: {cfg}.{section}: {json.dumps(value)} is not a number\n")
+        assert capsys.readouterr().err == f"delayh2: config error: {cfg}.{section}: {message}\n"
 
     @pytest.mark.parametrize("value", ["1", True], ids=["string", "bool"])
     @pytest.mark.parametrize("name", ["a", "b", "c", "d"])

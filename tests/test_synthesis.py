@@ -1054,48 +1054,127 @@ class TestDenseStageWeights:
         assert len({idx.size for idx in sets}) >= 8
 
 
+def traced_qp_peak(plant, gains, cs) -> int:
+    """Bytes allocated at the peak of one ``solve_constrained_qp`` call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        solve_constrained_qp(plant, gains, cs)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 class TestWorkingSet:
     def test_qp_holds_few_order_squared_arrays(self, chain_qp):
         # the 12-chain (lifted order 288) hands over to the dense stage at
-        # lag 5; X, one work buffer and C_v^T R C_v / 2 are three order^2
-        # arrays, and the stored gains and the products' temporaries about
-        # three more.  A third X buffer, or a formed R or R C_v, passes the
-        # bound.
+        # lag 5, and one panel covers its X; X, one work buffer and
+        # C_v^T R C_v / 2 are three order^2 arrays, and the stored gains and
+        # the products' temporaries about three more.  A third X buffer, or
+        # a formed R or R C_v, passes the bound.
         plant, gains, cs = chain_qp(12)
         order = plant.n * (plant.n_ctrl + plant.n_meas)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            solve_constrained_qp(plant, gains, cs)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak < 6.5 * 8 * order**2
+        assert traced_qp_peak(plant, gains, cs) < 6.5 * 8 * order**2
+
+    def test_panelled_stage_holds_x_and_one_panel(self, chain_qp):
+        # the 16-chain (order 512) runs its dense stages on four panels of
+        # X: besides X and the 128-row buffer it holds the stored gains
+        # (2.7 order^2) and the stage's temporaries, 4.7 order^2 in all.  A
+        # second order x order array, such as a formed C_v^T R C_v / 2 or a
+        # work buffer the size of X, passes the bound.
+        plant, gains, cs = chain_qp(16)
+        order = plant.n * (plant.n_ctrl + plant.n_meas)
+        assert traced_qp_peak(plant, gains, cs) <= 5.5 * 8 * order**2
+
+
+@pytest.fixture
+def panel_heights(monkeypatch):
+    """Per QP, the rows of each panel that the dense stages after the
+    handover pass to (A_bar^T X) A_bar/2, recorded through ``_lift``."""
+    seen, real = [], synthesis._lift
+
+    def spy(plant, gains):
+        lift, heights = real(plant, gains), []
+        seen.append(heights)
+
+        def times_half_a_bar(m, out=None):
+            heights.append(m.shape[0])
+            return lift.times_half_a_bar(m, out=out)
+
+        return lift._replace(times_half_a_bar=times_half_a_bar)
+
+    monkeypatch.setattr(synthesis, "_lift", spy)
+    return seen
+
+
+class TestPanels:
+    """Where X holds at least twice ``PANEL_ENTRIES`` doubles, the dense
+    stage runs its order x order work on row and column panels of X, in
+    place through a panel-sized buffer, and adds C_v^T R C_v / 2 from its
+    Kronecker factors.  Lowering the constant panels small instances; they
+    solve the same QP as the one-panel stage."""
+
+    @staticmethod
+    def assert_panels_agree(monkeypatch, plant, gains, cs, panel_entries):
+        monkeypatch.setattr(synthesis, "PANEL_ENTRIES", 10**9)
+        v_one, cost_one = solve_constrained_qp(plant, gains, cs)
+        monkeypatch.setattr(synthesis, "PANEL_ENTRIES", panel_entries)
+        v, cost = solve_constrained_qp(plant, gains, cs)
+        assert np.abs(v - v_one).max(initial=0.0) <= 1e-12 * np.abs(v_one).max(initial=0.0)
+        assert abs(cost - cost_one) <= 1e-13 * abs(cost_one)
+
+    @staticmethod
+    def narrower_last(heights) -> bool:
+        """At least three panels, the last narrower than the others."""
+        return len(heights) >= 3 and heights[-1] < heights[0]
+
+    def test_chain_runs_five_panels(self, chain_qp, monkeypatch, panel_heights):
+        # order 72: 72^2 // 1000 = 5 panels of 15 rows, the last of 12
+        plant, gains, cs = chain_qp(6)
+        self.assert_panels_agree(monkeypatch, plant, gains, cs, 1000)
+        assert panel_heights[0] == [72] and panel_heights[1] == [15, 15, 15, 15, 12]
+
+    def test_random_instances_agree(self, monkeypatch, panel_heights):
+        # one entry per panel: panels of max(n, n_u) rows, where a panel
+        # holds one block row of C_v^T R C_v; count the draws whose dense
+        # stage splits X into three or more panels with a narrower last
+        rng = np.random.default_rng(5)
+        split = 0
+        for _ in range(200):
+            plant, cs, gains = random_qp_instance(rng)
+            panel_heights.clear()
+            self.assert_panels_agree(monkeypatch, plant, gains, cs, 1)
+            split += self.narrower_last(panel_heights[1])
+        assert split >= 10
 
 
 class TestSweepNorms:
     @pytest.mark.parametrize(
-        "plant, template, n_max",
-        [(make_sweep_plant(), [[1, 0], [1, 1]], 40),
-         (make_sweep_plant(), [[1, 0], [0, 1]], 40),
-         (make_sweep_plant(), [[0, 0], [0, 1]], 40),
-         (make_sweep_plant(), [[1, 1], [1, 1]], 40),
+        "plant, template, n_max, panel_entries",
+        [(make_sweep_plant(), [[1, 0], [1, 1]], 40, None),
+         (make_sweep_plant(), [[1, 0], [0, 1]], 40, None),
+         (make_sweep_plant(), [[0, 0], [0, 1]], 40, None),
+         (make_sweep_plant(), [[1, 1], [1, 1]], 40, None),
          # the benchmark's largest scale, where the diagonal template is
          # refused from N = 52 on; these two templates are refused nowhere
-         (make_sweep_plant(1.1), [[1, 0], [1, 1]], 120),
-         (make_sweep_plant(1.1), [[1, 1], [1, 1]], 120),
+         (make_sweep_plant(1.1), [[1, 0], [1, 1]], 120, None),
+         (make_sweep_plant(1.1), [[1, 1], [1, 1]], 120, None),
          # order 72 and one forbidden coordinate a lag: the first 18 steps
          # run factored on the same index array
-         (make_chain_plant(6), ~np.eye(6, k=5, dtype=bool), 30)],
+         (make_chain_plant(6), ~np.eye(6, k=5, dtype=bool), 30, None),
+         # the same on five panels of X (TestPanels)
+         (make_chain_plant(6), ~np.eye(6, k=5, dtype=bool), 30, 1000)],
         ids=["lower-triangular", "diagonal", "low", "full", "lower-triangular-1.1-to-120",
-             "full-1.1-to-120", "chain-6-one-forbidden"],
+             "full-1.1-to-120", "chain-6-one-forbidden", "chain-6-one-forbidden-in-panels"],
     )
-    def test_one_pass_equals_per_horizon_syntheses(self, plant, template, n_max, lift_path,
-                                                   monkeypatch):
+    def test_one_pass_equals_per_horizon_syntheses(self, plant, template, n_max, panel_entries,
+                                                   lift_path, monkeypatch):
         # the one pass shares every stage's arithmetic with the solver, so
         # the norms agree bit for bit with the solver's sweep cost, the
         # all-allowed template's included; synthesize reports the price of
         # each V, which the priced-cost check holds to that cost
+        if panel_entries is not None:
+            monkeypatch.setattr(synthesis, "PANEL_ENTRIES", panel_entries)
         blocks = plant.block_rows, plant.block_cols
         pattern = np.array(template, bool)
         norms = list(sweep_norms(plant, pattern, n_max))
