@@ -51,42 +51,3 @@ from .synthesis import (
 from .verify import ClosedLoop, ConformanceReport, closed_loop, conformance
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AssumptionViolated",
-    "ClosedLoop",
-    "ConfigError",
-    "ConformanceReport",
-    "ConstraintSpace",
-    "DelayGraph",
-    "DelayH2Error",
-    "DelayMatrix",
-    "DimensionMismatch",
-    "GeneralizedPlant",
-    "IllPosed",
-    "NotStronglyConnected",
-    "QIViolation",
-    "QiCheck",
-    "RiccatiGains",
-    "SolverFailure",
-    "StateSpaceModel",
-    "SynthesisResult",
-    "UnstableSystem",
-    "check_qi",
-    "closed_loop",
-    "conformance",
-    "constraint_space",
-    "dare_solve",
-    "delay_matrix",
-    "expand_pattern",
-    "h2_norm_sq",
-    "impulse_response",
-    "plant_block_delays",
-    "qi_verdict",
-    "realize_controller",
-    "riccati_gains",
-    "solve_constrained_qp",
-    "spectral_radius",
-    "sweep_norms",
-    "synthesize",
-]

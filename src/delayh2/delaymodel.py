@@ -256,6 +256,20 @@ def block_norms(m, row_sizes, col_sizes) -> np.ndarray:
     return np.sqrt(np.add.reduceat(sq, np.cumsum(cols) - cols, axis=-1))
 
 
+def rounding_bounds(g, horizon: int, row_sizes, col_sizes, markov=impulse_response) -> np.ndarray:
+    """How large rounding alone can make a computed block of g's Markov
+    parameters G_0 ... G_horizon: gamma_k ||M_k,ij|| per lag k and block
+    (i, j), with M_k = |C| |A|^(k-1) |B| (M_0 = |D|), gamma_k =
+    2 (k + 1)(n + 1) eps and n the order (the bound is argued in
+    :func:`plant_block_delays`).  ``row_sizes`` and ``col_sizes`` cut g's
+    outputs and inputs into blocks, as in :func:`block_norms`, and
+    ``markov`` computes M_k as the caller computes G_k, by
+    :func:`impulse_response` or a recursion of the same products."""
+    size = markov(StateSpaceModel(*(np.abs(m) for m in (g.a, g.b, g.c, g.d))), horizon)
+    gamma = 2.0 * np.arange(1, horizon + 2)[:, None, None] * (g.order + 1) * np.finfo(float).eps
+    return gamma * block_norms(size, row_sizes, col_sizes)
+
+
 def plant_block_delays(g22: StateSpaceModel, block_rows, block_cols, horizon: int) -> np.ndarray:
     """Per-block transport delays of a plant, read off its Markov parameters.
 
@@ -265,24 +279,21 @@ def plant_block_delays(g22: StateSpaceModel, block_rows, block_cols, horizon: in
     nonzero, or ``horizon + 1`` when the block stays zero throughout.
 
     A block counts as zero when its computed Frobenius norm is no larger
-    than the rounding of its own computation could make it:
-    ||G_k,ij|| <= gamma_k ||M_k,ij||, with M_k = |C| |A|^(k-1) |B|
-    (M_0 = |D|), gamma_k = 2 (k + 1)(n + 1) eps and n the order.  G_k =
-    C A^(k-1) B takes k products of inner dimension n, so each computed
-    entry is within (1 + gamma_n)^k - 1, about k n u (u = eps / 2), of its
-    exact value relative to the same entry of M_k (Higham 2002, section
-    3.5), and so is each block in norm.  gamma_k is at least four times
-    that first-order term, which covers the second-order terms and the
-    rounding of M_k itself.  So the verdict does not depend on the plant's
-    units (scaling B or C scales both sides), a structural zero gives
-    0 <= 0, and a block of D is zero only when it is exactly zero
-    (gamma_0 < 1).  A nonzero block below its bound reads as zero; coupling
-    that rounding put into the stored matrices themselves reads as
+    than the rounding of its own computation could make it
+    (:func:`rounding_bounds`): ||G_k,ij|| <= gamma_k ||M_k,ij||, with
+    M_k = |C| |A|^(k-1) |B| (M_0 = |D|), gamma_k = 2 (k + 1)(n + 1) eps and
+    n the order.  G_k = C A^(k-1) B takes k products of inner dimension n,
+    so each computed entry is within (1 + gamma_n)^k - 1, about k n u
+    (u = eps / 2), of its exact value relative to the same entry of M_k
+    (Higham 2002, section 3.5), and so is each block in norm.  gamma_k is at
+    least four times that first-order term, which covers the second-order
+    terms and the rounding of M_k itself.  So the verdict does not depend
+    on the plant's units (scaling B or C scales both sides), a structural
+    zero gives 0 <= 0, and a block of D is zero only when it is exactly
+    zero (gamma_0 < 1).  A nonzero block below its bound reads as zero;
+    coupling that rounding put into the stored matrices themselves reads as
     coupling.
     """
     markov = block_norms(impulse_response(g22, horizon), block_cols, block_rows)
-    size = StateSpaceModel(*(np.abs(m) for m in (g22.a, g22.b, g22.c, g22.d)))
-    bound = block_norms(impulse_response(size, horizon), block_cols, block_rows)
-    gamma = 2.0 * np.arange(1, horizon + 2)[:, None, None] * (g22.order + 1) * np.finfo(float).eps
-    nonzero = markov > gamma * bound
+    nonzero = markov > rounding_bounds(g22, horizon, block_cols, block_rows)
     return np.where(nonzero.any(axis=0), nonzero.argmax(axis=0), horizon + 1)

@@ -403,8 +403,9 @@ def vectorized_system(plant: GeneralizedPlant, gains: RiccatiGains) -> Vectorize
 
 
 class _Lift(NamedTuple):
-    """The lifted order, x_1 and the four products of :func:`_lift`, each a
-    function of a block, as matmuls or as factor products for the whole QP."""
+    """The lifted order, x_1 and the five products of :func:`_lift`, each a
+    function of a block, as matmuls (an add for C_v^T R C_v / 2) or as
+    factor products for the whole QP."""
 
     order: int
     x1: np.ndarray
@@ -412,6 +413,7 @@ class _Lift(NamedTuple):
     b_v_t_times: Callable
     c_v_t_times: Callable
     times_half_a_bar: Callable
+    add_half_c_r_c: Callable
 
 
 def _lift(plant: GeneralizedPlant, gains: RiccatiGains) -> _Lift:
@@ -452,16 +454,35 @@ def _lift(plant: GeneralizedPlant, gains: RiccatiGains) -> _Lift:
     arithmetic with A and L.  A_bar^T and the row-side product write into
     ``out`` if given.
 
+    The fifth product, ``add_half_c_r_c(x, buffer)``, adds C_v^T R C_v / 2,
+    the stage cost of :func:`_backward_sweep` with R = psi kron omega, into
+    an order x order x in place and returns x.  It is four Kronecker
+    products of the weight's factors, one per quadrant of x:
+
+        C_v^T R C_v = [psi kron K^T omega K,       psi L^T kron K^T omega]
+                      [L psi kron omega K,    L psi L^T kron omega      ].
+
+    Block row i of a quadrant a kron b is b's rows, tiled once per column
+    of a, times a's row i with each entry repeated once per column of b.
+    So each block row of x's upper or lower half adds its two quadrants'
+    tiled right factors times the halved left factors' repeated row, as
+    many block rows at a time as ``buffer``'s entries hold (at least one,
+    max(n, n_ctrl) x order entries).  Each entry is the one product that
+    ``np.kron`` forms, halved exactly.  The factors are built at the first
+    call, so a QP without a dense stage builds none.
+
     At small order a product costs its two to four numpy calls, not its
     flops.  So up to ``MATRIX_LIFT_ORDER`` the four matrices are formed
     once from the factor products on identities, entry for entry their
     Kronecker forms (each entry one product), and each product is one
-    matmul with its matrix; above it, its factor product.  Every stage of
-    a QP applies the lift one way.  C_v x = vec(K P + Q L) has no product
-    here: the forward sweep of :func:`solve_constrained_qp` forms it.
+    matmul with its matrix; above it, its factor product.  There the fifth
+    forms C_v^T R C_v / 2 at its first call, as its block-row add on zeros,
+    and is one ``np.add`` of that matrix.  Every stage of a QP applies the
+    lift one way.  C_v x = vec(K P + Q L) has no product here: the forward
+    sweep of :func:`solve_constrained_qp` forms it.
     """
-    a, b2, c2, k_gain, l = plant.a, plant.b2, plant.c2, gains.k_gain, gains.l_gain
-    n, n_u, n_y = plant.n, plant.n_ctrl, plant.n_meas
+    a, b2, c2, n, n_u, n_y = plant.a, plant.b2, plant.c2, plant.n, plant.n_ctrl, plant.n_meas
+    k_gain, l, omega, psi = gains.k_gain, gains.l_gain, gains.omega, gains.psi
     order, split = n * (n_y + n_u), n * n_y
     a_half, l_half = 0.5 * a, 0.5 * l
 
@@ -500,6 +521,32 @@ def _lift(plant: GeneralizedPlant, gains: RiccatiGains) -> _Lift:
         q_t -= np.matmul(l_half, p_t @ b2)
         return out
 
+    # filled at the first call, which a QP may not make.  No closure here
+    # refers to itself, so a dropped lift frees them at once: in a reference
+    # cycle they waited for the cyclic collector, and chain-large's peak
+    # resident memory rose 11%
+    halves, formed = [], []
+
+    def add_rows(x, buffer):
+        # block row i of x's upper or lower half adds tiled * repeated[i]
+        for half, (tiled, repeated) in zip((x[:split], x[split:]), halves):
+            blocks, step = half.reshape(-1, *tiled.shape), buffer.size // tiled.size
+            for i in range(0, len(blocks), step):
+                chunk = blocks[i:i + step]
+                chunk += np.multiply(tiled, repeated[i:i + step, None],
+                                     out=buffer.reshape(-1)[:chunk.size].reshape(chunk.shape))
+        return x
+
+    def add_half_c_r_c(x, buffer):
+        if not halves:
+            halves[:] = [(np.hstack([np.tile(b, (1, a.shape[1])) for a, b in r]),
+                          np.hstack([np.repeat(0.5 * a, b.shape[1], axis=1) for a, b in r]))
+                         for r in (((psi, k_gain.T @ omega @ k_gain), (psi @ l.T, k_gain.T @ omega)),
+                                   ((l @ psi, omega @ k_gain), (l @ psi @ l.T, omega)))]
+            if order <= MATRIX_LIFT_ORDER:
+                formed.append(add_rows(np.zeros((order, order)), buffer))
+        return np.add(x, formed[0], out=x) if formed else add_rows(x, buffer)
+
     products = a_bar_t_times, b_v_t_times, c_v_t_times, times_half_a_bar
     if order <= MATRIX_LIFT_ORDER:
         eye = np.eye(order)
@@ -507,7 +554,7 @@ def _lift(plant: GeneralizedPlant, gains: RiccatiGains) -> _Lift:
         c_v_t = c_v_t_times(np.eye(n_u * n_y))
         products = (partial(np.matmul, a_bar_t), partial(np.matmul, b_v_t),
                     partial(np.matmul, c_v_t), lambda m, out=None: np.matmul(m, half_a_bar, out=out))
-    return _Lift(order, np.concatenate([vec(l), np.zeros(k_gain.size)]), *products)
+    return _Lift(order, np.concatenate([vec(l), np.zeros(k_gain.size)]), *products, add_half_c_r_c)
 
 
 def _stage_failure(name: str, m: np.ndarray, where: str, n_allowed: int) -> SolverFailure:
@@ -546,11 +593,7 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
         X <- A_bar^T X A_bar + C_v^T R C_v - g^T h^-1 g,   J_a = -h^-1 g x.
 
     R_aa and (R C_v)_a come from the factors of R (:func:`_allowed_weights`),
-    so neither R nor R C_v is formed.  C_v^T R C_v is four Kronecker
-    products of the weight's factors, one per quadrant of X:
-
-        C_v^T R C_v = [psi kron K^T omega K,       psi L^T kron K^T omega]
-                      [L psi kron omega K,    L psi L^T kron omega      ].
+    so neither R nor R C_v is formed.
 
     The first dense stage is the handover.  It reads X = Z Z^T through the
     factor, with W = B_a^T Z and G = A_bar^T Z:
@@ -561,21 +604,22 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
     symmetric rank-k update; it becomes X's buffer, and the factor is
     released.  Each later stage reads X for h and g, then forms A_bar^T X
     and (A_bar^T X) A_bar/2 from the rows (:func:`_lift`), both on
-    C-contiguous blocks.  Every stage then adds C_v^T R C_v / 2 and takes
-    the downdate.  With C_v^T R C_v halved and the downdate taken as
-    (g/2)^T h^-1 g, every term of Y/2 = (A_bar^T X A_bar + C_v^T R C_v -
-    g^T h^-1 g)/2 is halved exactly, so X <- Y/2 + (Y/2)^T is (Y + Y^T)/2
-    bit for bit.
+    C-contiguous blocks.  Every stage then adds C_v^T R C_v / 2 by
+    :func:`_lift`'s product, from the weight's factors a few block rows at
+    a time through the work buffer, or up to ``MATRIX_LIFT_ORDER`` as the
+    matrix it forms at the first dense stage, and takes the downdate.
+    With C_v^T R C_v halved and the downdate taken as (g/2)^T h^-1 g, every
+    term of Y/2 = (A_bar^T X A_bar + C_v^T R C_v - g^T h^-1 g)/2 is halved
+    exactly, so X <- Y/2 + (Y/2)^T is (Y + Y^T)/2 bit for bit.
 
     The order x order work runs on row panels of X (``PANEL_ENTRIES``).
-    Where one panel covers X, the stage holds three order x order arrays:
-    X, a work array and C_v^T R C_v / 2, formed once at the handover as
-    one ``np.block`` of the four ``np.kron``.  A_bar^T X goes into the work
-    array and (A_bar^T X) A_bar/2 into X's own, and the downdate goes
-    through the work array.  For Y/2 + (Y/2)^T the transpose is copied into
-    the work array and then added, each entry the same sum as in
-    ``np.add(y, y.T)``, whose strided read of y^T took about 1.4 times as
-    long at order 800.
+    Where one panel covers X, the stage holds X and a work array of X's
+    size (and up to ``MATRIX_LIFT_ORDER`` the formed C_v^T R C_v / 2).
+    A_bar^T X goes into the work array and (A_bar^T X) A_bar/2 into X's
+    own, and the downdate goes through the work array.  For Y/2 + (Y/2)^T
+    the transpose is copied into the work array and then added, each entry
+    the same sum as in ``np.add(y, y.T)``, whose strided read of y^T took
+    about 1.4 times as long at order 800.
 
     Above that, X is the one order x order array, next to a buffer of one
     panel, and each order x order step runs a panel at a time, in place
@@ -583,19 +627,12 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
     second written back into them; (A_bar^T X) A_bar/2 and the downdate on
     row panels; and Y/2 + (Y/2)^T on the part of a row panel from its
     diagonal block on, whose sum is also written to the column panel
-    below.  C_v^T R C_v / 2 is not formed.  Block row i of a
-    quadrant a kron b is b's rows, tiled once per column of a, times a's
-    row i with each entry repeated once per column of b.  So each block
-    row of X's upper or lower half adds its two quadrants' tiled right
-    factors times the halved left factors' repeated row, a few block rows
-    at a time through the buffer.  Each entry is the one product that
-    ``np.kron`` forms, halved exactly, as in the one-panel stage.  A
-    panel's product is the same sum as the whole product's, but BLAS
-    blocks a narrower product differently, so a panelled stage may round
-    otherwise than one product: V moved by up to 3e-10 relative on the
-    20-chain.  The traced QP peak on the chains n = 16, 20 and 24 is 4.8,
-    5.2 and 6.1 order^2, of which the stored stage data is 2.7, 3.4 and 4.5
-    (``tests/qp_memory.py``).
+    below.  A panel's product is the same sum as the whole product's, but
+    BLAS blocks a narrower product differently, so a panelled stage may
+    round otherwise than one product: V moved by up to 3e-10 relative on
+    the 20-chain.  The traced QP peak on the chains n = 12, 16, 20 and 24 is
+    5.2, 4.8, 5.2 and 6.1 order^2, of which the stored stage data is 1.8,
+    2.7, 3.4 and 4.5 (``tests/qp_memory.py``).
 
     The products with A_bar, B_v and C_v are :func:`_lift`'s, so above
     ``MATRIX_LIFT_ORDER`` only the downdate costs O(a order^2).  The
@@ -607,14 +644,12 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
     only."""
     lift = _lift(plant, gains)
     order, x1 = lift.order, lift.x1
-    omega, psi, k, l = gains.omega, gains.psi, gains.k_gain, gains.l_gain
-    n_j, split = omega.shape[0] * psi.shape[0], psi.shape[0] * plant.n
-    omega_k, psi_l_t = omega @ k, psi @ l.T
+    omega_k, psi_l_t = gains.omega @ gains.k_gain, gains.psi @ gains.l_gain.T
     # order^2 // PANEL_ENTRIES row panels of X (at least one), of one height
     # but the last, and at least one block row of a quadrant high; the
     # buffer holds one panel
     count = max(1, order * order // PANEL_ENTRIES)
-    rows = max(-(-order // count), plant.n, omega.shape[0])
+    rows = max(-(-order // count), plant.n, plant.n_ctrl)
     panels = [(s, min(s + rows, order)) for s in range(0, order, rows)]
     whole = len(panels) == 1
 
@@ -625,33 +660,23 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
     z, inverses, x_cost, last = np.zeros((order, 0)), None, None, None
     for where, idx in stages:
         if idx is not last:
-            last, forb, r_aa = idx, np.delete(np.arange(n_j), idx), None
+            last, forb, r_aa = idx, np.delete(np.arange(plant.n_ctrl * plant.n_meas), idx), None
         if z is not None and z.shape[1] + forb.size <= FACTORED_RANK_SHARE * order:
             if inverses is None:  # a singular psi or omega fails the first stage
                 try:
-                    inverses = np.linalg.inv(psi), np.linalg.inv(omega)
+                    inverses = np.linalg.inv(gains.psi), np.linalg.inv(gains.omega)
                 except np.linalg.LinAlgError as exc:
-                    raise _stage_failure("R = psi kron omega", np.kron(psi, omega),
+                    raise _stage_failure("R = psi kron omega", np.kron(gains.psi, gains.omega),
                                          where, idx.size) from exc
             (t, s_y, s_z), z = _factored_stage(lift, *inverses, z, where, idx, forb)
             zx = x1 @ z
             yield (idx, forb, t, s_y, s_z), float(zx @ zx)
             continue
         if r_aa is None:
-            r_aa, r_ca = _allowed_weights(psi, omega, omega_k, psi_l_t, idx)
+            r_aa, r_ca = _allowed_weights(gains.psi, gains.omega, omega_k, psi_l_t, idx)
         if z is not None:
-            # the handover, once: C_v^T R C_v / 2, formed or as the factors of
-            # its block rows, then X = Z Z^T read through Z, with W = B_a^T Z
+            # the handover, once: X = Z Z^T read through Z, with W = B_a^T Z
             # and G = A_bar^T Z
-            pp, pq = (psi, k.T @ omega @ k), (psi_l_t, k.T @ omega)
-            qp, qq = (l @ psi, omega_k), (l @ psi @ l.T, omega)
-            if whole:
-                c_r_c = np.block([[np.kron(*pp), np.kron(*pq)], [np.kron(*qp), np.kron(*qq)]])
-                c_r_c *= 0.5
-            else:
-                halves = [(np.hstack([np.tile(b, (1, a.shape[1])) for a, b in row]),
-                           np.hstack([np.repeat(0.5 * a, b.shape[1], axis=1) for a, b in row]))
-                          for row in ((pp, pq), (qp, qq))]
             w, g_z = lift.b_v_t_times(z)[idx], lift.a_bar_t_times(z)
             h = r_aa + w @ w.T
             g = w @ g_z.T - r_ca
@@ -686,19 +711,12 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
         except np.linalg.LinAlgError as exc:
             raise _stage_failure("h", h, where, idx.size) from exc
         g *= 0.5
+        lift.add_half_c_r_c(x_cost, work)
         if whole:
-            x_cost += c_r_c
             x_cost -= np.matmul(g.T, gain, out=work)
             np.copyto(work, x_cost.T)                      # X <- Y/2 + (Y/2)^T
             x_cost += work
         else:
-            # block row i of X's upper or lower half adds tiled * repeated[i]
-            for half, (tiled, repeated) in zip((x_cost[:split], x_cost[split:]), halves):
-                blocks, step = half.reshape(len(repeated), len(tiled), order), rows // len(tiled)
-                for i in range(0, len(repeated), step):
-                    chunk = blocks[i:i + step]
-                    chunk += np.multiply(tiled, repeated[i:i + step, None],
-                                         out=buffer(*chunk.shape))
             for s, e in panels:
                 x_cost[s:e] -= np.matmul(g.T[s:e], gain, out=buffer(e - s, order))
             for s, e in panels:                            # X <- Y/2 + (Y/2)^T

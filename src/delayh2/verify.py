@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import statespace
-from .delaymodel import ConstraintSpace, block_norms
+from .delaymodel import ConstraintSpace, block_norms, rounding_bounds
 from .errors import DimensionMismatch, IllPosed, SolverFailure
 from .statespace import StateSpaceModel, impulse_response
 from .synthesis import GeneralizedPlant, VectorizedSystem
@@ -238,18 +238,26 @@ def conformance(k: StateSpaceModel, cs: ConstraintSpace) -> ConformanceReport:
     block of the corresponding Markov parameter must be zero up to
     ``CONFORMANCE_TOL`` times the response scale, the largest norm of a
     Markov parameter, so the verdict does not depend on the controller's
-    units.  The Markov parameters come from :func:`_markov_parameters`; at
-    N = 0 only the feedthrough is read.
+    units.  A block above that is a violation only if it also exceeds the
+    rounding of its own computation, gamma_k ||(|C| |A|^(k-1) |B|)_ij||
+    (:func:`delayh2.delaymodel.rounding_bounds`, the bound of the QI zero
+    test): where every block of lags 1..N is forbidden, the response scale
+    is itself rounding noise, and so is a tolerance taken from it.  That
+    bound scales with the controller too, and it is computed, by a second
+    recursion on |A|, |B| and |C|, only when a block is flagged.  The
+    Markov parameters come from :func:`_markov_parameters`; at N = 0 only
+    the feedthrough is read.
     """
     resp = _markov_parameters(k, cs.n_horizon)
     tol = CONFORMANCE_TOL * float(np.linalg.norm(resp, axis=(1, 2)).max())
-    no_feedthrough = np.zeros((len(cs.block_rows), len(cs.block_cols)), dtype=bool)
-    allowed = np.stack((no_feedthrough,) + cs.patterns)
-    mags = block_norms(resp, cs.block_rows, cs.block_cols)
-    violations = tuple(
-        (int(lag), int(i), int(j), float(mags[lag, i, j]))
-        for lag, i, j in np.argwhere(~allowed & (mags > tol))
-    )
+    blocks = cs.block_rows, cs.block_cols
+    mags = block_norms(resp, *blocks)
+    # a block of the feedthrough is forbidden, and of lags 1 ... N as the patterns say
+    flagged = (mags > tol) & ~np.stack((np.zeros_like(mags[0], dtype=bool),) + cs.patterns)
+    if flagged.any():
+        flagged &= mags > rounding_bounds(k, cs.n_horizon, *blocks, _markov_parameters)
+    violations = tuple((int(lag), int(i), int(j), float(mags[lag, i, j]))
+                       for lag, i, j in np.argwhere(flagged))
     return ConformanceReport(not violations, violations)
 
 

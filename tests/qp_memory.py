@@ -10,9 +10,12 @@ its end), what is left of the peak besides them in order x order arrays,
 and the best wall time of three untraced calls.  The Riccati gains are
 computed before the measurement.  The lifted orders of n = 4 and 6, 32 and
 72, lie on either side of ``MATRIX_LIFT_ORDER`` = 64, where a QP costs
-about one numpy call per line.  From n = 14 (order 392) X is larger than
-two panels of ``PANEL_ENTRIES`` doubles, and the dense stage runs on
-panels of X.  n = 24 (order 1152) is the first size past the benchmark's
+about one numpy call per line.  Up to that order the dense stage holds a
+formed C_v^T R C_v / 2 besides X and its work array; above it, the stage
+adds C_v^T R C_v / 2 from its Kronecker factors, and one panel of X holds
+X and a work array of X's size up to order 362 (n = 13).  From n = 14
+(order 392) X is larger than two panels of ``PANEL_ENTRIES`` doubles, and
+the dense stage runs on panels of X next to a buffer of one panel.  n = 24 (order 1152) is the first size past the benchmark's
 chains.  pytest does not collect this file; it asserts nothing, and
 ``tests/test_synthesis.py::TestWorkingSet`` bounds the peak.
 """

@@ -514,6 +514,20 @@ class TestVerify:
                 "internal stability: PASS\n") in out
         assert seen == []  # the file's shift register is read as one
 
+    def test_uniform_delay_round_trip_conforms(self, tmp_path, capsys):
+        # every block of lags 1 ... 3 is forbidden, so the largest Markov
+        # parameter, and with it the fixed tolerance, is rounding noise
+        # (1.6e-16); the lag-2 blocks of 2.8e-17 and 1.1e-16 lie below their
+        # rounding bounds of 4.8e-15 to 1.9e-14
+        doc = json.loads(Path(SWEEP).read_text())
+        del doc["patterns"]
+        doc["delay_matrix"] = [[3, 3], [3, 3]]
+        config, out_file = write_json(tmp_path / "uniform.json", doc), tmp_path / "k.json"
+        assert cli.main(["synth", "--config", config, "--out", str(out_file)]) == 0
+        assert "H2 norm: 17.273825" in capsys.readouterr().out
+        assert cli.main(["verify", str(out_file), "--config", config]) == 0
+        assert "conformance: PASS" in capsys.readouterr().out
+
 
 def verified_loops(monkeypatch) -> list:
     """The closed loops ``delayh2 verify`` builds from now on."""
