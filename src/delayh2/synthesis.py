@@ -403,12 +403,15 @@ def vectorized_system(plant: GeneralizedPlant, gains: RiccatiGains) -> Vectorize
 
 
 class _Lift(NamedTuple):
-    """The lifted order, x_1 and the five products of :func:`_lift`, each a
-    function of a block, as matmuls (an add for C_v^T R C_v / 2) or as
-    factor products for the whole QP."""
+    """The lifted order, x_1, the weight products omega K and psi L^T, and
+    the five products of :func:`_lift`, each a function of a block, as
+    matmuls (an add for C_v^T R C_v / 2) or as factor products for the
+    whole QP."""
 
     order: int
     x1: np.ndarray
+    omega_k: np.ndarray
+    psi_l_t: np.ndarray
     a_bar_t_times: Callable
     b_v_t_times: Callable
     c_v_t_times: Callable
@@ -469,7 +472,9 @@ def _lift(plant: GeneralizedPlant, gains: RiccatiGains) -> _Lift:
     many block rows at a time as ``buffer``'s entries hold (at least one,
     max(n, n_ctrl) x order entries).  Each entry is the one product that
     ``np.kron`` forms, halved exactly.  The factors are built at the first
-    call, so a QP without a dense stage builds none.
+    call, so a QP without a dense stage builds none but omega K and psi L^T.
+    Those two are built with the lift, as its ``omega_k`` and ``psi_l_t``,
+    since the dense stage's :func:`_allowed_weights` reads them too.
 
     At small order a product costs its two to four numpy calls, not its
     flops.  So up to ``MATRIX_LIFT_ORDER`` the four matrices are formed
@@ -485,6 +490,7 @@ def _lift(plant: GeneralizedPlant, gains: RiccatiGains) -> _Lift:
     k_gain, l, omega, psi = gains.k_gain, gains.l_gain, gains.omega, gains.psi
     order, split = n * (n_y + n_u), n * n_y
     a_half, l_half = 0.5 * a, 0.5 * l
+    omega_k, psi_l_t = omega @ k_gain, psi @ l.T
 
     def a_bar_t_times(y, out=None):
         k = y.shape[1]
@@ -541,8 +547,8 @@ def _lift(plant: GeneralizedPlant, gains: RiccatiGains) -> _Lift:
         if not halves:
             halves[:] = [(np.hstack([np.tile(b, (1, a.shape[1])) for a, b in r]),
                           np.hstack([np.repeat(0.5 * a, b.shape[1], axis=1) for a, b in r]))
-                         for r in (((psi, k_gain.T @ omega @ k_gain), (psi @ l.T, k_gain.T @ omega)),
-                                   ((l @ psi, omega @ k_gain), (l @ psi @ l.T, omega)))]
+                         for r in (((psi, k_gain.T @ omega @ k_gain), (psi_l_t, k_gain.T @ omega)),
+                                   ((l @ psi, omega_k), (l @ psi @ l.T, omega)))]
             if order <= MATRIX_LIFT_ORDER:
                 formed.append(add_rows(np.zeros((order, order)), buffer))
         return np.add(x, formed[0], out=x) if formed else add_rows(x, buffer)
@@ -554,7 +560,8 @@ def _lift(plant: GeneralizedPlant, gains: RiccatiGains) -> _Lift:
         c_v_t = c_v_t_times(np.eye(n_u * n_y))
         products = (partial(np.matmul, a_bar_t), partial(np.matmul, b_v_t),
                     partial(np.matmul, c_v_t), lambda m, out=None: np.matmul(m, half_a_bar, out=out))
-    return _Lift(order, np.concatenate([vec(l), np.zeros(k_gain.size)]), *products, add_half_c_r_c)
+    return _Lift(order, np.concatenate([vec(l), np.zeros(k_gain.size)]), omega_k, psi_l_t,
+                 *products, add_half_c_r_c)
 
 
 def _stage_failure(name: str, m: np.ndarray, where: str, n_allowed: int) -> SolverFailure:
@@ -644,7 +651,6 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
     only."""
     lift = _lift(plant, gains)
     order, x1 = lift.order, lift.x1
-    omega_k, psi_l_t = gains.omega @ gains.k_gain, gains.psi @ gains.l_gain.T
     # order^2 // PANEL_ENTRIES row panels of X (at least one), of one height
     # but the last, and at least one block row of a quadrant high; the
     # buffer holds one panel
@@ -673,7 +679,8 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
             yield (idx, forb, t, s_y, s_z), float(zx @ zx)
             continue
         if r_aa is None:
-            r_aa, r_ca = _allowed_weights(gains.psi, gains.omega, omega_k, psi_l_t, idx)
+            r_aa, r_ca = _allowed_weights(gains.psi, gains.omega, lift.omega_k, lift.psi_l_t,
+                                          idx)
         if z is not None:
             # the handover, once: X = Z Z^T read through Z, with W = B_a^T Z
             # and G = A_bar^T Z

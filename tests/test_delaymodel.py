@@ -371,6 +371,18 @@ class TestBlockNorms:
         for k in range(5):
             npt.assert_allclose(got[k], self.loop_norms(stack[k]), rtol=1e-14)
 
+    @pytest.mark.parametrize("rows, cols, stack", [
+        ((1, 1, 1), (1, 1, 1, 1), ()), ((1, 1, 1), (1, 2, 1), ()), ((2, 1), (1, 1, 1, 1), ()),
+        ((2, 1), (1, 2, 1), ()), ((1, 1, 1), (1, 1, 1, 1), (5,)), ((1, 1, 1), (1, 2, 1), (2, 5))])
+    def test_equals_the_two_reductions_bit_for_bit(self, rows, cols, stack):
+        # np.add.reduceat along both axes, also along one of one-entry
+        # blocks, which block_norms skips; a NaN stays in its block
+        m = np.random.default_rng(33).standard_normal(stack + (3, 4))
+        m[..., 0, 0] = np.nan
+        sq = np.add.reduceat(np.square(m), np.cumsum(rows) - rows, axis=-2)
+        want = np.sqrt(np.add.reduceat(sq, np.cumsum(cols) - cols, axis=-1))
+        npt.assert_array_equal(block_norms(m, rows, cols), want, strict=True)
+
     @pytest.mark.parametrize(
         "rows, cols", [((2, 2), (1, 2, 1)), ((2, 1), (1, 2)), ((3, 0), (1, 2, 1))]
     )

@@ -459,6 +459,16 @@ def with_register_fed_from_the_observer(k, cs):
     return dataclasses.replace(k, a=a), cs
 
 
+def with_b_feeding_a_later_slot(k, cs):
+    """``k`` with B also feeding the third slot of its register, which
+    ``_is_shift_register`` does not read: A^(i-1) B then fills that slot
+    and the next i - 1 ones too."""
+    n = k.order - cs.n_horizon * k.n_inputs
+    b = k.b.copy()
+    b[n + 2 * k.n_inputs, 0] = 1e-3
+    return dataclasses.replace(k, b=b), cs
+
+
 def checked_one_lag_longer(k, cs):
     """``k`` against ``cs`` with one more lag, on which every block is free."""
     pats = cs.patterns + (np.ones_like(cs.patterns[-1]),)
@@ -504,13 +514,30 @@ class TestConformance:
         assert (lag, i, j) == (0, 1, 2)
         assert mag == pytest.approx(0.5)
 
-    @pytest.mark.parametrize("case", CONFORMANCE_CASES)
-    def test_shift_register_path_matches_the_dense_recursion(self, case):
-        k, cs = conformance_case(case)
-        dense = impulse_response(k, cs.n_horizon)
+    @pytest.mark.parametrize("case", CONFORMANCE_CASES + ["chain-6 fed at a later slot"])
+    def test_shift_register_path_matches_the_dense_recursion(self, case, monkeypatch):
+        # the later-slot case fails if the recursion skips B's later rows
+        k, cs = conformance_case(case.partition(" ")[0])
+        if case.endswith("later slot"):
+            k, cs = with_b_feeding_a_later_slot(k, cs)
+        seen = dense_orders(monkeypatch)
         fast = verify._markov_parameters(k, cs.n_horizon)
+        dense = impulse_response(k, cs.n_horizon)
+        assert seen == []
         assert fast.shape == dense.shape
         assert np.abs(fast - dense).max() <= 1e-13 * np.abs(dense).max()
+
+    def test_shift_register_zeros_are_compared_not_bit_counted(self):
+        # a -0.0 off the register is zero and a NaN is not, as x != 0 says
+        k, cs = conformance_case("chain-4")
+        n, n_y = k.order - cs.n_horizon * k.n_inputs, k.n_inputs
+        assert verify._is_shift_register(k.a, n, n_y)
+        for where in [(n + n_y, 0), (n + n_y, n + 2 * n_y), (k.order - 1, k.order - 1)]:
+            a = k.a.copy()
+            a[where] = -0.0
+            assert verify._is_shift_register(a, n, n_y)
+            a[where] = np.nan
+            assert not verify._is_shift_register(a, n, n_y)
 
     @pytest.mark.parametrize("case", CONFORMANCE_CASES)
     def test_synthesized_controllers_skip_the_dense_recursion(self, case, monkeypatch):
