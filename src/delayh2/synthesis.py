@@ -8,10 +8,12 @@ parameter V, held as one ``(N, n_ctrl, n_meas)`` array and solved exactly
 as a finite-horizon LQR (:func:`solve_constrained_qp`) on the
 Kronecker-lifted FIR recursion, applied as formed matrices at small lifted
 order and through its factors above (:func:`_lift`), by one backward sweep
-over every lag, on a factor of the cost-to-go while its rank is small and
-on the dense cost-to-go after (:func:`_backward_sweep`), which hands each
-stage's data as arrays to one forward sweep that applies them; and the
-controller in closed form (:func:`realize_controller`).  :func:`sweep_norms`
+from the last lag: on a factor of the cost-to-go while its rank is small,
+on the dense cost-to-go after, and at the first lags, whose states span
+few directions, in the coordinates of the inputs that reach them
+(:func:`_backward_sweep`); it hands each stage's data as arrays to one
+forward sweep that applies them; and the controller in closed form
+(:func:`realize_controller`).  :func:`sweep_norms`
 runs the plant's part and one backward pass for every horizon of a
 repeated pattern.  :func:`synthesize` reports the priced cost f(V) of the
 V it returns, and a sweep cost off that price, or NaN, is the QP's lost
@@ -67,10 +69,14 @@ RICCATI_RESIDUAL_TOL = math.sqrt(np.finfo(float).eps)
 # order.  The chains n = 12, 16 and 20 (orders 288 to 800; one BLAS thread,
 # x86 VM, in process, median of 8 alternating rounds) took 0.42/0.36/0.34/
 # 0.36/0.39/0.45 s for the three syntheses at shares 0.25/0.4/0.5/0.6/0.75/1,
-# lowest at 0.5.  At 0.5 the 20-chain runs lags 19 ... 11 factored and
-# 10 ... 1 dense.  Per synthesis (median of 300 alternating rounds), 0.5
+# lowest at 0.5.  Per synthesis (median of 300 alternating rounds), 0.5
 # against 0.25 read +0.9%/-1.3%/-1.2%/-5.6% at n = 5/6/7/8, where the
-# factored stage's fixed numpy overhead weighs most.
+# factored stage's fixed numpy overhead weighs most.  At the other end the
+# same share bounds the dimension of the first lags' states, which
+# :func:`solve_constrained_qp` condenses (:func:`_condensed_lags`): the
+# three QPs took 309/273/241/252 ms with that bound at 0/0.35/0.5/0.6
+# (median of 10 alternating rounds).  At 0.5 the 20-chain runs lags
+# 19 ... 11 factored, 10 ... 5 dense and 4 ... 1 condensed.
 FACTORED_RANK_SHARE = 0.5
 
 # Bound on the gap between the backward sweep's cost and the priced cost of
@@ -455,7 +461,10 @@ def _lift(plant: GeneralizedPlant, gains: RiccatiGains) -> _Lift:
     C-contiguous m this moves no data, where A_bar^T of m^T would copy it.
     A/2 and L/2 are exact, so twice the product is, bit for bit, the same
     arithmetic with A and L.  A_bar^T and the row-side product write into
-    ``out`` if given.
+    ``out`` if given.  The row-side product's ``first`` restricts it to the
+    columns from ``first`` on: it forms the P^T blocks y and the Q^T rows i
+    from the ones that hold column ``first`` on, writes them in place in
+    ``out``, and returns ``out[:, first:]``.
 
     The fifth product, ``add_half_c_r_c(x, buffer)``, adds C_v^T R C_v / 2,
     the stage cost of :func:`_backward_sweep` with R = psi kron omega, into
@@ -516,16 +525,18 @@ def _lift(plant: GeneralizedPlant, gains: RiccatiGains) -> _Lift:
         return np.vstack([np.matmul(k_gain.T, u_t).reshape(split, k),
                           (l @ u_t.reshape(n_y, n_u * k)).reshape(n * n_u, k)])
 
-    def times_half_a_bar(m, out=None):
+    def times_half_a_bar(m, out=None, first=0):
         k = m.shape[0]
         if out is None:
             out = np.empty((k, order))
         p_t = m[:, :split].reshape(k, n_y, n)
-        np.matmul(p_t, a_half, out=out[:, :split].reshape((k, n_y, n), copy=False))
-        q_t = out[:, split:].reshape((k, n, n_u), copy=False)
-        np.matmul(a_half, m[:, split:].reshape(k, n, n_u), out=q_t)
-        q_t -= np.matmul(l_half, p_t @ b2)
-        return out
+        y0, i0 = min(first // n, n_y), max(first - split, 0) // n_u
+        np.matmul(p_t[:, y0:], a_half,
+                  out=out[:, y0 * n:split].reshape((k, n_y - y0, n), copy=False))
+        q_t = out[:, split + i0 * n_u:].reshape((k, n - i0, n_u), copy=False)
+        np.matmul(a_half[i0:], m[:, split:].reshape(k, n, n_u), out=q_t)
+        q_t -= np.matmul(l_half[i0:], p_t @ b2)
+        return out[:, first:] if first else out
 
     # filled at the first call, which a QP may not make.  No closure here
     # refers to itself, so a dropped lift frees them at once: in a reference
@@ -558,8 +569,12 @@ def _lift(plant: GeneralizedPlant, gains: RiccatiGains) -> _Lift:
         eye = np.eye(order)
         a_bar_t, b_v_t, half_a_bar = a_bar_t_times(eye), b_v_t_times(eye), times_half_a_bar(eye)
         c_v_t = c_v_t_times(np.eye(n_u * n_y))
+
+        def times_formed_half_a_bar(m, out=None, first=0):
+            return np.matmul(m, half_a_bar[:, first:], out=out[:, first:] if first else out)
+
         products = (partial(np.matmul, a_bar_t), partial(np.matmul, b_v_t),
-                    partial(np.matmul, c_v_t), lambda m, out=None: np.matmul(m, half_a_bar, out=out))
+                    partial(np.matmul, c_v_t), times_formed_half_a_bar)
     return _Lift(order, np.concatenate([vec(l), np.zeros(k_gain.size)]), omega_k, psi_l_t,
                  *products, add_half_c_r_c)
 
@@ -580,13 +595,16 @@ def _stage_failure(name: str, m: np.ndarray, where: str, n_allowed: int) -> Solv
 
 
 def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
-                    stages: Iterable[tuple[str, np.ndarray]]):
+                    stages: Iterable[tuple[str, np.ndarray]], condensed=()):
     """The backward Riccati sweep of :func:`solve_constrained_qp` from
     X = 0 over ``stages``, (label, allowed coordinates a of vec(J)) from the
-    last lag back.  Yields, per stage, its data as arrays, (a, forbidden
-    coordinates, gain h^-1 g) for a dense stage and (a, forbidden, T, S_y,
-    S_z) for a factored one (:func:`_factored_stage`), and the cost
-    x_1^T X x_1 after it.
+    last lag back, then over ``condensed``, the same pairs of lags 1 ... s
+    in forward order, in their input coordinates.  Yields, per stage, its
+    data as arrays, (a, forbidden coordinates, gain h^-1 g) for a dense
+    stage, (a, forbidden, T, S_y, S_z) for a factored one
+    (:func:`_factored_stage`) and (a, gain h^-1 g on xi_k) for a condensed
+    one (:func:`_condensed_stages`), and the cost x_1^T X x_1 after it,
+    which for a condensed stage is meant after lag 1 only.
 
     X_k is the cost of the minimum-norm V meeting the constraints of lags
     k ... N, so its rank is at most their forbidden coordinates summed.  One
@@ -631,24 +649,35 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
     Above that, X is the one order x order array, next to a buffer of one
     panel, and each order x order step runs a panel at a time, in place
     through the buffer: (B_v^T X)_a and A_bar^T X on column panels, the
-    second written back into them; (A_bar^T X) A_bar/2 and the downdate on
-    row panels; and Y/2 + (Y/2)^T on the part of a row panel from its
-    diagonal block on, whose sum is also written to the column panel
-    below.  A panel's product is the same sum as the whole product's, but
-    BLAS blocks a narrower product differently, so a panelled stage may
-    round otherwise than one product: V moved by up to 3e-10 relative on
-    the 20-chain.  The traced QP peak on the chains n = 12, 16, 20 and 24 is
-    5.2, 4.8, 5.2 and 6.1 order^2, of which the stored stage data is 1.8,
-    2.7, 3.4 and 4.5 (``tests/qp_memory.py``).
+    second written back into them; then, on each row panel, only its
+    columns from its diagonal block on, which hold X's upper triangle:
+    (A_bar^T X) A_bar/2 by :func:`_lift`'s row-side product restricted to
+    them, and the downdate.  X <- Y then takes D + D^T on each diagonal
+    block D of Y/2, and doubles the blocks right of it and mirrors them
+    below: exact, and symmetric, with half the flops of both steps.  A
+    panel's product is the same sum as the whole product's, but BLAS blocks
+    a narrower product differently, so a panelled stage may round otherwise
+    than one product.  The traced QP peak on the chains n = 12, 16, 20 and
+    24 is 5.1, 4.8, 5.2 and 6.1 order^2, reached before the condensed lags,
+    of which the stored stage data is 1.4, 2.3, 3.1 and 4.1
+    (``tests/qp_memory.py``).
+
+    After ``stages``, the condensed lags read X_{s+1}, or its factor Z, once
+    as X~ = S^T X S in the coordinates xi_{s+1} (:func:`_input_bases`): as
+    (S^T Z)(S^T Z)^T, with S^T Z empty, so X~ = 0, if no stage ran; or as
+    S^T (X S), X S formed a row panel at a time through the buffer into X's
+    own rows.  The last stage's order-wide temporaries go before S is
+    formed, and X and S before :func:`_condensed_stages` runs lags s ... 1,
+    which keep no order-wide array.
 
     The products with A_bar, B_v and C_v are :func:`_lift`'s, so above
     ``MATRIX_LIFT_ORDER`` only the downdate costs O(a order^2).  The
     forbidden set, and in the dense stage R_aa and (R C_v)_a, are formed
     again only for a new index array object, which :func:`sweep_norms`
-    keeps for every stage.  Both stage forms are exact, and each horizon
-    rounds the same way there as in :func:`solve_constrained_qp`, since
-    both choose the lift's form and the panels from the plant's dimensions
-    only."""
+    keeps for every stage.  Every stage form is exact, and each horizon
+    rounds the same way there as in :func:`solve_constrained_qp` with no
+    lag condensed, since both choose the lift's form and the panels from
+    the plant's dimensions only."""
     lift = _lift(plant, gains)
     order, x1 = lift.order, lift.x1
     # order^2 // PANEL_ENTRIES row panels of X (at least one), of one height
@@ -712,7 +741,8 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
                 for s, e in panels:
                     x_cost[:, s:e] = lift.a_bar_t_times(x_cost[:, s:e], out=buffer(order, e - s))
                 for s, e in panels:
-                    x_cost[s:e] = lift.times_half_a_bar(x_cost[s:e], out=buffer(e - s, order))
+                    x_cost[s:e, s:] = lift.times_half_a_bar(x_cost[s:e], out=buffer(e - s, order),
+                                                            first=s)
         try:
             gain = np.linalg.inv(h) @ g
         except np.linalg.LinAlgError as exc:
@@ -725,12 +755,110 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
             x_cost += work
         else:
             for s, e in panels:
-                x_cost[s:e] -= np.matmul(g.T[s:e], gain, out=buffer(e - s, order))
-            for s, e in panels:                            # X <- Y/2 + (Y/2)^T
-                upper = np.add(x_cost[s:e, s:], x_cost[s:, s:e].T, out=buffer(e - s, order - s))
-                x_cost[s:e, s:] = upper
-                x_cost[s:, s:e] = upper.T
+                x_cost[s:e, s:] -= np.matmul(g.T[s:e], gain[:, s:], out=buffer(e - s, order - s))
+            for s, e in panels:                            # X <- Y from its upper triangle
+                np.copyto(buffer(e - s, e - s), x_cost[s:e, s:e].T)
+                x_cost[s:e, s:e] += buffer(e - s, e - s)
+                x_cost[s:e, e:] *= 2.0
+                x_cost[e:, s:e] = x_cost[s:e, e:].T
         yield (idx, forb, gain), float(x1 @ x_cost @ x1)
+    if condensed:
+        # X_{s+1}, or its factor, read once as S^T X S; the last stage's
+        # order-wide temporaries go first, and X before the condensed lags
+        h = g = r_ca = None
+        *_, basis = _input_bases(plant, gains, condensed)
+        if z is not None:
+            x_tilde = basis @ z
+            x_tilde = x_tilde @ x_tilde.T
+        else:
+            d = len(basis)
+            for s, e in panels:                            # X S into X's own rows
+                x_cost[s:e, :d] = np.matmul(x_cost[s:e], basis.T, out=buffer(e - s, d))
+            x_tilde = basis @ x_cost[:, :d]
+        z = x_cost = work = basis = None
+        yield from _condensed_stages(plant, gains, condensed, x_tilde)
+
+
+def _input_bases(plant: GeneralizedPlant, gains: RiccatiGains, condensed):
+    """Yields S_1^T, ..., S_{s+1}^T for the condensed lags ``condensed``,
+    (label, allowed coordinates) of lags 1 ... s, each a view of one
+    (d_{s+1}, order) array that the next step overwrites.
+
+    S_1 = x_1 and S_{k+1} = [A_bar S_k, B_{a_k}], so x_k = S_k xi_k with
+    xi_k = [1; J_{1,a}; ...; J_{k-1,a}] and d_k = 1 + a_1 + ... + a_{k-1}
+    columns.  Each row of S^T holds [vec(P); vec(Q)] of one generator, which
+    C-order reshapes read as P^T and Q^T, so A_bar S is the recursion of
+    :func:`_lift` transposed, P^T <- P^T A^T - L^T (Q^T B2^T) and
+    Q^T <- A^T Q^T, run a panel of rows at a time in place.  The column of
+    B_v for vec(J)'s index y n_u + u holds P = B2 e_u e_y^T and
+    Q = e_u e_y^T C2, so its row is B2's column u in P^T's row y and C2's
+    row y in Q^T's column u, written from B2 and C2 directly."""
+    a, b2, c2, l = plant.a, plant.b2, plant.c2, gains.l_gain
+    n, n_u, n_y = plant.n, plant.n_ctrl, plant.n_meas
+    order, split, d = n * (n_u + n_y), n * n_y, 1
+    basis = np.zeros((d + sum(idx.size for _, idx in condensed), order))
+    p_t = basis[:, :split].reshape((len(basis), n_y, n), copy=False)
+    q_t = basis[:, split:].reshape((len(basis), n, n_u), copy=False)
+    p_t[0] = l.T                                         # x_1 = [vec(L); 0]
+    step = max(1, PANEL_ENTRIES // order)
+    for _, idx in condensed:
+        yield basis[:d]
+        for r in range(0, d, step):
+            p, q = p_t[r:min(r + step, d)], q_t[r:min(r + step, d)]
+            p_next = p @ a.T
+            p_next -= l.T @ (q @ b2.T)
+            p[...] = p_next
+            q[...] = a.T @ q
+        y, u = np.divmod(idx, n_u)
+        rows = np.arange(d, d + idx.size)
+        p_t[rows, y] = b2[:, u].T
+        q_t[rows, :, u] = c2[y]
+        d += idx.size
+    yield basis
+
+
+def _condensed_stages(plant: GeneralizedPlant, gains: RiccatiGains, condensed, x_tilde):
+    """The backward stages of the condensed lags s ... 1 from
+    X~ = S_{s+1}^T X_{s+1} S_{s+1} (:func:`_input_bases`), in the coordinates
+    xi_k; yields each stage's (a, gain h^-1 g), a x d_k, and X~_k[0, 0], the
+    cost x_1^T X_1 x_1 after lag 1.
+
+    xi_{k+1} = [xi_k; J_{k,a}], so X~_{k+1}'s leading d_k rows and columns
+    (A) and its last a_k (B) hold the blocks of A_bar^T X A_bar, B_a^T X A_bar
+    and B_a^T X B_a in these coordinates, and with E = C_v S_k the stage reads
+
+        h = R_aa + X~[B, B],   g = X~[B, A] - (R E)_a,
+        X~ <- X~[A, A] + E^T R E - g^T h^-1 g,   J_a = -h^-1 g xi_k,
+
+    on d_k x d_k and d_k x n_j arrays, none order x order.  R E is
+    vec(omega U psi^T) on the n_u x n_y blocks U of E's columns, and
+    E = C_v S_k is vec(K P + Q L), read off S_k^T as P^T K^T + L^T Q^T
+    after X has been released.  X~ is taken as (Y + Y^T)/2 of the updated
+    Y."""
+    psi, omega, k, l = gains.psi, gains.omega, gains.k_gain, gains.l_gain
+    n, n_u, n_y = plant.n, plant.n_ctrl, plant.n_meas
+    split, terms = n * n_y, []
+    for s_t, _ in zip(_input_bases(plant, gains, condensed), condensed):
+        d = len(s_t)
+        terms.append((s_t[:, :split].reshape(d, n_y, n) @ k.T      # E^T, d x n_j
+                      + l.T @ s_t[:, split:].reshape(d, n, n_u)).reshape(d, n_y * n_u))
+    for (where, idx), e in zip(reversed(condensed), reversed(terms)):
+        d = len(e)
+        r_e = (psi @ e.reshape(d, n_y, n_u) @ omega.T).reshape(d, n_y * n_u)
+        y, u = np.divmod(idx, n_u)
+        h = psi[np.ix_(y, y)] * omega[np.ix_(u, u)] + x_tilde[d:, d:]
+        g = x_tilde[d:, :d] - r_e[:, idx].T
+        try:
+            gain = np.linalg.inv(h) @ g
+        except np.linalg.LinAlgError as exc:
+            raise _stage_failure("h", h, where, idx.size) from exc
+        x_next = e @ r_e.T
+        x_next += x_tilde[:d, :d]
+        x_next -= g.T @ gain
+        x_next += x_next.T
+        x_next *= 0.5
+        x_tilde = x_next
+        yield (idx, gain), float(x_tilde[0, 0])
 
 
 def _allowed_weights(psi, omega, omega_k, psi_l_t, idx):
@@ -829,6 +957,23 @@ def _allowed_solves(psi_inv, omega_inv, idx, forb, w, where: str):
     return t, n_ew[idx, n_f:] + t @ n_ew[forb, n_f:], k_f_inv
 
 
+def _condensed_lags(order: int, n_j: int, sizes) -> int:
+    """The number s of first lags that :func:`solve_constrained_qp` runs in
+    their input coordinates, for a lifted ``order``, ``n_j`` coordinates of
+    vec(J) and ``sizes``, the allowed count a_k of lags 1 ... N.
+
+    The state x_k = A_bar^(k-1) x_1 + sum_(j<k) A_bar^(k-1-j) B_(a_j) J_(j,a)
+    lies in a space of dimension at most d_k = 1 + a_1 + ... + a_(k-1).  s
+    is the last lag whose bound d_(s+1) stays within ``FACTORED_RANK_SHARE``
+    of the order, the factored stage's rule at the other end, and at most
+    the last constrained lag: lags past it keep the empty factor, at V = 0
+    and cost 0.0 exactly, where a condensed stage would subtract its stage
+    cost from itself."""
+    sizes = np.asarray(sizes, dtype=int)
+    last = max(np.flatnonzero(sizes < n_j), default=-1) + 1
+    return min(int(np.count_nonzero(1 + np.cumsum(sizes) <= FACTORED_RANK_SHARE * order)), last)
+
+
 def solve_constrained_qp(plant: GeneralizedPlant, gains: RiccatiGains,
                          cs: ConstraintSpace) -> tuple[np.ndarray, float]:
     """Minimize sum_i vec(V_i)^T (psi kron omega) vec(V_i) subject to the
@@ -839,33 +984,44 @@ def solve_constrained_qp(plant: GeneralizedPlant, gains: RiccatiGains,
     whose inputs are the allowed coordinates of vec(J_i), with the state
     matrix A_bar at every lag and the stage cost
     (J_i - C_v x_i)^T (psi kron omega) (J_i - C_v x_i).  The backward sweep
-    (:func:`_backward_sweep`) runs every lag; a fully allowed lag past the
-    last constrained one stays on the empty factor, at V = 0 and cost 0.0.
-    One forward sweep of the n x n recursion forms E_i = K P_i + Q_i L, the
-    matrix of C_v x_i, once per lag, applies each stage's data, dense or
-    factored, to x_i and vec(E_i) for the optimal J_i, and returns
-    V_i = J_i - E_i as an ``(N, n_ctrl, n_meas)`` array with the optimal
-    cost x_1^T X_1 x_1.  The constraint's blocks must be the plant's.
+    (:func:`_backward_sweep`) runs lags N ... s + 1 on the lifted state; a
+    fully allowed lag past the last constrained one stays on the empty
+    factor, at V = 0 and cost 0.0.  Lags s ... 1 (:func:`_condensed_lags`)
+    it runs condensed, in the coordinates xi_i = [1; J_(1,a); ...;
+    J_(i-1,a)] of the inputs that reach x_i = S_i xi_i, whose dimension is
+    far below the order there (partial condensing: Axehill, "Controlling
+    the level of sparsity in MPC", Systems & Control Letters 2015).  One
+    forward sweep of the n x n recursion forms E_i = K P_i + Q_i L, the
+    matrix of C_v x_i, once per lag, applies each stage's data, condensed
+    to xi_i, which grows by each lag's J_(i,a), dense or factored to x_i
+    and vec(E_i), for the optimal J_i, and returns V_i = J_i - E_i as an
+    ``(N, n_ctrl, n_meas)`` array with the optimal cost x_1^T X_1 x_1.  The
+    constraint's blocks must be the plant's.
     """
     if (cs.block_rows, cs.block_cols) != (plant.block_rows, plant.block_cols):
         raise DimensionMismatch("constraint blocks do not match the plant blocks")
     n_u, n_y, n = plant.n_ctrl, plant.n_meas, cs.n_horizon
 
-    stages = ((f"lag {lag}", np.flatnonzero(cs.entry_mask(lag).ravel(order="F")))
-              for lag in range(n, 0, -1))
-    swept = list(_backward_sweep(plant, gains, stages))
+    allowed = [np.flatnonzero(cs.entry_mask(lag).ravel(order="F")) for lag in range(1, n + 1)]
+    s = _condensed_lags(plant.n * (n_u + n_y), n_u * n_y, [idx.size for idx in allowed])
+    stages = ((f"lag {lag}", allowed[lag - 1]) for lag in range(n, s, -1))
+    condensed = [(f"lag {lag}", allowed[lag - 1]) for lag in range(1, s + 1)]
+    swept = list(_backward_sweep(plant, gains, stages, condensed))
     cost = swept[-1][1] if swept else 0.0
 
     a, b2, c2, k, l = plant.a, plant.b2, plant.c2, gains.k_gain, gains.l_gain
-    p, q = l, np.zeros((n_u, plant.n))
+    p, q, xi = l, np.zeros((n_u, plant.n)), np.ones(1)
     v = np.zeros((n, n_u, n_y))
-    for i, ((idx, forb, *data), _) in enumerate(reversed(swept)):
+    for i, ((idx, *data), _) in enumerate(reversed(swept)):
         e = k @ p + q @ l                                # C_v x
         x, e_vec, j = np.concatenate([vec(p), vec(q)]), vec(e), np.zeros(n_u * n_y)
-        if len(data) == 1:                               # dense: J_a = -h^-1 g x
-            j[idx] = -(data[0] @ x)
+        if i < s:                                        # condensed: J_a = -h^-1 g xi
+            j[idx] = -(data[0] @ xi)
+            xi = np.concatenate([xi, j[idx]])
+        elif len(data) == 2:                             # dense: J_a = -h^-1 g x
+            j[idx] = -(data[1] @ x)
         else:                                            # factored: u_0 + delta
-            t, s_y, s_z = data
+            forb, t, s_y, s_z = data
             j[idx] = e_vec[idx] + t @ e_vec[forb] - s_y @ (x @ s_z)
         j = j.reshape(n_u, n_y, order="F")
         v[i] = j - e

@@ -199,12 +199,15 @@ def _markov_parameters(k: StateSpaceModel, horizon: int) -> np.ndarray:
     horizon * n_y states are a shift register (:func:`_is_shift_register`):
     then only the first n + n_y rows of A x are products, and the rest of x
     moves down by n_y rows.  A^(i-1) B is kept as a window sliding up one
-    buffer: each lag multiplies C and those top rows by the window and
-    writes the second product just above it.  Both products read only the
-    window's filled rows: B fills the first n + r_B, where r_B = n_y if B
-    feeds the first slot alone (as a synthesized controller's does) and the
-    whole register otherwise, and each slide fills n_y more; the rows past
-    them are exact zeros that the slide has carried down.  So lag i costs
+    buffer: each lag takes one product of C stacked on those top rows, both
+    copied into one array once, with the window, and writes its C part to
+    the response and the rest just above the window.  The product reads
+    only the window's filled rows: B fills the first n + r_B, where
+    r_B = n_y if B feeds the first slot alone (as a synthesized
+    controller's does) and the whole register otherwise, and each slide
+    fills n_y more; the rows past them are exact zeros that the slide has
+    carried down.  One product a lag, not two, halves the slicing and call
+    overhead that weighs on a small controller.  So lag i costs
     O((n + n_y) f_i n_y) with f_i = n + r_B + (i - 1) n_y filled rows,
     over the horizon about half the cost of the whole window and far below
     the dense recursion's O(order^2 n_y) per lag.  Any other realization
@@ -214,7 +217,8 @@ def _markov_parameters(k: StateSpaceModel, horizon: int) -> np.ndarray:
     n = order - horizon * n_y
     if n < 0 or not _is_shift_register(a, n, n_y):
         return impulse_response(k, horizon)
-    top = a[:n + n_y]
+    n_u = k.c.shape[0]
+    stacked = np.concatenate((k.c, a[:n + n_y]))
     filled = order if k.b[n + n_y:].any() else n + n_y
     resp = np.empty((horizon + 1,) + k.d.shape)
     resp[0] = k.d
@@ -222,12 +226,11 @@ def _markov_parameters(k: StateSpaceModel, horizon: int) -> np.ndarray:
     buf = np.empty((p + order, n_y))
     buf[p:] = k.b
     for lag in range(1, horizon + 1):
-        w = buf[p:p + filled]
-        np.matmul(k.c[:, :filled], w, out=resp[lag])
-        if lag < horizon:
-            p -= n_y
-            buf[p:p + n + n_y] = top[:, :filled] @ w
-            filled = min(filled + n_y, order)
+        product = stacked[:, :filled] @ buf[p:p + filled]
+        resp[lag] = product[:n_u]
+        p -= n_y
+        buf[p:p + n + n_y] = product[n_u:]
+        filled = min(filled + n_y, order)
     return resp
 
 
@@ -259,16 +262,21 @@ def conformance(k: StateSpaceModel, cs: ConstraintSpace) -> ConformanceReport:
     recursion on |A|, |B| and |C|, only when a block is flagged.  The
     Markov parameters come from :func:`_markov_parameters`, which on a
     shift register multiplies only the slots that can be nonzero, and so
-    does the bound's recursion; at N = 0 only the feedthrough is read.
+    does the bound's recursion; at N = 0 only the feedthrough is read.  A
+    forbidden block that is NaN or infinite is a violation, and the response
+    scale is taken over the lags whose norm is finite.
     """
     resp = _markov_parameters(k, cs.n_horizon)
-    tol = CONFORMANCE_TOL * float(np.linalg.norm(resp, axis=(1, 2)).max())
+    scales = np.linalg.norm(resp, axis=(1, 2))
+    tol = CONFORMANCE_TOL * float(scales[np.isfinite(scales)].max(initial=0.0))
     blocks = cs.block_rows, cs.block_cols
     mags = block_norms(resp, *blocks)
     # a block of the feedthrough is forbidden, and of lags 1 ... N as the patterns say
-    flagged = (mags > tol) & ~np.stack((np.zeros_like(mags[0], dtype=bool),) + cs.patterns)
+    forbidden = ~np.stack((np.zeros_like(mags[0], dtype=bool),) + cs.patterns)
+    flagged = (mags > tol) & forbidden
     if flagged.any():
         flagged &= mags > rounding_bounds(k, cs.n_horizon, *blocks, _markov_parameters)
+    flagged |= forbidden & ~np.isfinite(mags)            # NaN fails every comparison
     violations = tuple((int(lag), int(i), int(j), float(mags[lag, i, j]))
                        for lag, i, j in np.argwhere(flagged))
     return ConformanceReport(not violations, violations)

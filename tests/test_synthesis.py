@@ -633,6 +633,13 @@ def chain_qp():
     return build
 
 
+@pytest.fixture
+def uncondensed(monkeypatch):
+    """No lag condensed: ``solve_constrained_qp`` runs every lag in the
+    backward sweep, as :func:`sweep_norms` does."""
+    monkeypatch.setattr(synthesis, "_condensed_lags", lambda *args: 0)
+
+
 class TestSolveConstrainedQp:
     def test_unconstrained_minimum_is_zero(self, chain_plant, chain_gains):
         # every lag runs the rank-0 factored stage, where X = 0 holds exactly
@@ -704,6 +711,7 @@ class TestSolveConstrainedQp:
         plant = dataclasses.replace(plant, b2=scale * plant.b2, c2=scale * plant.c2)
         if share:
             monkeypatch.setattr(synthesis, "FACTORED_RANK_SHARE", share)
+            monkeypatch.setattr(synthesis, "_condensed_lags", lambda *args: 0)
         with pytest.raises(SolverFailure) as info:
             synthesize(plant, cs)
         found = re.fullmatch(r"singular stage matrix \(R\^-1\)_ff " + where + r": its smallest"
@@ -781,6 +789,20 @@ def test_fuzz_instance_below_the_sweep_floor_reports_its_priced_cost():
     result = synthesize(plant, cs)
     loop = closed_loop(plant, result.controller)
     assert abs(h2_norm_sq(loop.model) - result.total_norm_sq) <= 1e-12 * result.total_norm_sq
+    gains = riccati_gains(plant)
+    _, cost_ref = oracles.kkt_reference(vectorized_system(plant, gains), cs,
+                                        gains.omega, gains.psi)
+    assert abs(result.qp_cost - float(cost_ref)) <= 1e-11 * result.total_norm_sq
+
+
+@pytest.mark.parametrize("t", [86, 439])
+def test_condensed_fuzz_instances_price_at_their_reference(t):
+    # fuzz t = 86 (family 2) and t = 439 (family 1): with every lag in the
+    # backward sweep the priced-cost check refused them; with lag 1
+    # condensed their V prices within 1e-11 of the total above the 60-digit
+    # optimum (-3.1e-12 and 1.7e-15 measured)
+    plant, cs = seeded_family_instance(t)
+    result = synthesize(plant, cs)
     gains = riccati_gains(plant)
     _, cost_ref = oracles.kkt_reference(vectorized_system(plant, gains), cs,
                                         gains.omega, gains.psi)
@@ -928,17 +950,21 @@ class TestFactoredStages:
         # the data the forward sweep applies: no callable; T, S_y and S_z at
         # exactly the lags the spy records, two of them fully allowed past
         # the last constrained lag; a dense gain h^-1 g of shape
-        # (allowed, order) at every other lag
+        # (allowed, order) at the handover, lag 3; and at the condensed lags
+        # 2 and 1 the allowed coordinates and a gain of shape (allowed, d_k)
+        # on xi_k, d_1 = 1 and d_2 = 1 + 8
         plant, gains, cs = chain_qp(8)
         n_j, order = plant.n_ctrl * plant.n_meas, plant.n * (plant.n_ctrl + plant.n_meas)
         masks = [cs.entry_mask(lag) for lag in range(1, cs.n_horizon + 1)]
         masks += [np.ones_like(masks[0])] * 2
         stages = [(f"lag {lag}", np.flatnonzero(masks[lag - 1].ravel(order="F")))
                   for lag in range(len(masks), 0, -1)]
+        swept = list(synthesis._backward_sweep(plant, gains, stages[:-2], stages[:-3:-1]))
+        assert all(isinstance(array, np.ndarray) for data, _ in swept for array in data)
+        for ((where, idx), (data, _)), d in zip(zip(stages[-2:], swept[-2:], strict=True), (9, 1)):
+            assert data[0] is idx and data[1].shape == (idx.size, d) and len(data) == 2
         factored = []
-        for (where, idx), (data, _) in zip(stages, synthesis._backward_sweep(plant, gains, stages),
-                                           strict=True):
-            assert all(isinstance(array, np.ndarray) for array in data)  # no callable
+        for (where, idx), (data, _) in zip(stages[:-2], swept[:-2], strict=True):
             allowed, forb, *rest = data
             assert allowed is idx
             assert np.array_equal(np.sort(np.concatenate([idx, forb])), np.arange(n_j))
@@ -951,7 +977,7 @@ class TestFactoredStages:
                 assert len(rest) == 1 and rest[0].shape == (idx.size, order)
         assert factored == factored_stages
         assert factored[:2] == [f"lag {len(masks)}", f"lag {len(masks) - 1}"]
-        assert len(factored) < len(stages)
+        assert factored[-1] == "lag 4"
 
 
 def weight_factor(rng, n, cond):
@@ -992,9 +1018,10 @@ class TestAllowedSolves:
             n_ff = np.kron(psi_inv, omega_inv)[np.ix_(forb, forb)]
             assert np.abs(k_f_inv @ n_ff @ k_f_inv.T - np.eye(forb.size)).max(initial=0.0) <= tol
 
-    def test_factored_only_solve_of_a_scaled_instance(self, monkeypatch, factored_stages):
+    def test_factored_only_solve_of_a_scaled_instance(self, monkeypatch, factored_stages,
+                                                      uncondensed):
         # B2 and C2 x 10 give cond(psi kron omega) = 4e4; with the share
-        # above every rank bound each stage runs factored
+        # above every rank bound and no lag condensed each stage runs factored
         plant, _, cs = random_qi_instance(np.random.default_rng(1))
         plant = dataclasses.replace(plant, b2=10.0 * plant.b2, c2=10.0 * plant.c2)
         gains = riccati_gains(plant)
@@ -1081,6 +1108,83 @@ class TestHandoverStage:
         assert hits >= 10
 
 
+def condensed_lags(plant, cs) -> int:
+    """How many early lags ``solve_constrained_qp`` condenses."""
+    sizes = [np.count_nonzero(cs.entry_mask(lag)) for lag in range(1, cs.n_horizon + 1)]
+    return synthesis._condensed_lags(plant.n * (plant.n_ctrl + plant.n_meas),
+                                     plant.n_ctrl * plant.n_meas, sizes)
+
+
+class TestCondensedLags:
+    """Lags 1 ... s run in the coordinates xi_k = [1; J_{1,a}; ...;
+    J_{k-1,a}] from X~ = S^T X_{s+1} S, where s is the last lag, at or
+    before the last constrained one, whose bound d_{s+1} = 1 + a_1 + ... +
+    a_s stays within ``FACTORED_RANK_SHARE`` of the order.  They solve the
+    QP of the sweep that condenses no lag."""
+
+    @staticmethod
+    def assert_matches_uncondensed(monkeypatch, plant, gains, cs, solved):
+        # the sweep cost and the priced cost of V within 1e-12 of the total
+        # ||P11||^2 + cost of the solve that condenses no lag
+        with monkeypatch.context() as uncondensed:
+            uncondensed.setattr(synthesis, "_condensed_lags", lambda *args: 0)
+            v_ref, cost_ref = solve_constrained_qp(plant, gains, cs)
+        (v, cost), omega, psi = solved, gains.omega, gains.psi
+        total = _plant_prefix(plant)[1] + cost_ref
+        assert abs(cost - cost_ref) <= 1e-12 * total
+        assert abs(oracles.priced_cost(v, omega, psi)
+                   - oracles.priced_cost(v_ref, omega, psi)) <= 1e-12 * total
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_chains_match_the_uncondensed_sweep(self, chain_qp, monkeypatch, n):
+        plant, gains, cs = chain_qp(n)
+        assert condensed_lags(plant, cs) > 0
+        solved = solve_constrained_qp(plant, gains, cs)
+        self.assert_matches_uncondensed(monkeypatch, plant, gains, cs, solved)
+
+    def test_random_instances_match_the_uncondensed_sweep(self, monkeypatch, factored_stages):
+        # count the draws that condense every lag (X~ = 0), that hand over
+        # at a lag s + 1 still factored (X~ read through Z) and that hand
+        # over from the dense stage
+        rng = np.random.default_rng(38)
+        hits = Counter()
+        for _ in range(200):
+            plant, cs, gains = random_qp_instance(rng)
+            factored_stages.clear()
+            solved = solve_constrained_qp(plant, gains, cs)
+            s, n = condensed_lags(plant, cs), cs.n_horizon
+            self.assert_matches_uncondensed(monkeypatch, plant, gains, cs, solved)
+            if s == n > 0:
+                hits["every lag"] += 1
+            elif s:
+                hits["from a factor" if len(factored_stages) == n - s else "from X"] += 1
+        assert len(hits) == 3 and min(hits.values()) >= 5, hits
+
+    def test_chain_condenses_the_lags_within_the_bound(self, chain_qp, monkeypatch):
+        # n = 12, order 288: lags 1 ... 4 allow 12, 34, 54 and 70
+        # coordinates, so d_4 = 1 + 100 = 101 is the last bound within
+        # 288 / 2 (d_5 = 171); the sweep runs lags 11 ... 4 and hands X_4 over
+        seen, real = [], synthesis._backward_sweep
+
+        def spy(plant, gains, stages, condensed=()):
+            stages = list(stages)
+            seen.append(([where for where, _ in stages], [where for where, _ in condensed]))
+            return real(plant, gains, stages, condensed)
+
+        monkeypatch.setattr(synthesis, "_backward_sweep", spy)
+        solve_constrained_qp(*chain_qp(12))
+        assert seen == [([f"lag {lag}" for lag in range(11, 3, -1)], ["lag 1", "lag 2", "lag 3"])]
+
+    def test_lags_past_the_last_constrained_one_are_not_condensed(self, chain_plant, chain_gains):
+        # lag 1 alone is constrained: lags 2 and 3, fully allowed, run the
+        # rank-0 factored stage at V = 0, and lag 1 is condensed from X~ = 0
+        eye, ones = np.eye(3, dtype=bool), np.ones((3, 3), bool)
+        cs = ConstraintSpace(3, (1, 1, 1), (1, 1, 1), (eye, ones, ones))
+        assert condensed_lags(chain_plant, cs) == 1
+        v_star, cost = solve_constrained_qp(chain_plant, chain_gains, cs)
+        assert (v_star[1:] == 0.0).all() and cost > 0.0
+
+
 class TestDenseStageWeights:
     """The dense stage takes R_aa and (R C_v)_a from the factors of R, with
     vec(J)'s index y n_u + u split by divmod, and forms neither R nor R C_v."""
@@ -1123,12 +1227,12 @@ def traced_qp_peak(plant, gains, cs) -> int:
 class TestWorkingSet:
     def test_qp_holds_few_order_squared_arrays(self, chain_qp):
         # the 12-chain (lifted order 288) hands over to the dense stage at
-        # lag 5, and one panel covers its X; X and one work buffer are two
-        # order^2 arrays, C_v^T R C_v / 2 is added from its factors (order
-        # 288 is above MATRIX_LIFT_ORDER), and the stored gains and the
-        # products' temporaries take about three more, 5.15 in all.  A
-        # formed C_v^T R C_v / 2, R or R C_v, or a third X buffer, passes the
-        # bound.
+        # lag 5 and condenses lags 3 ... 1, and one panel covers its X; X
+        # and one work buffer are two order^2 arrays, C_v^T R C_v / 2 is
+        # added from its factors (order 288 is above MATRIX_LIFT_ORDER), and
+        # the stored gains and the products' temporaries take about three
+        # more, 5.06 in all.  A formed C_v^T R C_v / 2, R or R C_v, or a third
+        # X buffer, passes the bound.
         plant, gains, cs = chain_qp(12)
         order = plant.n * (plant.n_ctrl + plant.n_meas)
         assert traced_qp_peak(plant, gains, cs) <= 5.5 * 8 * order**2
@@ -1136,7 +1240,7 @@ class TestWorkingSet:
     def test_panelled_stage_holds_x_and_one_panel(self, chain_qp):
         # the 16-chain (order 512) runs its dense stages on four panels of
         # X: besides X and the 128-row buffer it holds the stored gains
-        # (2.7 order^2) and the stage's temporaries, 4.7 order^2 in all.  A
+        # (2.3 order^2) and the stage's temporaries, 4.75 order^2 in all.  A
         # second order x order array, such as a formed C_v^T R C_v / 2 or a
         # work buffer the size of X, passes the bound.
         plant, gains, cs = chain_qp(16)
@@ -1154,9 +1258,9 @@ def panel_heights(monkeypatch):
         lift, heights = real(plant, gains), []
         seen.append(heights)
 
-        def times_half_a_bar(m, out=None):
+        def times_half_a_bar(m, out=None, first=0):
             heights.append(m.shape[0])
-            return lift.times_half_a_bar(m, out=out)
+            return lift.times_half_a_bar(m, out=out, first=first)
 
         return lift._replace(times_half_a_bar=times_half_a_bar)
 
@@ -1185,16 +1289,28 @@ class TestPanels:
         """At least three panels, the last narrower than the others."""
         return len(heights) >= 3 and heights[-1] < heights[0]
 
-    def test_chain_runs_five_panels(self, chain_qp, monkeypatch, panel_heights):
-        # order 72: 72^2 // 1000 = 5 panels of 15 rows, the last of 12
+    def test_chain_runs_five_panels(self, chain_qp, monkeypatch, panel_heights, uncondensed):
+        # order 72: 72^2 // 1000 = 5 panels of 15 rows, the last of 12; with
+        # no lag condensed, lags 2 and 1 run the dense stage after the
+        # handover at lag 3
         plant, gains, cs = chain_qp(6)
         self.assert_panels_agree(monkeypatch, plant, gains, cs, 1000)
         assert panel_heights[0] == [72] and panel_heights[1] == [15, 15, 15, 15, 12]
 
-    def test_random_instances_agree(self, monkeypatch, panel_heights):
+    def test_condensed_chain_reads_x_on_panels(self, chain_qp, monkeypatch, factored_stages):
+        # order 128: 16 panels of 8 rows; the 8-chain hands over at lag 3
+        # and condenses lags 2 and 1, so X~ = S^T X S is read from the
+        # panels of the handover's X
+        plant, gains, cs = chain_qp(8)
+        self.assert_panels_agree(monkeypatch, plant, gains, cs, 1000)
+        assert factored_stages == [f"lag {lag}" for lag in range(7, 3, -1)] * 2
+        assert condensed_lags(plant, cs) == 2
+
+    def test_random_instances_agree(self, monkeypatch, panel_heights, uncondensed):
         # one entry per panel: panels of max(n, n_u) rows, where a panel
-        # holds one block row of C_v^T R C_v; count the draws whose dense
-        # stage splits X into three or more panels with a narrower last
+        # holds one block row of C_v^T R C_v; with no lag condensed, count
+        # the draws whose dense stage after the handover splits X into three
+        # or more panels with a narrower last
         rng = np.random.default_rng(5)
         split = 0
         for _ in range(200):
@@ -1203,6 +1319,19 @@ class TestPanels:
             self.assert_panels_agree(monkeypatch, plant, gains, cs, 1)
             split += self.narrower_last(panel_heights[1])
         assert split >= 10
+
+    def test_condensed_random_instances_agree(self, monkeypatch, factored_stages):
+        # the same draws with the first lags condensed; count those that
+        # read X~ = S^T X S from the dense stage's X, on one-row panels
+        rng = np.random.default_rng(5)
+        hits = 0
+        for _ in range(200):
+            plant, cs, gains = random_qp_instance(rng)
+            factored_stages.clear()
+            self.assert_panels_agree(monkeypatch, plant, gains, cs, 1)
+            s = condensed_lags(plant, cs)
+            hits += 0 < s and len(factored_stages) < 2 * (cs.n_horizon - s)
+        assert hits >= 10
 
 
 class TestSweepNorms:
@@ -1226,10 +1355,10 @@ class TestSweepNorms:
     )
     def test_one_pass_equals_per_horizon_syntheses(self, plant, template, n_max, panel_entries,
                                                    lift_path, monkeypatch):
-        # the one pass shares every stage's arithmetic with the solver, so
-        # the norms agree bit for bit with the solver's sweep cost, the
-        # all-allowed template's included; synthesize reports the price of
-        # each V, which the priced-cost check holds to that cost
+        # the one pass shares every stage's arithmetic with the solver that
+        # condenses no lag, so the norms agree bit for bit with its sweep
+        # cost, the all-allowed template's included; synthesize reports the
+        # price of each V, which the priced-cost check holds to that cost
         if panel_entries is not None:
             monkeypatch.setattr(synthesis, "PANEL_ENTRIES", panel_entries)
         blocks = plant.block_rows, plant.block_cols
@@ -1238,9 +1367,11 @@ class TestSweepNorms:
         p11_norm_sq, swept, solve = _plant_prefix(plant)[1], [], synthesis.solve_constrained_qp
 
         def recorded(*args):
-            v, cost = solve(*args)
-            swept.append(math.sqrt(p11_norm_sq + cost))
-            return v, cost
+            # the sweep's arithmetic is the solver's with no lag condensed
+            with monkeypatch.context() as uncondensed:
+                uncondensed.setattr(synthesis, "_condensed_lags", lambda *args: 0)
+                swept.append(math.sqrt(p11_norm_sq + solve(*args)[1]))
+            return solve(*args)
 
         monkeypatch.setattr(synthesis, "solve_constrained_qp", recorded)
         priced = [synthesize(plant, ConstraintSpace(n, *blocks, (pattern,) * n)).h2_norm

@@ -579,6 +579,21 @@ class TestConformance:
         npt.assert_allclose([v[3] for v in fast.violations], [v[3] for v in dense.violations],
                             rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("case", ["central", "synthesized"])
+    def test_a_nan_controller_does_not_conform(self, case):
+        # the 4-chain's centralized LQG controller with C[0, 0] = NaN and its
+        # synthesized controller with C[0, -1] = NaN: a NaN made the
+        # response scale, and so the tolerance, NaN, which no block exceeded
+        k, cs = conformance_case("chain-4")
+        if case == "central":
+            plant = make_chain_plant(4)
+            k = realize_controller(np.zeros((0, 4, 4)), riccati_gains(plant), plant)
+        c = k.c.copy()
+        c[0, 0 if case == "central" else -1] = np.nan
+        report = conformance(dataclasses.replace(k, c=c), cs)
+        assert not report.ok
+        assert all(np.isnan(v[3]) for v in report.violations if v[1] == 0)
+
     @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
     def test_the_verdict_does_not_depend_on_the_units(self, scale):
         # C times s scales every Markov parameter by s; the forbidden lag-1
