@@ -89,14 +89,14 @@ FACTORED_RANK_SHARE = 0.5
 PRICED_COST_TOL = 1e-9
 
 # Up to this lifted order :func:`_lift` applies the lift as matrices formed
-# once per QP, above it through its n x n factors.  Per step of 60 dense
-# stages of the diagonal pattern on A = 0.5 I + 0.25 (its two off-diagonals),
-# B2 = C2 = I, so n_ctrl = n_meas = n and 1 x 1 blocks (one BLAS thread, x86
-# VM, in process, median of 40 alternating rounds), the dense stage on the
-# matrices took 0.45/0.46/0.45/0.50/0.66/0.88/1.48 x the factors' time at
-# orders 8/18/32/50/72/98/128, and the whole QP of the chains n = 3 ... 8
-# (orders 18 to 128, 200 rounds) 1.007/0.993/0.983/0.969/1.033/1.229 x: the
-# QP's crossover lies between orders 72 and 98, above this limit.
+# once per QP, above it through its n x n factors.  Formed against factors
+# (one BLAS thread, x86 VM, in process, median of 101 alternating rounds),
+# the 120-step sweep of configs/two_subsystem_sweep.json (order 8; 4
+# factored and 116 dense stages) took 0.42 x the time (3.09 against 7.33
+# ms).  The QPs of the chains n = 3/4/5 (orders 18/32/50) took
+# 1.07/1.07/1.05 x: their one or two factored stages took 0.70 - 0.73 x,
+# but forming costs 35 - 50 us and the condensed lags apply no lift.  At
+# n = 6 and 7 (orders 72 and 98) the QP read 1.05/1.08 x.
 MATRIX_LIFT_ORDER = 64
 
 # The dense stage of :func:`_backward_sweep` splits X into order^2 // this
@@ -582,7 +582,9 @@ def _lift(plant: GeneralizedPlant, gains: RiccatiGains) -> _Lift:
 def _stage_failure(name: str, m: np.ndarray, where: str, n_allowed: int) -> SolverFailure:
     """The failure of the stage ``where`` to factor or invert its matrix
     ``name``, ``m``: its order and, computed on this path only, its
-    smallest eigenvalue relative to its largest in magnitude."""
+    smallest eigenvalue relative to its largest in magnitude.  Raised by
+    :func:`_stage_solve`, and for a singular psi or omega as R = psi kron
+    omega."""
     if not np.isfinite(m).all():
         detail = "it has a non-finite entry"
     else:
@@ -594,17 +596,34 @@ def _stage_failure(name: str, m: np.ndarray, where: str, n_allowed: int) -> Solv
                          f" ({n_allowed} allowed coordinates): {detail}")
 
 
+def _stage_solve(solve: Callable, name: str, m: np.ndarray, where: str, n_allowed: int):
+    """``solve(m)``, or the :func:`_stage_failure` of the stage ``where`` raised
+    if numpy finds ``m`` singular or, for a Cholesky factorization, not
+    positive definite."""
+    try:
+        return solve(m)
+    except np.linalg.LinAlgError as exc:
+        raise _stage_failure(name, m, where, n_allowed) from exc
+
+
+def _inverse_cholesky(m: np.ndarray) -> np.ndarray:
+    """L^-1 for the Cholesky factor L L^T = m."""
+    return np.linalg.inv(np.linalg.cholesky(m))
+
+
 def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
                     stages: Iterable[tuple[str, np.ndarray]], condensed=()):
     """The backward Riccati sweep of :func:`solve_constrained_qp` from
     X = 0 over ``stages``, (label, allowed coordinates a of vec(J)) from the
     last lag back, then over ``condensed``, the same pairs of lags 1 ... s
     in forward order, in their input coordinates.  Yields, per stage, its
-    data as arrays, (a, forbidden coordinates, gain h^-1 g) for a dense
-    stage, (a, forbidden, T, S_y, S_z) for a factored one
-    (:func:`_factored_stage`) and (a, gain h^-1 g on xi_k) for a condensed
-    one (:func:`_condensed_stages`), and the cost x_1^T X x_1 after it,
-    which for a condensed stage is meant after lag 1 only.
+    data as arrays, one record of two forms: (a, gain h^-1 g) for a dense
+    stage, a x order on x_k, and for a condensed one
+    (:func:`_condensed_stages`), a x d_k on xi_k; (a, forbidden
+    coordinates, T, S_y, S_z) for a factored one (:func:`_factored_stage`);
+    and the cost x_1^T X x_1 after it, which for a condensed stage is meant
+    after lag 1 only.  A singular stage matrix raises the
+    :class:`SolverFailure` of :func:`_stage_solve`.
 
     X_k is the cost of the minimum-norm V meeting the constraints of lags
     k ... N, so its rank is at most their forbidden coordinates summed.  One
@@ -663,12 +682,13 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
     (``tests/qp_memory.py``).
 
     After ``stages``, the condensed lags read X_{s+1}, or its factor Z, once
-    as X~ = S^T X S in the coordinates xi_{s+1} (:func:`_input_bases`): as
+    as X~ = S^T X S in the coordinates xi_{s+1} (:func:`_input_bases`, whose
+    one pass also reads each lag's E_k^T = (C_v S_k)^T off S_k^T): as
     (S^T Z)(S^T Z)^T, with S^T Z empty, so X~ = 0, if no stage ran; or as
     S^T (X S), X S formed a row panel at a time through the buffer into X's
     own rows.  The last stage's order-wide temporaries go before S is
-    formed, and X and S before :func:`_condensed_stages` runs lags s ... 1,
-    which keep no order-wide array.
+    formed, and X and S before :func:`_condensed_stages` runs lags s ... 1
+    on X~ and the E_k^T, d_k x n_j each, which keep no order-wide array.
 
     The products with A_bar, B_v and C_v are :func:`_lift`'s, so above
     ``MATRIX_LIFT_ORDER`` only the downdate costs O(a order^2).  The
@@ -743,10 +763,7 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
                 for s, e in panels:
                     x_cost[s:e, s:] = lift.times_half_a_bar(x_cost[s:e], out=buffer(e - s, order),
                                                             first=s)
-        try:
-            gain = np.linalg.inv(h) @ g
-        except np.linalg.LinAlgError as exc:
-            raise _stage_failure("h", h, where, idx.size) from exc
+        gain = _stage_solve(np.linalg.inv, "h", h, where, idx.size) @ g
         g *= 0.5
         lift.add_half_c_r_c(x_cost, work)
         if whole:
@@ -761,12 +778,12 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
                 x_cost[s:e, s:e] += buffer(e - s, e - s)
                 x_cost[s:e, e:] *= 2.0
                 x_cost[e:, s:e] = x_cost[s:e, e:].T
-        yield (idx, forb, gain), float(x1 @ x_cost @ x1)
+        yield (idx, gain), float(x1 @ x_cost @ x1)
     if condensed:
         # X_{s+1}, or its factor, read once as S^T X S; the last stage's
         # order-wide temporaries go first, and X before the condensed lags
         h = g = r_ca = None
-        *_, basis = _input_bases(plant, gains, condensed)
+        basis, terms = _input_bases(plant, gains, condensed)
         if z is not None:
             x_tilde = basis @ z
             x_tilde = x_tilde @ x_tilde.T
@@ -776,13 +793,15 @@ def _backward_sweep(plant: GeneralizedPlant, gains: RiccatiGains,
                 x_cost[s:e, :d] = np.matmul(x_cost[s:e], basis.T, out=buffer(e - s, d))
             x_tilde = basis @ x_cost[:, :d]
         z = x_cost = work = basis = None
-        yield from _condensed_stages(plant, gains, condensed, x_tilde)
+        yield from _condensed_stages(plant, gains, condensed, x_tilde, terms)
 
 
 def _input_bases(plant: GeneralizedPlant, gains: RiccatiGains, condensed):
-    """Yields S_1^T, ..., S_{s+1}^T for the condensed lags ``condensed``,
-    (label, allowed coordinates) of lags 1 ... s, each a view of one
-    (d_{s+1}, order) array that the next step overwrites.
+    """S_{s+1}^T, a (d_{s+1}, order) array, and the list of the terms
+    E_k^T = (C_v S_k)^T, d_k x n_j, of lags k = 1 ... s for the condensed
+    lags ``condensed``, (label, allowed coordinates) of lags 1 ... s.  One
+    pass builds S^T in place, and each E_k^T is read off the rows S_k^T
+    before the next step overwrites them.
 
     S_1 = x_1 and S_{k+1} = [A_bar S_k, B_{a_k}], so x_k = S_k xi_k with
     xi_k = [1; J_{1,a}; ...; J_{k-1,a}] and d_k = 1 + a_1 + ... + a_{k-1}
@@ -792,17 +811,19 @@ def _input_bases(plant: GeneralizedPlant, gains: RiccatiGains, condensed):
     Q^T <- A^T Q^T, run a panel of rows at a time in place.  The column of
     B_v for vec(J)'s index y n_u + u holds P = B2 e_u e_y^T and
     Q = e_u e_y^T C2, so its row is B2's column u in P^T's row y and C2's
-    row y in Q^T's column u, written from B2 and C2 directly."""
-    a, b2, c2, l = plant.a, plant.b2, plant.c2, gains.l_gain
+    row y in Q^T's column u, written from B2 and C2 directly.  E_k = C_v S_k
+    is vec(K P + Q L) on each generator, read off S_k^T as
+    P^T K^T + L^T Q^T."""
+    a, b2, c2, k, l = plant.a, plant.b2, plant.c2, gains.k_gain, gains.l_gain
     n, n_u, n_y = plant.n, plant.n_ctrl, plant.n_meas
-    order, split, d = n * (n_u + n_y), n * n_y, 1
+    order, split, d, terms = n * (n_u + n_y), n * n_y, 1, []
     basis = np.zeros((d + sum(idx.size for _, idx in condensed), order))
     p_t = basis[:, :split].reshape((len(basis), n_y, n), copy=False)
     q_t = basis[:, split:].reshape((len(basis), n, n_u), copy=False)
     p_t[0] = l.T                                         # x_1 = [vec(L); 0]
     step = max(1, PANEL_ENTRIES // order)
     for _, idx in condensed:
-        yield basis[:d]
+        terms.append((p_t[:d] @ k.T + l.T @ q_t[:d]).reshape(d, n_y * n_u))  # E_k^T
         for r in range(0, d, step):
             p, q = p_t[r:min(r + step, d)], q_t[r:min(r + step, d)]
             p_next = p @ a.T
@@ -814,14 +835,15 @@ def _input_bases(plant: GeneralizedPlant, gains: RiccatiGains, condensed):
         p_t[rows, y] = b2[:, u].T
         q_t[rows, :, u] = c2[y]
         d += idx.size
-    yield basis
+    return basis, terms
 
 
-def _condensed_stages(plant: GeneralizedPlant, gains: RiccatiGains, condensed, x_tilde):
+def _condensed_stages(plant: GeneralizedPlant, gains: RiccatiGains, condensed, x_tilde, terms):
     """The backward stages of the condensed lags s ... 1 from
-    X~ = S_{s+1}^T X_{s+1} S_{s+1} (:func:`_input_bases`), in the coordinates
-    xi_k; yields each stage's (a, gain h^-1 g), a x d_k, and X~_k[0, 0], the
-    cost x_1^T X_1 x_1 after lag 1.
+    X~ = S_{s+1}^T X_{s+1} S_{s+1} and ``terms``, the E_k^T = (C_v S_k)^T of
+    lags 1 ... s (both from :func:`_input_bases`), in the coordinates xi_k;
+    yields each stage's (a, gain h^-1 g), a x d_k, and X~_k[0, 0], the cost
+    x_1^T X_1 x_1 after lag 1.
 
     xi_{k+1} = [xi_k; J_{k,a}], so X~_{k+1}'s leading d_k rows and columns
     (A) and its last a_k (B) hold the blocks of A_bar^T X A_bar, B_a^T X A_bar
@@ -831,27 +853,16 @@ def _condensed_stages(plant: GeneralizedPlant, gains: RiccatiGains, condensed, x
         X~ <- X~[A, A] + E^T R E - g^T h^-1 g,   J_a = -h^-1 g xi_k,
 
     on d_k x d_k and d_k x n_j arrays, none order x order.  R E is
-    vec(omega U psi^T) on the n_u x n_y blocks U of E's columns, and
-    E = C_v S_k is vec(K P + Q L), read off S_k^T as P^T K^T + L^T Q^T
-    after X has been released.  X~ is taken as (Y + Y^T)/2 of the updated
-    Y."""
-    psi, omega, k, l = gains.psi, gains.omega, gains.k_gain, gains.l_gain
-    n, n_u, n_y = plant.n, plant.n_ctrl, plant.n_meas
-    split, terms = n * n_y, []
-    for s_t, _ in zip(_input_bases(plant, gains, condensed), condensed):
-        d = len(s_t)
-        terms.append((s_t[:, :split].reshape(d, n_y, n) @ k.T      # E^T, d x n_j
-                      + l.T @ s_t[:, split:].reshape(d, n, n_u)).reshape(d, n_y * n_u))
+    vec(omega U psi^T) on the n_u x n_y blocks U of E's columns.  X~ is
+    taken as (Y + Y^T)/2 of the updated Y."""
+    psi, omega, n_u, n_y = gains.psi, gains.omega, plant.n_ctrl, plant.n_meas
     for (where, idx), e in zip(reversed(condensed), reversed(terms)):
         d = len(e)
         r_e = (psi @ e.reshape(d, n_y, n_u) @ omega.T).reshape(d, n_y * n_u)
         y, u = np.divmod(idx, n_u)
         h = psi[np.ix_(y, y)] * omega[np.ix_(u, u)] + x_tilde[d:, d:]
         g = x_tilde[d:, :d] - r_e[:, idx].T
-        try:
-            gain = np.linalg.inv(h) @ g
-        except np.linalg.LinAlgError as exc:
-            raise _stage_failure("h", h, where, idx.size) from exc
+        gain = _stage_solve(np.linalg.inv, "h", h, where, idx.size) @ g
         x_next = e @ r_e.T
         x_next += x_tilde[:d, :d]
         x_next -= g.T @ gain
@@ -908,10 +919,7 @@ def _factored_stage(lift: _Lift, psi_inv, omega_inv, z, where: str, idx, forb):
     w = lift.b_v_t_times(z)[idx]                          # B_a^T Z
     t, y, k_f_inv = _allowed_solves(psi_inv, omega_inv, idx, forb, w, where)
     m = np.eye(rank) + w.T @ y
-    try:
-        l_m_inv = np.linalg.inv(np.linalg.cholesky(m))
-    except np.linalg.LinAlgError as exc:
-        raise _stage_failure("M = I + W^T Y", m, where, idx.size) from exc
+    l_m_inv = _stage_solve(_inverse_cholesky, "M = I + W^T Y", m, where, idx.size)
     u = np.empty((n_j, rank))
     u[idx], u[forb] = w, t.T @ w                         # R_fa Y = T^T W
     a_hat_z = lift.a_bar_t_times(z) + lift.c_v_t_times(u)  # A^T Z
@@ -948,11 +956,7 @@ def _allowed_solves(psi_inv, omega_inv, idx, forb, w, where: str):
     n_ew = np.matmul(omega_inv, (psi_inv @ u.reshape(n_y, n_u * k)).reshape(n_y, n_u, k))
     n_ew = n_ew.reshape(n_y * n_u, k)                    # N [E_f, W^]
     n_ff = n_ew[forb, :n_f]
-    try:
-        k_f = np.linalg.cholesky(n_ff)
-    except np.linalg.LinAlgError as exc:
-        raise _stage_failure("(R^-1)_ff", n_ff, where, idx.size) from exc
-    k_f_inv = np.linalg.inv(k_f)
+    k_f_inv = _stage_solve(_inverse_cholesky, "(R^-1)_ff", n_ff, where, idx.size)
     t = -(n_ew[idx, :n_f] @ k_f_inv.T) @ k_f_inv
     return t, n_ew[idx, n_f:] + t @ n_ew[forb, n_f:], k_f_inv
 
@@ -992,11 +996,13 @@ def solve_constrained_qp(plant: GeneralizedPlant, gains: RiccatiGains,
     far below the order there (partial condensing: Axehill, "Controlling
     the level of sparsity in MPC", Systems & Control Letters 2015).  One
     forward sweep of the n x n recursion forms E_i = K P_i + Q_i L, the
-    matrix of C_v x_i, once per lag, applies each stage's data, condensed
-    to xi_i, which grows by each lag's J_(i,a), dense or factored to x_i
-    and vec(E_i), for the optimal J_i, and returns V_i = J_i - E_i as an
-    ``(N, n_ctrl, n_meas)`` array with the optimal cost x_1^T X_1 x_1.  The
-    constraint's blocks must be the plant's.
+    matrix of C_v x_i, once per lag, and applies each stage's record
+    (:func:`_backward_sweep`) for the optimal J_i: a gain h^-1 g as
+    J_a = -h^-1 g xi_i at a condensed lag, xi_i growing by each lag's
+    J_(i,a), and as -h^-1 g x_i at a dense one; a factored stage's
+    (forbidden, T, S_y, S_z) to x_i and vec(E_i).  It returns
+    V_i = J_i - E_i as an ``(N, n_ctrl, n_meas)`` array with the optimal
+    cost x_1^T X_1 x_1.  The constraint's blocks must be the plant's.
     """
     if (cs.block_rows, cs.block_cols) != (plant.block_rows, plant.block_cols):
         raise DimensionMismatch("constraint blocks do not match the plant blocks")
@@ -1014,15 +1020,15 @@ def solve_constrained_qp(plant: GeneralizedPlant, gains: RiccatiGains,
     v = np.zeros((n, n_u, n_y))
     for i, ((idx, *data), _) in enumerate(reversed(swept)):
         e = k @ p + q @ l                                # C_v x
-        x, e_vec, j = np.concatenate([vec(p), vec(q)]), vec(e), np.zeros(n_u * n_y)
-        if i < s:                                        # condensed: J_a = -h^-1 g xi
-            j[idx] = -(data[0] @ xi)
-            xi = np.concatenate([xi, j[idx]])
-        elif len(data) == 2:                             # dense: J_a = -h^-1 g x
-            j[idx] = -(data[1] @ x)
+        state = xi if i < s else np.concatenate([vec(p), vec(q)])  # xi_i, then x_i
+        e_vec, j = vec(e), np.zeros(n_u * n_y)
+        if len(data) == 1:                               # J_a = -h^-1 g state
+            j[idx] = -(data[0] @ state)
         else:                                            # factored: u_0 + delta
             forb, t, s_y, s_z = data
-            j[idx] = e_vec[idx] + t @ e_vec[forb] - s_y @ (x @ s_z)
+            j[idx] = e_vec[idx] + t @ e_vec[forb] - s_y @ (state @ s_z)
+        if i < s:                                        # xi_(i+1) = [xi_i; J_(i,a)]
+            xi = np.concatenate([xi, j[idx]])
         j = j.reshape(n_u, n_y, order="F")
         v[i] = j - e
         p, q = a @ p + b2 @ (j - q @ l), q @ a + j @ c2
